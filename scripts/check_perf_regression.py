@@ -31,9 +31,17 @@ come from one run on one machine), so it can gate shape claims like
 (--min-ratio fleet_block width-1024-blocked 0.85) at full strictness.
 KEY matches the point's name; the policy column is ignored.
 
+--min-policy-ratio SECTION KEY POLICY_A POLICY_B RATIO is the within-run
+relation between two policies on one point: the current file's
+(SECTION, KEY, POLICY_A) must run at at least RATIO times the
+events_per_sec of (SECTION, KEY, POLICY_B).  It gates a gap that must
+not reopen, e.g. LPFPS vs FPS on the INS workload
+(--min-policy-ratio workload INS LPFPS FPS 0.23).
+
 Usage: check_perf_regression.py CURRENT BASELINE [--tolerance 0.25]
            [--latency-tolerance 0.25] [--require-section NAME]...
            [--min-ratio SECTION KEY RATIO]...
+           [--min-policy-ratio SECTION KEY POLICY_A POLICY_B RATIO]...
 """
 
 import argparse
@@ -86,6 +94,13 @@ def main():
                              "SECTION reaches RATIO x the section's fastest "
                              "events_per_sec in the current file "
                              "(repeatable)")
+    parser.add_argument("--min-policy-ratio", action="append", default=[],
+                        nargs=5,
+                        metavar=("SECTION", "KEY", "POLICY_A", "POLICY_B",
+                                 "RATIO"),
+                        help="fail unless the current point (SECTION, KEY, "
+                             "POLICY_A) reaches RATIO x the events_per_sec "
+                             "of (SECTION, KEY, POLICY_B) (repeatable)")
     args = parser.parse_args()
 
     current = load_points(args.current)
@@ -162,6 +177,32 @@ def main():
             failures.append(
                 f"{section}/{name}: {cur_eps:.0f} ev/s < {floor:.0f} "
                 f"({ratio:.0%} of section peak {peak:.0f})")
+
+    for section, name, policy_a, policy_b, ratio_text in \
+            args.min_policy_ratio:
+        label = f"{section}/{name}: {policy_a}/{policy_b}"
+        try:
+            ratio = float(ratio_text)
+        except ValueError:
+            sys.exit(f"error: --min-policy-ratio {label}: "
+                     f"'{ratio_text}' is not a number")
+        absent = [policy for policy in (policy_a, policy_b)
+                  if (section, name, policy) not in current]
+        if absent:
+            failures.append(f"--min-policy-ratio: no point "
+                            f"{section}/{name}/{' or '.join(absent)} in "
+                            f"current file {args.current}")
+            continue
+        eps_a = current[(section, name, policy_a)]["eps"]
+        eps_b = current[(section, name, policy_b)]["eps"]
+        floor = eps_b * ratio
+        status = "FAIL" if eps_a < floor else "ok"
+        print(f"{status:4} {label:60} x{eps_a / eps_b:.2f} "
+              f"({eps_a:.0f} vs {eps_b:.0f} ev/s, >= {ratio:.2f} required)")
+        if eps_a < floor:
+            failures.append(
+                f"{label}: {eps_a:.0f} ev/s < {floor:.0f} "
+                f"({ratio:.0%} of {policy_b} {eps_b:.0f})")
 
     if failures:
         print(f"\n{len(failures)} perf regression(s) beyond "

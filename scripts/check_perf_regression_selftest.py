@@ -168,6 +168,32 @@ def main():
                  [shaped, base, "--min-ratio", "adm", "churn-25", "fast"],
                  1, "not a number")
 
+        # --min-policy-ratio: one policy against another on one point.
+        h.expect("min-policy-ratio satisfied passes",
+                 [shaped, base, "--min-policy-ratio", "adm", "churn-25",
+                  "scratch", "incremental", "0.4"], 0, "x0.40")
+        h.expect("min-policy-ratio violated fails",
+                 [shaped, base, "--min-policy-ratio", "adm", "churn-25",
+                  "scratch", "incremental", "0.5"], 1,
+                 "50% of incremental")
+        h.expect("min-policy-ratio above 1 compares the right way round",
+                 [shaped, base, "--min-policy-ratio", "adm", "churn-25",
+                  "incremental", "scratch", "2.5"], 0)
+        h.expect("min-policy-ratio over unknown section fails",
+                 [shaped, base, "--min-policy-ratio", "ghost", "churn-25",
+                  "scratch", "incremental", "0.4"], 1,
+                 "no point ghost/churn-25/scratch or incremental")
+        h.expect("min-policy-ratio over unknown policy fails",
+                 [shaped, base, "--min-policy-ratio", "adm", "churn-25",
+                  "scratch", "ghost", "0.4"], 1,
+                 "no point adm/churn-25/ghost")
+        h.expect("min-policy-ratio with non-numeric ratio is rejected",
+                 [shaped, base, "--min-policy-ratio", "adm", "churn-25",
+                  "scratch", "incremental", "fast"], 1, "not a number")
+        h.expect("min-policy-ratio with too few arguments is rejected",
+                 [shaped, base, "--min-policy-ratio", "adm", "churn-25",
+                  "scratch", "0.4"], 2, "expected 5 arguments")
+
         if h.failures:
             print(f"\n{len(h.failures)}/{h.cases} self-test case(s) failed:",
                   file=sys.stderr)

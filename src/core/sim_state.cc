@@ -1150,9 +1150,10 @@ void SimState::advance_to(const TimePoint& next) {
   segment.ratio_begin = ratio_;
   segment.ratio_end = end_ratio;
 
-  // The energy each branch charges into the accumulator; recorded into
-  // the cycle template so the replay can re-add the identical value
-  // without re-evaluating the power model.
+  // The energy the accumulator charged for this interval: attributed to
+  // the running task, and recorded into the cycle template so the
+  // replay re-adds the identical value without re-evaluating the power
+  // model.
   Energy charged = 0.0;
   switch (state_) {
     case CpuState::kRunning: {
@@ -1160,20 +1161,12 @@ void SimState::advance_to(const TimePoint& next) {
       const Work done = power::work_done(ratio_, s, dt);
       job(active_).executed += done;
       if (detection_enabled_) job(active_).budget_used += done;
-      Energy spent = 0.0;
-      if (s == 0.0) {
-        accumulator_->add_run(dt, ratio_);
-        spent = dt * power_model_->run_power(ratio_);
-      } else {
-        accumulator_->add_run_ramp(dt, ratio_, end_ratio,
-                                  effective_ramp_rate_);
-        spent = power_model_->ramp_energy(ratio_, end_ratio,
-                                          effective_ramp_rate_, true);
-      }
-      charged = spent;
+      charged = s == 0.0 ? accumulator_->add_run(dt, ratio_)
+                         : accumulator_->add_run_ramp(dt, ratio_, end_ratio,
+                                                      effective_ramp_rate_);
       auto& slot = per_task_[static_cast<std::size_t>(active_)];
       slot.time += dt;
-      slot.energy += spent;
+      slot.energy += charged;
       running_ratio_integral_ += (ratio_ + end_ratio) / 2.0 * dt;
       running_time_ += dt;
       segment.mode = sim::ProcessorMode::kRunning;
@@ -1182,33 +1175,24 @@ void SimState::advance_to(const TimePoint& next) {
     }
     case CpuState::kIdle: {
       if (s == 0.0) {
-        accumulator_->add_idle_nop(dt, ratio_);
-        if (cycle_recording_) {
-          charged = dt * power_model_->idle_nop_power(ratio_);
-        }
+        charged = accumulator_->add_idle_nop(dt, ratio_);
         segment.mode = sim::ProcessorMode::kIdleBusyWait;
       } else {
-        accumulator_->add_idle_ramp(dt, ratio_, end_ratio,
-                                   effective_ramp_rate_);
-        if (cycle_recording_) {
-          charged = power_model_->ramp_energy(ratio_, end_ratio,
-                                              effective_ramp_rate_, false);
-        }
+        charged = accumulator_->add_idle_ramp(dt, ratio_, end_ratio,
+                                              effective_ramp_rate_);
         segment.mode = sim::ProcessorMode::kRamping;
       }
       break;
     }
     case CpuState::kPowerDown: {
       LPFPS_CHECK(s == 0.0);
-      accumulator_->add_power_down(dt, sleep_power_fraction_);
-      charged = dt * sleep_power_fraction_;
+      charged = accumulator_->add_power_down(dt, sleep_power_fraction_);
       segment.mode = sim::ProcessorMode::kPowerDown;
       break;
     }
     case CpuState::kWakeUp: {
       LPFPS_CHECK(s == 0.0);
-      accumulator_->add_wakeup(dt);
-      charged = dt * 1.0;
+      charged = accumulator_->add_wakeup(dt);
       segment.mode = sim::ProcessorMode::kWakeUp;
       break;
     }

@@ -1,5 +1,7 @@
 #include "power/energy.h"
 
+#include <bit>
+
 #include "common/check.h"
 #include "common/float_compare.h"
 #include "power/speed_profile.h"
@@ -11,55 +13,74 @@ EnergyAccumulator::EnergyAccumulator(const PowerModel* model)
   LPFPS_CHECK(model_ != nullptr);
 }
 
-void EnergyAccumulator::charge(sim::ProcessorMode mode, Time duration,
-                               Energy energy) {
+Energy EnergyAccumulator::charge(sim::ProcessorMode mode, Time duration,
+                                 Energy energy) {
   LPFPS_CHECK(duration >= -kTimeEpsilon);
-  if (duration <= 0.0) return;
+  if (duration <= 0.0) return 0.0;
   auto& slot = by_mode_[static_cast<std::size_t>(mode)];
   slot.time += duration;
   slot.energy += energy;
   ++slot.intervals;
+  return energy;
 }
 
-void EnergyAccumulator::add_run(Time duration, Ratio ratio) {
-  charge(sim::ProcessorMode::kRunning, duration,
-         duration * model_->run_power(ratio));
+Energy EnergyAccumulator::ramp_energy(Ratio from, Ratio to, double rho,
+                                      bool executing) {
+  const auto f = std::bit_cast<std::uint64_t>(from);
+  const auto t = std::bit_cast<std::uint64_t>(to);
+  const auto r = std::bit_cast<std::uint64_t>(rho);
+  const std::uint8_t kind = executing ? 2 : 1;
+  // Fibonacci hashing of the mixed key: the top bits pick the slot.
+  const std::uint64_t mixed =
+      (f ^ (t * 0xC2B2AE3D27D4EB4FULL) ^ r ^ kind) * 0x9E3779B97F4A7C15ULL;
+  RampSlot& slot = ramp_memo_[mixed >> (64 - kRampSlotBits)];
+  if (slot.from == f && slot.to == t && slot.rho == r && slot.kind == kind) {
+    return slot.energy;
+  }
+  const Energy energy = model_->ramp_energy(from, to, rho, executing);
+  slot = {f, t, r, energy, kind};
+  return energy;
 }
 
-void EnergyAccumulator::add_run_ramp(Time duration, Ratio from, Ratio to,
-                                     double rho) {
+Energy EnergyAccumulator::add_run(Time duration, Ratio ratio) {
+  return charge(sim::ProcessorMode::kRunning, duration,
+                duration * model_->run_power(ratio));
+}
+
+Energy EnergyAccumulator::add_run_ramp(Time duration, Ratio from, Ratio to,
+                                       double rho) {
   LPFPS_CHECK(approx_equal(duration, ramp_duration(from, to, rho),
                            1e-6 + duration * 1e-9));
-  charge(sim::ProcessorMode::kRunning, duration,
-         model_->ramp_energy(from, to, rho, /*executing=*/true));
+  return charge(sim::ProcessorMode::kRunning, duration,
+                ramp_energy(from, to, rho, /*executing=*/true));
 }
 
-void EnergyAccumulator::add_idle_nop(Time duration, Ratio ratio) {
-  charge(sim::ProcessorMode::kIdleBusyWait, duration,
-         duration * model_->idle_nop_power(ratio));
+Energy EnergyAccumulator::add_idle_nop(Time duration, Ratio ratio) {
+  return charge(sim::ProcessorMode::kIdleBusyWait, duration,
+                duration * model_->idle_nop_power(ratio));
 }
 
-void EnergyAccumulator::add_idle_ramp(Time duration, Ratio from, Ratio to,
-                                      double rho) {
+Energy EnergyAccumulator::add_idle_ramp(Time duration, Ratio from, Ratio to,
+                                        double rho) {
   LPFPS_CHECK(approx_equal(duration, ramp_duration(from, to, rho),
                            1e-6 + duration * 1e-9));
-  charge(sim::ProcessorMode::kRamping, duration,
-         model_->ramp_energy(from, to, rho, /*executing=*/false));
+  return charge(sim::ProcessorMode::kRamping, duration,
+                ramp_energy(from, to, rho, /*executing=*/false));
 }
 
-void EnergyAccumulator::add_power_down(Time duration) {
-  add_power_down(duration, model_->power_down_power());
+Energy EnergyAccumulator::add_power_down(Time duration) {
+  return add_power_down(duration, model_->power_down_power());
 }
 
-void EnergyAccumulator::add_power_down(Time duration,
-                                       double power_fraction) {
+Energy EnergyAccumulator::add_power_down(Time duration,
+                                         double power_fraction) {
   LPFPS_CHECK(power_fraction >= 0.0 && power_fraction <= 1.0);
-  charge(sim::ProcessorMode::kPowerDown, duration,
-         duration * power_fraction);
+  return charge(sim::ProcessorMode::kPowerDown, duration,
+                duration * power_fraction);
 }
 
-void EnergyAccumulator::add_wakeup(Time duration) {
-  charge(sim::ProcessorMode::kWakeUp, duration, duration * 1.0);
+Energy EnergyAccumulator::add_wakeup(Time duration) {
+  return charge(sim::ProcessorMode::kWakeUp, duration, duration * 1.0);
 }
 
 Energy EnergyAccumulator::total_energy() const {
