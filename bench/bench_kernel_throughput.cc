@@ -16,7 +16,10 @@
 // status quo — the scaling claim the fleet is gated on.  A sixth
 // section isolates lane-block scheduling: wide widths flat
 // (lane_block=0) versus blocked (lane_block=64), gated on
-// width-1024-blocked staying within 15% of the section peak.
+// width-1024-blocked staying within 15% of the section peak.  A seventh
+// section times the fleet's per-spec setup: the same pool run from one
+// engine built once (run-only) versus a fresh engine and add() pass per
+// run (add+run), the cost every sweep caller pays.
 //
 // Emits BENCH_kernel_throughput.json; CI's perf-smoke job diffs the
 // events/sec columns against bench/baseline_kernel_throughput.json and
@@ -486,6 +489,40 @@ int main() {
       });
       print_row("fleet_block", point.name, "fps+lpfps", t, {});
       add_point(json, "fleet_block", point.name, "fps+lpfps", t, {});
+    }
+
+    // ---- Section 7: fleet setup cost (docs/PERFORMANCE.md). ------------
+    // The sections above add() the pool once, outside the timer, and
+    // time re-runs of one engine.  A sweep caller instead builds a fresh
+    // engine and add()s every spec for each sweep, paying the per-spec
+    // preparation (validation, cycle probe, warmed RNG state) once per
+    // sim.  Same pool, width 256: run-only re-times the sections'
+    // measurement, add+run times engine construction, 1024 add() calls
+    // and run_all() per rep.  CI gates add+run's share of the run-only
+    // rate via --min-ratio fleet_setup add+run.
+    const fleet::FleetOptions setup_options{256, 0.0};
+    const auto run_events = [](fleet::FleetEngine& engine) {
+      std::int64_t events = 0;
+      for (const core::SimulationResult& result : engine.run_all()) {
+        events += result.scheduler_invocations;
+      }
+      return events;
+    };
+    {
+      fleet::FleetEngine engine(setup_options);
+      for (const fleet::SimSpec& spec : specs) engine.add(spec);
+      const Throughput t = measure([&] { return run_events(engine); });
+      print_row("fleet_setup", "run-only", "fps+lpfps", t, {});
+      add_point(json, "fleet_setup", "run-only", "fps+lpfps", t, {});
+    }
+    {
+      const Throughput t = measure([&] {
+        fleet::FleetEngine engine(setup_options);
+        for (const fleet::SimSpec& spec : specs) engine.add(spec);
+        return run_events(engine);
+      });
+      print_row("fleet_setup", "add+run", "fps+lpfps", t, {});
+      add_point(json, "fleet_setup", "add+run", "fps+lpfps", t, {});
     }
   }
 

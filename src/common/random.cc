@@ -1,12 +1,51 @@
 #include "common/random.h"
 
-#include <sstream>
-#include <string>
+#include <random>
 
 #include "common/check.h"
 #include "common/math_utils.h"
 
 namespace lpfps {
+
+// The standard's mersenne_twister_engine ([rand.eng.mers]) with the
+// std::mt19937_64 parameters: word size 64, degree n = 312, middle word
+// m = 156, separation point r = 31, initialization multiplier
+// f = 6364136223846793005.
+
+void Mt19937_64::seed(result_type value) {
+  state_[0] = value;
+  for (std::size_t i = 1; i < kStateSize; ++i) {
+    const result_type prev = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+  index_ = kStateSize;
+}
+
+void Mt19937_64::generate_block() {
+  constexpr std::size_t kMiddle = 156;
+  constexpr result_type kUpperMask = ~result_type{0} << 31;
+  constexpr result_type kLowerMask = ~kUpperMask;
+  constexpr result_type kTwist = 0xb5026f5aa96619e9ULL;
+  // x[k] = x[k + m] ^ twist(upper bits of x[k] | lower bits of x[k + 1]),
+  // indices mod n; the loops split where k + m and k + 1 wrap.  The
+  // twist applies `a` when y is odd; masking with -(y & 1) instead of
+  // branching avoids a mispredict on every other word.
+  const auto next = [](result_type upper, result_type lower,
+                       result_type middle) {
+    const result_type y = (upper & kUpperMask) | (lower & kLowerMask);
+    return middle ^ (y >> 1) ^ (kTwist & (result_type{0} - (y & 1)));
+  };
+  std::size_t k = 0;
+  for (; k < kStateSize - kMiddle; ++k) {
+    state_[k] = next(state_[k], state_[k + 1], state_[k + kMiddle]);
+  }
+  for (; k < kStateSize - 1; ++k) {
+    state_[k] =
+        next(state_[k], state_[k + 1], state_[k + kMiddle - kStateSize]);
+  }
+  state_[k] = next(state_[k], state_[0], state_[kMiddle - 1]);
+  index_ = 0;
+}
 
 double Rng::uniform(double lo, double hi) {
   LPFPS_CHECK(lo <= hi);
@@ -32,41 +71,6 @@ double Rng::clamped_gaussian(double mean, double stddev, double lo,
                              double hi) {
   LPFPS_CHECK(lo <= hi);
   return clamp(gaussian(mean, stddev), lo, hi);
-}
-
-std::mt19937_64 Rng::warmed_engine(std::uint64_t seed) {
-  // mt19937_64 works lazily in blocks of 312 words: seeding expands the
-  // seed over the whole state, and the first draw generates the first
-  // block -- together ~2us, the single largest fixed cost of starting a
-  // simulation.  Both are pure functions of the seed, so they can be
-  // hoisted: draw once to force the block generation, then rewind the
-  // cursor to the block start through the engine's textual
-  // representation (libstdc++ streams the 312 state words followed by
-  // the cursor position).
-  std::mt19937_64 engine(seed);
-  (void)engine();
-  std::ostringstream os;
-  os << engine;
-  std::string text = os.str();
-  const std::size_t cut = text.find_last_of(' ');
-  std::mt19937_64 rewound;
-  bool ok = cut != std::string::npos;
-  if (ok) {
-    text.resize(cut + 1);
-    text += '0';
-    std::istringstream is(text);
-    is >> rewound;
-    ok = !is.fail();
-  }
-  if (ok) {
-    // Contract check: the rewound engine must replay the fresh engine's
-    // stream exactly.  Guards against a standard library whose textual
-    // layout differs from the one assumed above.
-    std::mt19937_64 fresh(seed);
-    std::mt19937_64 probe = rewound;
-    for (int i = 0; ok && i < 8; ++i) ok = fresh() == probe();
-  }
-  return ok ? rewound : std::mt19937_64(seed);
 }
 
 std::uint64_t Rng::fork_seed() {

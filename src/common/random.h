@@ -5,41 +5,93 @@
 // simulations, tests, and benches are reproducible run-to-run.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 
 namespace lpfps {
 
-/// A thin, explicitly seeded wrapper over std::mt19937_64.
+/// MT19937-64 with the algorithm and constants the C++ standard fixes for
+/// std::mt19937_64 ([rand.predef]): for every seed the output stream is
+/// bitwise the same, so std:: distributions driven by it draw the same
+/// values.  It exists for one operation std::mt19937_64 offers only
+/// through text I/O: warm().
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kStateSize = 312;
+  static constexpr result_type kDefaultSeed = 5489u;
+
+  Mt19937_64() : Mt19937_64(kDefaultSeed) {}
+  explicit Mt19937_64(result_type value) { seed(value); }
+
+  /// constexpr like the standard engine's: std:: distributions choose
+  /// their sampling algorithm from the range at compile time.
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  /// Expands `value` over the whole state, as std::mt19937_64::seed
+  /// does.  Like the standard engine, the first block of output is
+  /// generated lazily, by the first draw or by warm().
+  void seed(result_type value);
+
+  /// Generates the pending block now and leaves the cursor at its
+  /// start, so the next draw costs what any other draw costs.  The
+  /// output stream is unchanged.  A no-op when no block is pending
+  /// (the engine is already warm, or part-way through a block).
+  void warm() {
+    if (index_ >= kStateSize) generate_block();
+  }
+
+  result_type operator()() {
+    if (index_ >= kStateSize) generate_block();
+    result_type z = state_[index_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+  /// Equal state words and cursor, as std::mt19937_64's operator==.
+  friend bool operator==(const Mt19937_64&, const Mt19937_64&) = default;
+
+ private:
+  /// Twists the whole state into the next block and rewinds the cursor.
+  void generate_block();
+
+  std::array<result_type, kStateSize> state_{};
+  std::size_t index_ = kStateSize;
+};
+
+/// A thin, explicitly seeded wrapper over an MT19937-64 engine.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
   /// Reseeds in place.  Bit-identical to constructing a fresh
-  /// `Rng(seed)`: `mt19937_64::seed` performs the same state
+  /// `Rng(seed)`: `Mt19937_64::seed` performs the same state
   /// initialization as the seeded constructor, and every distribution
   /// method constructs its std:: distribution per call, so no sampling
   /// state survives a reseed.  The fleet engine relies on this to rebind
   /// simulation lanes without reallocating.
   void reseed(std::uint64_t seed) { engine_.seed(seed); }
 
-  /// Restores an engine state previously captured with warmed_engine().
-  /// A plain 2.5 KB copy — roughly 50x cheaper than reseed() plus the
-  /// lazy first-block generation a freshly seeded mt19937_64 performs on
-  /// its first draw.  The fleet engine caches one warmed state per spec
-  /// and restores it on every lane rebind.
-  void restore(const std::mt19937_64& engine) { engine_ = engine; }
+  /// Restores an engine state previously captured with warmed_engine():
+  /// a plain 2.5 KB copy, cheaper than reseed() plus the first-block
+  /// generation the first draw after it performs.  The fleet engine
+  /// caches one warmed state per spec and restores it on every lane
+  /// rebind.
+  void restore(const Mt19937_64& engine) { engine_ = engine; }
 
   /// Engine state that replays, via restore(), the exact draw stream of
-  /// `Rng(seed)` — with the seed expansion *and* the lazy first-block
-  /// generation already performed, so the first draw after a restore is
-  /// as cheap as any other.  The result is verified against a freshly
-  /// seeded engine before being returned; if the verification fails
-  /// (e.g. a standard library whose textual engine representation
-  /// differs from the one the fast-forward relies on), a plainly seeded
-  /// engine is returned instead — bit-identical either way, merely
-  /// without the speedup.
-  static std::mt19937_64 warmed_engine(std::uint64_t seed);
+  /// `Rng(seed)`: seeded, then warmed, so the first draw after a
+  /// restore is as cheap as any other.
+  static Mt19937_64 warmed_engine(std::uint64_t seed) {
+    Mt19937_64 engine(seed);
+    engine.warm();
+    return engine;
+  }
 
   /// Uniform real in [lo, hi).
   double uniform(double lo, double hi);
@@ -60,14 +112,14 @@ class Rng {
   /// stream so that adding tasks does not perturb others' draws.
   std::uint64_t fork_seed();
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
   /// Read-only engine access, used to fingerprint (and compare) the
   /// exact generator state between simulation checkpoints.
-  const std::mt19937_64& engine() const { return engine_; }
+  const Mt19937_64& engine() const { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace lpfps

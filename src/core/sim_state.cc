@@ -125,7 +125,7 @@ SimState::SimState(const sched::TaskSet& tasks,
                    const SchedulerPolicy& policy,
                    const exec::ExecModelPtr& exec_model,
                    const EngineOptions& options,
-                   const std::mt19937_64* rng_state) {
+                   const Mt19937_64* rng_state) {
   reset(tasks, processor, policy, exec_model, options, rng_state);
 }
 
@@ -134,7 +134,7 @@ void SimState::reset(const sched::TaskSet& tasks,
                      const SchedulerPolicy& policy,
                      const exec::ExecModelPtr& exec_model,
                      const EngineOptions& options,
-                     const std::mt19937_64* rng_state) {
+                     const Mt19937_64* rng_state) {
   tasks_ = &tasks;
   processor_ = &processor;
   policy_ = &policy;
@@ -145,8 +145,8 @@ void SimState::reset(const sched::TaskSet& tasks,
   // and the optional re-emplacement rebuilds the power model in place —
   // the accumulator pointer below always refers to this lane's storage.
   // A caller-provided warmed state (Rng::warmed_engine of options.seed)
-  // replays the same stream while skipping the seed expansion and the
-  // lazy first-block generation.
+  // is the seeded engine with its first block already generated: a
+  // copy replays the same stream without redoing either step.
   if (rng_state != nullptr) {
     rng_.restore(*rng_state);
   } else {
@@ -987,7 +987,7 @@ void SimState::on_cycle_boundary() {
                                     started)
           .count();
   if (rng_moved) {
-    // The execution model consumes randomness each cycle; a mt19937
+    // The execution model consumes randomness each cycle; an MT19937
     // state never recurs within any simulatable horizon, so stop
     // checking.  Stochastic runs thus pay exactly two fingerprints.
     disarm_cycle_detection();

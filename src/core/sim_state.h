@@ -21,7 +21,7 @@
 // reset() rebinds an existing SimState to a new simulation while
 // retaining every internal buffer's capacity (queues, job tables,
 // per-task totals).  A reset state is bit-identical to a freshly
-// constructed one — the mt19937 reseed, the cleared queues, and the
+// constructed one — the RNG reseed, the cleared queues, and the
 // re-derived fault wiring reproduce the constructor exactly — which is
 // what lets the fleet engine reuse a fixed pool of lanes across
 // thousands of simulations without paying the allocation and setup cost
@@ -41,7 +41,6 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <random>
 #include <vector>
 
 #include "common/float_compare.h"
@@ -199,7 +198,7 @@ struct Fingerprint {
   /// The full generator state.  Deterministic models never touch it, so
   /// it compares equal; stochastic models advance it monotonically, so
   /// boundaries can never match (and one mismatch disarms the detector).
-  std::mt19937_64 rng;
+  Mt19937_64 rng;
 
   friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
 };
@@ -257,14 +256,15 @@ class SimState {
   /// may be null, in which case every job takes its WCET.  Borrows every
   /// reference argument for the lifetime of the run (see file comment).
   /// `rng_state`, when non-null, must be Rng::warmed_engine of
-  /// `options.seed`: the generator is restored from it instead of
-  /// reseeded, skipping the seed expansion and first-block generation
-  /// bit-identically (the fleet caches one warmed state per spec).
+  /// `options.seed`: the generator is restored from it by copy instead
+  /// of reseeded, so the rebind pays neither the seed expansion nor the
+  /// first-block generation, and draws the identical stream (the fleet
+  /// warms one state per spec at add() time).
   SimState(const sched::TaskSet& tasks,
            const power::ProcessorConfig& processor,
            const SchedulerPolicy& policy, const exec::ExecModelPtr& exec_model,
            const EngineOptions& options,
-           const std::mt19937_64* rng_state = nullptr);
+           const Mt19937_64* rng_state = nullptr);
 
   SimState(const SimState&) = delete;
   SimState& operator=(const SimState&) = delete;
@@ -277,7 +277,7 @@ class SimState {
              const SchedulerPolicy& policy,
              const exec::ExecModelPtr& exec_model,
              const EngineOptions& options,
-             const std::mt19937_64* rng_state = nullptr);
+             const Mt19937_64* rng_state = nullptr);
 
   /// Per-spec work that is a pure function of the (immutable) spec: the
   /// validation verdict and the cycle-eligibility probe (hyperperiod

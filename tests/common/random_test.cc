@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
+
+#include "runner/runner.h"
+
 namespace lpfps {
 namespace {
 
@@ -92,6 +101,129 @@ TEST(Rng, ForkSeedProducesIndependentStreams) {
     if (child_a.uniform(0.0, 1.0) == child_b.uniform(0.0, 1.0)) ++equal;
   }
   EXPECT_LT(equal, 5);
+}
+
+// ---- Engine identity: Mt19937_64 is bitwise std::mt19937_64. ----------
+
+std::vector<std::uint64_t> identity_seeds() {
+  return {0,
+          1,
+          5489,
+          std::numeric_limits<std::uint64_t>::max(),
+          runner::derive_seed(2024, 0),
+          runner::derive_seed(2024, 1),
+          runner::derive_seed(7, 431)};
+}
+
+/// Raw draws spanning four block generations (at 0, 312, 624, 936).
+constexpr int kIdentityDraws = 1000;
+
+TEST(Mt19937_64, RawStreamMatchesStdEngine) {
+  for (const std::uint64_t seed : identity_seeds()) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < kIdentityDraws; ++i) {
+      ASSERT_EQ(engine(), reference()) << "seed " << seed << " draw " << i;
+    }
+    // Reseeding mid-block matches std::mt19937_64::seed too.
+    engine.seed(seed ^ 0x5a5a5a5aULL);
+    reference.seed(seed ^ 0x5a5a5a5aULL);
+    for (int i = 0; i < kIdentityDraws; ++i) {
+      ASSERT_EQ(engine(), reference()) << "reseed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64, TenThousandthDefaultOutputIsTheStandardValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 shall produce 9981545732273789042.
+  Mt19937_64 engine;
+  for (int i = 1; i < 10'000; ++i) (void)engine();
+  EXPECT_EQ(engine(), 9981545732273789042ULL);
+}
+
+/// Bitwise double equality (EXPECT_EQ would let -0.0 match +0.0).
+void expect_same_bits(double actual, double expected, const char* what,
+                      std::uint64_t seed, int draw) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual),
+            std::bit_cast<std::uint64_t>(expected))
+      << what << " seed " << seed << " draw " << draw << ": " << actual
+      << " vs " << expected;
+}
+
+TEST(Rng, EveryMethodMatchesStdDistributionsOnStdEngine) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (const std::uint64_t seed : identity_seeds()) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    // Each Rng method builds its std:: distribution per call, so the
+    // reference does the same; interleaving the methods crosses block
+    // boundaries at varying offsets.
+    for (int i = 0; i < 400; ++i) {
+      expect_same_bits(
+          rng.uniform(-3.5, 12.25),
+          std::uniform_real_distribution<double>(-3.5, 12.25)(reference),
+          "uniform", seed, i);
+      EXPECT_EQ(rng.uniform_int(1, 6),
+                std::uniform_int_distribution<std::int64_t>(1, 6)(reference))
+          << "uniform_int seed " << seed << " draw " << i;
+      EXPECT_EQ(rng.uniform_int(kMin, kMax),
+                std::uniform_int_distribution<std::int64_t>(kMin,
+                                                            kMax)(reference))
+          << "uniform_int full range seed " << seed << " draw " << i;
+      expect_same_bits(
+          rng.gaussian(10.0, 2.0),
+          std::normal_distribution<double>(10.0, 2.0)(reference), "gaussian",
+          seed, i);
+      const double clamped = std::clamp(
+          std::normal_distribution<double>(5.0, 10.0)(reference), 2.0, 8.0);
+      expect_same_bits(rng.clamped_gaussian(5.0, 10.0, 2.0, 8.0), clamped,
+                       "clamped_gaussian", seed, i);
+      std::uint64_t z = reference() + 0x9e3779b97f4a7c15ULL;
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+      EXPECT_EQ(rng.fork_seed(), z ^ (z >> 31))
+          << "fork_seed seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Rng, RestoredWarmedEngineReplaysSeededRng) {
+  for (const std::uint64_t seed : identity_seeds()) {
+    Rng fresh(seed);
+    Rng restored(seed + 1);
+    (void)restored.uniform(0.0, 1.0);  // Mid-block: restore must overwrite.
+    restored.restore(Rng::warmed_engine(seed));
+    for (int i = 0; i < kIdentityDraws; ++i) {
+      ASSERT_EQ(restored.engine()(), fresh.engine()())
+          << "seed " << seed << " draw " << i;
+      expect_same_bits(restored.gaussian(0.0, 1.0), fresh.gaussian(0.0, 1.0),
+                       "gaussian", seed, i);
+    }
+  }
+}
+
+TEST(Mt19937_64, WarmChangesNoOutput) {
+  for (const std::uint64_t seed : identity_seeds()) {
+    // Already warm: warm() is a no-op, state and cursor included.
+    const Mt19937_64 warmed = Rng::warmed_engine(seed);
+    Mt19937_64 again = warmed;
+    again.warm();
+    EXPECT_TRUE(again == warmed) << "seed " << seed;
+
+    // Mid-block and at an exhausted block: the stream is unchanged.
+    for (const int drawn : {5, static_cast<int>(Mt19937_64::kStateSize)}) {
+      Mt19937_64 lazy(seed);
+      for (int i = 0; i < drawn; ++i) (void)lazy();
+      Mt19937_64 eager = lazy;
+      eager.warm();
+      for (int i = 0; i < kIdentityDraws; ++i) {
+        ASSERT_EQ(eager(), lazy())
+            << "seed " << seed << " after " << drawn << " draw " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

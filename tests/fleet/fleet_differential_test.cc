@@ -239,22 +239,40 @@ TEST(FleetDifferential, MixedBatchWithFaultedAndCycleEligibleSims) {
 }
 
 /// Lane reuse must not leak state between sims: run the same specs
-/// twice through one engine (every lane is rebound in round two) and
-/// through widths that force uneven batch tails.
+/// twice through one engine and through widths and lane blocks that
+/// force uneven batch tails.  Round two binds only rebound lanes, each
+/// restoring its RNG by copy from the warmed state add() cached, so a
+/// cache a run disturbed, or a restore that left the previous sim's
+/// generator in place, diverges there.  Width 1 is the core::simulate
+/// reference path.
 TEST(FleetDifferential, LaneRebindLeaksNothing) {
-  const std::vector<fleet::SimSpec> specs = make_specs(5, false);
+  const std::vector<fleet::SimSpec> specs = make_specs(5, false);  // 10 sims.
   const std::vector<std::string> serial = serial_identities(specs);
 
-  fleet::FleetEngine engine(fleet::FleetOptions{3, 0.0});
-  for (const fleet::SimSpec& spec : specs) engine.add(spec);
-  for (int round = 0; round < 2; ++round) {
-    const std::vector<core::SimulationResult> results = engine.run_all();
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
-          << "sim " << i << " diverged in round " << round;
+  struct Shape {
+    std::size_t width;
+    std::size_t lane_block;
+  };
+  for (const Shape shape : {Shape{3, 64}, Shape{1, 3}, Shape{8, 3}}) {
+    fleet::FleetOptions options;
+    options.batch_width = shape.width;
+    options.lane_block = shape.lane_block;
+    fleet::FleetEngine engine(options);
+    for (const fleet::SimSpec& spec : specs) engine.add(spec);
+    for (int round = 0; round < 2; ++round) {
+      const std::vector<core::SimulationResult> results = engine.run_all();
+      ASSERT_EQ(results.size(), specs.size());
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
+            << "sim " << i << " diverged at width " << shape.width
+            << ", lane_block " << shape.lane_block << ", round " << round;
+      }
+    }
+    if (shape.width > 1) {
+      EXPECT_EQ(engine.stats().lane_constructions, 0u);
+      EXPECT_EQ(engine.stats().lane_rebinds, specs.size());
     }
   }
-  EXPECT_GT(engine.stats().lane_rebinds, 0u);
 }
 
 TEST(FleetDifferential, IsolatedOutcomesCaptureFailuresPerLane) {
