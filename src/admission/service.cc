@@ -41,6 +41,100 @@ constexpr std::size_t kTaskKeyBytes = 8 + 8 + 8 + 4;
 constexpr double kHeadroomCap = 1048576.0;  // 2^20.
 constexpr int kHeadroomIters = 12;
 
+// The fixed probe schedule over a predicate that holds at scale 1 and
+// is monotone (true at s implies true at every smaller s).  Its probes
+// all lie on one lattice L: the powers of two 2..2^20 plus the
+// 4,096-point dyadic grid 2^m + k * 2^(m - 12) inside each octave
+// [2^m, 2^(m+1)).  Gallop plus bisection pins the largest point of L
+// at which the predicate holds, and that point is what it returns.
+template <typename Feasible>
+double largest_feasible_scale(Feasible&& feasible) {
+  // scale = 1 holds by the caller's contract, so the gallop starts at 2
+  // with lo = 1 already proven.
+  double lo = 1.0;
+  double hi = 2.0;
+  while (feasible(hi)) {
+    lo = hi;
+    hi *= 2.0;
+    if (hi > kHeadroomCap) return kHeadroomCap;
+  }
+  for (int i = 0; i < kHeadroomIters; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (feasible(mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+// scaled[i] = tasks[i].wcet * stretch * scale, in that product order
+// (scale = 1 leaves wcet * stretch bit-exact).  True iff no scaled WCET
+// overruns its own deadline.
+bool scale_wcets(const std::vector<sched::Task>& tasks, double stretch,
+                 double scale, std::vector<double>& scaled) {
+  scaled.resize(tasks.size());
+  bool fits = true;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    scaled[i] = tasks[i].wcet * stretch * scale;
+    if (scaled[i] > static_cast<double>(tasks[i].deadline)) fits = false;
+  }
+  return fits;
+}
+
+// The one response-time kernel every probe runs: task i's fixed point
+// R = C_i + sum over higher-priority j of max(1, ceil((R - eps) / T_j))
+// * C_j, with C = `scaled` (index-order summation), resumed from
+// max(seed, C_i) — pass 0 to start at C_i.  The same products,
+// comparisons, and summation order as response_time_from_seed on the
+// materialized scaled set, so every boolean is bitwise what that
+// reference computes.  Returns the converged response, or nullopt when
+// C_i overruns D_i, the iteration passes D_i, or the fixed point lies
+// definitely past D_i.
+//
+// Why any seed at or below the least fixed point R* gives R* exactly
+// (the premise of every seed the service passes — f_max responses,
+// retained probe responses, a search's own chain):
+//   * the step is monotone in R and in every C_j: float subtraction,
+//     division by a positive period, ceil, max, multiplication by a
+//     non-negative WCET and addition are each monotone, and the terms
+//     are summed in one fixed order, so the rounded step is monotone
+//     too;
+//   * a seed s <= R* that is C_i or a converged response under no more
+//     interference than here has step(s) >= s, so the iterates rise
+//     and stay <= step(R*) = R*; a float sequence that rises and is
+//     bounded stops, and the only fixed point it can stop at is R*;
+//   * each non-final step changes the job-count vector, so the
+//     iteration count is at most 1 + sum_j ceil(D_i / T_j) while R <=
+//     D_i + eps — at most about 10^4 on the churn domain (T >= 10^4,
+//     D <= 10^6, n <= 100), far below the 100,000 cap, which therefore
+//     never decides an answer.
+std::optional<double> response_fixed_point(
+    const std::vector<sched::Task>& tasks, const std::vector<double>& scaled,
+    std::size_t i, double seed) {
+  const sched::Task& task = tasks[i];
+  const double deadline = static_cast<double>(task.deadline);
+  if (scaled[i] > deadline) return std::nullopt;  // C_i alone overruns D_i.
+  double r = std::max(seed, scaled[i]);
+  for (int iter = 0; iter < 100000; ++iter) {
+    double next = scaled[i];
+    for (std::size_t j = 0; j < tasks.size(); ++j) {
+      if (tasks[j].priority >= task.priority) continue;
+      const double jobs = std::ceil(
+          (r - kTimeEpsilon) / static_cast<double>(tasks[j].period));
+      next += std::max(1.0, jobs) * scaled[j];
+    }
+    if (next == r) {  // Exact fixed point (see analysis.h).
+      if (definitely_greater(r, deadline)) return std::nullopt;
+      return r;
+    }
+    if (next > deadline + kTimeEpsilon) return std::nullopt;
+    r = next;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 void ServiceConfig::validate() const {
@@ -132,67 +226,50 @@ std::uint64_t AdmissionService::fingerprint() const {
   return core::fnv1a(canonical_key(rta_.tasks()));
 }
 
+double AdmissionService::stretch_at(int level) const {
+  const MegaHertz f =
+      config_.table.levels()[static_cast<std::size_t>(level)];
+  return config_.scaling.stretch(config_.table.ratio_of(f));
+}
+
+double AdmissionService::seed_at(
+    std::size_t i, int level,
+    const std::vector<std::optional<Time>>* seeds) const {
+  // A convergent response time at f_max is a valid seed at any lower
+  // level and any scale >= 1: stretching every WCET by the same factor
+  // >= 1 only raises the least fixed point.  An earlier feasible
+  // probe's converged responses are valid when it ran at the same or a
+  // higher level: less stretch there means a least fixed point at or
+  // below this level's.  The from-scratch arm passes no seeds and
+  // starts at the scaled C_i, like response_time_from_seed does.
+  double seed = 0.0;
+  if (seeds == nullptr) return seed;
+  if ((*seeds)[i].has_value()) seed = *(*seeds)[i];
+  if (probe_level_ >= level && probe_r_.size() == seeds->size()) {
+    seed = std::max(probe_r_[i], seed);
+  }
+  return seed;
+}
+
 bool AdmissionService::feasible_at_level(
     int level, const std::vector<std::optional<Time>>* seeds) {
   saturating_increment(stats_.levels_probed);
-  const MegaHertz f =
-      config_.table.levels()[static_cast<std::size_t>(level)];
-  const double stretch = config_.scaling.stretch(config_.table.ratio_of(f));
   const std::vector<sched::Task>& tasks = rta_.tasks().tasks();
   const std::size_t n = tasks.size();
   // Allocation-free mirror of wcet::scaled_task_set followed by
-  // response_time_from_seed on every task: the same products,
-  // comparisons, and summation order, so the boolean is bitwise what
-  // the materialized reference path (the service_test brute-force
+  // response_time_from_seed on every task, so the boolean is bitwise
+  // what the materialized reference path (the service_test brute-force
   // oracle) computes.
-  scaled_wcet_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    scaled_wcet_[i] = tasks[i].wcet * stretch;
-    if (scaled_wcet_[i] > static_cast<double>(tasks[i].deadline)) {
-      return false;  // A stretched WCET overran D.
-    }
+  if (!scale_wcets(tasks, stretch_at(level), 1.0, scaled_wcet_)) {
+    return false;  // A stretched WCET overran D.
   }
-  // An earlier feasible probe's converged responses seed this probe
-  // when it ran at the same or a higher level: less stretch there means
-  // a least fixed point at or below this level's, so resuming from it
-  // cannot overshoot — it just starts the iteration much closer.
-  const bool reuse_probe =
-      seeds != nullptr && probe_level_ >= level && probe_r_.size() == n;
   const bool record_probe = seeds != nullptr;
   if (record_probe) probe_scratch_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const sched::Task& task = tasks[i];
-    // A convergent response time at f_max is a valid seed at any lower
-    // level: stretching every WCET by the same factor >= 1 only raises
-    // the least fixed point, and any seed at or below it converges to
-    // it exactly (analysis.h).  The from-scratch arm passes no seeds
-    // and starts at the scaled C_i, like response_time_from_seed does.
-    double r = scaled_wcet_[i];
-    if (seeds != nullptr && (*seeds)[i].has_value()) {
-      r = std::max(*(*seeds)[i], r);
-    }
-    if (reuse_probe) r = std::max(probe_r_[i], r);
-    bool converged = false;
-    for (int iter = 0; iter < 100000; ++iter) {
-      double next = scaled_wcet_[i];
-      for (std::size_t j = 0; j < n; ++j) {
-        if (tasks[j].priority >= task.priority) continue;
-        const double jobs = std::ceil(
-            (r - kTimeEpsilon) / static_cast<double>(tasks[j].period));
-        next += std::max(1.0, jobs) * scaled_wcet_[j];
-      }
-      if (next == r) {  // Exact fixed point (see analysis.h).
-        converged = true;
-        break;
-      }
-      if (next > static_cast<double>(task.deadline) + kTimeEpsilon) break;
-      r = next;
-    }
-    if (!converged) return false;
-    if (definitely_greater(r, static_cast<double>(task.deadline))) {
-      return false;
-    }
-    if (record_probe) probe_scratch_[i] = r;
+    const std::optional<double> r =
+        response_fixed_point(tasks, scaled_wcet_, i, seed_at(i, level, seeds));
+    if (!r.has_value()) return false;
+    if (record_probe) probe_scratch_[i] = *r;
   }
   if (record_probe) {
     // A fully feasible probe becomes the new seed source: every later
@@ -366,97 +443,88 @@ int AdmissionService::min_feasible_level(SearchBound bound) {
   return binary_min(lo, hi);
 }
 
-bool AdmissionService::headroom_feasible(
-    int level, double scale, const std::vector<std::optional<Time>>* seeds) {
-  saturating_increment(stats_.headroom_probes);
-  const MegaHertz f =
-      config_.table.levels()[static_cast<std::size_t>(level)];
-  const double stretch = config_.scaling.stretch(config_.table.ratio_of(f));
+double AdmissionService::task_headroom(std::size_t b, int level) {
   const std::vector<sched::Task>& tasks = rta_.tasks().tasks();
-  const std::size_t n = tasks.size();
-  // scaled_wcet_ is free to reuse: compute_headroom runs strictly after
-  // the level search, and the next feasible_at_level rewrites it.
-  scaled_wcet_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    scaled_wcet_[i] = tasks[i].wcet * stretch * scale;
-    if (scaled_wcet_[i] > static_cast<double>(tasks[i].deadline)) {
-      return false;
-    }
-  }
-  // Seed validity mirrors feasible_at_level: this probe's interference
-  // dominates (a) the f_max unscaled set, (b) the level search's last
-  // feasible probe when it ran at or above `level` (the granted level
-  // itself, normally), and (c) the last feasible headroom probe, whose
-  // scale is <= this one on every schedule compute_headroom runs — so
-  // each of those converged responses lies at or below this probe's
-  // least fixed point and resuming from their max cannot overshoot.
-  const bool reuse_level_probe =
-      seeds != nullptr && probe_level_ >= level && probe_r_.size() == n;
-  const bool reuse_chain =
-      seeds != nullptr && hr_scale_ > 0.0 && hr_scale_ <= scale &&
-      hr_r_.size() == n;
-  const bool record = seeds != nullptr;
-  if (record) hr_scratch_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const sched::Task& task = tasks[i];
-    double r = scaled_wcet_[i];
-    if (seeds != nullptr && (*seeds)[i].has_value()) {
-      r = std::max(*(*seeds)[i], r);
-    }
-    if (reuse_level_probe) r = std::max(probe_r_[i], r);
-    if (reuse_chain) r = std::max(hr_r_[i], r);
-    bool converged = false;
-    for (int iter = 0; iter < 100000; ++iter) {
-      double next = scaled_wcet_[i];
-      for (std::size_t j = 0; j < n; ++j) {
-        if (tasks[j].priority >= task.priority) continue;
-        const double jobs = std::ceil(
-            (r - kTimeEpsilon) / static_cast<double>(tasks[j].period));
-        next += std::max(1.0, jobs) * scaled_wcet_[j];
-      }
-      if (next == r) {
-        converged = true;
-        break;
-      }
-      if (next > static_cast<double>(task.deadline) + kTimeEpsilon) break;
-      r = next;
-    }
-    if (!converged) return false;
-    if (definitely_greater(r, static_cast<double>(task.deadline))) {
-      return false;
-    }
-    if (record) hr_scratch_[i] = r;
-  }
-  if (record) {
-    hr_r_.swap(hr_scratch_);
-    hr_scale_ = scale;
-  }
-  return true;
+  const double stretch = stretch_at(level);
+  // Each solve resumes from b's response at the last feasible scale:
+  // every later probe of the schedule runs at a larger scale, so that
+  // response lies at or below the new least fixed point.
+  double chain = seed_at(b, level, &rta_.response_times());
+  saturating_increment(stats_.headroom_searches);
+  return largest_feasible_scale([&](double scale) {
+    scale_wcets(tasks, stretch, scale, scaled_wcet_);
+    saturating_increment(stats_.headroom_probes);
+    const std::optional<double> r =
+        response_fixed_point(tasks, scaled_wcet_, b, chain);
+    if (!r.has_value()) return false;
+    chain = *r;
+    return true;
+  });
 }
 
 double AdmissionService::compute_headroom(int level) {
-  const std::vector<std::optional<Time>>* seeds =
-      config_.incremental ? &rta_.response_times() : nullptr;
-  hr_scale_ = 0.0;  // The chain is per call: the set or level changed.
-  if (rta_.tasks().empty()) return kHeadroomCap;  // Nothing to scale.
-  // scale = 1 is feasible by construction (`level` is the granted
-  // minimum), so the gallop starts at 2 with lo = 1 already proven.
-  double lo = 1.0;
-  double hi = 2.0;
-  while (headroom_feasible(level, hi, seeds)) {
-    lo = hi;
-    hi *= 2.0;
-    if (hi > kHeadroomCap) return kHeadroomCap;
+  const std::vector<sched::Task>& tasks = rta_.tasks().tasks();
+  const std::size_t n = tasks.size();
+  if (n == 0) return kHeadroomCap;  // Nothing to scale.
+  const double stretch = stretch_at(level);
+  if (!config_.incremental) {
+    // Reference arm: the schedule over whole-set probes, every task
+    // solved from its scaled C_i until the first one fails.
+    return largest_feasible_scale([&](double scale) {
+      if (!scale_wcets(tasks, stretch, scale, scaled_wcet_)) return false;
+      for (std::size_t i = 0; i < n; ++i) {
+        saturating_increment(stats_.headroom_probes);
+        if (!response_fixed_point(tasks, scaled_wcet_, i, 0.0).has_value()) {
+          return false;
+        }
+      }
+      return true;
+    });
   }
-  for (int i = 0; i < kHeadroomIters; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (headroom_feasible(level, mid, seeds)) {
-      lo = mid;
-    } else {
-      hi = mid;
+  // Incremental arm: the minimum of per-task headrooms.  The set is
+  // feasible at scale s iff every task is (its own C_i <= D_i and its
+  // fixed point within D_i), and each task's predicate is monotone in s
+  // (response_fixed_point's argument: more scale, more interference, a
+  // larger least fixed point).  A conjunction of monotone predicates
+  // holds at a lattice point iff it lies at or below every task's
+  // largest feasible point, so the whole-set schedule's answer is the
+  // minimum over tasks of each task's own schedule answer, bit for bit.
+  //
+  // One task's search is 13 single-task solves (in [1, 2)); a check is
+  // one.  Search a candidate b, check every other task once at b's
+  // answer h, and search again only a task that fails there: its own
+  // answer is then below h, and tasks that passed at the larger h still
+  // pass below it, so the scan continues from where it stood.
+  const std::vector<std::optional<Time>>& f_max = rta_.response_times();
+  // The candidate is the task that bound the previous answer, else the
+  // lowest priority one (numerically largest); either way it only
+  // decides how much work is done, never the answer.
+  std::size_t b = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (tasks[i].priority > tasks[b].priority) b = i;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (tasks[i].priority == headroom_binding_) {
+      b = i;
+      break;
     }
   }
-  return lo;
+  const std::size_t first = b;
+  double h = task_headroom(b, level);
+  scale_wcets(tasks, stretch, h, scaled_wcet_);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == first) continue;
+    saturating_increment(stats_.headroom_probes);
+    if (response_fixed_point(tasks, scaled_wcet_, i, seed_at(i, level, &f_max))
+            .has_value()) {
+      continue;
+    }
+    b = i;
+    h = task_headroom(b, level);
+    scale_wcets(tasks, stretch, h, scaled_wcet_);
+  }
+  headroom_binding_ = tasks[b].priority;
+  return h;
 }
 
 Decision AdmissionService::handle(const Request& request) {

@@ -9,7 +9,7 @@
 // frequency at which every deadline still holds under the (possibly
 // non-ideal) WCET scaling model.
 //
-// Four reuse layers make the query loop fast without changing any
+// Five reuse layers make the query loop fast without changing any
 // answer:
 //
 //   1. incremental RTA (sched/incremental_rta.h) — response-time
@@ -39,7 +39,15 @@
 //      search.  Verification, not trust: the fast path returns only
 //      when feasible(B) && !feasible(B - 1) is established, the exact
 //      condition every other schedule proves, so the answer is
-//      bit-identical by construction.
+//      bit-identical by construction;
+//   5. a per-task WCET headroom — the sensitivity answer is the
+//      largest feasible point of a fixed scale lattice, and set
+//      feasibility is the AND of per-task predicates monotone in the
+//      scale, so the incremental service searches one candidate task
+//      (the one that bound the previous answer) and checks every other
+//      task once at its answer, instead of probing the whole set at
+//      each of the schedule's ~13 scales; the reference service probes
+//      the whole set.  Both land on the same lattice point.
 //
 // The invariant after every request: the current set is schedulable at
 // f_max.  Admitting a request means the post-change set keeps that
@@ -73,7 +81,8 @@ struct ServiceConfig {
   /// WCET-vs-frequency behavior; ideal() reproduces the 1/f assumption.
   wcet::FrequencyScalingModel scaling = wcet::FrequencyScalingModel::ideal();
   /// False = reference arm: every mutation reanalyzes every task from
-  /// scratch and every frequency search binary-searches all levels.
+  /// scratch, every frequency search binary-searches all levels, and
+  /// the WCET headroom probes the whole set at every scale.
   bool incremental = true;
   bool use_cache = true;
   std::size_t cache_capacity = 4096;
@@ -105,7 +114,13 @@ struct ServiceStats {
   /// Searches answered by the stationary-boundary fast path (<= 2
   /// probes, no gallop or binary search).
   std::uint64_t stationary_hits = 0;
-  std::uint64_t headroom_probes = 0;  ///< Sensitivity feasibility probes.
+  /// Sensitivity task fixed-point solves, on both arms: a whole-set
+  /// probe that stops at its k-th task counts k.
+  std::uint64_t headroom_probes = 0;
+  /// Per-task headroom searches (incremental arm): one per admit when
+  /// the first candidate binds, one more each time the scan finds a
+  /// task binding below it.
+  std::uint64_t headroom_searches = 0;
 };
 
 class AdmissionService {
@@ -185,23 +200,37 @@ class AdmissionService {
   int min_feasible_level(SearchBound bound);
 
   /// Sensitivity: the largest uniform WCET-scaling factor s >= 1 at
-  /// which the current set stays feasible at `level`, via a *fixed*
-  /// probe schedule (gallop s = 2, 4, ... capped at 2^20, then exactly
-  /// 12 bisections) so the returned double depends only on the
-  /// feasibility booleans — which are exact fixed-point answers — and
-  /// is therefore bit-identical across arms and seeding strategies.
+  /// which the current set stays feasible at `level`, defined as the
+  /// largest feasible point of a fixed lattice (the scales a fixed
+  /// probe schedule visits: gallop s = 2, 4, ... capped at 2^20, then
+  /// exactly 12 bisections), so the returned double depends only on
+  /// feasibility booleans — exact fixed-point answers — and is
+  /// bit-identical across arms and seeding strategies.  The reference
+  /// arm runs the schedule over whole-set probes from scaled-C_i seeds.
+  /// The incremental arm takes the minimum of per-task answers (equal,
+  /// because set feasibility is the AND of monotone per-task
+  /// predicates): one task_headroom search for a candidate, then one
+  /// seeded check of every other task at that answer, searching again
+  /// only for a task that fails there.  Counts headroom_probes per
+  /// task solve.
   double compute_headroom(int level);
 
-  /// True iff every current task, stretched to `level` and further
-  /// scaled by `scale`, meets its deadline.  The sensitivity analogue
-  /// of feasible_at_level: the incremental arm seeds each iteration
-  /// from the f_max responses, the level search's retained probe
-  /// responses, and the previous feasible headroom probe's responses
-  /// (all lie at or below the current least fixed point — interference
-  /// here is scaled up from each of those states); the reference arm
-  /// starts from the scaled C_i.  Counts one headroom probe.
-  bool headroom_feasible(int level, double scale,
-                         const std::vector<std::optional<Time>>* seeds);
+  /// Task `b`'s own headroom at `level`: the fixed schedule run on b
+  /// alone, its first solve seeded by seed_at and each later one
+  /// resumed from b's response at the last feasible scale.  Counts one
+  /// headroom_searches.
+  double task_headroom(std::size_t b, int level);
+
+  /// Every WCET's stretch factor at `level` under the scaling model.
+  double stretch_at(int level) const;
+
+  /// The fixed-point seed for task i at `level` (and any scale >= 1):
+  /// 0 (start at C_i) without `seeds`; otherwise the max of its f_max
+  /// response and, when the level search's last feasible probe ran at
+  /// a level >= `level`, that probe's response.  Both lie at or below
+  /// the least fixed point there.
+  double seed_at(std::size_t i, int level,
+                 const std::vector<std::optional<Time>>* seeds) const;
 
   /// First-order boundary prediction: stretch(r_min) * U is roughly
   /// invariant across small churn, so calibrate it on the previous
@@ -239,12 +268,10 @@ class AdmissionService {
   std::vector<double> probe_r_;
   std::vector<double> probe_scratch_;
   int probe_level_ = -1;
-  /// Headroom probe chain: responses of the last feasible headroom
-  /// probe (at hr_scale_), seeds for any later probe at a larger
-  /// scale.  Reset per compute_headroom call.
-  std::vector<double> hr_r_;
-  std::vector<double> hr_scratch_;
-  double hr_scale_ = 0.0;  ///< 0 = no feasible headroom probe yet.
+  /// Priority of the task whose own headroom was the previous answer:
+  /// the next compute_headroom's first candidate (priorities are unique,
+  /// so this survives index shifts).  Work only, never the answer.
+  std::optional<sched::Priority> headroom_binding_;
 };
 
 }  // namespace lpfps::admission

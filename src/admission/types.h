@@ -56,9 +56,9 @@ struct Decision {
   /// (the unscaled set is feasible at min_level by construction);
   /// capped at 2^20 for sets with unbounded headroom (e.g. empty); 0
   /// when rejected or when ServiceConfig::sensitivity is off.  A
-  /// decision field: bit-identical across arms (the probe schedule is
-  /// fixed; only the fixed-point seeding differs, which cannot move an
-  /// exact fixed point), serialized in the CSV row.
+  /// decision field: bit-identical across arms (it is the largest
+  /// feasible point of a fixed scale lattice, however the arm searches
+  /// it and seeds its fixed points), serialized in the CSV row.
   double wcet_headroom = 0.0;
   /// Fingerprint of the *candidate* set the decision evaluated (the
   /// post-change set; equals the current set's fingerprint iff
@@ -76,7 +76,9 @@ struct Decision {
   std::int64_t tasks_reanalyzed = 0;
   std::int64_t tasks_seeded = 0;
   std::int64_t levels_probed = 0;
-  std::int64_t headroom_probes = 0;  ///< Sensitivity feasibility probes.
+  /// Sensitivity task fixed-point solves (a whole-set probe that stops
+  /// at its k-th task counts k).
+  std::int64_t headroom_probes = 0;
 };
 
 }  // namespace lpfps::admission

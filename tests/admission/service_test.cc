@@ -81,7 +81,7 @@ int brute_force_min_level(const sched::TaskSet& tasks,
 
 /// Reference for the sensitivity answer: every WCET stretched to
 /// `level` and further scaled by `scale`, then the exact RTA — the
-/// materialized mirror of AdmissionService::headroom_feasible.
+/// materialized mirror of one whole-set headroom probe.
 bool reference_headroom_feasible(const sched::TaskSet& tasks,
                                  const ServiceConfig& config, int level,
                                  double scale) {
@@ -103,6 +103,42 @@ bool reference_headroom_feasible(const sched::TaskSet& tasks,
     }
   }
   return true;
+}
+
+sched::Task task_with_deadline(const char* name, std::int64_t period,
+                               std::int64_t deadline, Work wcet,
+                               sched::Priority priority) {
+  sched::Task t = task(name, period, wcet, priority);
+  t.deadline = deadline;
+  return t;
+}
+
+/// Replays `requests` through the incremental arm and the reference arm
+/// (from scratch, whole-set headroom probes), asserting every decision
+/// field bitwise equal.  Returns the incremental arm's decisions, and in
+/// `searches` how many per-task headroom searches each request ran.
+std::vector<Decision> replay_against_reference(
+    const sched::TaskSet& initial, const std::vector<Request>& requests,
+    const ServiceConfig& config, std::vector<std::uint64_t>* searches) {
+  ServiceConfig reference_config = config;
+  reference_config.incremental = false;
+  AdmissionService fast(initial, config);
+  AdmissionService reference(initial, reference_config);
+  std::vector<Decision> decisions;
+  for (const Request& request : requests) {
+    const std::uint64_t before = fast.stats().headroom_searches;
+    const Decision df = fast.handle(request);
+    const Decision dr = reference.handle(request);
+    EXPECT_EQ(df.admitted, dr.admitted);
+    EXPECT_EQ(df.min_level, dr.min_level);
+    EXPECT_EQ(df.min_safe_mhz, dr.min_safe_mhz);    // Bitwise.
+    EXPECT_EQ(df.wcet_headroom, dr.wcet_headroom);  // Bitwise.
+    EXPECT_EQ(df.fingerprint, dr.fingerprint);
+    searches->push_back(fast.stats().headroom_searches - before);
+    decisions.push_back(df);
+  }
+  EXPECT_EQ(reference.stats().headroom_searches, 0u);  // Whole-set only.
+  return decisions;
 }
 
 TEST(AdmissionService, AdmitsFeasibleAddAndReportsMinFrequency) {
@@ -313,6 +349,119 @@ TEST(AdmissionService, HeadroomBracketsTheFeasibilityBoundary) {
     ++checked;
   }
   EXPECT_GT(checked, 10);
+}
+
+TEST(AdmissionService, HeadroomBeyondTheFirstOctaveAndAtTheCap) {
+  // The churn workloads never leave [1, 2); these sets gallop further.
+  // At 25 MHz (stretch 4) a C = 0.1, T = D = 10^6 task runs 0.4, so
+  // even 2^20 times that (419,430.4) fits: one or two such tasks report
+  // the cap, a third pushes the sum past D and the answer into the top
+  // octave.  A C = 1, T = D = 100 task below the two tiny ones responds
+  // in 4.8 at 25 MHz, headroom about 20.8 — the [16, 32) octave, five
+  // gallop steps up; at C = 3 it responds in 12.8, about 7.8.
+  const std::vector<Request> requests = {
+      add(task("tiny0", 1'000'000, 0.1, 0)),
+      add(task("tiny1", 1'000'000, 0.1, 1)),
+      add(task("tiny2", 1'000'000, 0.1, 2)),
+      remove(2),
+      add(task("short", 100, 1.0, 3)),
+      mutate(2, task("short", 100, 3.0, 3)),
+  };
+  std::vector<std::uint64_t> searches;
+  const std::vector<Decision> d = replay_against_reference(
+      sched::TaskSet{}, requests, small_table_config(), &searches);
+  ASSERT_EQ(d.size(), requests.size());
+  for (const Decision& decision : d) {
+    ASSERT_TRUE(decision.admitted);
+    EXPECT_EQ(decision.min_level, 0);
+  }
+  EXPECT_EQ(d[0].wcet_headroom, 1048576.0);
+  EXPECT_EQ(d[1].wcet_headroom, 1048576.0);
+  EXPECT_GE(d[2].wcet_headroom, 524288.0);
+  EXPECT_LT(d[2].wcet_headroom, 1048576.0);
+  EXPECT_EQ(d[3].wcet_headroom, 1048576.0);
+  EXPECT_GE(d[4].wcet_headroom, 16.0);
+  EXPECT_LT(d[4].wcet_headroom, 32.0);
+  EXPECT_GE(d[5].wcet_headroom, 4.0);
+  EXPECT_LT(d[5].wcet_headroom, 8.0);
+}
+
+TEST(AdmissionService, HeadroomSearchesAgainWhenTheBindingTaskChanges) {
+  // High-priority tasks with tight constrained deadlines bind, not the
+  // lowest-priority one.  At the granted 50 MHz (stretch 2) "a"
+  // tolerates 80s <= 100 (s <= 1.25), "b" (40 + 50) * 2s = 180s <= 200
+  // (s <= 1.111), and "slack" a scale in [4, 8).
+  sched::TaskSet initial;
+  initial.add(task_with_deadline("a", 1000, 100, 40.0, 0));
+  initial.add(task_with_deadline("b", 1000, 200, 50.0, 1));
+  initial.add(task("slack", 10'000, 100.0, 2));
+  const std::vector<Request> requests = {
+      // No previous answer: "slack" (lowest priority) is searched
+      // first, the scan finds "a" failing at its answer, then "b".
+      mutate(2, task("slack", 10'000, 110.0, 2)),
+      // Binding task "b" removed: its priority is gone, the candidate
+      // falls back to "slack", and the scan finds "a" binding.
+      remove(1),
+      // "a" bound the previous answer; the scan finds "b" below it.
+      add(task_with_deadline("b", 1000, 200, 50.0, 1)),
+      // A mutate makes "a" binding again (80s <= 85) while the previous
+      // answer was set by "b".
+      mutate(0, task_with_deadline("a", 1000, 85, 40.0, 0)),
+  };
+  std::vector<std::uint64_t> searches;
+  const std::vector<Decision> d = replay_against_reference(
+      initial, requests, small_table_config(), &searches);
+  ASSERT_EQ(d.size(), requests.size());
+  for (const Decision& decision : d) {
+    ASSERT_TRUE(decision.admitted);
+    EXPECT_EQ(decision.min_level, 1);
+  }
+  // The largest lattice point 1 + k / 4096 with 180s <= 200: k = 455.
+  const double b_bound = 1.0 + 455.0 / 4096.0;
+  EXPECT_EQ(searches[0], 3u);  // "slack", then "a", then "b".
+  EXPECT_EQ(d[0].wcet_headroom, b_bound);
+  EXPECT_EQ(searches[1], 2u);  // Binding task removed.
+  EXPECT_EQ(d[1].wcet_headroom, 1.25);
+  EXPECT_EQ(searches[2], 2u);  // "a" first, then "b" below it.
+  EXPECT_EQ(d[2].wcet_headroom, b_bound);
+  EXPECT_EQ(searches[3], 2u);  // "b" first, then the mutated "a".
+  EXPECT_EQ(d[3].wcet_headroom, 1.0625);
+}
+
+TEST(AdmissionService, HeadroomSolvesFewerTasksThanWholeSetProbes) {
+  // Per-task headroom: one candidate search plus one check per other
+  // task, against ~13 whole-set probes on the reference arm — with
+  // bitwise-equal answers.  Mirrors the levels_probed assertion above.
+  ChurnConfig churn;
+  churn.requests = 120;
+  churn.initial_tasks = 20;
+  churn.initial_utilization = 0.5;
+  churn.task_utilization_max = 0.08;
+  const ChurnStream stream = make_churn_stream(churn, 4242);
+
+  ServiceConfig fast_config;
+  fast_config.scaling = wcet::FrequencyScalingModel{0.3};
+  fast_config.use_cache = false;  // Every admit computes its headroom.
+  ServiceConfig reference_config = fast_config;
+  reference_config.incremental = false;
+  AdmissionService fast(stream.initial, fast_config);
+  AdmissionService reference(stream.initial, reference_config);
+  int admitted = 0;
+  for (const ChurnOp& op : stream.ops) {
+    const auto request = resolve(op, fast.tasks());
+    if (!request.has_value()) continue;
+    const Decision df = fast.handle(*request);
+    const Decision dr = reference.handle(*request);
+    ASSERT_EQ(df.admitted, dr.admitted);
+    ASSERT_EQ(df.min_level, dr.min_level);
+    ASSERT_EQ(df.wcet_headroom, dr.wcet_headroom);  // Bitwise.
+    ASSERT_EQ(df.fingerprint, dr.fingerprint);
+    admitted += df.admitted ? 1 : 0;
+  }
+  EXPECT_GT(admitted, 20);
+  EXPECT_GE(fast.stats().headroom_searches,
+            static_cast<std::uint64_t>(admitted));
+  EXPECT_LT(fast.stats().headroom_probes, reference.stats().headroom_probes);
 }
 
 TEST(AdmissionService, SensitivityOffReportsZeroHeadroom) {
