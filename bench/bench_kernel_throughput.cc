@@ -19,7 +19,9 @@
 // width-1024-blocked staying within 15% of the section peak.  A seventh
 // section times the fleet's per-spec setup: the same pool run from one
 // engine built once (run-only) versus a fresh engine and add() pass per
-// run (add+run), the cost every sweep caller pays.
+// run (add+run), the cost every sweep caller pays.  An eighth section,
+// emitted only with the audit enabled, prices the default-on audit on a
+// sweep-shaped pool: the same sims unaudited and audited.
 //
 // Emits BENCH_kernel_throughput.json; CI's perf-smoke job diffs the
 // events/sec columns against bench/baseline_kernel_throughput.json and
@@ -524,6 +526,69 @@ int main() {
       print_row("fleet_setup", "add+run", "fps+lpfps", t, {});
       add_point(json, "fleet_setup", "add+run", "fps+lpfps", t, {});
     }
+  }
+
+  // ---- Section 8: audit cost (docs/PERFORMANCE.md). --------------------
+  // What the default-on audit adds to a sweep.  A pool shaped like the
+  // repository benchmark's sweep workload: 5-task UUniFast sets at
+  // U = 0.1..0.9, periods 10-40 ms in 10 ms steps, three hyperperiods,
+  // each set under FPS and LPFPS.  `unaudited` runs it through
+  // fleet::run_fleet_sharded at one worker; `audited` through
+  // audit::simulate_fleet_sharded, which also records every trace and
+  // audits it (throwing on any violation).  CI gates audited's share of
+  // the unaudited rate via --min-ratio audit_cost audited.  Emitted only
+  // with the audit enabled, since both points would otherwise time the
+  // same path.
+  if (audit::enabled()) {
+    constexpr int kSetsPerUtilization = 16;
+    std::vector<fleet::SimSpec> pool;
+    Rng audit_rng(2024);
+    for (int step = 1; step <= 9; ++step) {
+      workloads::GeneratorConfig config;
+      config.task_count = 5;
+      config.total_utilization = step / 10.0;
+      config.bcet_ratio = 0.5;
+      config.period_min = 10'000;
+      config.period_max = 40'000;
+      config.period_granularity = 10'000;
+      for (int kept = 0; kept < kSetsPerUtilization;) {
+        sched::TaskSet tasks = workloads::generate_task_set(config, audit_rng);
+        if (!sched::is_schedulable_rta(tasks)) continue;
+        core::EngineOptions options;
+        options.horizon = 3.0 * static_cast<Time>(tasks.hyperperiod());
+        options.seed = runner::derive_seed(kSeed, pool.size());
+        options.cycle_detection = cycle_env;
+        pool.push_back({tasks, cpu, core::SchedulerPolicy::fps(), exec,
+                        options});
+        pool.push_back({std::move(tasks), cpu, core::SchedulerPolicy::lpfps(),
+                        exec, options});
+        ++kept;
+      }
+    }
+    const auto events_of = [](const std::vector<core::SimulationResult>& r) {
+      std::int64_t events = 0;
+      for (const core::SimulationResult& result : r) {
+        events += result.scheduler_invocations;
+      }
+      return events;
+    };
+    const Throughput unaudited = measure([&] {
+      return events_of(fleet::run_fleet_sharded(pool, {}, 1));
+    });
+    const Throughput audited = measure([&] {
+      return events_of(audit::simulate_fleet_sharded(pool, {}, nullptr, 1));
+    });
+    print_row("audit_cost", "unaudited", "fps+lpfps", unaudited, {});
+    add_point(json, "audit_cost", "unaudited", "fps+lpfps", unaudited, {});
+    print_row("audit_cost", "audited", "fps+lpfps", audited, {});
+    add_point(json, "audit_cost", "audited", "fps+lpfps", audited, {});
+    std::printf("%-12s %-16s audited x%.2f of unaudited events/sec "
+                "(%zu sims)\n",
+                "audit_cost", "share",
+                unaudited.events_per_sec() > 0.0
+                    ? audited.events_per_sec() / unaudited.events_per_sec()
+                    : 0.0,
+                pool.size());
   }
 
   if (audit::enabled()) {

@@ -51,22 +51,24 @@ struct Interval {
   Time end = 0.0;
 };
 
-/// Sorts and merges overlapping/adjacent intervals in place.
-std::vector<Interval> merge_intervals(std::vector<Interval> intervals) {
+/// Sorts `intervals`, drops empty ones and merges overlapping/adjacent
+/// ones, all in place.
+void merge_intervals(std::vector<Interval>& intervals) {
   std::sort(intervals.begin(), intervals.end(),
             [](const Interval& a, const Interval& b) {
               return a.begin < b.begin;
             });
-  std::vector<Interval> merged;
-  for (const Interval& i : intervals) {
+  std::size_t merged = 0;
+  for (std::size_t k = 0; k < intervals.size(); ++k) {
+    const Interval i = intervals[k];
     if (i.end <= i.begin) continue;
-    if (!merged.empty() && i.begin <= merged.back().end) {
-      merged.back().end = std::max(merged.back().end, i.end);
+    if (merged > 0 && i.begin <= intervals[merged - 1].end) {
+      intervals[merged - 1].end = std::max(intervals[merged - 1].end, i.end);
     } else {
-      merged.push_back(i);
+      intervals[merged++] = i;
     }
   }
-  return merged;
+  intervals.resize(merged);
 }
 
 class Auditor {
@@ -121,6 +123,39 @@ class Auditor {
     windows_.assign(task_count(), {});
     task_segments_.assign(task_count(), {});
     skipped_releases_.assign(task_count(), {});
+
+    // One counting pass sizes every per-task list, so none regrows.
+    struct Counts {
+      std::size_t runs = 0;
+      std::size_t records = 0;
+      std::size_t skips = 0;
+    };
+    std::vector<Counts> counts(task_count());
+    for (const Segment& s : segments()) {
+      if (s.mode == ProcessorMode::kRunning && s.task >= 0 &&
+          static_cast<std::size_t>(s.task) < task_count()) {
+        ++counts[static_cast<std::size_t>(s.task)].runs;
+      }
+    }
+    for (const sim::JobRecord& job : trace_.jobs()) {
+      if (job.task < 0 || static_cast<std::size_t>(job.task) >= task_count()) {
+        continue;
+      }
+      Counts& c = counts[static_cast<std::size_t>(job.task)];
+      ++c.records;
+      if (job.skipped) ++c.skips;
+    }
+    std::size_t window_capacity = 0;
+    for (std::size_t t = 0; t < task_count(); ++t) {
+      task_segments_[t].reserve(counts[t].runs);
+      // One window per record plus the in-flight one.
+      windows_[t].reserve(counts[t].records + 1);
+      skipped_releases_[t].reserve(counts[t].skips);
+      window_capacity += counts[t].records + 1;
+    }
+    // J5 merges one task's windows at a time and S1 all of them, both
+    // in this one buffer.
+    intervals_.reserve(window_capacity);
 
     for (std::size_t i = 0; i < segments().size(); ++i) {
       const Segment& s = segments()[i];
@@ -514,11 +549,11 @@ class Auditor {
     }
 
     // J5: every running segment sits inside one of its task's windows.
+    std::vector<Interval>& cover = intervals_;
     for (std::size_t t = 0; t < task_count(); ++t) {
-      std::vector<Interval> cover;
-      cover.reserve(windows_[t].size());
+      cover.clear();
       for (const Window& w : windows_[t]) cover.push_back({w.release, w.end});
-      cover = merge_intervals(std::move(cover));
+      merge_intervals(cover);
       std::size_t c = 0;
       for (const std::size_t index : task_segments_[t]) {
         const Segment& s = segments()[index];
@@ -541,13 +576,14 @@ class Auditor {
   // ---- S: work conservation and release readiness -----------------------
 
   void check_work_conservation() {
-    std::vector<Interval> pending;
+    std::vector<Interval>& busy = intervals_;
+    busy.clear();
     for (const auto& task_windows : windows_) {
       for (const Window& w : task_windows) {
-        pending.push_back({w.release, w.end});
+        busy.push_back({w.release, w.end});
       }
     }
-    const std::vector<Interval> busy = merge_intervals(std::move(pending));
+    merge_intervals(busy);
     for (const Segment& s : segments()) {
       if (s.mode != ProcessorMode::kIdleBusyWait &&
           s.mode != ProcessorMode::kPowerDown &&
@@ -916,7 +952,6 @@ class Auditor {
   /// permissions the governor claims to have maintained.
   void check_weakly_hard() {
     std::int64_t skip_records = 0;
-    int recomputed_violations = 0;
 
     // W3: skip-record shape.
     for (const sim::JobRecord& job : trace_.jobs()) {
@@ -950,6 +985,40 @@ class Auditor {
       }
     }
 
+    // W1/W2 replay weakly-hard tasks only.  A governor armed over a set
+    // that declares none (a sweep's default overload policy) leaves
+    // nothing to replay, and W3/W4 still run.
+    const bool any_weakly_hard = std::any_of(
+        tasks_.tasks().begin(), tasks_.tasks().end(),
+        [](const sched::Task& task) { return task.weakly_hard(); });
+    const int recomputed_violations =
+        any_weakly_hard ? replay_mk_windows() : 0;
+
+    // W4: counter agreement.  Skip records are exact (every governor
+    // skip writes one); recomputed violations are a lower bound — the
+    // engine also settles trailing forfeited windows that leave no
+    // record when kill containment fires near the horizon.
+    if (result_ != nullptr) {
+      if (result_->jobs_skipped_weakly != skip_records) {
+        add("W4.skips", 0.0,
+            "jobs_skipped_weakly=" +
+                std::to_string(result_->jobs_skipped_weakly) +
+                " but the trace records " + std::to_string(skip_records) +
+                " skipped jobs");
+      }
+      if (recomputed_violations > result_->mk_violations) {
+        add("W4.violations", 0.0,
+            "trace replay finds " + std::to_string(recomputed_violations) +
+                " (m,k)-window violations but the engine reported only " +
+                std::to_string(result_->mk_violations));
+      }
+    }
+  }
+
+  /// W1/W2: replays each weakly-hard task's settled instances and
+  /// returns the (m,k)-window violations it finds.
+  int replay_mk_windows() {
+    int recomputed_violations = 0;
     // Group records per task once (instance replay is per task).
     std::vector<std::vector<const sim::JobRecord*>> by_task(task_count());
     for (const sim::JobRecord& job : trace_.jobs()) {
@@ -1039,26 +1108,7 @@ class Auditor {
         }
       }
     }
-
-    // W4: counter agreement.  Skip records are exact (every governor
-    // skip writes one); recomputed violations are a lower bound — the
-    // engine also settles trailing forfeited windows that leave no
-    // record when kill containment fires near the horizon.
-    if (result_ != nullptr) {
-      if (result_->jobs_skipped_weakly != skip_records) {
-        add("W4.skips", 0.0,
-            "jobs_skipped_weakly=" +
-                std::to_string(result_->jobs_skipped_weakly) +
-                " but the trace records " + std::to_string(skip_records) +
-                " skipped jobs");
-      }
-      if (recomputed_violations > result_->mk_violations) {
-        add("W4.violations", 0.0,
-            "trace replay finds " + std::to_string(recomputed_violations) +
-                " (m,k)-window violations but the engine reported only " +
-                std::to_string(result_->mk_violations));
-      }
-    }
+    return recomputed_violations;
   }
 
   // ---- E: energy and time re-integration --------------------------------
@@ -1227,6 +1277,7 @@ class Auditor {
   std::vector<std::vector<Window>> windows_;
   std::vector<std::vector<std::size_t>> task_segments_;
   std::vector<std::vector<Time>> skipped_releases_;  ///< Sorted, per task.
+  std::vector<Interval> intervals_;  ///< J5/S1 merge buffer.
 };
 
 }  // namespace

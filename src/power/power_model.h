@@ -52,8 +52,8 @@ class PowerModel {
   /// Energy of one ramp from ratio r0 to r1 at rate `rho` (ratio units
   /// per microsecond).  `executing` selects run power (a task computes
   /// through the transition) vs NOP power (nothing to run).  Integrated
-  /// numerically because V(ratio) has no convenient antiderivative for
-  /// the ring-oscillator model.
+  /// numerically (Simpson, 64 intervals) because V(ratio) has no
+  /// convenient antiderivative for the ring-oscillator model.
   Energy ramp_energy(Ratio r0, Ratio r1, double rho, bool executing) const;
 
   /// Time to return from power-down, in microseconds, at f_max (MHz).

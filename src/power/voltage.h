@@ -15,6 +15,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 
 #include "common/units.h"
 
@@ -30,8 +31,17 @@ class VoltageModel {
 
   virtual Volts v_max() const = 0;
 
-  /// Normalized dynamic power at the given speed:
+  /// Normalized dynamic power at each of `ratios`, written to the
+  /// same-length `out`:
   ///   P(ratio) / P_full = ratio * (V(ratio) / Vmax)^2.
+  /// Each model implements it as one plain loop over its own V(ratio),
+  /// so a caller that needs many points (a ramp's Simpson abscissae)
+  /// pays one virtual call.  Every ratio is checked like
+  /// voltage_for_ratio's; one bad ratio anywhere in the batch throws.
+  virtual void power_factors(std::span<const Ratio> ratios,
+                             std::span<double> out) const = 0;
+
+  /// power_factors for a single ratio.
   double power_factor(Ratio ratio) const;
 };
 
@@ -45,12 +55,17 @@ class RingOscillatorVoltageModel final : public VoltageModel {
 
   Volts voltage_for_ratio(Ratio ratio) const override;
   Volts v_max() const override { return v_max_; }
+  void power_factors(std::span<const Ratio> ratios,
+                     std::span<double> out) const override;
   Volts v_threshold() const { return v_threshold_; }
 
   /// Forward map: normalized speed achievable at voltage v.
   Ratio ratio_for_voltage(Volts v) const;
 
  private:
+  /// V(ratio) for a ratio that already passed the range check.
+  Volts voltage_of(Ratio ratio) const;
+
   Volts v_max_;
   Volts v_threshold_;
   double norm_;  // (Vmax - Vt)^2 / Vmax, so ratio(v) = ((v-Vt)^2/v)/norm_.
@@ -63,8 +78,13 @@ class ProportionalVoltageModel final : public VoltageModel {
 
   Volts voltage_for_ratio(Ratio ratio) const override;
   Volts v_max() const override { return v_max_; }
+  void power_factors(std::span<const Ratio> ratios,
+                     std::span<double> out) const override;
 
  private:
+  /// V(ratio) for a ratio that already passed the range check.
+  Volts voltage_of(Ratio ratio) const;
+
   Volts v_max_;
   Volts v_floor_;
 };

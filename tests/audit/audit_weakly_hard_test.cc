@@ -203,21 +203,36 @@ TEST(WeaklyHardAuditor, CatchesSkipRecordShapeCorruption) {
   }
 }
 
-TEST(WeaklyHardAuditor, CatchesCounterDisagreementOnEngineRun) {
-  // A real armed engine run over an overloaded set: the full audit
-  // battery passes, then each weakly-hard counter corruption is caught.
+/// An overloaded two-task set: "firm" (period 10 ms, WCET 6 ms) plus
+/// "hard" (20 ms, 9 ms).  With `firm_constraint`, "firm" is
+/// (1,2)-firm, so an armed governor sheds some of its jobs.
+sched::TaskSet overloaded_tasks(bool firm_constraint) {
+  sched::Task firm = sched::make_task("firm", 10'000, 6000.0);
+  if (firm_constraint) firm = sched::with_mk_constraint(firm, 1, 2);
   sched::TaskSet tasks;
-  tasks.add(sched::with_mk_constraint(
-      sched::make_task("firm", 10'000, 6000.0), 1, 2));
+  tasks.add(firm);
   tasks.add(sched::make_task("hard", 20'000, 9000.0));
   sched::assign_rate_monotonic(tasks);
-  const auto cpu = power::ProcessorConfig::arm8_default();
+  return tasks;
+}
+
+/// A real armed engine run over overloaded_tasks(true), trace recorded.
+core::SimulationResult overloaded_run() {
   core::EngineOptions options;
   options.horizon = 100'000;
   options.throw_on_miss = false;
   options.record_trace = true;
-  core::SimulationResult result = core::simulate(
-      tasks, cpu, core::SchedulerPolicy::fps(), nullptr, options);
+  return core::simulate(overloaded_tasks(true),
+                        power::ProcessorConfig::arm8_default(),
+                        core::SchedulerPolicy::fps(), nullptr, options);
+}
+
+TEST(WeaklyHardAuditor, CatchesCounterDisagreementOnEngineRun) {
+  // A real armed engine run over an overloaded set: the full audit
+  // battery passes, then each weakly-hard counter corruption is caught.
+  const sched::TaskSet tasks = overloaded_tasks(true);
+  const auto cpu = power::ProcessorConfig::arm8_default();
+  const core::SimulationResult result = overloaded_run();
   ASSERT_GT(result.jobs_skipped_weakly, 0);
 
   AuditOptions audit = weakly_options();
@@ -233,6 +248,26 @@ TEST(WeaklyHardAuditor, CatchesCounterDisagreementOnEngineRun) {
   skewed_violations.mk_violations = -1;  // Replay finds >= 0.
   EXPECT_TRUE(has_code(audit_run(skewed_violations, tasks, cpu, audit),
                        "W4.violations"));
+}
+
+TEST(WeaklyHardAuditor, ArmedAuditOfAHardSetStillChecksSkipRecords) {
+  // The same armed run, audited against the set with the (1,2)
+  // constraint stripped, so no task is weakly-hard, while the result
+  // claims no skips: there is no window to replay, but every skip
+  // record is still a W3.hard-skip and the skip counter still disagrees
+  // with the trace.
+  core::SimulationResult result = overloaded_run();
+  ASSERT_GT(result.jobs_skipped_weakly, 0);
+  result.jobs_skipped_weakly = 0;
+
+  AuditOptions audit = weakly_options();
+  audit.expect_no_misses = false;
+  const AuditReport report =
+      audit_run(result, overloaded_tasks(false),
+                power::ProcessorConfig::arm8_default(), audit);
+  EXPECT_TRUE(has_code(report, "W3.hard-skip")) << report.to_string();
+  EXPECT_TRUE(has_code(report, "W4.skips")) << report.to_string();
+  EXPECT_FALSE(has_code(report, "W1.window")) << report.to_string();
 }
 
 }  // namespace

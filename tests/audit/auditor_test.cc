@@ -181,6 +181,94 @@ TEST(Auditor, CatchesSleepWhilePending) {
       << report.to_string();
 }
 
+// ---- J5/S1: job-window cover --------------------------------------------
+
+TEST(Auditor, CatchesExecutionBetweenTwoOfItsTasksWindows) {
+  // "b" has one job, done at 50, yet runs again in [110, 120), inside a
+  // window of "a" (whose windows the auditor covers first) but between
+  // b's own.
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("a", 100, 20.0));
+  tasks.add(sched::make_task("b", 400, 30.0));
+  sched::assign_rate_monotonic(tasks);
+  std::vector<Segment> segments = {
+      seg(0.0, 20.0, ProcessorMode::kRunning, 0),
+      seg(20.0, 50.0, ProcessorMode::kRunning, 1),
+      seg(50.0, 100.0, ProcessorMode::kIdleBusyWait),
+      seg(100.0, 110.0, ProcessorMode::kRunning, 0),
+      seg(110.0, 120.0, ProcessorMode::kRunning, 1),
+      seg(120.0, 130.0, ProcessorMode::kRunning, 0),
+      seg(130.0, 200.0, ProcessorMode::kIdleBusyWait),
+      seg(200.0, 220.0, ProcessorMode::kRunning, 0),
+      seg(220.0, 300.0, ProcessorMode::kIdleBusyWait),
+      seg(300.0, 320.0, ProcessorMode::kRunning, 0),
+      seg(320.0, 400.0, ProcessorMode::kIdleBusyWait)};
+  std::vector<JobRecord> jobs = {job(0, 0, 0.0, 100.0, 20.0, 20.0),
+                                 job(1, 0, 0.0, 400.0, 50.0, 30.0),
+                                 job(0, 1, 100.0, 200.0, 130.0, 20.0),
+                                 job(0, 2, 200.0, 300.0, 220.0, 20.0),
+                                 job(0, 3, 300.0, 400.0, 320.0, 20.0)};
+  const sim::Trace trace =
+      sim::Trace::unchecked(std::move(segments), std::move(jobs));
+  const AuditReport report = audit_trace(trace, tasks, 400.0);
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  EXPECT_EQ(report.violations[0].invariant, "J5.placement");
+  EXPECT_EQ(report.violations[0].at, 110.0);
+  EXPECT_NE(report.violations[0].message.find("b runs in [110, 120)"),
+            std::string::npos)
+      << report.violations[0].message;
+}
+
+/// Job 0 misses its deadline and completes at 130, inside job 1's window
+/// [100, 180]: only the union of the two windows covers the segment
+/// [90, 150).  `idle` replaces [110, 120) with a busy-wait while both
+/// jobs are pending (job 0 then executes 120 instead of 130).
+sim::Trace overlapping_windows_trace(bool idle) {
+  std::vector<Segment> segments = {seg(0.0, 90.0, ProcessorMode::kRunning, 0)};
+  if (idle) {
+    segments.push_back(seg(90.0, 110.0, ProcessorMode::kRunning, 0));
+    segments.push_back(seg(110.0, 120.0, ProcessorMode::kIdleBusyWait));
+    segments.push_back(seg(120.0, 150.0, ProcessorMode::kRunning, 0));
+  } else {
+    segments.push_back(seg(90.0, 150.0, ProcessorMode::kRunning, 0));
+  }
+  segments.push_back(seg(150.0, 180.0, ProcessorMode::kRunning, 0));
+  segments.push_back(seg(180.0, 200.0, ProcessorMode::kIdleBusyWait));
+  JobRecord late = job(0, 0, 0.0, 100.0, 130.0, idle ? 120.0 : 130.0);
+  late.missed_deadline = true;
+  return sim::Trace::unchecked(
+      std::move(segments), {late, job(0, 1, 100.0, 200.0, 180.0, 50.0)});
+}
+
+/// A backlogged (declared-miss) run: demand past WCET is the point.
+AuditOptions overload_options() {
+  AuditOptions options;
+  options.expect_no_misses = false;
+  options.check_job_demand = false;
+  return options;
+}
+
+TEST(Auditor, ExecutionAcrossOverlappingWindowsIsPlaced) {
+  const AuditReport report =
+      audit_trace(overlapping_windows_trace(/*idle=*/false), solo_tasks(),
+                  200.0, overload_options());
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(Auditor, CatchesIdleInsideMergedPendingWindow) {
+  const AuditReport report =
+      audit_trace(overlapping_windows_trace(/*idle=*/true), solo_tasks(),
+                  200.0, overload_options());
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  EXPECT_EQ(report.violations[0].invariant, "S1.idle-while-pending");
+  EXPECT_EQ(report.violations[0].at, 110.0);
+  // The pending window it names is the merged [0, 180), not either
+  // job's own.
+  EXPECT_NE(report.violations[0].message.find("pending window [0, 180)"),
+            std::string::npos)
+      << report.violations[0].message;
+}
+
 TEST(Auditor, CatchesTruncatedTimeline) {
   auto segments = clean_segments();
   segments.pop_back();  // Ends at 150, horizon says 200.
