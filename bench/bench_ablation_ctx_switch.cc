@@ -24,9 +24,9 @@ int main() {
   std::puts("== Ablation A8: context-switch overhead (FPS, BCET/WCET=0.5) ==");
   metrics::Table table({"workload", "cost (us)", "avg power",
                         "preemptions", "verdict"});
-  // Gather the whole grid as specs, dispatch through the routed
-  // harness (serial audit::simulate, or the sharded fleet under
-  // LPFPS_FLEET — byte-identical either way), consume in grid order.
+  // Gather the whole grid as specs, run them as one sharded audited
+  // fleet batch (bit-identical at any LPFPS_JOBS), consume in grid
+  // order.
   struct Row {
     std::string workload;
     double cost;
@@ -47,7 +47,7 @@ int main() {
       rows.push_back({w.name, cost});
     }
   }
-  const auto results = audit::simulate_routed(std::move(specs));
+  const auto results = audit::simulate_fleet_sharded(std::move(specs), {});
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& result = results[i];
     table.add_row(

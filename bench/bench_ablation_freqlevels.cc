@@ -4,9 +4,9 @@
 // computed ratio up to the next level).  Coarser grids waste slack; this
 // bench quantifies how much.
 //
-// Fleet routing: every cell runs through metrics::run_bcet_sweep, which
-// dispatches its job grid onto the sharded audited fleet under
-// LPFPS_FLEET (byte-identical output; see docs/EXPERIMENTS.md).
+// Every cell runs through metrics::run_bcet_sweep, which runs its job
+// grid as one sharded audited fleet batch (output identical at any
+// LPFPS_JOBS; see docs/EXPERIMENTS.md).
 #include <cstdio>
 
 #include "metrics/experiment.h"

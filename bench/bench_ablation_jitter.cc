@@ -28,9 +28,9 @@ int main() {
       {"jitter (fraction of period)", "INS", "CNC", "Flight control"});
 
   // Two passes: gather every schedulable cell's (fps, lpfps) spec pair
-  // in grid order, dispatch once through the routed harness (serial or
-  // sharded fleet under LPFPS_FLEET — byte-identical), then rebuild
-  // the table consuming results pairwise.
+  // in grid order, run them as one sharded audited fleet batch
+  // (bit-identical at any LPFPS_JOBS), then rebuild the table
+  // consuming results pairwise.
   constexpr int kSeeds = 3;
   struct Cell {
     double fraction;
@@ -74,7 +74,7 @@ int main() {
       }
     }
   }
-  const auto results = audit::simulate_routed(std::move(specs));
+  const auto results = audit::simulate_fleet_sharded(std::move(specs), {});
 
   std::size_t cell = 0;
   std::size_t next = 0;

@@ -22,9 +22,9 @@ int main() {
   std::puts("== Ablation A2: mechanism contributions (BCET/WCET = 0.5) ==");
   metrics::Table table({"workload", "FPS", "PD-only", "DVS-only",
                         "LPFPS (both)", "reduction %"});
-  // Gather the (workload x policy x seed) grid as specs, dispatch once
-  // through the routed harness (serial audit::simulate, or the sharded
-  // fleet under LPFPS_FLEET — byte-identical), consume in grid order.
+  // Gather the (workload x policy x seed) grid as specs, run them as
+  // one sharded audited fleet batch (bit-identical at any LPFPS_JOBS),
+  // consume in grid order.
   constexpr int kSeeds = 5;
   const core::SchedulerPolicy policies[] = {
       core::SchedulerPolicy::fps(), core::SchedulerPolicy::lpfps_powerdown_only(),
@@ -46,7 +46,7 @@ int main() {
       }
     }
   }
-  const auto results = audit::simulate_routed(std::move(specs));
+  const auto results = audit::simulate_fleet_sharded(std::move(specs), {});
 
   std::size_t next = 0;
   for (const workloads::Workload& w : workloads_list) {

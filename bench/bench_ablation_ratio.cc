@@ -6,9 +6,9 @@
 // regime where the two diverge; a synthetic even-shorter-window set
 // stresses it further.
 //
-// Fleet routing: every cell runs through metrics::run_bcet_sweep, which
-// dispatches its job grid onto the sharded audited fleet under
-// LPFPS_FLEET (byte-identical output; see docs/EXPERIMENTS.md).
+// Every cell runs through metrics::run_bcet_sweep, which runs its job
+// grid as one sharded audited fleet batch (output identical at any
+// LPFPS_JOBS; see docs/EXPERIMENTS.md).
 #include <cstdio>
 
 #include "metrics/experiment.h"

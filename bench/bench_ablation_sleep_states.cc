@@ -23,10 +23,9 @@ int main() {
   std::puts("== Ablation A10: sleep-state hierarchy (LPFPS, BCET/WCET=0.5) ==");
   metrics::Table table({"workload", "single 5%/10cyc", "PPC-style ladder",
                         "extra saving %"});
-  // Gather the (workload x processor x seed) grid as specs, dispatch
-  // once through the routed harness (serial audit::simulate, or the
-  // sharded fleet under LPFPS_FLEET — byte-identical), consume in
-  // grid order.
+  // Gather the (workload x processor x seed) grid as specs, run them
+  // as one sharded audited fleet batch (bit-identical at any
+  // LPFPS_JOBS), consume in grid order.
   const power::ProcessorConfig processors[] = {
       power::ProcessorConfig::arm8_default(),
       power::ProcessorConfig::with_sleep_hierarchy()};
@@ -47,7 +46,7 @@ int main() {
       }
     }
   }
-  const auto results = audit::simulate_routed(std::move(specs));
+  const auto results = audit::simulate_fleet_sharded(std::move(specs), {});
 
   std::size_t next = 0;
   for (const workloads::Workload& w : workloads_list) {

@@ -6,9 +6,9 @@
 // effectively instant and reports the LPFPS saving on the two extreme
 // workloads: CNC (short windows) and INS (long windows).
 //
-// Fleet routing: every cell runs through metrics::run_bcet_sweep, which
-// dispatches its job grid onto the sharded audited fleet under
-// LPFPS_FLEET (byte-identical output; see docs/EXPERIMENTS.md).
+// Every cell runs through metrics::run_bcet_sweep, which runs its job
+// grid as one sharded audited fleet batch (output identical at any
+// LPFPS_JOBS; see docs/EXPERIMENTS.md).
 #include <cstdio>
 
 #include "metrics/experiment.h"

@@ -5,9 +5,9 @@
 // law (paper's reference [20]; V stays well above Vt) with idealized
 // proportional laws, which overstate the saving.
 //
-// Fleet routing: every cell runs through metrics::run_bcet_sweep, which
-// dispatches its job grid onto the sharded audited fleet under
-// LPFPS_FLEET (byte-identical output; see docs/EXPERIMENTS.md).
+// Every cell runs through metrics::run_bcet_sweep, which runs its job
+// grid as one sharded audited fleet batch (output identical at any
+// LPFPS_JOBS; see docs/EXPERIMENTS.md).
 #include <cstdio>
 #include <memory>
 

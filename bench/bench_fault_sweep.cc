@@ -21,15 +21,13 @@
 // everywhere, and a non-zero total of detected overruns — the
 // containment acceptance bar of docs/ROBUSTNESS.md.
 //
-// Every simulation is trace-audited with the fault-aware battery
-// (audit::simulate + shared AuditAggregator, F-codes included); the
-// bench aborts after the table on any violation and writes
-// AUDIT_fault_sweep.json for the gate.
-//
-// With LPFPS_FLEET set (docs/FLEET.md) the sweep runs through the
-// batched fleet engine instead of run_batch; by the fleet's
-// bit-identity contract the table, JSON points, and audit summary are
-// byte-identical either way.
+// The sweep runs as one sharded audited fleet batch
+// (audit::simulate_fleet_sharded, docs/FLEET.md): every simulation is
+// trace-audited with the fault-aware battery (F-codes included) on its
+// worker, and the reports fold into a shared AuditAggregator in spec
+// order, so the table, JSON points and audit summary are identical at
+// any LPFPS_JOBS.  The bench aborts after the table on any violation
+// and writes AUDIT_fault_sweep.json for the gate.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -130,24 +128,15 @@ int main() {
     return options;
   };
 
-  audit::AuditAggregator agg("fault_sweep");
-  std::vector<core::SimulationResult> results;
-  if (fleet::enabled()) {
-    std::vector<fleet::SimSpec> specs;
-    specs.reserve(jobs.size());
-    for (const Job& job : jobs) {
-      specs.push_back(
-          {job.tasks, cpu, configs[job.config].policy, exec, job_options(job)});
-    }
-    results =
-        audit::simulate_fleet(std::move(specs), fleet::FleetOptions{}, &agg);
-  } else {
-    results = runner::run_batch(jobs.size(), [&](std::size_t i) {
-      const Job& job = jobs[i];
-      return audit::simulate(job.tasks, cpu, configs[job.config].policy, exec,
-                             job_options(job), &agg);
-    });
+  std::vector<fleet::SimSpec> specs;
+  specs.reserve(jobs.size());
+  for (const Job& job : jobs) {
+    specs.push_back(
+        {job.tasks, cpu, configs[job.config].policy, exec, job_options(job)});
   }
+  audit::AuditAggregator agg("fault_sweep");
+  const std::vector<core::SimulationResult> results =
+      audit::simulate_fleet_sharded(std::move(specs), {}, &agg);
 
   std::puts("== Fault sweep: WCET overruns vs containment ==");
   std::printf("overrun probability %.2f, BCET/WCET = %.1f; magnitude m "

@@ -10,28 +10,18 @@
 // section runs the deterministic (WCET) model over 12 hyperperiods with
 // steady-state cycle detection on and off, so the fast-forward speedup
 // is tracked — and gated — like any other throughput number.  A fifth
-// section measures the batched fleet engine (docs/FLEET.md): aggregate
-// events/sec across a pool of small UUniFast sims at batch widths
-// 1/64/256/1024, where width 1 is the serial core::simulate-per-spec
-// status quo — the scaling claim the fleet is gated on.  A sixth
-// section isolates lane-block scheduling: wide widths flat
-// (lane_block=0) versus blocked (lane_block=64), gated on
-// width-1024-blocked staying within 15% of the section peak.  A seventh
-// section times the fleet's per-spec setup: the same pool run from one
-// engine built once (run-only) versus a fresh engine and add() pass per
-// run (add+run), the cost every sweep caller pays.  An eighth section,
-// emitted only with the audit enabled, prices the default-on audit on a
-// sweep-shaped pool: the same sims unaudited and audited.
+// section measures the fleet engine (docs/FLEET.md) on a pool of 1024
+// small UUniFast sims: a plain core::simulate loop (serial), one
+// engine re-run with its specs already added (run-only), and a fresh
+// engine plus 1024 add() calls per run (add+run), the cost every sweep
+// caller pays.  A sixth section, emitted only with the audit enabled,
+// prices the default-on audit on a sweep-shaped pool: the same sims
+// unaudited and audited.
 //
 // Emits BENCH_kernel_throughput.json; CI's perf-smoke job diffs the
 // events/sec columns against bench/baseline_kernel_throughput.json and
 // fails on a >25% regression (see docs/PERFORMANCE.md for the
 // tolerance rationale and how to refresh the baseline).
-//
-// With LPFPS_FLEET set, the synthetic UUniFast section additionally
-// routes its measured runs through a single-lane fleet engine instead
-// of core::simulate (bit-identical results; the measured cost gains the
-// fleet's dispatch overhead, which this bench exists to observe).
 //
 // Timing methodology: each point is run once to size a repetition count
 // that fills ~kMinWall of wall time, then re-run that many times under
@@ -102,6 +92,16 @@ Throughput measure(Fn run_once) {
   }
   t.wall_seconds = timer.seconds();
   return t;
+}
+
+/// Scheduler invocations across a batch — the events/run of a fleet
+/// point.
+std::int64_t events_of(const std::vector<core::SimulationResult>& results) {
+  std::int64_t events = 0;
+  for (const core::SimulationResult& result : results) {
+    events += result.scheduler_invocations;
+  }
+  return events;
 }
 
 /// Steady-state fast-forward statistics of one representative run; the
@@ -255,8 +255,8 @@ int main() {
   const Time kHorizonCap = 1e6;
   // One LPFPS_CYCLE read for the whole bench, baked into every
   // EngineOptions below — the engine otherwise re-reads the
-  // environment at each measured run's begin(), once per width point
-  // in the fleet sections, and runs started at different times could
+  // environment at each measured run's begin(), once per simulation
+  // in the fleet section, and runs started at different times could
   // in principle disagree about the gate mid-bench.
   const bool cycle_env = core::cycle_detection_env_enabled();
   json.meta()
@@ -315,16 +315,8 @@ int main() {
       }
       CycleStats cycle;
       const Throughput t = measure([&] {
-        core::SimulationResult result;
-        if (fleet::enabled()) {
-          // Routed through a single-lane fleet batch (bit-identical).
-          std::vector<fleet::SimSpec> specs;
-          specs.push_back({tasks, cpu, policy, exec, options});
-          result = std::move(
-              fleet::run_fleet(std::move(specs), fleet::FleetOptions{})[0]);
-        } else {
-          result = core::simulate(tasks, cpu, policy, exec, options);
-        }
+        const core::SimulationResult result =
+            core::simulate(tasks, cpu, policy, exec, options);
         cycle = CycleStats::of(result);
         return static_cast<std::int64_t>(result.scheduler_invocations);
       });
@@ -388,17 +380,19 @@ int main() {
                 static_cast<long long>(cycle.cycles_detected));
   }
 
-  // ---- Section 5: batched fleet aggregate (docs/FLEET.md). -------------
+  // ---- Section 5: the fleet engine (docs/FLEET.md). --------------------
   // A pool of small RM-feasible 5-task UUniFast sims — the sweep regime
-  // where per-sim fixed cost (engine copies, buffer allocation) rivals
-  // the event work — run at increasing batch widths.  Width 1 is the
-  // serial status quo (core::simulate per spec, fresh engine and
-  // buffers each time); widths >= 2 advance a lane pool in lockstep,
-  // paying construction once and rebinding lanes thereafter.  Results
-  // are bit-identical at every width, so events/run is constant and the
-  // events/sec column isolates the dispatch overhead the fleet
-  // amortizes.  The width-256 point carries the >= 2x scaling claim and
-  // is perf-gated like every other row.
+  // where per-sim fixed cost (engine copies, buffer allocation, RNG
+  // seeding) rivals the event work — timed three ways.  `serial` is a
+  // plain core::simulate loop: a fresh engine and fresh buffers per
+  // sim.  `run-only` re-runs one FleetEngine whose specs were added
+  // once, outside the timer: one reused lane, rebound per sim.
+  // `add+run` builds a fresh engine and add()s every spec per rep,
+  // paying the per-spec preparation (validation, cycle probe, warmed
+  // RNG state) once per sim — what a sweep caller pays.  Results are
+  // bit-identical on every path, so events/run is constant and the
+  // events/sec column isolates per-sim overhead.  CI gates add+run's
+  // share of the section peak via --min-ratio fleet add+run.
   {
     const std::size_t kFleetSims = 1024;
     std::vector<fleet::SimSpec> specs;
@@ -426,109 +420,45 @@ int main() {
     if (audit::enabled()) {
       // One untimed audited pass over the pool ties the throughput
       // numbers to verified schedules, like every other section.
-      (void)audit::simulate_fleet(specs, fleet::FleetOptions{}, &agg);
+      (void)audit::simulate_fleet_sharded(specs, {}, &agg);
     }
-    double width1_events_per_sec = 0.0;
-    double width256_events_per_sec = 0.0;
-    for (const std::size_t width :
-         {std::size_t{1}, std::size_t{64}, std::size_t{256},
-          std::size_t{1024}}) {
-      fleet::FleetEngine engine(fleet::FleetOptions{width, 0.0});
-      for (const fleet::SimSpec& spec : specs) engine.add(spec);
-      const Throughput t = measure([&engine] {
-        std::int64_t events = 0;
-        for (const core::SimulationResult& result : engine.run_all()) {
-          events += result.scheduler_invocations;
-        }
-        return events;
-      });
-      const std::string name = "width-" + std::to_string(width);
-      print_row("fleet", name, "fps+lpfps", t, {});
-      add_point(json, "fleet", name, "fps+lpfps", t, {});
-      if (width == 1) width1_events_per_sec = t.events_per_sec();
-      if (width == 256) width256_events_per_sec = t.events_per_sec();
-    }
-    std::printf("%-12s %-16s batch speedup x%.2f (width 256 vs 1, %zu sims)\n",
-                "fleet", "scaling",
-                width1_events_per_sec > 0.0
-                    ? width256_events_per_sec / width1_events_per_sec
-                    : 0.0,
-                kFleetSims);
-
-    // ---- Section 6: lane-block scheduling (docs/FLEET.md). -------------
-    // The same spec pool at wide batch widths, flat (lane_block = 0,
-    // the whole batch one block — the pre-blocking behavior) versus
-    // blocked (lane_block = 64, the default): blocking keeps the live
-    // working set cache-resident, so wide widths should recover to near
-    // the width-64 sweet spot instead of streaming lanes from memory.
-    // The width-64 row is the in-section reference; CI gates
-    // "width-1024-blocked >= 0.85 x the section max" via
-    // check_perf_regression.py --min-ratio.
-    struct BlockPoint {
-      const char* name;
-      std::size_t width;
-      std::size_t lane_block;
-    };
-    const BlockPoint block_points[] = {
-        {"width-64", 64, 64},
-        {"width-256-flat", 256, 0},
-        {"width-256-blocked", 256, 64},
-        {"width-1024-flat", 1024, 0},
-        {"width-1024-blocked", 1024, 64},
-    };
-    for (const BlockPoint& point : block_points) {
-      fleet::FleetOptions fleet_options;
-      fleet_options.batch_width = point.width;
-      fleet_options.lane_block = point.lane_block;
-      fleet::FleetEngine engine(fleet_options);
-      for (const fleet::SimSpec& spec : specs) engine.add(spec);
-      const Throughput t = measure([&engine] {
-        std::int64_t events = 0;
-        for (const core::SimulationResult& result : engine.run_all()) {
-          events += result.scheduler_invocations;
-        }
-        return events;
-      });
-      print_row("fleet_block", point.name, "fps+lpfps", t, {});
-      add_point(json, "fleet_block", point.name, "fps+lpfps", t, {});
-    }
-
-    // ---- Section 7: fleet setup cost (docs/PERFORMANCE.md). ------------
-    // The sections above add() the pool once, outside the timer, and
-    // time re-runs of one engine.  A sweep caller instead builds a fresh
-    // engine and add()s every spec for each sweep, paying the per-spec
-    // preparation (validation, cycle probe, warmed RNG state) once per
-    // sim.  Same pool, width 256: run-only re-times the sections'
-    // measurement, add+run times engine construction, 1024 add() calls
-    // and run_all() per rep.  CI gates add+run's share of the run-only
-    // rate via --min-ratio fleet_setup add+run.
-    const fleet::FleetOptions setup_options{256, 0.0};
-    const auto run_events = [](fleet::FleetEngine& engine) {
+    const Throughput serial = measure([&specs] {
       std::int64_t events = 0;
-      for (const core::SimulationResult& result : engine.run_all()) {
-        events += result.scheduler_invocations;
+      for (const fleet::SimSpec& spec : specs) {
+        events += core::simulate(spec.tasks, spec.processor, spec.policy,
+                                 spec.exec_model, spec.options)
+                      .scheduler_invocations;
       }
       return events;
+    });
+    fleet::FleetEngine engine;
+    for (const fleet::SimSpec& spec : specs) engine.add(spec);
+    const Throughput run_only =
+        measure([&engine] { return events_of(engine.run_all()); });
+    const Throughput add_run = measure([&specs] {
+      fleet::FleetEngine fresh;
+      for (const fleet::SimSpec& spec : specs) fresh.add(spec);
+      return events_of(fresh.run_all());
+    });
+    const auto emit = [&json](const char* name, const Throughput& t) {
+      print_row("fleet", name, "fps+lpfps", t, {});
+      add_point(json, "fleet", name, "fps+lpfps", t, {});
     };
-    {
-      fleet::FleetEngine engine(setup_options);
-      for (const fleet::SimSpec& spec : specs) engine.add(spec);
-      const Throughput t = measure([&] { return run_events(engine); });
-      print_row("fleet_setup", "run-only", "fps+lpfps", t, {});
-      add_point(json, "fleet_setup", "run-only", "fps+lpfps", t, {});
-    }
-    {
-      const Throughput t = measure([&] {
-        fleet::FleetEngine engine(setup_options);
-        for (const fleet::SimSpec& spec : specs) engine.add(spec);
-        return run_events(engine);
-      });
-      print_row("fleet_setup", "add+run", "fps+lpfps", t, {});
-      add_point(json, "fleet_setup", "add+run", "fps+lpfps", t, {});
-    }
+    emit("serial", serial);
+    emit("run-only", run_only);
+    emit("add+run", add_run);
+    const double serial_eps = serial.events_per_sec();
+    std::printf("%-12s %-16s run-only x%.2f, add+run x%.2f of serial "
+                "events/sec (%zu sims)\n",
+                "fleet", "scaling",
+                serial_eps > 0.0 ? run_only.events_per_sec() / serial_eps
+                                 : 0.0,
+                serial_eps > 0.0 ? add_run.events_per_sec() / serial_eps
+                                 : 0.0,
+                kFleetSims);
   }
 
-  // ---- Section 8: audit cost (docs/PERFORMANCE.md). --------------------
+  // ---- Section 6: audit cost (docs/PERFORMANCE.md). --------------------
   // What the default-on audit adds to a sweep.  A pool shaped like the
   // repository benchmark's sweep workload: 5-task UUniFast sets at
   // U = 0.1..0.9, periods 10-40 ms in 10 ms steps, three hyperperiods,
@@ -565,13 +495,6 @@ int main() {
         ++kept;
       }
     }
-    const auto events_of = [](const std::vector<core::SimulationResult>& r) {
-      std::int64_t events = 0;
-      for (const core::SimulationResult& result : r) {
-        events += result.scheduler_invocations;
-      }
-      return events;
-    };
     const Throughput unaudited = measure([&] {
       return events_of(fleet::run_fleet_sharded(pool, {}, 1));
     });

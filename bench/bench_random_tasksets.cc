@@ -5,21 +5,19 @@
 // Pipeline shape (the template for every heavy bench):
 //   1. generate work serially — task-set generation shares one RNG
 //      stream, so it stays ordered and cheap;
-//   2. fan the independent simulations out with runner::run_batch;
-//      every (utilization, set) pair simulates under its own seed,
+//   2. run the independent simulations as one sharded audited fleet
+//      batch (audit::simulate_fleet_sharded, docs/FLEET.md); every
+//      (utilization, set) pair simulates under its own seed,
 //      runner::derive_seed(kBaseSeed, job_index), so no two jobs share
 //      randomness and the table is bit-identical for any LPFPS_JOBS;
 //   3. reduce in job order, print the table, and emit
 //      BENCH_random_tasksets.json for the perf trajectory.
 //
-// Every simulation is trace-audited (audit::simulate + a shared
-// AuditAggregator); the bench aborts after the table if any invariant
-// was violated, and writes AUDIT_random_tasksets.json for the CI gate.
-//
-// With LPFPS_FLEET set (docs/FLEET.md) step 2 runs through the batched
-// fleet engine instead of one-thread-per-sim run_batch; the fleet's
-// bit-identity contract makes the table, JSON points, and audit summary
-// byte-identical either way (CI diffs the two).
+// Every simulation is trace-audited on its fleet worker, and the
+// reports fold into a shared AuditAggregator in spec order; the bench
+// aborts after the table if any invariant was violated, and writes
+// AUDIT_random_tasksets.json (identical at any LPFPS_JOBS) for the CI
+// gate.
 #include <cstdio>
 
 #include "audit/harness.h"
@@ -72,55 +70,23 @@ int main() {
     jobs[i].seed = runner::derive_seed(kBaseSeed, i);
   }
 
-  struct Powers {
-    double fps;
-    double lpfps;
-    std::int64_t power_downs;
-    std::int64_t dvs_slowdowns;
-  };
-  audit::AuditAggregator agg("random_tasksets");
-  std::vector<Powers> powers;
-  if (fleet::enabled()) {
-    // Fleet path: both policy runs of every set become lanes of one
-    // batched engine (fps at 2i, lpfps at 2i+1, sharing the set's seed
-    // so both policies see the same execution-time draws).
-    std::vector<fleet::SimSpec> specs;
-    specs.reserve(jobs.size() * 2);
-    for (const Job& job : jobs) {
-      core::EngineOptions options;
-      options.horizon = horizon;
-      options.seed = job.seed;  // Same draws for both policies.
-      specs.push_back(
-          {job.tasks, cpu, core::SchedulerPolicy::fps(), exec, options});
-      specs.push_back(
-          {job.tasks, cpu, core::SchedulerPolicy::lpfps(), exec, options});
-    }
-    const std::vector<core::SimulationResult> results =
-        audit::simulate_fleet(std::move(specs), fleet::FleetOptions{}, &agg);
-    powers.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const core::SimulationResult& lpfps_run = results[2 * i + 1];
-      powers.push_back({results[2 * i].average_power, lpfps_run.average_power,
-                        lpfps_run.power_downs, lpfps_run.dvs_slowdowns});
-    }
-  } else {
-    powers = runner::run_batch(jobs.size(), [&](std::size_t i) {
-      core::EngineOptions options;
-      options.horizon = horizon;
-      options.seed = jobs[i].seed;  // Same draws for both policies.
-      Powers p;
-      p.fps = audit::simulate(jobs[i].tasks, cpu, core::SchedulerPolicy::fps(),
-                              exec, options, &agg)
-                  .average_power;
-      const core::SimulationResult lpfps_run =
-          audit::simulate(jobs[i].tasks, cpu, core::SchedulerPolicy::lpfps(),
-                          exec, options, &agg);
-      p.lpfps = lpfps_run.average_power;
-      p.power_downs = lpfps_run.power_downs;
-      p.dvs_slowdowns = lpfps_run.dvs_slowdowns;
-      return p;
-    });
+  // Both policy runs of every set become specs of one sharded audited
+  // fleet batch (fps at 2i, lpfps at 2i+1, sharing the set's seed so
+  // both policies see the same execution-time draws).
+  std::vector<fleet::SimSpec> specs;
+  specs.reserve(jobs.size() * 2);
+  for (const Job& job : jobs) {
+    core::EngineOptions options;
+    options.horizon = horizon;
+    options.seed = job.seed;  // Same draws for both policies.
+    specs.push_back(
+        {job.tasks, cpu, core::SchedulerPolicy::fps(), exec, options});
+    specs.push_back(
+        {job.tasks, cpu, core::SchedulerPolicy::lpfps(), exec, options});
   }
+  audit::AuditAggregator agg("random_tasksets");
+  const std::vector<core::SimulationResult> results =
+      audit::simulate_fleet_sharded(std::move(specs), {}, &agg);
 
   std::puts("== A6: random task sets (5 tasks, BCET/WCET = 0.5) ==");
   metrics::Table table({"utilization", "sets", "mean reduction %",
@@ -140,10 +106,13 @@ int main() {
     std::int64_t power_downs = 0;
     std::int64_t dvs_slowdowns = 0;
     for (int set = 0; set < sets_per_point; ++set, ++next) {
-      reduction.add(100.0 * (1.0 - powers[next].lpfps / powers[next].fps));
-      lpfps_power.add(powers[next].lpfps);
-      power_downs += powers[next].power_downs;
-      dvs_slowdowns += powers[next].dvs_slowdowns;
+      const core::SimulationResult& fps_run = results[2 * next];
+      const core::SimulationResult& lpfps_run = results[2 * next + 1];
+      reduction.add(100.0 *
+                    (1.0 - lpfps_run.average_power / fps_run.average_power));
+      lpfps_power.add(lpfps_run.average_power);
+      power_downs += lpfps_run.power_downs;
+      dvs_slowdowns += lpfps_run.dvs_slowdowns;
     }
     table.add_row({metrics::Table::num(u, 1),
                    std::to_string(sets_per_point),

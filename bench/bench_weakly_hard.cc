@@ -35,8 +35,9 @@
 // per arm for the perf gate (section "weakly_hard",
 // bench/baseline_weakly_hard.json).
 //
-// With LPFPS_FLEET set the sweep routes through the sharded audited
-// fleet (bit-identical by the fleet contract).
+// The sweep runs as one sharded audited fleet batch
+// (audit::simulate_fleet_sharded): stdout and the AUDIT record are
+// identical at any LPFPS_JOBS, apart from the timed `perf` rows.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -179,7 +180,7 @@ int main() {
     }
   }
   const std::vector<core::SimulationResult> results =
-      audit::simulate_routed(specs, &agg);
+      audit::simulate_fleet_sharded(specs, {}, &agg);
 
   std::puts("== Weakly-hard sweep: graceful overload degradation ==");
   std::printf("nominal utilization > 1 by construction; overruns "

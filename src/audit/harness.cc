@@ -5,6 +5,7 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "io/bench_json.h"
 
@@ -251,54 +252,6 @@ core::SimulationResult simulate(const sched::TaskSet& tasks,
   return result;
 }
 
-namespace {
-
-/// The post-run half of the fleet audit: runs every result's trace
-/// through audit_run against its own spec, then drops traces the spec
-/// did not ask for.  `wanted_trace[i]` is specs[i]'s record_trace
-/// before it was forced on for auditing.
-void audit_fleet_results(const std::vector<fleet::SimSpec>& specs,
-                         const std::vector<bool>& wanted_trace,
-                         std::vector<core::SimulationResult>& results,
-                         AuditAggregator* aggregator) {
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const fleet::SimSpec& spec = specs[i];
-    const AuditReport report =
-        audit_run(results[i], spec.tasks, spec.processor,
-                  derive_options(spec.policy, spec.options));
-    if (aggregator != nullptr) {
-      aggregator->add(report, results[i]);
-    } else if (!report.ok()) {
-      throw std::runtime_error("trace audit failed for policy '" +
-                               spec.policy.name + "': " + report.to_string());
-    }
-    if (!wanted_trace[i]) results[i].trace.reset();
-  }
-}
-
-}  // namespace
-
-std::vector<core::SimulationResult> simulate_fleet(
-    std::vector<fleet::SimSpec> specs,
-    const fleet::FleetOptions& fleet_options, AuditAggregator* aggregator) {
-  if (!enabled()) {
-    return fleet::run_fleet(std::move(specs), fleet_options);
-  }
-  // The engine borrows nothing from `specs` (SimSpec is self-owning),
-  // but the audit needs each spec after the run — so add copies and
-  // keep the originals for audit_run.
-  std::vector<bool> wanted_trace(specs.size());
-  fleet::FleetEngine engine(fleet_options);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    wanted_trace[i] = specs[i].options.record_trace;
-    specs[i].options.record_trace = true;
-    engine.add(specs[i]);
-  }
-  std::vector<core::SimulationResult> results = engine.run_all();
-  audit_fleet_results(specs, wanted_trace, results, aggregator);
-  return results;
-}
-
 std::vector<core::SimulationResult> simulate_fleet_sharded(
     std::vector<fleet::SimSpec> specs,
     const fleet::FleetOptions& fleet_options, AuditAggregator* aggregator,
@@ -306,37 +259,34 @@ std::vector<core::SimulationResult> simulate_fleet_sharded(
   if (!enabled()) {
     return fleet::run_fleet_sharded(std::move(specs), fleet_options, threads);
   }
-  // As in simulate_fleet: the workers run copies with traces forced
-  // on, the originals stay behind for audit_run.  Auditing happens on
-  // the calling thread after the fan-out — results come back in spec
-  // order, so the audit pass (and any violation it throws) is
-  // byte-identical to the serial simulate_fleet path.
   std::vector<bool> wanted_trace(specs.size());
-  std::vector<fleet::SimSpec> to_run;
-  to_run.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     wanted_trace[i] = specs[i].options.record_trace;
     specs[i].options.record_trace = true;
-    to_run.push_back(specs[i]);
   }
-  std::vector<core::SimulationResult> results =
-      fleet::run_fleet_sharded(std::move(to_run), fleet_options, threads);
-  audit_fleet_results(specs, wanted_trace, results, aggregator);
-  return results;
-}
-
-std::vector<core::SimulationResult> simulate_routed(
-    std::vector<fleet::SimSpec> specs, AuditAggregator* aggregator,
-    const fleet::FleetOptions& fleet_options, std::size_t threads) {
-  if (fleet::enabled()) {
-    return simulate_fleet_sharded(std::move(specs), fleet_options, aggregator,
-                                  threads);
-  }
-  std::vector<core::SimulationResult> results;
-  results.reserve(specs.size());
-  for (const fleet::SimSpec& spec : specs) {
-    results.push_back(simulate(spec.tasks, spec.processor, spec.policy,
-                               spec.exec_model, spec.options, aggregator));
+  // Filled on the workers, one slot per spec.  derive_options ignores
+  // record_trace, so auditing against the forced spec is auditing
+  // against the caller's.
+  std::vector<AuditReport> reports(specs.size());
+  std::vector<core::SimulationResult> results = fleet::run_fleet_sharded(
+      std::move(specs), fleet_options, threads,
+      [&](std::size_t i, const fleet::SimSpec& spec,
+          core::SimulationResult& result) {
+        AuditReport report =
+            audit_run(result, spec.tasks, spec.processor,
+                      derive_options(spec.policy, spec.options));
+        if (aggregator == nullptr && !report.ok()) {
+          throw std::runtime_error("trace audit failed for policy '" +
+                                   spec.policy.name +
+                                   "': " + report.to_string());
+        }
+        reports[i] = std::move(report);
+        if (!wanted_trace[i]) result.trace.reset();
+      });
+  if (aggregator != nullptr) {
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      aggregator->add(reports[i], results[i]);
+    }
   }
   return results;
 }

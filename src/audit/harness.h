@@ -3,9 +3,10 @@
 // audit::simulate is a drop-in for core::simulate that records a trace,
 // runs the full audit_run battery on it, and throws (or feeds a shared
 // AuditAggregator) on any violation — so every bench is a self-verifying
-// experiment.  The auditor is on by default and opt-out via the
-// LPFPS_AUDIT environment variable ("0"/"off"/"false" disables it); with
-// it off, audit::simulate is exactly core::simulate.
+// experiment; audit::simulate_fleet_sharded is its batch form.  The
+// auditor is on by default and opt-out via the LPFPS_AUDIT environment
+// variable ("0"/"off"/"false" disables it); with it off,
+// audit::simulate is exactly core::simulate.
 #pragma once
 
 #include <cstdint>
@@ -118,40 +119,22 @@ core::SimulationResult simulate(const sched::TaskSet& tasks,
                                 const core::EngineOptions& options,
                                 AuditAggregator* aggregator = nullptr);
 
-/// Fleet twin of audit::simulate — the fleet-aware aggregation hook.
-/// Runs every spec through one fleet::FleetEngine, forcing recorded
-/// traces while the audit is enabled, audits each sim's trace against
-/// its own spec, and drops traces the spec did not ask for.  Results
-/// come back in spec order (bit-identical to per-spec audit::simulate
-/// calls, by the fleet's bit-identity contract).  On a violation:
-/// throws, or records into `aggregator` when supplied.  With the audit
-/// disabled this is exactly fleet::run_fleet.
-std::vector<core::SimulationResult> simulate_fleet(
-    std::vector<fleet::SimSpec> specs, const fleet::FleetOptions& fleet_options,
-    AuditAggregator* aggregator = nullptr);
-
-/// Sharded twin of simulate_fleet: runs the specs through
-/// fleet::run_fleet_sharded (one FleetEngine per ThreadPool worker,
-/// contiguous positional shards) and audits the results on the calling
-/// thread, in spec order.  Output is byte-identical to simulate_fleet
-/// for any worker count — sharding only changes which thread runs a
-/// lane.  `threads == 0` means runner::default_job_count()
-/// (LPFPS_JOBS).  With the audit disabled this is exactly
-/// fleet::run_fleet_sharded.
+/// The audited batch: runs `specs` through fleet::run_fleet_sharded
+/// (one FleetEngine per ThreadPool worker, contiguous positional
+/// shards) with traces forced on while the audit is enabled.  Each
+/// worker audits every simulation against its own spec as soon as it
+/// finishes, then drops the trace unless the spec asked for it.
+/// Results come back in spec order, bit-identical to per-spec
+/// audit::simulate calls.  On a violation: throws (the lowest-index
+/// failing spec wins, as for a failing simulation), or, when an
+/// `aggregator` is supplied, records the reports into it in spec order
+/// after the batch — so its sums, and the AUDIT json, are identical
+/// for any worker count.  `threads == 0` means
+/// runner::default_job_count() (LPFPS_JOBS).  With the audit disabled
+/// this is exactly fleet::run_fleet_sharded.
 std::vector<core::SimulationResult> simulate_fleet_sharded(
     std::vector<fleet::SimSpec> specs, const fleet::FleetOptions& fleet_options,
     AuditAggregator* aggregator = nullptr, std::size_t threads = 0);
-
-/// The bench routing switch: runs `specs` through the sharded audited
-/// fleet when fleet routing is on (fleet::enabled(), i.e. LPFPS_FLEET),
-/// and through per-spec audit::simulate calls — today's serial sweep
-/// loop — when it is off.  Both paths return results in spec order and
-/// are byte-identical by the fleet's bit-identity contract, so a sweep
-/// can build its spec list once and dispatch here instead of carrying
-/// two loop bodies.
-std::vector<core::SimulationResult> simulate_routed(
-    std::vector<fleet::SimSpec> specs, AuditAggregator* aggregator = nullptr,
-    const fleet::FleetOptions& fleet_options = {}, std::size_t threads = 0);
 
 /// core::normalized_power with both runs audited.
 double normalized_power(const sched::TaskSet& tasks,

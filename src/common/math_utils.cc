@@ -47,20 +47,4 @@ double clamp(double v, double lo, double hi) {
   return v;
 }
 
-double integrate_simpson(double (*f)(double, const void*), const void* ctx,
-                         double a, double b, int steps) {
-  LPFPS_CHECK(steps > 0);
-  if (a == b) return 0.0;
-  int n = steps;
-  if (n % 2 != 0) ++n;
-  if (n < 2) n = 2;
-  const double h = (b - a) / n;
-  double sum = f(a, ctx) + f(b, ctx);
-  for (int i = 1; i < n; ++i) {
-    const double x = a + h * i;
-    sum += f(x, ctx) * ((i % 2 == 0) ? 2.0 : 4.0);
-  }
-  return sum * h / 3.0;
-}
-
 }  // namespace lpfps

@@ -2,8 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <type_traits>
 #include <vector>
 
 namespace lpfps {
@@ -27,27 +25,5 @@ double lerp(double a, double b, double t);
 
 /// Clamps v into [lo, hi] (precondition: lo <= hi).
 double clamp(double v, double lo, double hi);
-
-/// Numerically integrates f over [a, b] with composite Simpson's rule
-/// using `steps` subintervals (rounded up to an even count, minimum 2).
-/// Used for energy integrals over voltage ramps, where the integrand
-/// P(f(t), V(f(t))) has no convenient closed form for the ring-oscillator
-/// voltage model.
-double integrate_simpson(double (*f)(double, const void*), const void* ctx,
-                         double a, double b, int steps);
-
-/// Convenience overload for callables.
-template <typename F>
-double integrate_simpson(F&& f, double a, double b, int steps) {
-  using Fn = std::remove_reference_t<F>;
-  struct Ctx {
-    const Fn* fn;
-  } ctx{std::addressof(f)};
-  return integrate_simpson(
-      [](double x, const void* c) -> double {
-        return (*static_cast<const Ctx*>(c)->fn)(x);
-      },
-      &ctx, a, b, steps);
-}
 
 }  // namespace lpfps

@@ -8,9 +8,10 @@
 namespace lpfps::core {
 
 // The engine main loop lives in core::SimState (sim_state.cc): the loop
-// was opened up into begin/step/finish so the fleet engine can
-// interleave many simulations, and Engine::run delegates to the very
-// same code — one implementation, two drivers, bit-identical results.
+// was opened up into begin/step/finish so the fleet engine can run many
+// simulations on one reused state, and Engine::run delegates to the
+// very same code — one implementation, two drivers, bit-identical
+// results.
 
 Engine::Engine(sched::TaskSet tasks, power::ProcessorConfig processor,
                SchedulerPolicy policy, exec::ExecModelPtr exec_model)

@@ -268,23 +268,6 @@ void SimState::reset(const sched::TaskSet& tasks,
   stalled_iterations_ = 0;
 }
 
-sim::ProcessorMode SimState::mode_now() const {
-  switch (state_) {
-    case CpuState::kRunning:
-      return sim::ProcessorMode::kRunning;
-    case CpuState::kPowerDown:
-      return sim::ProcessorMode::kPowerDown;
-    case CpuState::kWakeUp:
-      return sim::ProcessorMode::kWakeUp;
-    case CpuState::kIdle:
-      break;
-  }
-  // Idle splits exactly like advance_to's segment attribution: a ramp in
-  // flight is kRamping, a settled clock busy-waits.
-  return ratio_ != ramp_target_ ? sim::ProcessorMode::kRamping
-                                : sim::ProcessorMode::kIdleBusyWait;
-}
-
 void SimState::start_job(TaskIndex index) {
   JobState& state = job(index);
   auto& instance = next_instance_[static_cast<std::size_t>(index)];

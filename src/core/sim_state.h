@@ -3,9 +3,9 @@
 // core::Engine::run is a closed box: construct, run to the horizon,
 // return the result.  SimState is the same machinery (it *is* the
 // engine's former internal Simulation class, verbatim) exposed as an
-// incremental state machine so callers that interleave many independent
+// incremental state machine, so a caller that runs many independent
 // simulations — the fleet engine in src/fleet/ — can drive each one
-// event by event:
+// event by event on one reused state:
 //
 //   SimState sim(tasks, cpu, policy, exec, options);
 //   sim.begin();                       // validate, seed queues, L1 entry
@@ -23,7 +23,7 @@
 // per-task totals).  A reset state is bit-identical to a freshly
 // constructed one — the RNG reseed, the cleared queues, and the
 // re-derived fault wiring reproduce the constructor exactly — which is
-// what lets the fleet engine reuse a fixed pool of lanes across
+// what lets the fleet engine reuse one lane per worker across
 // thousands of simulations without paying the allocation and setup cost
 // per sim (docs/FLEET.md quantifies that cost).
 //
@@ -32,10 +32,6 @@
 // execution model is shared by shared_ptr.  Engine::run and
 // fleet::FleetEngine both satisfy this by keeping the spec alive for
 // the duration.
-//
-// The hot accessors (clock / mode_now / ratio_now / invocations /
-// energy_now) exist for the fleet's structure-of-arrays mirrors: they
-// are O(1) reads of scalar state, safe between any two steps.
 #pragma once
 
 #include <cstdint>
@@ -249,7 +245,7 @@ struct CounterSnapshot {
 /// The full mutable state of one simulation plus the engine main loop,
 /// decomposed into begin / step / finish (see the file comment for the
 /// contract).  Engine::run builds one of these per call; the fleet
-/// engine keeps a pool of them and reset()s each lane between sims.
+/// engine keeps one per worker and reset()s it between sims.
 class SimState {
  public:
   /// `tasks` must validate (unique priorities assigned).  `exec_model`
@@ -325,17 +321,8 @@ class SimState {
   /// Engine::run (which delegates here).
   SimulationResult run();
 
-  // --- hot scalar mirrors for the fleet's SoA arrays -----------------
   /// Current simulated instant (absolute microseconds).
   Time clock() const { return now_.absolute(); }
-  /// Current processor mode, mapped exactly like trace segments are.
-  sim::ProcessorMode mode_now() const;
-  /// Current speed ratio.
-  Ratio ratio_now() const { return ratio_; }
-  /// Scheduler invocations so far — the engine's "event" unit.
-  std::int64_t invocations() const { return scheduler_invocations_; }
-  /// Energy accumulated so far.
-  Energy energy_now() const { return accumulator_->total_energy(); }
 
  private:
   // --- scheduling machinery -------------------------------------------

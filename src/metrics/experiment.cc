@@ -17,33 +17,33 @@ std::vector<SweepPoint> run_bcet_sweep(const sched::TaskSet& tasks,
   LPFPS_CHECK(config.seeds > 0);
   LPFPS_CHECK(!config.bcet_ratios.empty());
 
-  // Stateless, so safe to share across parallel simulation jobs.
+  // Stateless, so safe to share across the fleet's workers.
   const auto exec_model = std::make_shared<exec::ClampedGaussianModel>();
   const auto fps = core::SchedulerPolicy::fps();
-
-  // Scaled task sets per ratio, precomputed so the parallel jobs only
-  // read shared immutable state.
-  std::vector<sched::TaskSet> scaled_sets;
-  scaled_sets.reserve(config.bcet_ratios.size());
-  for (const double ratio : config.bcet_ratios) {
-    scaled_sets.push_back(tasks.with_bcet_ratio(ratio));
-  }
-
-  // Flatten the sweep grid into independent simulation jobs.  Each
-  // (point, sample) cell gets its seed from the cell's fixed grid
-  // position — runner's determinism contract — and the policy and its
-  // FPS baseline share that seed so their jobs draw identical
-  // execution times.  Job 0 is the paper's FPS reference: every job at
-  // its WCET (deterministic, one run), constant across the BCET axis.
-  struct SimJob {
-    const sched::TaskSet* tasks = nullptr;
-    const core::SchedulerPolicy* policy = nullptr;
-    bool use_exec_model = true;
-    std::uint64_t seed = 1;
+  const auto make_spec = [&](const sched::TaskSet& set,
+                             const core::SchedulerPolicy& run_policy,
+                             exec::ExecModelPtr exec, std::uint64_t seed) {
+    fleet::SimSpec spec;
+    spec.tasks = set;
+    spec.processor = cpu;
+    spec.policy = run_policy;
+    spec.exec_model = std::move(exec);
+    spec.options.horizon = config.horizon;
+    spec.options.seed = seed;
+    return spec;
   };
-  std::vector<SimJob> jobs;
-  jobs.push_back({&tasks, &fps, /*use_exec_model=*/false, 1});
+
+  // Flatten the sweep grid into independent simulations.  Each (point,
+  // sample) cell gets its seed from the cell's fixed grid position —
+  // runner's determinism contract — and the policy and its FPS baseline
+  // share that seed so their runs draw identical execution times.
+  // Spec 0 is the paper's FPS reference: every job at its WCET
+  // (deterministic, one run), constant across the BCET axis.
+  std::vector<fleet::SimSpec> specs;
+  specs.push_back(make_spec(tasks, fps, nullptr, 1));
   for (std::size_t point = 0; point < config.bcet_ratios.size(); ++point) {
+    const sched::TaskSet scaled =
+        tasks.with_bcet_ratio(config.bcet_ratios[point]);
     // Deterministic at BCET == WCET: the Gaussian degenerates.
     const int samples = config.bcet_ratios[point] >= 1.0 ? 1 : config.seeds;
     for (int sample = 0; sample < samples; ++sample) {
@@ -51,50 +51,20 @@ std::vector<SweepPoint> run_bcet_sweep(const sched::TaskSet& tasks,
           config.base_seed,
           point * static_cast<std::uint64_t>(config.seeds) +
               static_cast<std::uint64_t>(sample));
-      jobs.push_back({&scaled_sets[point], &fps, true, seed});
-      jobs.push_back({&scaled_sets[point], &policy, true, seed});
+      specs.push_back(make_spec(scaled, fps, exec_model, seed));
+      specs.push_back(make_spec(scaled, policy, exec_model, seed));
     }
   }
 
-  std::vector<double> powers(jobs.size());
-  if (fleet::enabled()) {
-    // Fleet routing (LPFPS_FLEET): the same jobs, in the same order,
-    // as one sharded audited fleet batch.  Seeds are baked into each
-    // spec, so the output is byte-identical to the runner path below.
-    std::vector<fleet::SimSpec> specs;
-    specs.reserve(jobs.size());
-    for (const SimJob& job : jobs) {
-      fleet::SimSpec spec;
-      spec.tasks = *job.tasks;
-      spec.processor = cpu;
-      spec.policy = *job.policy;
-      spec.exec_model = job.use_exec_model ? exec_model : nullptr;
-      spec.options.horizon = config.horizon;
-      spec.options.seed = job.seed;
-      specs.push_back(std::move(spec));
-    }
-    const std::vector<core::SimulationResult> results =
-        audit::simulate_fleet_sharded(std::move(specs), {});
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      powers[i] = results[i].average_power;
-    }
-  } else {
-    powers = runner::run_batch(jobs.size(), [&](std::size_t index) {
-      const SimJob& job = jobs[index];
-      core::EngineOptions options;
-      options.horizon = config.horizon;
-      options.seed = job.seed;
-      // Audited by default (LPFPS_AUDIT=0 opts out): every sweep cell
-      // is trace-verified before its power number enters a figure.
-      return audit::simulate(*job.tasks, cpu, *job.policy,
-                             job.use_exec_model ? exec_model : nullptr, options)
-          .average_power;
-    });
-  }
+  // One sharded audited fleet batch (LPFPS_AUDIT=0 opts out of the
+  // audit): every sweep cell is trace-verified before its power number
+  // enters a figure.
+  const std::vector<core::SimulationResult> results =
+      audit::simulate_fleet_sharded(std::move(specs), {});
 
   // Reduce in grid order — independent of how many threads ran the
   // batch, so the sweep is bit-identical at any LPFPS_JOBS.
-  const double fps_wcet_power = powers[0];
+  const double fps_wcet_power = results[0].average_power;
   std::vector<SweepPoint> points;
   points.reserve(config.bcet_ratios.size());
   std::size_t next = 1;
@@ -103,8 +73,8 @@ std::vector<SweepPoint> run_bcet_sweep(const sched::TaskSet& tasks,
     Summary fps_power;
     Summary policy_power;
     for (int sample = 0; sample < samples; ++sample) {
-      fps_power.add(powers[next++]);
-      policy_power.add(powers[next++]);
+      fps_power.add(results[next++].average_power);
+      policy_power.add(results[next++].average_power);
     }
 
     SweepPoint point;

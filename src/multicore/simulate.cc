@@ -35,60 +35,35 @@ MulticoreResult simulate_partitioned(const sched::TaskSet& tasks,
     return idle;
   };
 
-  // Cores are independent once partitioned, so they simulate in
-  // parallel.  Each core's seed derives from (options.seed, core
-  // index), and the reduction below walks cores in index order — the
-  // result is bit-identical for any LPFPS_JOBS.  Note exec_model is
-  // shared across concurrent cores: the stock models are stateless,
-  // but a TraceDrivenModel (mutable replay cursors) must not be used
-  // here.
+  // Cores are independent once partitioned: the non-empty ones run as
+  // one sharded audited fleet batch, and parked cores are spliced back
+  // in around it.  Each core's seed derives from (options.seed, core
+  // index) and results come back in core order, so the result is
+  // bit-identical for any LPFPS_JOBS.  A violation on any core throws
+  // the whole batch (partitioned results are only as trustworthy as
+  // their weakest core).  Note exec_model is shared across concurrent
+  // cores: the stock models are stateless, but a TraceDrivenModel
+  // (mutable replay cursors) must not be used here.
+  std::vector<fleet::SimSpec> specs;
+  for (std::size_t index = 0; index < partition.cores.size(); ++index) {
+    if (partition.cores[index].empty()) continue;
+    fleet::SimSpec spec;
+    spec.tasks = core_task_set(tasks, partition.cores[index]);
+    spec.processor = cpu;
+    spec.policy = policy;
+    spec.exec_model = exec_model;
+    spec.options = options;
+    spec.options.seed = runner::derive_seed(options.seed, index);
+    specs.push_back(std::move(spec));
+  }
+  std::vector<core::SimulationResult> active =
+      audit::simulate_fleet_sharded(std::move(specs), {});
   std::vector<core::SimulationResult> per_core;
-  if (fleet::enabled()) {
-    // Fleet routing (LPFPS_FLEET): non-empty cores become one sharded
-    // audited fleet batch (seeds baked per spec, results in core
-    // order), parked cores are spliced back in around them.  The
-    // per-core seed derivation and audit are unchanged, so the result
-    // is byte-identical to the runner path below.
-    std::vector<fleet::SimSpec> specs;
-    std::vector<std::size_t> spec_core;
-    for (std::size_t index = 0; index < partition.cores.size(); ++index) {
-      if (partition.cores[index].empty()) continue;
-      fleet::SimSpec spec;
-      spec.tasks = core_task_set(tasks, partition.cores[index]);
-      spec.processor = cpu;
-      spec.policy = policy;
-      spec.exec_model = exec_model;
-      spec.options = options;
-      spec.options.seed = runner::derive_seed(options.seed, index);
-      specs.push_back(std::move(spec));
-      spec_core.push_back(index);
-    }
-    std::vector<core::SimulationResult> active =
-        audit::simulate_fleet_sharded(std::move(specs), {});
-    per_core.reserve(partition.cores.size());
-    std::size_t next_active = 0;
-    for (std::size_t index = 0; index < partition.cores.size(); ++index) {
-      if (next_active < spec_core.size() && spec_core[next_active] == index) {
-        per_core.push_back(std::move(active[next_active++]));
-      } else {
-        per_core.push_back(parked_core());
-      }
-    }
-  } else {
-    per_core = runner::run_batch(
-        partition.cores.size(),
-        [&](std::size_t index) -> core::SimulationResult {
-          const auto& members = partition.cores[index];
-          if (members.empty()) return parked_core();
-          core::EngineOptions core_options = options;
-          core_options.seed = runner::derive_seed(options.seed, index);
-          const sched::TaskSet subset = core_task_set(tasks, members);
-          // Default-on trace audit: a violation on any core throws the
-          // whole batch (partitioned results are only as trustworthy as
-          // their weakest core).
-          return audit::simulate(subset, cpu, policy, exec_model,
-                                 core_options);
-        });
+  per_core.reserve(partition.cores.size());
+  std::size_t next_active = 0;
+  for (const auto& members : partition.cores) {
+    per_core.push_back(members.empty() ? parked_core()
+                                       : std::move(active[next_active++]));
   }
 
   MulticoreResult result;

@@ -44,10 +44,11 @@ Energy PowerModel::ramp_energy(Ratio r0, Ratio r1, double rho,
   const double scale = executing ? 1.0 : params_.nop_power_fraction;
   // Composite Simpson over [0, duration] in kRampSteps intervals: the
   // abscissae, the integrand and the summation order are exactly those
-  // of integrate_simpson(t -> scale * run_power(r(t)), 0, duration,
-  // kRampSteps) (with a = 0, its a + h * i is h * i), so every energy
-  // keeps its bits, but the voltage model is called once for all
-  // points instead of once per point.
+  // of the reference integrate_simpson(t -> scale * run_power(r(t)), 0,
+  // duration, kRampSteps) in tests/support/simpson.h (with a = 0, its
+  // a + h * i is h * i), so every energy keeps its bits, but the
+  // voltage model is called once for all points instead of once per
+  // point.  tests/power/ramp_energy_pin_test.cc pins the two bitwise.
   std::array<Ratio, kRampSteps + 1> ratios;
   std::array<double, kRampSteps + 1> power;
   const double h = duration / kRampSteps;

@@ -16,6 +16,12 @@
 // batch.  `tests/runner/determinism_test.cc` asserts this contract on
 // a 50-taskset batch.
 //
+// A batch of plain simulations goes through fleet::run_fleet_sharded
+// (or its audited form, audit::simulate_fleet_sharded), which shards
+// the specs over run_batch with one reused simulation lane per worker;
+// run_batch itself serves loops whose jobs are more than one
+// simulation (AVR, YDS and static-slowdown comparisons).
+//
 // Thread-safety note: jobs run concurrently, so everything a job
 // touches must be immutable or job-local.  `core::simulate` already
 // qualifies (the engine owns its Rng, seeded from EngineOptions), and
@@ -36,7 +42,6 @@
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -137,43 +142,6 @@ auto run_batch(std::size_t job_count, Fn&& fn, std::size_t threads = 0)
     results.push_back(std::move(*slot));
   }
   return results;
-}
-
-/// Outcome of one fault-isolated job: the result, or the error text of
-/// the exception that killed it.
-template <typename T>
-struct JobOutcome {
-  std::optional<T> result;
-  std::string error;  ///< Empty iff the job succeeded.
-
-  bool ok() const { return result.has_value(); }
-};
-
-/// `run_batch` with per-job fault isolation: a throwing job is captured
-/// into its JobOutcome's `error` instead of aborting the batch, so one
-/// faulted configuration in a sweep cannot take down the healthy
-/// results around it.  Determinism contract unchanged — job i's outcome
-/// (including its error text) is independent of thread count.  Use the
-/// plain `run_batch` when any failure should fail the whole experiment
-/// (its propagate-first-exception default).
-template <typename Fn>
-auto run_batch_isolated(std::size_t job_count, Fn&& fn,
-                        std::size_t threads = 0)
-    -> std::vector<JobOutcome<std::invoke_result_t<Fn&, std::size_t>>> {
-  using Result = std::invoke_result_t<Fn&, std::size_t>;
-  auto guarded = [&fn](std::size_t i) {
-    JobOutcome<Result> outcome;
-    try {
-      outcome.result.emplace(fn(i));
-    } catch (const std::exception& e) {
-      outcome.error = e.what();
-      if (outcome.error.empty()) outcome.error = "exception";
-    } catch (...) {
-      outcome.error = "unknown exception";
-    }
-    return outcome;
-  };
-  return run_batch(job_count, guarded, threads);
 }
 
 }  // namespace lpfps::runner

@@ -1,5 +1,6 @@
 #include "weakly_hard/analysis.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -37,8 +38,12 @@ std::optional<Time> degraded_response_time(const sched::TaskSet& tasks,
     for (const sched::Task& other : tasks.tasks()) {
       if (other.priority >= task.priority) continue;
       LPFPS_CHECK_MSG(other.deadline <= other.period, other.name);
-      const auto releases = static_cast<std::int64_t>(
-          std::ceil(r / static_cast<double>(other.period)));
+      // The plain RTA's release count (sched::response_time): a response
+      // that lands on a period multiple up to float noise must not book
+      // a job released at that instant.
+      const auto releases = std::max<std::int64_t>(
+          1, static_cast<std::int64_t>(std::ceil(
+                 (r - kTimeEpsilon) / static_cast<double>(other.period))));
       next += static_cast<Work>(max_met_jobs(releases, other.effective_m(),
                                              other.effective_k())) *
               other.wcet;

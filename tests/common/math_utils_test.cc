@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "support/simpson.h"
+
 namespace lpfps {
 namespace {
 

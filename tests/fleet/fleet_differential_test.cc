@@ -1,13 +1,14 @@
 // Differential suite pinning the fleet engine's bit-identity contract:
-// every simulation run through fleet::FleetEngine — at any batch width,
-// any stride, any lane-block size or block order, mixed with any
-// neighbours — must produce results bit-identical to a serial
-// core::simulate of the same spec.  Identity
-// is asserted on the serialized forms the repo treats as ground truth
-// (io::result_csv_row, trace segment/job CSVs), the same currency the
-// runner-determinism and cycle-detection suites use.
+// every simulation run through fleet::FleetEngine — on one reused
+// lane, after any predecessor — must produce results bit-identical to
+// a serial core::simulate of the same spec.  Identity is asserted on
+// the serialized forms the repo treats as ground truth
+// (io::result_fault_csv_row, trace segment/job CSVs), the same currency
+// the runner-determinism and cycle-detection suites use.
 #include "fleet/fleet.h"
 
+#include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -25,22 +26,14 @@
 namespace lpfps {
 namespace {
 
-std::vector<std::string> task_names(const sched::TaskSet& tasks) {
-  std::vector<std::string> names;
-  names.reserve(tasks.size());
-  for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks.size()); ++i) {
-    names.push_back(tasks[i].name);
-  }
-  return names;
-}
-
 /// The serialized identity of one simulation result: the golden CSV row
-/// plus (when a trace was recorded) every segment and job row.
+/// with the fault and weakly-hard counters, plus (when a trace was
+/// recorded) every segment and job row.
 std::string identity(const sched::TaskSet& tasks,
                      const core::SimulationResult& result) {
-  std::string id = io::result_csv_row(result);
+  std::string id = io::result_fault_csv_row(result);
   if (result.trace.has_value()) {
-    const std::vector<std::string> names = task_names(tasks);
+    const std::vector<std::string> names = tasks.names();
     id += io::trace_segments_csv(*result.trace, names);
     id += io::trace_jobs_csv(*result.trace, names);
   }
@@ -48,17 +41,18 @@ std::string identity(const sched::TaskSet& tasks,
 }
 
 /// A diverse spec mix: RM-schedulable UUniFast sets across utilizations
-/// under both policies, stochastic execution, traces on, positionally
-/// seeded like every sweep in this repo.
-std::vector<fleet::SimSpec> make_specs(int sets, bool record_trace) {
+/// under both policies, stochastic execution, positionally seeded like
+/// every sweep in this repo.
+std::vector<fleet::SimSpec> make_specs(int sets, bool record_trace,
+                                       int task_count = 4) {
   const auto cpu = power::ProcessorConfig::arm8_default();
   const auto exec = std::make_shared<exec::ClampedGaussianModel>();
   std::vector<fleet::SimSpec> specs;
-  Rng rng(99);
+  Rng rng(99 + task_count);
   int generated = 0;
   while (generated < sets) {
     workloads::GeneratorConfig config;
-    config.task_count = 4;
+    config.task_count = task_count;
     config.total_utilization = 0.3 + 0.1 * (generated % 5);
     config.bcet_ratio = 0.5;
     config.period_min = 10'000;
@@ -79,6 +73,66 @@ std::vector<fleet::SimSpec> make_specs(int sets, bool record_trace) {
   return specs;
 }
 
+/// Faulted + contained: every job overruns by 40%, kill at budget,
+/// safe-mode fallback, misses recorded instead of thrown.
+fleet::SimSpec faulted_spec(bool record_trace) {
+  core::EngineOptions options;
+  options.horizon = 400'000;
+  options.seed = 7;
+  options.record_trace = record_trace;
+  options.throw_on_miss = false;
+  options.faults.overruns = {{1.0, 0.4}};
+  options.containment.on_overrun = faults::OverrunAction::kKill;
+  options.containment.safe_mode_fallback = true;
+  return {workloads::example_table1(), power::ProcessorConfig::arm8_default(),
+          core::SchedulerPolicy::lpfps(),
+          std::make_shared<exec::ClampedGaussianModel>(), options};
+}
+
+/// Cycle-eligible: deterministic WCET execution (null model) over many
+/// hyperperiods fast-forwards after two boundaries.
+fleet::SimSpec cyclic_spec(bool record_trace) {
+  core::EngineOptions options;
+  options.horizon = 4'000'000;
+  options.seed = 11;
+  options.record_trace = record_trace;
+  return {workloads::example_table1(), power::ProcessorConfig::arm8_default(),
+          core::SchedulerPolicy::lpfps(), nullptr, options};
+}
+
+/// Weakly-hard: an overloaded set whose governor skips jobs, with
+/// skip-aware DVS on or off.
+fleet::SimSpec weakly_hard_spec(std::uint64_t seed, bool skip_dvs) {
+  Rng rng(seed);
+  workloads::WeaklyHardGeneratorConfig config;
+  config.base.task_count = 5;
+  config.base.period_max = 100'000;
+  config.total_utilization = 1.1;
+  core::EngineOptions options;
+  options.horizon = 150'000;
+  options.seed = seed;
+  options.throw_on_miss = false;
+  options.weakly_hard.policy = weakly_hard::SkipPolicy::kOverload;
+  options.weakly_hard.skip_dvs = skip_dvs;
+  return {workloads::generate_weakly_hard_task_set(config, rng),
+          power::ProcessorConfig::arm8_default(),
+          core::SchedulerPolicy::lpfps(), nullptr, options};
+}
+
+/// An unschedulable two-task set under strict miss semantics: the
+/// second task cannot make its deadline, so this sim throws.
+fleet::SimSpec missing_spec() {
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("hog", 100, 80.0));
+  tasks.add(sched::make_task("late", 100, 40.0));
+  sched::assign_rate_monotonic(tasks);
+  core::EngineOptions options;
+  options.horizon = 1'000;
+  options.seed = 3;
+  return {std::move(tasks), power::ProcessorConfig::arm8_default(),
+          core::SchedulerPolicy::fps(), nullptr, options};
+}
+
 std::vector<std::string> serial_identities(
     const std::vector<fleet::SimSpec>& specs) {
   std::vector<std::string> ids;
@@ -91,126 +145,32 @@ std::vector<std::string> serial_identities(
   return ids;
 }
 
-TEST(FleetDifferential, BatchMatchesSerialAcrossWidthsAndPolicies) {
+std::vector<core::SimulationResult> run_engine(
+    const std::vector<fleet::SimSpec>& specs) {
+  fleet::FleetEngine engine;
+  for (const fleet::SimSpec& spec : specs) engine.add(spec);
+  return engine.run_all();
+}
+
+TEST(FleetDifferential, EngineMatchesSerialAcrossPolicies) {
   const std::vector<fleet::SimSpec> specs = make_specs(6, true);
   const std::vector<std::string> serial = serial_identities(specs);
-
-  for (const std::size_t width : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{7}, std::size_t{64}}) {
-    fleet::FleetOptions options;
-    options.batch_width = width;
-    const std::vector<core::SimulationResult> results =
-        fleet::run_fleet(specs, options);
-    ASSERT_EQ(results.size(), specs.size()) << "width " << width;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
-          << "sim " << i << " diverged at batch width " << width;
-    }
-  }
-}
-
-TEST(FleetDifferential, StrideInvariance) {
-  const std::vector<fleet::SimSpec> specs = make_specs(4, true);
-  const std::vector<std::string> serial = serial_identities(specs);
-
-  for (const Time stride : {1.0, 5'000.0, 1e9}) {
-    fleet::FleetOptions options;
-    options.batch_width = 8;
-    options.stride = stride;
-    const std::vector<core::SimulationResult> results =
-        fleet::run_fleet(specs, options);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
-          << "sim " << i << " diverged at stride " << stride;
-    }
-  }
-}
-
-/// Lane-block invariance: a batch is scheduled as cache-sized blocks
-/// of lane_block lanes, and any block size — including 0 (the whole
-/// batch as one block, the pre-blocking behavior) and sizes that leave
-/// uneven tails — must be bit-identical to serial.
-TEST(FleetDifferential, BlockSizeInvariance) {
-  const std::vector<fleet::SimSpec> specs = make_specs(6, true);  // 12 sims.
-  const std::vector<std::string> serial = serial_identities(specs);
-
-  for (const std::size_t lane_block :
-       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{5},
-        std::size_t{12}, std::size_t{64}}) {
-    fleet::FleetOptions options;
-    options.batch_width = specs.size();  // One batch, blocks inside it.
-    options.lane_block = lane_block;
-    fleet::FleetEngine engine(options);
-    for (const fleet::SimSpec& spec : specs) engine.add(spec);
-    const std::vector<core::SimulationResult> results = engine.run_all();
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
-          << "sim " << i << " diverged at lane_block " << lane_block;
-    }
-    const std::size_t effective =
-        lane_block == 0 ? specs.size() : lane_block;
-    EXPECT_EQ(engine.stats().blocks,
-              (specs.size() + effective - 1) / effective)
-        << "lane_block " << lane_block;
-  }
-}
-
-/// Block-order invariance: blocks are independent lane subsets, so
-/// running them highest-index-first (the reverse_block_order
-/// verification knob) must change nothing.
-TEST(FleetDifferential, BlockOrderInvariance) {
-  const std::vector<fleet::SimSpec> specs = make_specs(5, true);  // 10 sims.
-  const std::vector<std::string> serial = serial_identities(specs);
-
-  for (const bool reverse : {false, true}) {
-    fleet::FleetOptions options;
-    options.batch_width = specs.size();
-    options.lane_block = 3;  // Four blocks, uneven tail.
-    options.reverse_block_order = reverse;
-    const std::vector<core::SimulationResult> results =
-        fleet::run_fleet(specs, options);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
-          << "sim " << i << " diverged with reverse_block_order="
-          << reverse;
-    }
+  const std::vector<core::SimulationResult> results = run_engine(specs);
+  ASSERT_EQ(results.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
+        << "sim " << i << " diverged";
   }
 }
 
 /// One faulted-and-contained sim and one cycle-eligible sim mixed into
 /// a batch of stochastic neighbours: the fleet must reproduce the
 /// containment counters and the fast-forward (cycles_detected > 0)
-/// bit-for-bit, proving both feature paths run unchanged inside lanes.
+/// bit-for-bit, proving both feature paths run unchanged on a lane.
 TEST(FleetDifferential, MixedBatchWithFaultedAndCycleEligibleSims) {
-  const auto cpu = power::ProcessorConfig::arm8_default();
   std::vector<fleet::SimSpec> specs = make_specs(2, true);
-
-  // Faulted + contained: every job overruns by 40%, kill at budget,
-  // safe-mode fallback, misses recorded instead of thrown.
-  {
-    core::EngineOptions options;
-    options.horizon = 400'000;
-    options.seed = 7;
-    options.record_trace = true;
-    options.throw_on_miss = false;
-    options.faults.overruns = {{1.0, 0.4}};
-    options.containment.on_overrun = faults::OverrunAction::kKill;
-    options.containment.safe_mode_fallback = true;
-    specs.push_back({workloads::example_table1(), cpu,
-                     core::SchedulerPolicy::lpfps(),
-                     std::make_shared<exec::ClampedGaussianModel>(),
-                     options});
-  }
-  // Cycle-eligible: deterministic WCET execution (null model) over many
-  // hyperperiods fast-forwards after two boundaries.
-  {
-    core::EngineOptions options;
-    options.horizon = 4'000'000;
-    options.seed = 11;
-    options.record_trace = true;
-    specs.push_back({workloads::example_table1(), cpu,
-                     core::SchedulerPolicy::lpfps(), nullptr, options});
-  }
+  specs.push_back(faulted_spec(true));
+  specs.push_back(cyclic_spec(true));
 
   const std::vector<std::string> serial = serial_identities(specs);
   {
@@ -228,100 +188,109 @@ TEST(FleetDifferential, MixedBatchWithFaultedAndCycleEligibleSims) {
     ASSERT_GT(cyc.cycles_detected, 0);
   }
 
-  fleet::FleetOptions options;
-  options.batch_width = specs.size();  // One batch holding everything.
-  const std::vector<core::SimulationResult> results =
-      fleet::run_fleet(specs, options);
+  const std::vector<core::SimulationResult> results = run_engine(specs);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
         << "sim " << i << " diverged in the mixed batch";
   }
 }
 
-/// Lane reuse must not leak state between sims: run the same specs
-/// twice through one engine and through widths and lane blocks that
-/// force uneven batch tails.  Round two binds only rebound lanes, each
-/// restoring its RNG by copy from the warmed state add() cached, so a
-/// cache a run disturbed, or a restore that left the previous sim's
-/// generator in place, diverges there.  Width 1 is the core::simulate
-/// reference path.
+/// Lane reuse must not leak state between sims: one lane runs every
+/// spec back to back, so each sim inherits the buffers, RNG, fault
+/// wiring, governor and cycle detector its predecessor left behind.
+/// The batch mixes plain 4- and 7-task sims with faulted,
+/// cycle-eligible and weakly-hard ones, and runs forward and reversed
+/// (every spec gets a different predecessor) and twice on one engine
+/// (round two binds only the rebound lane, restoring each RNG by copy
+/// from the warmed state add() cached).  A reset that misses any
+/// per-sim state diverges somewhere here.
 TEST(FleetDifferential, LaneRebindLeaksNothing) {
-  const std::vector<fleet::SimSpec> specs = make_specs(5, false);  // 10 sims.
-  const std::vector<std::string> serial = serial_identities(specs);
+  const std::vector<fleet::SimSpec> small = make_specs(3, false);
+  const std::vector<fleet::SimSpec> large = make_specs(2, false, 7);
+  std::vector<fleet::SimSpec> specs;
+  specs.push_back(small[0]);
+  specs.push_back(faulted_spec(false));
+  specs.push_back(weakly_hard_spec(31, false));
+  specs.push_back(large[0]);
+  specs.push_back(cyclic_spec(false));
+  specs.push_back(small[1]);
+  specs.push_back(weakly_hard_spec(32, true));
+  specs.push_back(large[1]);
+  specs.push_back(small[2]);
+  specs.push_back(large[2]);
+  specs.push_back(small[3]);
+  specs.push_back(faulted_spec(true));
+  specs.push_back(large[3]);
+  specs.push_back(small[4]);
+  specs.push_back(cyclic_spec(true));
+  specs.push_back(small[5]);
+  {
+    // Prove the order exercises every feature path.
+    bool killed = false, cycled = false, skipped = false;
+    for (const fleet::SimSpec& spec : specs) {
+      const core::SimulationResult r =
+          core::simulate(spec.tasks, spec.processor, spec.policy,
+                         spec.exec_model, spec.options);
+      killed = killed || r.jobs_killed > 0;
+      cycled = cycled || r.cycles_detected > 0;
+      skipped = skipped || r.jobs_skipped_weakly > 0;
+    }
+    ASSERT_TRUE(killed);
+    ASSERT_TRUE(cycled);
+    ASSERT_TRUE(skipped);
+  }
 
-  struct Shape {
-    std::size_t width;
-    std::size_t lane_block;
-  };
-  for (const Shape shape : {Shape{3, 64}, Shape{1, 3}, Shape{8, 3}}) {
-    fleet::FleetOptions options;
-    options.batch_width = shape.width;
-    options.lane_block = shape.lane_block;
-    fleet::FleetEngine engine(options);
-    for (const fleet::SimSpec& spec : specs) engine.add(spec);
+  for (const bool reversed : {false, true}) {
+    std::vector<fleet::SimSpec> order = specs;
+    if (reversed) std::reverse(order.begin(), order.end());
+    const std::vector<std::string> serial = serial_identities(order);
+    fleet::FleetEngine engine;
+    for (const fleet::SimSpec& spec : order) engine.add(spec);
     for (int round = 0; round < 2; ++round) {
       const std::vector<core::SimulationResult> results = engine.run_all();
-      ASSERT_EQ(results.size(), specs.size());
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
-            << "sim " << i << " diverged at width " << shape.width
-            << ", lane_block " << shape.lane_block << ", round " << round;
+      ASSERT_EQ(results.size(), order.size());
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        EXPECT_EQ(identity(order[i].tasks, results[i]), serial[i])
+            << "sim " << i << " diverged, reversed " << reversed
+            << ", round " << round;
       }
-    }
-    if (shape.width > 1) {
-      EXPECT_EQ(engine.stats().lane_constructions, 0u);
-      EXPECT_EQ(engine.stats().lane_rebinds, specs.size());
+      EXPECT_EQ(engine.stats().lane_constructions, round == 0 ? 1u : 0u);
+      EXPECT_EQ(engine.stats().lane_rebinds,
+                round == 0 ? order.size() - 1 : order.size());
     }
   }
 }
 
-TEST(FleetDifferential, IsolatedOutcomesCaptureFailuresPerLane) {
+/// A failing spec aborts the run with its original exception type: a
+/// simulation that misses a deadline (std::runtime_error), and a spec
+/// that fails validation at add() time, which surfaces the same type
+/// core::simulate throws for it.
+TEST(FleetDifferential, FailingSpecSurfacesItsOriginalException) {
   std::vector<fleet::SimSpec> specs = make_specs(2, false);
-  // An unschedulable two-task set under strict miss semantics: the
-  // second task cannot make its deadline, so this sim throws.
+  specs.push_back(missing_spec());
   {
-    sched::TaskSet tasks;
-    tasks.add(sched::make_task("hog", 100, 80.0));
-    tasks.add(sched::make_task("late", 100, 40.0));
-    sched::assign_rate_monotonic(tasks);
-    core::EngineOptions options;
-    options.horizon = 1'000;
-    options.seed = 3;
-    specs.push_back({std::move(tasks), power::ProcessorConfig::arm8_default(),
-                     core::SchedulerPolicy::fps(), nullptr, options});
-  }
-  const std::size_t failing = specs.size() - 1;
-
-  fleet::FleetOptions options;
-  options.batch_width = specs.size();
-  const auto outcomes = fleet::run_fleet_isolated(specs, options);
-  ASSERT_EQ(outcomes.size(), specs.size());
-  EXPECT_FALSE(outcomes[failing].ok());
-  EXPECT_NE(outcomes[failing].error.find("deadline miss"), std::string::npos);
-  for (std::size_t i = 0; i < failing; ++i) {
-    ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-    EXPECT_EQ(identity(specs[i].tasks, *outcomes[i].result),
-              identity(specs[i].tasks,
-                       core::simulate(specs[i].tasks, specs[i].processor,
-                                      specs[i].policy, specs[i].exec_model,
-                                      specs[i].options)))
-        << "healthy sim " << i << " perturbed by a failing lane";
+    fleet::FleetEngine engine;
+    for (const fleet::SimSpec& spec : specs) engine.add(spec);
+    EXPECT_THROW(engine.run_all(), std::runtime_error);
   }
 
-  // run_all surfaces the lowest-index failure as the original type.
-  fleet::FleetEngine engine(options);
-  for (const fleet::SimSpec& spec : specs) engine.add(spec);
-  EXPECT_THROW(engine.run_all(), std::runtime_error);
+  fleet::SimSpec invalid = specs.front();
+  invalid.options.horizon = -1.0;
+  EXPECT_THROW(core::simulate(invalid.tasks, invalid.processor, invalid.policy,
+                              invalid.exec_model, invalid.options),
+               std::logic_error);
+  fleet::FleetEngine engine;
+  engine.add(specs.front());
+  engine.add(invalid);
+  EXPECT_THROW(engine.run_all(), std::logic_error);
 }
 
 /// The audit battery accepts fleet-produced traces: zero violations
-/// over a batched sweep, with the aggregator seeing every run.
+/// over a batch, with the aggregator seeing every run.
 TEST(FleetDifferential, AuditPassOverFleetTraces) {
   const std::vector<fleet::SimSpec> specs = make_specs(4, false);
-  fleet::FleetOptions options;
-  options.batch_width = 8;
   audit::AuditAggregator agg("fleet_differential");
-  const auto results = audit::simulate_fleet(specs, options, &agg);
+  const auto results = audit::simulate_fleet_sharded(specs, {}, &agg, 1);
   ASSERT_EQ(results.size(), specs.size());
   // Traces were forced for auditing, then dropped per spec.
   for (const auto& result : results) EXPECT_FALSE(result.trace.has_value());
@@ -330,20 +299,19 @@ TEST(FleetDifferential, AuditPassOverFleetTraces) {
   EXPECT_NO_THROW(agg.check());
 }
 
-TEST(FleetDifferential, StatsObserveBatchingMechanics) {
+TEST(FleetDifferential, StatsObserveLaneMechanics) {
   const std::vector<fleet::SimSpec> specs = make_specs(9, false);  // 18 sims.
-  fleet::FleetEngine engine(fleet::FleetOptions{8, 0.0});
+  fleet::FleetEngine engine;
   for (const fleet::SimSpec& spec : specs) engine.add(spec);
   const auto results = engine.run_all();
   ASSERT_EQ(results.size(), specs.size());
 
   const fleet::FleetStats& stats = engine.stats();
   EXPECT_EQ(stats.sims, specs.size());
-  EXPECT_EQ(stats.batches, (specs.size() + 7) / 8);
-  // 18 sims over 8 lanes: 8 constructions, 10 rebinds.
-  EXPECT_EQ(stats.lane_constructions, 8u);
-  EXPECT_EQ(stats.lane_rebinds, specs.size() - 8);
-  EXPECT_GT(stats.rounds, 0u);
+  // One lane: built for the first sim, rebound for the other 17.
+  EXPECT_EQ(stats.lane_constructions, 1u);
+  EXPECT_EQ(stats.lane_rebinds, specs.size() - 1);
+  EXPECT_EQ(stats.rounds, specs.size());
   EXPECT_GT(stats.steps, 0);
   std::int64_t events = 0;
   for (const auto& result : results) events += result.scheduler_invocations;

@@ -1,12 +1,16 @@
 // Suite pinning the sharded fleet's determinism contract: partitioning
 // a spec list positionally across ThreadPool workers — one FleetEngine
-// per worker — must produce output byte-identical to a serial fleet
-// (and therefore to serial core::simulate) for any worker count,
-// including failure surfacing (lowest-spec-index exception, original
-// type) and per-lane isolation.  Identity is asserted on the same
-// serialized currency the differential suite uses.
+// per worker — must produce output byte-identical to one engine (and
+// therefore to serial core::simulate) for any worker count, including
+// failure surfacing: the lowest-spec-index failure wins, with its
+// original type, whether a simulation or the per-result callback
+// threw.  Identity is asserted on the same serialized currency the
+// differential suite uses.
 #include "fleet/fleet.h"
 
+#include <bit>
+#include <cstdint>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -130,40 +134,85 @@ TEST(FleetSharded, WorkerCountCannotChangeOutput) {
   }
 }
 
-TEST(FleetSharded, IsolationUnderShardingCapturesFailuresPerLane) {
+/// An unschedulable set under strict miss semantics: its simulation
+/// throws a std::runtime_error (deadline miss).
+fleet::SimSpec missing_spec() {
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("hog", 100, 80.0));
+  tasks.add(sched::make_task("late", 100, 40.0));
+  sched::assign_rate_monotonic(tasks);
+  core::EngineOptions options;
+  options.horizon = 1'000;
+  options.seed = 3;
+  return {std::move(tasks), power::ProcessorConfig::arm8_default(),
+          core::SchedulerPolicy::fps(), nullptr, options};
+}
+
+/// The callback's failure type: unrelated to the simulation's, so a
+/// mix-up between the two cannot pass.
+struct CallbackError : std::exception {};
+
+/// A simulation throws at spec `sim_fails` and the callback at spec
+/// `callback_fails`; whichever index is lower must surface, with its
+/// original type, at every worker count — whether the two failures sit
+/// in one shard or in different ones.
+TEST(FleetSharded, LowestIndexFailureWinsBetweenSimulationAndCallback) {
   std::vector<fleet::SimSpec> specs = make_mixed_specs();
-  // An unschedulable set under strict miss semantics, mid-shard: its
-  // lane throws; every other lane — in the same shard and in others —
-  // must be untouched.
-  const std::size_t failing = 120;
-  {
-    sched::TaskSet tasks;
-    tasks.add(sched::make_task("hog", 100, 80.0));
-    tasks.add(sched::make_task("late", 100, 40.0));
-    sched::assign_rate_monotonic(tasks);
-    core::EngineOptions options;
-    options.horizon = 1'000;
-    options.seed = 3;
-    specs[failing] = {std::move(tasks), power::ProcessorConfig::arm8_default(),
-                      core::SchedulerPolicy::fps(), nullptr, options};
+  specs.resize(40);
+  struct Case {
+    std::size_t callback_fails;
+    std::size_t sim_fails;
+  };
+  for (const Case c : {Case{13, 27}, Case{27, 13}, Case{21, 24},
+                       Case{24, 21}}) {
+    std::vector<fleet::SimSpec> batch = specs;
+    batch[c.sim_fails] = missing_spec();
+    const auto callback = [&c](std::size_t i, const fleet::SimSpec&,
+                               core::SimulationResult&) {
+      if (i == c.callback_fails) throw CallbackError();
+    };
+    for (const std::size_t workers :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      if (c.callback_fails < c.sim_fails) {
+        EXPECT_THROW(fleet::run_fleet_sharded(batch, {}, workers, callback),
+                     CallbackError)
+            << workers << " workers, callback at " << c.callback_fails;
+      } else {
+        EXPECT_THROW(fleet::run_fleet_sharded(batch, {}, workers, callback),
+                     std::runtime_error)
+            << workers << " workers, simulation at " << c.sim_fails;
+      }
+    }
+    // Without a callback the failing simulation surfaces by itself.
+    EXPECT_THROW(fleet::run_fleet_sharded(batch, {}, 4), std::runtime_error);
   }
+}
 
-  const auto serial = fleet::run_fleet_sharded_isolated(specs, {}, 1);
-  const auto sharded = fleet::run_fleet_sharded_isolated(specs, {}, 4);
-  ASSERT_EQ(sharded.size(), specs.size());
-  EXPECT_FALSE(sharded[failing].ok());
-  EXPECT_NE(sharded[failing].error.find("deadline miss"), std::string::npos);
+/// The callback runs once per spec, with the spec's global index and
+/// the spec as the lane ran it, and may edit the result in place.
+TEST(FleetSharded, CallbackSeesEverySpecByGlobalIndex) {
+  std::vector<fleet::SimSpec> specs = make_mixed_specs();
+  specs.resize(30);
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (i == failing) continue;
-    ASSERT_TRUE(sharded[i].ok()) << "sim " << i << ": " << sharded[i].error;
-    EXPECT_EQ(identity(specs[i].tasks, *sharded[i].result),
-              identity(specs[i].tasks, *serial[i].result))
-        << "healthy sim " << i << " perturbed under sharding";
+    specs[i].options.record_trace = i % 3 == 0;
   }
-
-  // The non-isolated runner surfaces that same failure as the original
-  // exception type, regardless of which shard hosts it.
-  EXPECT_THROW(fleet::run_fleet_sharded(specs, {}, 4), std::runtime_error);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    std::vector<int> calls(specs.size(), 0);
+    const auto results = fleet::run_fleet_sharded(
+        specs, {}, workers,
+        [&](std::size_t i, const fleet::SimSpec& spec,
+            core::SimulationResult& result) {
+          ++calls[i];
+          EXPECT_EQ(spec.options.seed, specs[i].options.seed) << i;
+          EXPECT_EQ(result.trace.has_value(), spec.options.record_trace);
+          result.trace.reset();
+        });
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(calls[i], 1) << "spec " << i << ", " << workers << " workers";
+      EXPECT_FALSE(results[i].trace.has_value()) << i;
+    }
+  }
 }
 
 TEST(FleetSharded, MoreWorkersThanSpecsLeavesNoEmptyShardArtifacts) {
@@ -184,30 +233,55 @@ TEST(FleetSharded, MoreWorkersThanSpecsLeavesNoEmptyShardArtifacts) {
 
   // Degenerate inputs: no specs at all.
   EXPECT_TRUE(fleet::run_fleet_sharded({}, {}, 4).empty());
-  EXPECT_TRUE(fleet::run_fleet_sharded_isolated({}, {}, 4).empty());
 }
 
-/// The audited sharded entry point: zero violations across workers,
-/// results identical to the audited serial fleet, traces dropped per
-/// spec after auditing.
-TEST(FleetSharded, AuditedShardedMatchesAuditedSerial) {
+/// The audited batch: zero violations at any worker count, results
+/// identical to per-spec audit::simulate, traces dropped per spec after
+/// auditing, and an aggregator whose floating-point sums come out
+/// bitwise equal to the serial loop's at 1 and 4 workers: reports fold
+/// in spec order, not in completion order, which at 4 workers differs
+/// from run to run.  Three 4-worker runs make a completion-order fold
+/// unlikely to pass by chance.
+TEST(FleetSharded, AuditedShardedMatchesPerSpecAuditAndFoldsInSpecOrder) {
   std::vector<fleet::SimSpec> specs = make_mixed_specs();
-  specs.resize(40);
+  // The cycle-eligible spec's 4 s horizon makes its spliced trace
+  // dominate audit time, and it adds nothing to the fold-order check.
+  std::erase_if(specs, [](const fleet::SimSpec& spec) {
+    return spec.options.horizon > 1e6;
+  });
   audit::AuditAggregator serial_agg("fleet_sharded_serial");
-  const auto serial = audit::simulate_fleet(specs, {}, &serial_agg);
-  audit::AuditAggregator sharded_agg("fleet_sharded");
-  const auto sharded =
-      audit::simulate_fleet_sharded(specs, {}, &sharded_agg, 4);
-  ASSERT_EQ(sharded.size(), serial.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(identity(specs[i].tasks, sharded[i]),
-              identity(specs[i].tasks, serial[i]))
-        << "sim " << i;
-    EXPECT_FALSE(sharded[i].trace.has_value());
+  std::vector<core::SimulationResult> serial;
+  for (const fleet::SimSpec& spec : specs) {
+    serial.push_back(audit::simulate(spec.tasks, spec.processor, spec.policy,
+                                     spec.exec_model, spec.options,
+                                     &serial_agg));
   }
-  EXPECT_EQ(sharded_agg.runs(), static_cast<std::int64_t>(specs.size()));
-  EXPECT_EQ(sharded_agg.violation_count(), 0);
-  EXPECT_NO_THROW(sharded_agg.check());
+  const audit::CounterTotals reference = serial_agg.counters();
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4},
+                                    std::size_t{4}, std::size_t{4}}) {
+    audit::AuditAggregator agg("fleet_sharded");
+    const auto results = audit::simulate_fleet_sharded(specs, {}, &agg, workers);
+    ASSERT_EQ(results.size(), serial.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(identity(specs[i].tasks, results[i]),
+                identity(specs[i].tasks, serial[i]))
+          << "sim " << i << ", " << workers << " workers";
+      EXPECT_FALSE(results[i].trace.has_value());
+    }
+    EXPECT_EQ(agg.runs(), static_cast<std::int64_t>(specs.size()));
+    EXPECT_EQ(agg.violation_count(), 0);
+    EXPECT_NO_THROW(agg.check());
+    // Bitwise: the same additions in the same order.
+    const audit::CounterTotals totals = agg.counters();
+    EXPECT_EQ(audit::counters_csv_row(totals),
+              audit::counters_csv_row(reference));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(totals.total_energy),
+              std::bit_cast<std::uint64_t>(reference.total_energy))
+        << workers << " workers";
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(totals.simulated_time),
+              std::bit_cast<std::uint64_t>(reference.simulated_time))
+        << workers << " workers";
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Fleet bit-identity for weakly-hard batches (docs/FLEET.md +
 // docs/WEAKLY_HARD.md): a mixed batch of hard, governor-armed and
 // skip-DVS sims must come out byte-identical whether run serially
-// through core::simulate, through one batched FleetEngine, or sharded
+// through core::simulate, back to back on one fleet lane, or sharded
 // across workers — the skip governor's decisions are pure functions of
-// per-lane state, so lane interleaving cannot perturb them.
+// per-sim state, which a lane rebind resets.
 #include "fleet/fleet.h"
 
 #include <string>
@@ -93,17 +93,9 @@ TEST(FleetWeaklyHard, SerialFleetAndShardedAreByteIdentical) {
                                    spec.exec_model, spec.options)));
   }
 
-  const std::vector<core::SimulationResult> fleet_results =
-      fleet::run_fleet(specs, fleet::FleetOptions{});
-  ASSERT_EQ(fleet_results.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(identity(specs[i].tasks, fleet_results[i]), serial[i])
-        << "fleet lane " << i;
-  }
-
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     const std::vector<core::SimulationResult> sharded =
-        fleet::run_fleet_sharded(specs, fleet::FleetOptions{}, workers);
+        fleet::run_fleet_sharded(specs, {}, workers);
     ASSERT_EQ(sharded.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
       EXPECT_EQ(identity(specs[i].tasks, sharded[i]), serial[i])
@@ -117,7 +109,7 @@ TEST(FleetWeaklyHard, ArmedLanesActuallySkipped) {
   // no lane ever skipped, so pin that armed overloaded lanes did.
   const std::vector<fleet::SimSpec> specs = make_specs();
   const std::vector<core::SimulationResult> results =
-      fleet::run_fleet(specs, fleet::FleetOptions{});
+      fleet::run_fleet_sharded(specs, {}, 1);
   int skipped_lanes = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (results[i].jobs_skipped_weakly > 0) ++skipped_lanes;

@@ -20,9 +20,9 @@
 #include <string>
 #include <vector>
 
-#include "common/math_utils.h"
 #include "power/frequency.h"
 #include "power/voltage.h"
+#include "support/simpson.h"
 
 namespace lpfps::power {
 namespace {

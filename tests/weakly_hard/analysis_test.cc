@@ -61,6 +61,27 @@ TEST(DegradedResponseTime, ReducesToPlainRtaWithoutConstraints) {
   }
 }
 
+TEST(DegradedResponseTime, CountsReleasesLikePlainRtaAtAPeriodMultiple) {
+  // b's response lands on 6 = 6 T_a, computed as 1.2 + 6 * 0.8 =
+  // 6.0000000000000009.  Counting ceil(r / T_a) releases there books a
+  // seventh job of a, released at the instant b completes, and rejects
+  // a set plain RTA accepts.  No task is weakly-hard, so both RTAs must
+  // agree bitwise.
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("a", 1, 0.8));
+  tasks.add(sched::make_task("b", 6, 1.2));
+  sched::assign_rate_monotonic(tasks);
+  ASSERT_TRUE(sched::is_schedulable_rta(tasks));
+  for (TaskIndex i = 0; i < 2; ++i) {
+    const auto degraded = degraded_response_time(tasks, i);
+    const auto plain = sched::response_time(tasks, i);
+    ASSERT_TRUE(plain.has_value()) << i;
+    ASSERT_TRUE(degraded.has_value()) << i;
+    EXPECT_EQ(*degraded, *plain) << i;
+  }
+  EXPECT_TRUE(is_schedulable_weakly_hard_rta(tasks));
+}
+
 TEST(DegradedResponseTime, CountsOnlyMandatoryHigherPriorityJobs) {
   const sched::TaskSet tasks = overloaded_pair();
   // Hard task: own 9 + one mandatory firm job per 2 periods.
