@@ -42,11 +42,12 @@
 // Emits BENCH_admission.json; CI's perf-smoke job diffs events/sec and
 // latency_p99_us against bench/baseline_admission.json (>25% throughput
 // drop or p99 growth fails) and asserts the incremental arm sustains
-// >= 2.3x the scratch arm's admissions/sec and the stationary regime
-// >= 4x.  The speedups are also recorded in the meta as
+// >= 4.1x the scratch arm's admissions/sec and the stationary regime
+// >= 6.5x.  The speedups are also recorded in the meta as
 // `speedup_incremental_vs_scratch` / `speedup_stationary_vs_scratch`,
-// and per-arm cache hit/collision rates ride along in stdout, the
-// bench points, and the AUDIT meta.
+// and per-arm cache hit/collision rates and the task solves the
+// closed-form response-time bound skipped (`clears/req`, 0 on the
+// scratch arm) ride along in stdout, the bench points, and the meta.
 //
 // Timing methodology matches bench_kernel_throughput: each point sizes
 // an adaptive repetition count to fill ~kMinWall seconds.  Latency
@@ -144,6 +145,14 @@ std::int64_t replay(const ChurnStream& stream, const ServiceConfig& config,
   if (rta != nullptr) *rta = service.rta_stats();
   if (stats != nullptr) *stats = service.stats();
   return handled;
+}
+
+/// count / requests, 0 when idle.  With the bound's clears: task solves
+/// skipped per request (0 on the scratch arm, which runs no bound).
+double per_request(std::uint64_t count, std::uint64_t requests) {
+  return requests > 0
+             ? static_cast<double>(count) / static_cast<double>(requests)
+             : 0.0;
 }
 
 /// hits / (hits + misses), 0 when idle — the rate the bench reports
@@ -266,6 +275,8 @@ int main() {
   double scratch_eps = 0.0;
   double speedup_product = 1.0;
   int speedup_scales = 0;
+  std::uint64_t churn_clears_meta = 0;  // Incremental arm, all scales.
+  std::uint64_t churn_requests_meta = 0;
 
   // ---- Sections 1+2: churn throughput and latency per set scale. -------
   // Scales span the resident-set sizes an admission service is deployed
@@ -295,8 +306,10 @@ int main() {
       std::uint64_t digest = 0;
       admission::CacheCounters cache;
       sched::IncrementalRta::Stats rta;
+      admission::ServiceStats stats;
       std::vector<double> latencies;
-      replay(stream, config, nullptr, &digest, &cache, &rta, &latencies);
+      replay(stream, config, nullptr, &digest, &cache, &rta, &latencies,
+             &stats);
       // Latency pool: re-replay until the sample count supports a
       // stable p99; every replay must reproduce the same digest.
       while (latencies.size() <
@@ -308,6 +321,7 @@ int main() {
       const double p50 = percentile(latencies, 0.50);
       const double p95 = percentile(latencies, 0.95);
       const double p99 = percentile(latencies, 0.99);
+      const double clears = per_request(stats.bound_clears, stats.requests);
 
       // Every arm must reproduce the same decision stream (the
       // differential contract, re-verified on every bench run).
@@ -322,18 +336,20 @@ int main() {
       if (std::string(arm.name) == "incremental") {
         meta_cache = cache;
         meta_rta = rta;
+        churn_clears_meta += stats.bound_clears;
+        churn_requests_meta += stats.requests;
         inc_eps = t.events_per_sec();
       } else if (std::string(arm.name) == "scratch") {
         scratch_eps = t.events_per_sec();
       }
 
       std::printf("%-10s %-14s %-22s %9lld %5d %8.3f %12.0f %9.2f %9.2f %9.2f"
-                  "  cache_hit_rate=%.3f collisions=%llu\n",
+                  "  cache_hit_rate=%.3f collisions=%llu clears/req=%.1f\n",
                   "admission", name.c_str(), arm.name,
                   static_cast<long long>(t.total_events()), t.reps,
                   t.wall_seconds, t.events_per_sec(), p50, p95, p99,
                   hit_rate(cache),
-                  static_cast<unsigned long long>(cache.collisions));
+                  static_cast<unsigned long long>(cache.collisions), clears);
       json.add_point()
           .set("section", "admission")
           .set("name", name)
@@ -353,7 +369,8 @@ int main() {
           .set("cache_collisions", cache.collisions)
           .set("tasks_reanalyzed", rta.tasks_reanalyzed)
           .set("tasks_seeded", rta.tasks_seeded)
-          .set("tasks_kept", rta.tasks_kept);
+          .set("tasks_kept", rta.tasks_kept)
+          .set("bound_clears_per_request", clears);
       audit.add_point()
           .set("section", "differential")
           .set("name", name)
@@ -436,6 +453,7 @@ int main() {
   int stationary_scales = 0;
   std::uint64_t stationary_hits_meta = 0;
   std::uint64_t stationary_requests_meta = 0;
+  std::uint64_t stationary_clears_meta = 0;
   double stationary_inc_eps = 0.0;
   double stationary_scratch_eps = 0.0;
   {
@@ -482,6 +500,8 @@ int main() {
         const double p50 = percentile(latencies, 0.50);
         const double p95 = percentile(latencies, 0.95);
         const double p99 = percentile(latencies, 0.99);
+        const double clears =
+            per_request(stats.bound_clears, stats.requests);
 
         if (!have_reference) {
           reference_digest = digest;
@@ -495,18 +515,19 @@ int main() {
           stationary_inc_eps = t.events_per_sec();
           stationary_hits_meta += stats.stationary_hits;
           stationary_requests_meta += stats.requests;
+          stationary_clears_meta += stats.bound_clears;
         } else if (std::string(arm.name) == "scratch") {
           stationary_scratch_eps = t.events_per_sec();
         }
 
         std::printf(
             "%-10s %-14s %-22s %9lld %5d %8.3f %12.0f %9.2f %9.2f %9.2f"
-            "  stationary=%llu cache_hit_rate=%.3f\n",
+            "  stationary=%llu cache_hit_rate=%.3f clears/req=%.1f\n",
             "stationary", name.c_str(), arm.name,
             static_cast<long long>(t.total_events()), t.reps, t.wall_seconds,
             t.events_per_sec(), p50, p95, p99,
             static_cast<unsigned long long>(stats.stationary_hits),
-            hit_rate(cache));
+            hit_rate(cache), clears);
         json.add_point()
             .set("section", "stationary-churn")
             .set("name", name)
@@ -521,6 +542,7 @@ int main() {
             .set("decision_digest", core::hex64(digest))
             .set("stationary_hits", stats.stationary_hits)
             .set("levels_probed", stats.levels_probed)
+            .set("bound_clears_per_request", clears)
             .set("cache_hit_rate", hit_rate(cache))
             .set("cache_collisions", cache.collisions);
         audit.add_point()
@@ -710,6 +732,10 @@ int main() {
       .set("speedup_stationary_vs_scratch", stationary_speedup)
       .set("stationary_hits", stationary_hits_meta)
       .set("stationary_requests", stationary_requests_meta)
+      .set("bound_clears_per_request",
+           per_request(churn_clears_meta, churn_requests_meta))
+      .set("stationary_bound_clears_per_request",
+           per_request(stationary_clears_meta, stationary_requests_meta))
       .set("cache_hits", meta_cache.hits)
       .set("cache_misses", meta_cache.misses)
       .set("cache_insertions", meta_cache.insertions)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
@@ -108,8 +109,8 @@ bool scale_wcets(const std::vector<sched::Task>& tasks, double stretch,
 //   * each non-final step changes the job-count vector, so the
 //     iteration count is at most 1 + sum_j ceil(D_i / T_j) while R <=
 //     D_i + eps — at most about 10^4 on the churn domain (T >= 10^4,
-//     D <= 10^6, n <= 100), far below the 100,000 cap, which therefore
-//     never decides an answer.
+//     D <= 10^6, n <= 100), far below sched::kRtaIterationCap, which
+//     therefore never decides an answer.
 std::optional<double> response_fixed_point(
     const std::vector<sched::Task>& tasks, const std::vector<double>& scaled,
     std::size_t i, double seed) {
@@ -117,7 +118,7 @@ std::optional<double> response_fixed_point(
   const double deadline = static_cast<double>(task.deadline);
   if (scaled[i] > deadline) return std::nullopt;  // C_i alone overruns D_i.
   double r = std::max(seed, scaled[i]);
-  for (int iter = 0; iter < 100000; ++iter) {
+  for (int iter = 0; iter < sched::kRtaIterationCap; ++iter) {
     double next = scaled[i];
     for (std::size_t j = 0; j < tasks.size(); ++j) {
       if (tasks[j].priority >= task.priority) continue;
@@ -263,14 +264,32 @@ bool AdmissionService::feasible_at_level(
   if (!scale_wcets(tasks, stretch_at(level), 1.0, scaled_wcet_)) {
     return false;  // A stretched WCET overran D.
   }
-  const bool record_probe = seeds != nullptr;
-  if (record_probe) probe_scratch_.resize(n);
+  const bool record_probe = seeds != nullptr;  // The incremental arm.
+  if (record_probe) {
+    probe_scratch_.resize(n);
+    sched::clear_by_response_bound(tasks, scaled_wcet_, by_priority_,
+                                   bound_cleared_);
+  }
+  std::uint64_t clears = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    const double seed = seed_at(i, level, seeds);
+    if (record_probe && bound_cleared_[i] != 0) {
+      // Cleared: feasible here without a solve.  Its seed stays a valid
+      // seed for every later probe of this search (all at or below this
+      // level, where the least fixed point is no smaller).
+      probe_scratch_[i] = std::max(seed, scaled_wcet_[i]);
+      ++clears;
+      continue;
+    }
     const std::optional<double> r =
-        response_fixed_point(tasks, scaled_wcet_, i, seed_at(i, level, seeds));
-    if (!r.has_value()) return false;
+        response_fixed_point(tasks, scaled_wcet_, i, seed);
+    if (!r.has_value()) {
+      saturating_add(stats_.bound_clears, clears);
+      return false;
+    }
     if (record_probe) probe_scratch_[i] = *r;
   }
+  saturating_add(stats_.bound_clears, clears);
   if (record_probe) {
     // A fully feasible probe becomes the new seed source: every later
     // probe in this search runs at or below this level.
@@ -499,21 +518,30 @@ double AdmissionService::compute_headroom(int level) {
   // The candidate is the task that bound the previous answer, else the
   // lowest priority one (numerically largest); either way it only
   // decides how much work is done, never the answer.
-  std::size_t b = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (tasks[i].priority > tasks[b].priority) b = i;
-  }
+  std::size_t b = by_priority_.back();
   for (std::size_t i = 0; i < n; ++i) {
     if (tasks[i].priority == headroom_binding_) {
       b = i;
       break;
     }
   }
+  // Each check first tries the closed-form bound at the current answer;
+  // a cleared task passes there without a solve.
+  const auto scale_and_clear = [&](double scale) {
+    scale_wcets(tasks, stretch, scale, scaled_wcet_);
+    sched::clear_by_response_bound(tasks, scaled_wcet_, by_priority_,
+                                   bound_cleared_);
+  };
   const std::size_t first = b;
   double h = task_headroom(b, level);
-  scale_wcets(tasks, stretch, h, scaled_wcet_);
+  scale_and_clear(h);
+  std::uint64_t clears = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (i == first) continue;
+    if (bound_cleared_[i] != 0) {
+      ++clears;
+      continue;
+    }
     saturating_increment(stats_.headroom_probes);
     if (response_fixed_point(tasks, scaled_wcet_, i, seed_at(i, level, &f_max))
             .has_value()) {
@@ -521,8 +549,9 @@ double AdmissionService::compute_headroom(int level) {
     }
     b = i;
     h = task_headroom(b, level);
-    scale_wcets(tasks, stretch, h, scaled_wcet_);
+    scale_and_clear(h);
   }
+  saturating_add(stats_.bound_clears, clears);
   headroom_binding_ = tasks[b].priority;
   return h;
 }
@@ -685,6 +714,18 @@ Decision AdmissionService::handle(const Request& request) {
           rta_.stats().tasks_reanalyzed - rta_before.tasks_reanalyzed;
       d.tasks_seeded = rta_.stats().tasks_seeded - rta_before.tasks_seeded;
       if (schedulable) {
+        if (config_.incremental) {
+          // The bound walks tasks highest priority first; priorities are
+          // unique (a clash was rejected above).
+          by_priority_.resize(rta_.tasks().size());
+          std::iota(by_priority_.begin(), by_priority_.end(), std::size_t{0});
+          const std::vector<sched::Task>& tasks = rta_.tasks().tasks();
+          std::sort(by_priority_.begin(), by_priority_.end(),
+                    [&](std::size_t a, std::size_t b) {
+                      return tasks[a].priority < tasks[b].priority;
+                    });
+        }
+        const std::uint64_t clears_before = stats_.bound_clears;
         const std::uint64_t probes_before = stats_.levels_probed;
         min_level = min_feasible_level(bound);
         d.levels_probed = static_cast<std::int64_t>(stats_.levels_probed -
@@ -697,6 +738,8 @@ Decision AdmissionService::handle(const Request& request) {
           d.headroom_probes = static_cast<std::int64_t>(
               stats_.headroom_probes - hr_before);
         }
+        d.bound_clears =
+            static_cast<std::int64_t>(stats_.bound_clears - clears_before);
       }
       if (config_.use_cache) {
         CacheEntry entry{schedulable, min_level, headroom,

@@ -49,6 +49,14 @@
 //      each of the schedule's ~13 scales; the reference service probes
 //      the whole set.  Both land on the same lattice point.
 //
+// Before the incremental arm solves a task's fixed point in a level
+// probe or a headroom check, the closed-form response-time bound
+// (sched::clear_by_response_bound) tries to prove the task feasible in
+// O(1); a cleared task's solve is skipped.  A cleared task is feasible
+// under the exact iteration, so only work counters change.  The
+// reference arm runs no bound: it is the exact oracle the others are
+// compared against.
+//
 // The invariant after every request: the current set is schedulable at
 // f_max.  Admitting a request means the post-change set keeps that
 // invariant; rejecting rolls the service back to the pre-request state
@@ -114,13 +122,18 @@ struct ServiceStats {
   /// Searches answered by the stationary-boundary fast path (<= 2
   /// probes, no gallop or binary search).
   std::uint64_t stationary_hits = 0;
-  /// Sensitivity task fixed-point solves, on both arms: a whole-set
-  /// probe that stops at its k-th task counts k.
+  /// Sensitivity task fixed-point solves that actually ran, on both
+  /// arms: a whole-set probe that stops at its k-th task counts k, and
+  /// a check the bound cleared counts nothing.
   std::uint64_t headroom_probes = 0;
   /// Per-task headroom searches (incremental arm): one per admit when
   /// the first candidate binds, one more each time the scan finds a
   /// task binding below it.
   std::uint64_t headroom_searches = 0;
+  /// Task fixed-point solves skipped because the closed-form bound
+  /// cleared the task (incremental arm: level probes and headroom
+  /// checks; always 0 on the reference arm).
+  std::uint64_t bound_clears = 0;
 };
 
 class AdmissionService {
@@ -183,8 +196,11 @@ class AdmissionService {
   /// least fixed point), further tightened by the converged responses
   /// of an earlier feasible probe this search when that probe ran at a
   /// level >= `level` (less stretch there means a smaller fixed point,
-  /// so those responses never overshoot here).  Counts one
-  /// levels_probed.
+  /// so those responses never overshoot here).  With seeds (the
+  /// incremental arm), tasks the closed-form bound clears skip their
+  /// solve and record their seed, max(seed_at, scaled C_i), which lies
+  /// at or below the least fixed point at this level and every lower
+  /// one.  Counts one levels_probed.
   bool feasible_at_level(int level,
                          const std::vector<std::optional<Time>>* seeds);
 
@@ -211,8 +227,9 @@ class AdmissionService {
   /// because set feasibility is the AND of monotone per-task
   /// predicates): one task_headroom search for a candidate, then one
   /// seeded check of every other task at that answer, searching again
-  /// only for a task that fails there.  Counts headroom_probes per
-  /// task solve.
+  /// only for a task that fails there; the check skips the tasks the
+  /// closed-form bound clears at that answer.  Counts headroom_probes
+  /// per task solve that runs.
   double compute_headroom(int level);
 
   /// Task `b`'s own headroom at `level`: the fixed schedule run on b
@@ -257,6 +274,12 @@ class AdmissionService {
   double last_util_ = 0.0;    ///< Utilization at the previous answer.
   bool last_search_stationary_ = false;
   std::vector<double> scaled_wcet_;  ///< Probe scratch buffer.
+  /// Incremental arm: the task indices highest priority first, sorted
+  /// once per request that reaches the level search (the set does not
+  /// change for the rest of handle()), and the bound's per-task verdict
+  /// over the current scaled_wcet_.
+  std::vector<std::size_t> by_priority_;
+  std::vector<std::uint8_t> bound_cleared_;
   /// Probe-seed reuse: the converged per-task responses of the lowest
   /// feasible probe so far (valid seeds for any probe at or below
   /// probe_level_).  Retained *across* requests whenever the request

@@ -11,11 +11,11 @@
 //     arms and between cache hits and misses, and they are exactly
 //     what io::admission_csv_row serializes;
 //   * accounting fields — how the decision was obtained (cache hit,
-//     tasks reanalyzed, levels probed).  Like the engine's
-//     cycle-detection counters (core/result.h), these are excluded
-//     from the CSV row by design and flow into bench JSON / AUDIT meta
-//     instead, so an accounting difference can never masquerade as a
-//     behavioral one.
+//     tasks reanalyzed, levels probed, solves the bound cleared).
+//     Like the engine's cycle-detection counters (core/result.h),
+//     these are excluded from the CSV row by design and flow into
+//     bench JSON / AUDIT meta instead, so an accounting difference can
+//     never masquerade as a behavioral one.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +76,13 @@ struct Decision {
   std::int64_t tasks_reanalyzed = 0;
   std::int64_t tasks_seeded = 0;
   std::int64_t levels_probed = 0;
-  /// Sensitivity task fixed-point solves (a whole-set probe that stops
-  /// at its k-th task counts k).
+  /// Sensitivity task fixed-point solves that ran (a whole-set probe
+  /// that stops at its k-th task counts k; bound-cleared checks count
+  /// nothing).
   std::int64_t headroom_probes = 0;
+  /// Task fixed-point solves the closed-form response-time bound
+  /// skipped (incremental arm only).
+  std::int64_t bound_clears = 0;
 };
 
 }  // namespace lpfps::admission

@@ -20,8 +20,11 @@ bool passes_utilization_bound(const TaskSet& tasks) {
          liu_layland_bound(static_cast<int>(tasks.size())) + 1e-12;
 }
 
-std::optional<Time> response_time(const TaskSet& tasks, TaskIndex index) {
-  tasks.validate();
+namespace {
+
+// response_time() on a set the caller has already validated.
+std::optional<Time> validated_response_time(const TaskSet& tasks,
+                                            TaskIndex index) {
   const Task& task = tasks[index];
   LPFPS_CHECK_MSG(task.deadline <= task.period,
                   "RTA requires constrained deadlines (D <= T)");
@@ -30,7 +33,7 @@ std::optional<Time> response_time(const TaskSet& tasks, TaskIndex index) {
   // from R = C_i.  The sequence is non-decreasing; it either converges or
   // exceeds the deadline (divergence for our purposes).
   double r = task.wcet;
-  for (int iter = 0; iter < 100000; ++iter) {
+  for (int iter = 0; iter < kRtaIterationCap; ++iter) {
     double next = task.wcet;
     for (const Task& other : tasks.tasks()) {
       if (other.priority >= task.priority) continue;
@@ -48,11 +51,21 @@ std::optional<Time> response_time(const TaskSet& tasks, TaskIndex index) {
   return std::nullopt;  // Did not converge within the iteration budget.
 }
 
+}  // namespace
+
+std::optional<Time> response_time(const TaskSet& tasks, TaskIndex index) {
+  tasks.validate();
+  return validated_response_time(tasks, index);
+}
+
+// The whole-set entry points validate once (n task checks plus one
+// priority-uniqueness pass), not once per task.
 std::vector<std::optional<Time>> response_times(const TaskSet& tasks) {
+  if (!tasks.empty()) tasks.validate();
   std::vector<std::optional<Time>> out;
   out.reserve(tasks.size());
   for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks.size()); ++i) {
-    out.push_back(response_time(tasks, i));
+    out.push_back(validated_response_time(tasks, i));
   }
   return out;
 }
@@ -66,7 +79,7 @@ std::optional<Time> response_time_from_seed(const TaskSet& tasks,
   // iteration starts no lower than C_i (the from-scratch seed), which
   // also absorbs seeds made stale by an own-WCET increase.
   double r = std::max(seed, static_cast<double>(task.wcet));
-  for (int iter = 0; iter < 100000; ++iter) {
+  for (int iter = 0; iter < kRtaIterationCap; ++iter) {
     double next = task.wcet;
     for (const Task& other : tasks.tasks()) {
       if (other.priority >= task.priority) continue;
@@ -84,14 +97,90 @@ std::optional<Time> response_time_from_seed(const TaskSet& tasks,
 }
 
 bool is_schedulable_rta(const TaskSet& tasks) {
+  if (!tasks.empty()) tasks.validate();
   for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks.size()); ++i) {
-    const auto r = response_time(tasks, i);
+    const auto r = validated_response_time(tasks, i);
     if (!r.has_value()) return false;
     if (definitely_greater(*r, static_cast<double>(tasks[i].deadline))) {
       return false;
     }
   }
   return true;
+}
+
+// Why a task the bound clears is feasible under the float iteration.
+// Notation: c_j = wcet[j]; T_j and D_i are the integer periods and
+// deadline as doubles; u = 2^-53; n = tasks.size(); G is the real step
+// R -> c_i + sum_hp max(1, ceil(R / T_j)) c_j on these same inputs.
+//
+//  * The bound.  With sum_hp U_j < 1, G has a least fixed point R*, and
+//    R* <= R_ub.  Let k_j = max(1, ceil(R* / T_j)).  If k_j >= 2 and
+//    R* - c_j < t = (k_j - 1) T_j, then G(t) <= R* - c_j < t (one job
+//    of j fewer, no other job more), so G iterated from c_i stays below
+//    t and stops at a fixed point below R*: impossible.  So k_j c_j <=
+//    c_j + U_j (R* - c_j) for every j (for k_j = 1 because R* >= c_j),
+//    and summing gives R* (1 - sum_hp U_j) <= c_i + sum_hp c_j (1 - U_j).
+//  * Condition 1: the computed sum_hp U_j <= 1 - 2^-10.  Then every U_j
+//    and the real 1 - sum_hp U_j are at least 2^-11, so the numerator's
+//    and denominator's subtractions magnify the rounding of the sums
+//    (a sum of k non-negative terms is within about k u of its real
+//    value) at most 2^12-fold: the computed R_ub is within (n + 1)
+//    2^-40 of the real one, relatively.
+//  * Condition 2: R_ub (1 + delta) <= D_i with delta = (n + 1) 2^-39,
+//    twice that error, which also absorbs the rounding of the product.
+//    So R* <= D_i.
+//  * Condition 3: D_i (n + 1) u <= kTimeEpsilon.  At any r <= R* + eps
+//    the float step counts no more jobs than G does at R*: fl(r - eps)
+//    lies at or below the double k_j T_j >= R* (an exact integer), so
+//    its quotient by T_j lies at or below k_j, and so does its ceil.  Its
+//    at most n rounded products and sums then stay within a factor
+//    1 + (n + 1) u of G(R*) = R*.  By induction from c_i <= R*, every
+//    iterate lies at or below R* (1 + (n + 1) u) <= R* + eps <= D_i +
+//    eps, so the loop never exits on the deadline; rising and bounded,
+//    it stops at the least float fixed point, which is not definitely
+//    past D_i.  A seed at or below that fixed point reaches the same one.
+//  * Condition 4: R_ub sum_hp 1/T_j <= kRtaIterationCap / 2.  Each
+//    non-final step raises some job count, each count running from >= 1
+//    to <= k_j, so a solve takes at most 2 + sum_hp (k_j - 1) < 2 + R*
+//    sum_hp 1/T_j steps, and the cap never decides the answer.
+//
+// Condition 3 with D_i >= 1 also keeps (n + 1) u <= 10^-6, where the
+// first-order rounding estimates above hold with room to spare.
+std::size_t clear_by_response_bound(const std::vector<Task>& tasks,
+                                    const std::vector<double>& wcet,
+                                    const std::vector<std::size_t>& by_priority,
+                                    std::vector<std::uint8_t>& cleared) {
+  constexpr double kUnitRoundoff = 0x1p-53;
+  constexpr double kMaxHigherUtilization = 1.0 - 0x1p-10;
+  const std::size_t n = tasks.size();
+  const double terms = static_cast<double>(n + 1);
+  const double slack = 1.0 + terms * 0x1p-39;  // 1 + delta.
+  cleared.assign(n, 0);
+  std::size_t count = 0;
+  // Running sums over the tasks of higher priority than the current one.
+  double sum_c = 0.0;      // sum C_j
+  double sum_u = 0.0;      // sum U_j
+  double sum_cu = 0.0;     // sum C_j U_j
+  double sum_inv_t = 0.0;  // sum 1 / T_j
+  for (const std::size_t i : by_priority) {
+    if (sum_u > kMaxHigherUtilization) break;  // Condition 1, for all below.
+    const double c = wcet[i];
+    const double period = static_cast<double>(tasks[i].period);
+    const double deadline = static_cast<double>(tasks[i].deadline);
+    const double r_ub = (c + sum_c - sum_cu) / (1.0 - sum_u);
+    if (r_ub * slack <= deadline &&
+        deadline * terms * kUnitRoundoff <= kTimeEpsilon &&
+        r_ub * sum_inv_t <= 0.5 * kRtaIterationCap) {
+      cleared[i] = 1;
+      ++count;
+    }
+    const double util = c / period;
+    sum_c += c;
+    sum_u += util;
+    sum_cu += c * util;
+    sum_inv_t += 1.0 / period;
+  }
+  return count;
 }
 
 bool is_schedulable_edf(const TaskSet& tasks) {
@@ -171,7 +260,7 @@ std::optional<Time> response_time_extended(const TaskSet& tasks,
 
   const double own_jitter = at(extras.jitter, index);
   double w = task.wcet + at(extras.blocking, index);
-  for (int iter = 0; iter < 100000; ++iter) {
+  for (int iter = 0; iter < kRtaIterationCap; ++iter) {
     double next = task.wcet + at(extras.blocking, index);
     for (TaskIndex j = 0; j < static_cast<TaskIndex>(tasks.size()); ++j) {
       const Task& other = tasks[j];

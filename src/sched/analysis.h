@@ -10,6 +10,8 @@
 //    paper.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -17,6 +19,10 @@
 #include "sched/task_set.h"
 
 namespace lpfps::sched {
+
+/// Iteration budget of every fixed-point loop: a loop that has not
+/// converged after this many steps reports divergence.
+inline constexpr int kRtaIterationCap = 100000;
 
 /// Liu & Layland utilization bound for n tasks: n(2^{1/n} - 1).
 double liu_layland_bound(int task_count);
@@ -59,6 +65,27 @@ std::optional<Time> response_time_from_seed(const TaskSet& tasks,
 /// Exact fixed-priority schedulability: every task's response time exists
 /// and is <= its deadline.
 bool is_schedulable_rta(const TaskSet& tasks);
+
+/// O(1)-per-task sufficient test ahead of the fixed points: the
+/// response-time upper bound of Bini, Nguyen, Richard and Baruah (IEEE
+/// Trans. Computers 58(2), 2009),
+///   R_ub = (C_i + sum_hp C_j (1 - U_j)) / (1 - sum_hp U_j),
+/// evaluated from running sums in priority order.  Sets cleared[i] to 1
+/// iff the bound proves task i feasible with a rounding margin (see
+/// analysis.cc for the four conditions), else 0, and returns how many
+/// it cleared.  A cleared task's iteration from any seed at or below
+/// its least fixed point (response_time_from_seed, or admission's
+/// kernel) converges within kRtaIterationCap to a response no later
+/// than D_i + kTimeEpsilon, so skipping its solve changes no answer.
+///
+/// `wcet[i]` stands in for tasks[i].wcet (a stretched or scaled view;
+/// every entry >= 0); `by_priority` lists every index of `tasks`
+/// highest priority first (priorities unique).  Builds no TaskSet and
+/// allocates only `cleared`.
+std::size_t clear_by_response_bound(const std::vector<Task>& tasks,
+                                    const std::vector<double>& wcet,
+                                    const std::vector<std::size_t>& by_priority,
+                                    std::vector<std::uint8_t>& cleared);
 
 /// EDF schedulability for implicit deadlines: U <= 1 (exact; Liu &
 /// Layland).  For constrained deadlines this is only necessary.

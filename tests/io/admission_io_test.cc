@@ -60,6 +60,7 @@ TEST(AdmissionIo, AccountingIsExcludedFromTheRow) {
   b.tasks_seeded = 42;
   b.levels_probed = 7;
   b.headroom_probes = 23;
+  b.bound_clears = 17;
   EXPECT_EQ(admission_csv_row(a), admission_csv_row(b));
 }
 
