@@ -1,7 +1,6 @@
 #include "admission/service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <utility>
@@ -84,56 +83,21 @@ bool scale_wcets(const std::vector<sched::Task>& tasks, double stretch,
   return fits;
 }
 
-// The one response-time kernel every probe runs: task i's fixed point
-// R = C_i + sum over higher-priority j of max(1, ceil((R - eps) / T_j))
-// * C_j, with C = `scaled` (index-order summation), resumed from
-// max(seed, C_i) — pass 0 to start at C_i.  The same products,
-// comparisons, and summation order as response_time_from_seed on the
-// materialized scaled set, so every boolean is bitwise what that
-// reference computes.  Returns the converged response, or nullopt when
-// C_i overruns D_i, the iteration passes D_i, or the fixed point lies
-// definitely past D_i.
-//
-// Why any seed at or below the least fixed point R* gives R* exactly
-// (the premise of every seed the service passes — f_max responses,
-// retained probe responses, a search's own chain):
-//   * the step is monotone in R and in every C_j: float subtraction,
-//     division by a positive period, ceil, max, multiplication by a
-//     non-negative WCET and addition are each monotone, and the terms
-//     are summed in one fixed order, so the rounded step is monotone
-//     too;
-//   * a seed s <= R* that is C_i or a converged response under no more
-//     interference than here has step(s) >= s, so the iterates rise
-//     and stay <= step(R*) = R*; a float sequence that rises and is
-//     bounded stops, and the only fixed point it can stop at is R*;
-//   * each non-final step changes the job-count vector, so the
-//     iteration count is at most 1 + sum_j ceil(D_i / T_j) while R <=
-//     D_i + eps — at most about 10^4 on the churn domain (T >= 10^4,
-//     D <= 10^6, n <= 100), far below sched::kRtaIterationCap, which
-//     therefore never decides an answer.
+// Task i's response under the scaled WCETs from max(seed, C_i) (pass 0
+// for C_i), bitwise response_time_from_seed's on the materialized scaled
+// set; nullopt when C_i overruns D_i or the response passes D_i.
 std::optional<double> response_fixed_point(
     const std::vector<sched::Task>& tasks, const std::vector<double>& scaled,
     std::size_t i, double seed) {
-  const sched::Task& task = tasks[i];
-  const double deadline = static_cast<double>(task.deadline);
+  const double deadline = static_cast<double>(tasks[i].deadline);
   if (scaled[i] > deadline) return std::nullopt;  // C_i alone overruns D_i.
-  double r = std::max(seed, scaled[i]);
-  for (int iter = 0; iter < sched::kRtaIterationCap; ++iter) {
-    double next = scaled[i];
-    for (std::size_t j = 0; j < tasks.size(); ++j) {
-      if (tasks[j].priority >= task.priority) continue;
-      const double jobs = std::ceil(
-          (r - kTimeEpsilon) / static_cast<double>(tasks[j].period));
-      next += std::max(1.0, jobs) * scaled[j];
-    }
-    if (next == r) {  // Exact fixed point (see analysis.h).
-      if (definitely_greater(r, deadline)) return std::nullopt;
-      return r;
-    }
-    if (next > deadline + kTimeEpsilon) return std::nullopt;
-    r = next;
-  }
-  return std::nullopt;
+  const std::optional<double> r = sched::solve_response_time(
+      tasks, i, scaled[i], seed,
+      [c = scaled.data()](const sched::Task&, std::size_t j, double n) {
+        return n * c[j];
+      });
+  if (r.has_value() && definitely_greater(*r, deadline)) return std::nullopt;
+  return r;
 }
 
 }  // namespace

@@ -22,90 +22,76 @@ bool passes_utilization_bound(const TaskSet& tasks) {
 
 namespace {
 
-// response_time() on a set the caller has already validated.
-std::optional<Time> validated_response_time(const TaskSet& tasks,
-                                            TaskIndex index) {
-  const Task& task = tasks[index];
-  LPFPS_CHECK_MSG(task.deadline <= task.period,
-                  "RTA requires constrained deadlines (D <= T)");
+constexpr auto plain_demand = [](const Task& task, std::size_t,
+                                 double releases) {
+  return releases * task.wcet;
+};
 
-  // Fixed-point iteration R <- C_i + sum_hp ceil(R / T_j) C_j starting
-  // from R = C_i.  The sequence is non-decreasing; it either converges or
-  // exceeds the deadline (divergence for our purposes).
-  double r = task.wcet;
-  for (int iter = 0; iter < kRtaIterationCap; ++iter) {
-    double next = task.wcet;
-    for (const Task& other : tasks.tasks()) {
-      if (other.priority >= task.priority) continue;
-      LPFPS_CHECK(other.deadline <= other.period);
-      const double jobs =
-          std::ceil((r - kTimeEpsilon) / static_cast<double>(other.period));
-      next += std::max(1.0, jobs) * other.wcet;
-    }
-    if (approx_equal(next, r)) return next;
-    if (next > static_cast<double>(task.deadline) + kTimeEpsilon) {
-      return std::nullopt;
-    }
-    r = next;
-  }
-  return std::nullopt;  // Did not converge within the iteration budget.
+std::optional<Time> plain_response_time(const TaskSet& tasks,
+                                        TaskIndex index, Time seed) {
+  const auto i = static_cast<std::size_t>(index);
+  return solve_response_time(tasks.tasks(), i, tasks.tasks()[i].wcet, seed,
+                             plain_demand);
+}
+
+// Release jitter J_j widens tau_j's window; blocking sits in the base.
+std::optional<Time> jittered_response_time(const TaskSet& tasks,
+                                           TaskIndex index,
+                                           const AnalysisExtras& extras) {
+  const std::vector<Task>& all = tasks.tasks();
+  const auto i = static_cast<std::size_t>(index);
+  const Time base = all[i].wcet + extras.blocking[i];
+  const Time own_jitter = extras.jitter[i];
+  const std::optional<Time> w = solve_response_time(
+      all, i, base, base, plain_demand, own_jitter,
+      [jitter = extras.jitter.data()](std::size_t j, double r) {
+        return r + jitter[j];
+      });
+  if (!w.has_value()) return std::nullopt;
+  return *w + own_jitter;
 }
 
 }  // namespace
 
+void check_constrained_deadlines(const TaskSet& tasks, Priority through) {
+  for (const Task& t : tasks.tasks()) {
+    if (t.priority > through) continue;
+    LPFPS_CHECK_MSG(t.deadline <= t.period,
+                    "RTA requires constrained deadlines (D <= T): " + t.name);
+  }
+}
+
 std::optional<Time> response_time(const TaskSet& tasks, TaskIndex index) {
   tasks.validate();
-  return validated_response_time(tasks, index);
+  check_constrained_deadlines(tasks, tasks[index].priority);
+  return plain_response_time(tasks, index, 0.0);
 }
 
 // The whole-set entry points validate once (n task checks plus one
-// priority-uniqueness pass), not once per task.
+// priority-uniqueness pass) and check D <= T once, not once per task.
 std::vector<std::optional<Time>> response_times(const TaskSet& tasks) {
-  if (!tasks.empty()) tasks.validate();
+  tasks.validate();
+  check_constrained_deadlines(tasks);
   std::vector<std::optional<Time>> out;
   out.reserve(tasks.size());
   for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks.size()); ++i) {
-    out.push_back(validated_response_time(tasks, i));
+    out.push_back(plain_response_time(tasks, i, 0.0));
   }
   return out;
 }
 
 std::optional<Time> response_time_from_seed(const TaskSet& tasks,
                                             TaskIndex index, Time seed) {
-  const Task& task = tasks[index];
-  LPFPS_CHECK_MSG(task.deadline <= task.period,
+  LPFPS_CHECK_MSG(tasks[index].deadline <= tasks[index].period,
                   "RTA requires constrained deadlines (D <= T)");
-  // Any seed at or below the least fixed point converges to it; the
-  // iteration starts no lower than C_i (the from-scratch seed), which
-  // also absorbs seeds made stale by an own-WCET increase.
-  double r = std::max(seed, static_cast<double>(task.wcet));
-  for (int iter = 0; iter < kRtaIterationCap; ++iter) {
-    double next = task.wcet;
-    for (const Task& other : tasks.tasks()) {
-      if (other.priority >= task.priority) continue;
-      const double jobs =
-          std::ceil((r - kTimeEpsilon) / static_cast<double>(other.period));
-      next += std::max(1.0, jobs) * other.wcet;
-    }
-    if (next == r) return r;  // Exact fixed point (see header).
-    if (next > static_cast<double>(task.deadline) + kTimeEpsilon) {
-      return std::nullopt;
-    }
-    r = next;
-  }
-  return std::nullopt;  // Did not converge within the iteration budget.
+  return plain_response_time(tasks, index, seed);
 }
 
 bool is_schedulable_rta(const TaskSet& tasks) {
-  if (!tasks.empty()) tasks.validate();
-  for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks.size()); ++i) {
-    const auto r = validated_response_time(tasks, i);
-    if (!r.has_value()) return false;
-    if (definitely_greater(*r, static_cast<double>(tasks[i].deadline))) {
-      return false;
-    }
-  }
-  return true;
+  tasks.validate();
+  check_constrained_deadlines(tasks);
+  return all_meet_deadlines(
+      tasks, [&](TaskIndex i) { return plain_response_time(tasks, i, 0.0); });
 }
 
 // Why a task the bound clears is feasible under the float iteration.
@@ -251,45 +237,18 @@ std::optional<Time> response_time_extended(const TaskSet& tasks,
                                            const AnalysisExtras& extras) {
   tasks.validate();
   extras.validate(tasks);
-  const Task& task = tasks[index];
-  LPFPS_CHECK_MSG(task.deadline <= task.period,
-                  "RTA requires constrained deadlines (D <= T)");
-  const auto at = [](const std::vector<Time>& v, TaskIndex i) {
-    return v[static_cast<std::size_t>(i)];
-  };
-
-  const double own_jitter = at(extras.jitter, index);
-  double w = task.wcet + at(extras.blocking, index);
-  for (int iter = 0; iter < kRtaIterationCap; ++iter) {
-    double next = task.wcet + at(extras.blocking, index);
-    for (TaskIndex j = 0; j < static_cast<TaskIndex>(tasks.size()); ++j) {
-      const Task& other = tasks[j];
-      if (other.priority >= task.priority) continue;
-      const double jobs = std::ceil(
-          (w + at(extras.jitter, j) - kTimeEpsilon) /
-          static_cast<double>(other.period));
-      next += std::max(1.0, jobs) * other.wcet;
-    }
-    if (approx_equal(next, w)) return w + own_jitter;
-    if (next + own_jitter >
-        static_cast<double>(task.deadline) + kTimeEpsilon) {
-      return std::nullopt;
-    }
-    w = next;
-  }
-  return std::nullopt;
+  check_constrained_deadlines(tasks, tasks[index].priority);
+  return jittered_response_time(tasks, index, extras);
 }
 
 bool is_schedulable_extended(const TaskSet& tasks,
                              const AnalysisExtras& extras) {
-  for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks.size()); ++i) {
-    const auto r = response_time_extended(tasks, i, extras);
-    if (!r.has_value()) return false;
-    if (definitely_greater(*r, static_cast<double>(tasks[i].deadline))) {
-      return false;
-    }
-  }
-  return true;
+  tasks.validate();
+  extras.validate(tasks);
+  check_constrained_deadlines(tasks);
+  return all_meet_deadlines(tasks, [&](TaskIndex i) {
+    return jittered_response_time(tasks, i, extras);
+  });
 }
 
 double critical_scaling_factor(const TaskSet& tasks, double tolerance) {

@@ -8,21 +8,108 @@
 //    iterated to a fixed point, valid for D_i <= T_i and synchronous
 //    release (critical instant), which covers every workload in the
 //    paper.
+//
+// Every response-time analysis in the library (plain, jitter and
+// blocking, admission's scaled WCETs, degraded (m,k)) runs the one
+// kernel solve_response_time with its own interference term.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
+#include "common/float_compare.h"
 #include "common/units.h"
 #include "sched/task_set.h"
 
 namespace lpfps::sched {
 
-/// Iteration budget of every fixed-point loop: a loop that has not
-/// converged after this many steps reports divergence.
+/// Iteration budget of the response-time kernel: an iteration that has
+/// not converged after this many steps reports divergence.
 inline constexpr int kRtaIterationCap = 100000;
+
+/// The window of the plain recurrence: releases within the response.
+struct ResponseWindow {
+  double operator()(std::size_t, double r) const { return r; }
+};
+
+/// The response-time kernel: task i's least fixed point of
+///   r <- base + sum_{j in hp(i)} demand(tasks[j], j, n_j(r)),
+///   n_j(r) = max(1, ceil((window(j, r) - kTimeEpsilon) / T_j)),
+/// summed in index order over hp(i), the tasks of numerically lower
+/// priority value, from max(seed, base).  Returns r at the first exact
+/// fixed point (next == r bitwise), or nullopt once next + tail >
+/// D_i + kTimeEpsilon (tail: the task's own release jitter) or after
+/// kRtaIterationCap steps.  The caller checks D <= T for task i and
+/// hp(i) and passes a seed at or below the least fixed point.
+///
+/// Both functors are template arguments taken by value, never a
+/// std::function or a virtual call (this loop is admission's hot path);
+/// one that reads beyond task j captures a data pointer by value, which
+/// stays in a register instead of being reloaded per term.
+/// demand(task_j, j, n) is the work of n releases of task j (n C_j, or
+/// C_j per mandatory job among them), non-decreasing in n; window(j, r)
+/// is the span whose releases interfere (r, or r + J_j under jitter).
+/// The -kTimeEpsilon keeps out a job released exactly at the response
+/// when the sum lands a few ulps past the period multiple (1.2 + 6 * 0.8
+/// is 6.0000000000000009); on inputs in ticks far above kTimeEpsilon
+/// every count is then exact (tests/sched/rta_oracle_test.cc).
+///
+/// Exactness: an iterate is base plus one demand per j, each a function
+/// of an integer release count, summed in one order, so its double is a
+/// pure function of the count vector; every operation of the step is
+/// monotone, so the rounded step is monotone in r and every C_j.  A
+/// seed s <= R* (the least fixed point) that is base or a response
+/// under no more interference has step(s) >= s, so the iterates rise,
+/// stay <= step(R*) = R* and stop there: seeding from C_i, from a
+/// response before interference grew (IncrementalRta) or from a higher
+/// frequency level (admission) gives R* to the last ulp.  Each
+/// non-final step raises a count bounded by its value at D_i +
+/// kTimeEpsilon, so the cap decides nothing unless hp(i) releases
+/// within a deadline reach the tens of thousands (condition 4 of
+/// clear_by_response_bound).
+template <typename Demand, typename Window = ResponseWindow>
+std::optional<Time> solve_response_time(const std::vector<Task>& tasks,
+                                        std::size_t i, Time base, Time seed,
+                                        Demand demand, Time tail = 0.0,
+                                        Window window = {}) {
+  const Priority priority = tasks[i].priority;
+  const double limit = static_cast<double>(tasks[i].deadline) + kTimeEpsilon;
+  double r = std::max(seed, base);
+  for (int iter = 0; iter < kRtaIterationCap; ++iter) {
+    double next = base;
+    for (std::size_t j = 0; j < tasks.size(); ++j) {
+      const Task& other = tasks[j];
+      if (other.priority >= priority) continue;
+      const double releases = std::max(
+          1.0, std::ceil((window(j, r) - kTimeEpsilon) /
+                         static_cast<double>(other.period)));
+      next += demand(other, j, releases);
+    }
+    if (next == r) return r;
+    if (next + tail > limit) return std::nullopt;
+    r = next;
+  }
+  return std::nullopt;
+}
+
+/// The whole-set RTA verdict: every task's response(i) exists and is not
+/// definitely past its deadline.
+template <typename Response>
+bool all_meet_deadlines(const TaskSet& tasks, const Response& response) {
+  for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks.size()); ++i) {
+    const std::optional<Time> r = response(i);
+    if (!r.has_value() ||
+        definitely_greater(*r, static_cast<double>(tasks[i].deadline))) {
+      return false;
+    }
+  }
+  return true;
+}
 
 /// Liu & Layland utilization bound for n tasks: n(2^{1/n} - 1).
 double liu_layland_bound(int task_count);
@@ -30,40 +117,39 @@ double liu_layland_bound(int task_count);
 /// True if the set passes the (sufficient, not necessary) LL bound.
 bool passes_utilization_bound(const TaskSet& tasks);
 
+/// The RTA precondition: throws std::logic_error naming the first task
+/// of priority value <= `through` (default: any) with D > T.
+void check_constrained_deadlines(
+    const TaskSet& tasks,
+    Priority through = std::numeric_limits<Priority>::max());
+
 /// Worst-case response time of task `index` under the set's current
 /// priorities, or nullopt if the iteration diverges past the deadline
-/// (unschedulable at this priority level).  Preconditions: unique
-/// priorities, D_i <= T_i for all tasks.
+/// (unschedulable at this priority level).  Validates the set and
+/// checks D <= T for the task and every higher-priority task.
 std::optional<Time> response_time(const TaskSet& tasks, TaskIndex index);
 
 /// Response times for all tasks (nullopt entries where divergent).
+/// Validates the set and checks D <= T for every task, once per call.
 std::vector<std::optional<Time>> response_times(const TaskSet& tasks);
 
-/// Response time of task `index` iterated from an explicit seed and
-/// terminated only on an *exact* (bitwise) fixed point — the primitive
-/// the incremental analysis (sched/incremental_rta.h) is built on.
+/// Response time of task `index` iterated from an explicit seed — the
+/// primitive the incremental analysis (sched/incremental_rta.h) is
+/// built on.  Any seed at or below the least fixed point gives the
+/// bit-identical response_time() (see solve_response_time).
 ///
-/// Exactness: each iterate is C_i + sum_j n_j * C_j where the n_j are
-/// integer job counts, so the iterate's double value is a pure function
-/// of the count vector; the counts are non-decreasing along the
-/// iteration and bounded, hence eventually constant, at which point
-/// next == r holds bitwise.  Because the convergent value depends only
-/// on the final count vector (summed in task-index order), *any* seed
-/// below the least fixed point converges to the bit-identical result:
-/// seeding from C_i (from scratch) and seeding from a previous response
-/// time after interference grew (incremental) agree to the last ulp.
-///
-/// Preconditions (checked where cheap): D_i <= T_i; seed <= the least
-/// fixed point — holds for seed == C_i and for seed == the exact
-/// response time under a subset of the current interference (seeds
-/// below C_i are clamped up to C_i, the from-scratch start).
-/// Unlike response_time() this does not re-validate the whole set per
-/// call; the admission service validates once per mutation instead.
+/// Preconditions: D_i <= T_i (checked) and D <= T for every
+/// higher-priority task; seed <= the least fixed point — holds for seed
+/// == C_i and for seed == the exact response time under a subset of the
+/// current interference (seeds below C_i are clamped up to C_i, the
+/// from-scratch start).  Unlike response_time() this does not
+/// re-validate the whole set per call; the admission service validates
+/// once per mutation instead.
 std::optional<Time> response_time_from_seed(const TaskSet& tasks,
                                             TaskIndex index, Time seed);
 
 /// Exact fixed-priority schedulability: every task's response time exists
-/// and is <= its deadline.
+/// and is <= its deadline.  Checks like response_times().
 bool is_schedulable_rta(const TaskSet& tasks);
 
 /// O(1)-per-task sufficient test ahead of the fixed points: the
@@ -74,8 +160,8 @@ bool is_schedulable_rta(const TaskSet& tasks);
 /// iff the bound proves task i feasible with a rounding margin (see
 /// analysis.cc for the four conditions), else 0, and returns how many
 /// it cleared.  A cleared task's iteration from any seed at or below
-/// its least fixed point (response_time_from_seed, or admission's
-/// kernel) converges within kRtaIterationCap to a response no later
+/// its least fixed point (solve_response_time, under any view of the
+/// WCETs) converges within kRtaIterationCap to a response no later
 /// than D_i + kTimeEpsilon, so skipping its solve changes no answer.
 ///
 /// `wcet[i]` stands in for tasks[i].wcet (a stretched or scaled view;
@@ -132,12 +218,14 @@ struct AnalysisExtras {
 ///   w = C_i + B_i + sum_{j in hp} ceil((w + J_j) / T_j) C_j,
 ///   R_i = w + J_i,
 /// or nullopt on divergence past the deadline.  With zero extras this
-/// reduces exactly to response_time().
+/// is bitwise response_time().  Checks like response_time(), plus the
+/// extras.
 std::optional<Time> response_time_extended(const TaskSet& tasks,
                                            TaskIndex index,
                                            const AnalysisExtras& extras);
 
-/// Schedulability under the extended model.
+/// Schedulability under the extended model.  Validates the set and the
+/// extras and checks D <= T for every task, once per call.
 bool is_schedulable_extended(const TaskSet& tasks,
                              const AnalysisExtras& extras);
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/float_compare.h"
 
 namespace lpfps::sched {
 
@@ -18,14 +17,9 @@ IncrementalRta::IncrementalRta(TaskSet tasks, Mode mode)
 }
 
 bool IncrementalRta::schedulable() const {
-  for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks_.size()); ++i) {
-    const auto& r = response_[static_cast<std::size_t>(i)];
-    if (!r.has_value()) return false;
-    if (definitely_greater(*r, static_cast<double>(tasks_[i].deadline))) {
-      return false;
-    }
-  }
-  return true;
+  return all_meet_deadlines(tasks_, [&](TaskIndex i) {
+    return response_[static_cast<std::size_t>(i)];
+  });
 }
 
 bool IncrementalRta::priority_taken(Priority priority,

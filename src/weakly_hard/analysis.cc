@@ -1,10 +1,10 @@
 #include "weakly_hard/analysis.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstddef>
 
 #include "common/check.h"
-#include "common/float_compare.h"
+#include "sched/analysis.h"
 
 namespace lpfps::weakly_hard {
 
@@ -26,44 +26,37 @@ double weakly_hard_utilization(const sched::TaskSet& tasks) {
   return u;
 }
 
+namespace {
+
+// Only the mandatory jobs among a higher-priority task's releases run.
+constexpr auto mandatory_demand = [](const sched::Task& task, std::size_t,
+                                     double releases) {
+  const std::int64_t mandatory =
+      max_met_jobs(static_cast<std::int64_t>(releases), task.effective_m(),
+                   task.effective_k());
+  return static_cast<Work>(mandatory) * task.wcet;
+};
+
+std::optional<Time> mandatory_response_time(const sched::TaskSet& tasks,
+                                            TaskIndex index) {
+  const auto i = static_cast<std::size_t>(index);
+  return sched::solve_response_time(tasks.tasks(), i, tasks.tasks()[i].wcet,
+                                    0.0, mandatory_demand);
+}
+
+}  // namespace
+
 std::optional<Time> degraded_response_time(const sched::TaskSet& tasks,
                                            TaskIndex index) {
-  const sched::Task& task = tasks[index];
-  LPFPS_CHECK_MSG(task.deadline <= task.period, task.name);
-  const auto deadline = static_cast<Time>(task.deadline);
-
-  Time r = task.wcet;
-  for (;;) {
-    Time next = task.wcet;
-    for (const sched::Task& other : tasks.tasks()) {
-      if (other.priority >= task.priority) continue;
-      LPFPS_CHECK_MSG(other.deadline <= other.period, other.name);
-      // The plain RTA's release count (sched::response_time): a response
-      // that lands on a period multiple up to float noise must not book
-      // a job released at that instant.
-      const auto releases = std::max<std::int64_t>(
-          1, static_cast<std::int64_t>(std::ceil(
-                 (r - kTimeEpsilon) / static_cast<double>(other.period))));
-      next += static_cast<Work>(max_met_jobs(releases, other.effective_m(),
-                                             other.effective_k())) *
-              other.wcet;
-    }
-    if (definitely_greater(next, deadline)) return std::nullopt;
-    if (next == r) return r;  // Exact fixed point (integer job counts).
-    r = next;
-  }
+  sched::check_constrained_deadlines(tasks, tasks[index].priority);
+  return mandatory_response_time(tasks, index);
 }
 
 bool is_schedulable_weakly_hard_rta(const sched::TaskSet& tasks) {
   LPFPS_CHECK(tasks.priorities_are_unique());
-  for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks.size()); ++i) {
-    const auto r = degraded_response_time(tasks, i);
-    if (!r.has_value() ||
-        definitely_greater(*r, static_cast<Time>(tasks[i].deadline))) {
-      return false;
-    }
-  }
-  return true;
+  sched::check_constrained_deadlines(tasks);
+  return sched::all_meet_deadlines(
+      tasks, [&](TaskIndex i) { return mandatory_response_time(tasks, i); });
 }
 
 }  // namespace lpfps::weakly_hard

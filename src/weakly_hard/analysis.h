@@ -40,8 +40,9 @@ double weakly_hard_utilization(const sched::TaskSet& tasks);
 /// Worst-case response time of task `index` in degraded mode, counting
 /// only mandatory jobs of weakly-hard higher-priority tasks, or nullopt
 /// on divergence past the deadline.  With no weakly-hard tasks this is
-/// exactly sched::response_time.  Preconditions: unique priorities,
-/// D_i <= T_i.
+/// sched::response_time bit for bit: both run sched::solve_response_time.
+/// Preconditions: unique priorities; D <= T for the task and every
+/// higher-priority task (checked).
 std::optional<Time> degraded_response_time(const sched::TaskSet& tasks,
                                            TaskIndex index);
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iomanip>
+
 #include "core/static_slowdown.h"
 #include "sched/analysis.h"
 #include "sched/priority.h"
@@ -11,15 +14,31 @@ namespace {
 
 TaskSet table1() { return lpfps::workloads::example_table1(); }
 
+// A higher-priority task with a WCET below kTimeEpsilon: each of its
+// jobs moves the response by less than the tolerance, so only an exact
+// fixed-point stop counts every one of them.
+TaskSet sub_epsilon_pair(std::int64_t fast_period, double fast_wcet,
+                         double slow_wcet) {
+  TaskSet tasks;
+  tasks.add(make_task("fast", fast_period, fast_wcet));
+  tasks.add(make_task("slow", 100, slow_wcet));
+  assign_rate_monotonic(tasks);
+  return tasks;
+}
+
 TEST(ExtendedRta, ZeroExtrasMatchesPlainRta) {
-  const TaskSet tasks = table1();
-  const AnalysisExtras extras = AnalysisExtras::zero(tasks);
-  for (TaskIndex i = 0; i < 3; ++i) {
-    const auto plain = response_time(tasks, i);
-    const auto extended = response_time_extended(tasks, i, extras);
-    ASSERT_TRUE(plain.has_value());
-    ASSERT_TRUE(extended.has_value());
-    EXPECT_DOUBLE_EQ(*plain, *extended) << "task " << i;
+  for (const TaskSet& tasks :
+       {table1(), sub_epsilon_pair(3, 4e-7, 3.0000008),
+        sub_epsilon_pair(10, 5e-7, 3.0)}) {
+    const AnalysisExtras extras = AnalysisExtras::zero(tasks);
+    for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks.size()); ++i) {
+      const auto plain = response_time(tasks, i);
+      const auto extended = response_time_extended(tasks, i, extras);
+      ASSERT_TRUE(plain.has_value());
+      ASSERT_TRUE(extended.has_value());
+      EXPECT_EQ(*plain, *extended)
+          << tasks[i].name << std::setprecision(17) << " " << *plain;
+    }
   }
 }
 

@@ -68,6 +68,25 @@ TEST(ResponseTime, DivergentWhenOverloaded) {
   EXPECT_FALSE(is_schedulable_rta(tasks));
 }
 
+TEST(ResponseTime, CountsEverySubEpsilonJob) {
+  // fast's WCET is below kTimeEpsilon, so each of its jobs moves slow's
+  // iterate by less than the tolerance.  The exact worst case is
+  // 3.0000008 + 2 * 4e-7 (ceil(3.0000016 / 3) = 2 fast jobs); a stop
+  // within kTimeEpsilon of the previous iterate returns after one job.
+  TaskSet tasks;
+  tasks.add(make_task("fast", 3, 4e-7));
+  tasks.add(make_task("slow", 100, 3.0000008));
+  assign_rate_monotonic(tasks);
+  const double exact = 3.0000008 + 2.0 * 4e-7;
+  EXPECT_DOUBLE_EQ(exact, 3.0000016);
+  const auto r = response_time(tasks, 1);
+  const auto seeded = response_time_from_seed(tasks, 1, 0.0);
+  ASSERT_TRUE(r.has_value());
+  ASSERT_TRUE(seeded.has_value());
+  EXPECT_EQ(*r, exact);
+  EXPECT_EQ(*seeded, exact);
+}
+
 TEST(ResponseTimes, AllTasksReported) {
   const TaskSet tasks = lpfps::workloads::example_table1();
   const auto all = response_times(tasks);

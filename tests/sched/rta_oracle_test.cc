@@ -1,0 +1,493 @@
+// The response-time kernel (sched::solve_response_time) against an exact
+// integer oracle.
+//
+// Every input here is a whole number of ticks of 0.1, 0.01 or 0.001 us,
+// so the recurrence can be iterated exactly in int64 ticks.  The oracle
+// shares no code with the kernel.  It keeps the kernel's contract (start
+// at the base, stop at the first fixed point, give up once an iterate
+// plus the task's own jitter passes the deadline) on exact integers and
+// returns the release counts of the fixed point.  For the plain,
+// jitter-plus-blocking and degraded (m,k) analyses the test asserts:
+//   * the verdicts: a value where the oracle converges, nullopt where it
+//     gives up, and the same whole-set schedulability answer;
+//   * each value bit for bit: the double recomputed from the oracle's
+//     counts in index order (base + n_j * C_j, j ascending), which is
+//     what the kernel computes iff every count it used is the exact one;
+//   * on sets without a weakly-hard task, degraded == plain bitwise.
+// The random corpus is a seeded UUniFast draw; a constructed family adds
+// responses that land exactly on a higher-priority period multiple,
+// which the random corpus rarely hits and where the release count's
+// -kTimeEpsilon decides the answer.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <optional>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "sched/analysis.h"
+#include "sched/task.h"
+#include "sched/task_set.h"
+#include "weakly_hard/analysis.h"
+
+namespace lpfps::sched {
+namespace {
+
+constexpr int kSetsPerResolution = 20000;
+
+// One task in ticks.  (m, k) == (0, 0) is a hard task.
+struct TickTask {
+  std::int64_t period = 0;
+  std::int64_t deadline = 0;
+  std::int64_t wcet = 0;
+  std::int64_t jitter = 0;
+  std::int64_t blocking = 0;
+  int priority = 0;
+  int m = 0;
+  int k = 0;
+};
+
+enum class Term { kPlain, kJitter, kMandatory };
+
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  return a <= 0 ? 0 : (a + b - 1) / b;
+}
+
+// Jobs among n consecutive releases that run in full degradation.
+std::int64_t mandatory_jobs(std::int64_t n, int m, int k) {
+  if (k == 0) return n;
+  return (n / k) * m + std::min<std::int64_t>(n % k, m);
+}
+
+// The oracle's answer for one task: the fixed point w (without the own
+// jitter) and the jobs of each higher-priority task it counts, or
+// converged == false when an iterate passed the deadline.
+struct Exact {
+  bool converged = false;
+  std::int64_t w = 0;
+  std::vector<std::int64_t> jobs;
+};
+
+Exact exact_response(const std::vector<TickTask>& set, std::size_t i,
+                     Term term) {
+  const TickTask& task = set[i];
+  const std::int64_t base =
+      task.wcet + (term == Term::kJitter ? task.blocking : 0);
+  const std::int64_t own_jitter = term == Term::kJitter ? task.jitter : 0;
+  Exact out;
+  out.jobs.assign(set.size(), 0);
+  std::int64_t w = base;
+  for (;;) {
+    std::int64_t next = base;
+    for (std::size_t j = 0; j < set.size(); ++j) {
+      const TickTask& other = set[j];
+      if (other.priority >= task.priority) continue;
+      const std::int64_t window =
+          w + (term == Term::kJitter ? other.jitter : 0);
+      std::int64_t n =
+          std::max<std::int64_t>(1, ceil_div(window, other.period));
+      if (term == Term::kMandatory) n = mandatory_jobs(n, other.m, other.k);
+      out.jobs[j] = n;
+      next += n * other.wcet;
+    }
+    if (next == w) break;
+    if (next + own_jitter > task.deadline) return out;
+    w = next;
+  }
+  out.converged = true;
+  out.w = w;
+  return out;
+}
+
+// The double the kernel must return if it counted exactly the oracle's
+// jobs: the same products, summed in the same order.
+double recompute(const TaskSet& tasks, std::size_t i, double base,
+                 const Exact& exact) {
+  double v = base;
+  for (std::size_t j = 0; j < tasks.size(); ++j) {
+    const Task& other = tasks.tasks()[j];
+    if (other.priority >= tasks.tasks()[i].priority) continue;
+    v += static_cast<double>(exact.jobs[j]) * other.wcet;
+  }
+  return v;
+}
+
+// The kernel-side view of a tick set: periods and deadlines in whole
+// microseconds, WCETs, jitter and blocking as the doubles nearest their
+// tick counts.
+struct Rendered {
+  TaskSet tasks;
+  AnalysisExtras extras;
+};
+
+Rendered render(const std::vector<TickTask>& set, std::int64_t ticks_per_us) {
+  const double scale = static_cast<double>(ticks_per_us);
+  Rendered out;
+  for (const TickTask& t : set) {
+    const double wcet = static_cast<double>(t.wcet) / scale;
+    Task task = make_task("t", t.period / ticks_per_us,
+                          t.deadline / ticks_per_us, wcet, wcet);
+    task.priority = t.priority;
+    if (t.k > 0 && t.m == t.k - 1) {
+      task.skip_s = t.k;  // The skip-over form of (s - 1, s).
+    } else if (t.k > 0) {
+      task.mk_m = t.m;
+      task.mk_k = t.k;
+    }
+    out.tasks.add(task);
+    out.extras.jitter.push_back(static_cast<double>(t.jitter) / scale);
+    out.extras.blocking.push_back(static_cast<double>(t.blocking) / scale);
+  }
+  return out;
+}
+
+// Mismatch counts over a batch of analyses, with the first mismatch of
+// each kind spelled out.  `where` is only called for a mismatch.
+struct Tally {
+  struct Count {
+    std::int64_t mismatches = 0;
+    std::string first;
+  };
+  std::int64_t analyses = 0;
+  Count verdict;
+  Count value;
+  std::int64_t past_deadline_fixed_points = 0;
+
+  template <typename Where>
+  static void note(Count& count, const Where& where, const std::string& what) {
+    if (count.mismatches++ == 0) count.first = what + where();
+  }
+
+  // `got` from the library against the oracle's answer for the same
+  // task; `want` is the recomputed double, used if the oracle converged.
+  template <typename Where>
+  void check(const std::optional<Time>& got, const Exact& exact, double want,
+             const Where& where) {
+    ++analyses;
+    if (got.has_value() != exact.converged) {
+      note(verdict, where,
+           exact.converged ? "kernel gave up where the oracle converged: "
+                           : "kernel converged where the oracle gave up: ");
+    } else if (got.has_value() && *got != want) {
+      std::ostringstream os;
+      os.precision(17);
+      os << "kernel " << *got << ", oracle counts give " << want << ": ";
+      note(value, where, os.str());
+    }
+  }
+
+  void expect_clean(const char* label) const {
+    EXPECT_EQ(verdict.mismatches, 0) << label << ": " << verdict.first;
+    EXPECT_EQ(value.mismatches, 0) << label << ": " << value.first;
+  }
+};
+
+std::string describe(const std::vector<TickTask>& set, std::size_t i,
+                     std::int64_t ticks_per_us) {
+  std::ostringstream os;
+  os << "task " << i << " of {";
+  for (const TickTask& t : set) {
+    os << " (T=" << t.period << " D=" << t.deadline << " C=" << t.wcet
+       << " J=" << t.jitter << " B=" << t.blocking << " p=" << t.priority
+       << " m,k=" << t.m << "," << t.k << ")";
+  }
+  os << " } in ticks of 1/" << ticks_per_us << " us";
+  return os.str();
+}
+
+// Runs the plain and jitter-plus-blocking terms on `set` (which has no
+// weakly-hard task) and the mandatory term on `constrained` (the same
+// set with its (m,k) constraints), tallying each against the oracle.
+// Returns how many plain responses land exactly on a multiple of a
+// higher-priority period.
+int check_set(const std::vector<TickTask>& set,
+              const std::vector<TickTask>& constrained,
+              std::int64_t ticks_per_us, Tally& plain, Tally& jitter,
+              Tally& mandatory) {
+  const Rendered r = render(set, ticks_per_us);
+  const TaskSet& tasks = r.tasks;
+  const std::size_t n = set.size();
+  int landings = 0;
+  const auto whole = [&] { return describe(set, 0, ticks_per_us); };
+
+  // Plain, through every plain entry point, and the degraded analysis,
+  // which on a set without weakly-hard tasks must be the plain one.
+  bool all_plain = true;
+  const std::vector<std::optional<Time>> all = response_times(tasks);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto index = static_cast<TaskIndex>(i);
+    const auto where = [&] { return describe(set, i, ticks_per_us); };
+    const Exact exact = exact_response(set, i, Term::kPlain);
+    const double want = recompute(tasks, i, tasks[index].wcet, exact);
+    plain.check(response_time(tasks, index), exact, want, where);
+    plain.check(all[i], exact, want, where);
+    plain.check(response_time_from_seed(tasks, index, 0.0), exact, want,
+                where);
+    const auto degraded = weakly_hard::degraded_response_time(tasks, index);
+    if (degraded.has_value() != all[i].has_value() ||
+        (degraded.has_value() && *degraded != *all[i])) {
+      Tally::note(plain.value, where, "degraded != plain: ");
+    }
+    all_plain = all_plain && exact.converged && exact.w <= set[i].deadline;
+    for (std::size_t j = 0; exact.converged && j < n; ++j) {
+      if (set[j].priority < set[i].priority &&
+          exact.w % set[j].period == 0) {
+        ++landings;
+        break;
+      }
+    }
+  }
+  if (is_schedulable_rta(tasks) != all_plain) {
+    Tally::note(plain.verdict, whole, "is_schedulable_rta: ");
+  }
+  if (weakly_hard::is_schedulable_weakly_hard_rta(tasks) != all_plain) {
+    Tally::note(plain.verdict, whole,
+                "is_schedulable_weakly_hard_rta, no weakly-hard task: ");
+  }
+
+  // Jitter plus blocking.
+  bool all_jitter = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto index = static_cast<TaskIndex>(i);
+    const Exact exact = exact_response(set, i, Term::kJitter);
+    const double base = tasks[index].wcet + r.extras.blocking[i];
+    const double want = recompute(tasks, i, base, exact) + r.extras.jitter[i];
+    jitter.check(response_time_extended(tasks, index, r.extras), exact, want,
+                 [&] { return describe(set, i, ticks_per_us); });
+    const bool meets =
+        exact.converged && exact.w + set[i].jitter <= set[i].deadline;
+    if (exact.converged && !meets) ++jitter.past_deadline_fixed_points;
+    all_jitter = all_jitter && meets;
+  }
+  if (is_schedulable_extended(tasks, r.extras) != all_jitter) {
+    Tally::note(jitter.verdict, whole, "is_schedulable_extended: ");
+  }
+
+  // Mandatory (m,k) jobs.
+  const Rendered rc = render(constrained, ticks_per_us);
+  bool all_met = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto index = static_cast<TaskIndex>(i);
+    const Exact exact = exact_response(constrained, i, Term::kMandatory);
+    const double want = recompute(rc.tasks, i, rc.tasks[index].wcet, exact);
+    mandatory.check(weakly_hard::degraded_response_time(rc.tasks, index),
+                    exact, want,
+                    [&] { return describe(constrained, i, ticks_per_us); });
+    all_met = all_met && exact.converged && exact.w <= set[i].deadline;
+  }
+  if (weakly_hard::is_schedulable_weakly_hard_rta(rc.tasks) != all_met) {
+    Tally::note(mandatory.verdict,
+                [&] { return describe(constrained, 0, ticks_per_us); },
+                "is_schedulable_weakly_hard_rta: ");
+  }
+  return landings;
+}
+
+// Seeded draws from raw 64-bit outputs, so the corpus does not depend on
+// the standard library's distribution algorithms.
+class Draw {
+ public:
+  explicit Draw(std::uint64_t seed) : rng_(seed) {}
+  std::int64_t between(std::int64_t lo, std::int64_t hi) {
+    return lo + static_cast<std::int64_t>(
+                    rng_() % static_cast<std::uint64_t>(hi - lo + 1));
+  }
+  double unit() { return static_cast<double>(rng_() >> 11) * 0x1p-53; }
+  bool one_in(int n) { return between(1, n) == 1; }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+// UUniFast (Bini & Buttazzo): n utilizations summing to `total`.
+std::vector<double> uunifast(Draw& draw, int n, double total) {
+  std::vector<double> u(static_cast<std::size_t>(n));
+  double sum = total;
+  for (int i = 0; i + 1 < n; ++i) {
+    const double next = sum * std::pow(draw.unit(), 1.0 / (n - 1 - i));
+    u[static_cast<std::size_t>(i)] = sum - next;
+    sum = next;
+  }
+  u.back() = sum;
+  return u;
+}
+
+// 2-13 tasks, U in [0.6, 1.05], integer periods of 2-200 us, WCETs in
+// ticks, constrained deadlines (half implicit), deadline-monotonic
+// priorities except every fourth set, whose priorities are a random
+// permutation.  Jitter, blocking and (m,k) constraints ride along for
+// the other two terms.
+std::vector<TickTask> draw_set(Draw& draw, std::int64_t ticks_per_us,
+                               int index) {
+  const int n = static_cast<int>(draw.between(2, 13));
+  const double total = 0.6 + 0.45 * draw.unit();
+  const std::vector<double> u = uunifast(draw, n, total);
+  std::vector<TickTask> set(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    TickTask& t = set[static_cast<std::size_t>(i)];
+    const std::int64_t period_us = draw.between(2, 200);
+    t.period = period_us * ticks_per_us;
+    t.wcet = std::clamp<std::int64_t>(
+        std::llround(u[static_cast<std::size_t>(i)] *
+                     static_cast<double>(t.period)),
+        1, t.period);
+    const std::int64_t deadline_us =
+        draw.one_in(2) ? period_us
+                       : draw.between(ceil_div(t.wcet, ticks_per_us),
+                                      period_us);
+    t.deadline = deadline_us * ticks_per_us;
+    t.jitter = draw.one_in(2) ? draw.between(0, t.period / 4) : 0;
+    t.blocking = draw.one_in(3) ? draw.between(0, t.deadline) : 0;
+    if (draw.one_in(3)) {
+      t.k = static_cast<int>(draw.between(2, 8));
+      t.m = static_cast<int>(draw.between(1, t.k));
+    }
+  }
+  std::vector<std::size_t> order(set.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  if (index % 4 == 3) {
+    for (std::size_t i = order.size() - 1; i > 0; --i) {
+      std::swap(order[i], order[static_cast<std::size_t>(draw.between(
+                              0, static_cast<std::int64_t>(i)))]);
+    }
+  } else {
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return set[a].deadline < set[b].deadline;
+                     });
+  }
+  for (std::size_t rank = 0; rank < order.size(); ++rank) {
+    set[order[rank]].priority = static_cast<int>(rank);
+  }
+  return set;
+}
+
+std::vector<TickTask> without_constraints(std::vector<TickTask> set) {
+  for (TickTask& t : set) t.m = t.k = 0;
+  return set;
+}
+
+class RtaOracle : public ::testing::TestWithParam<std::int64_t> {};
+
+TEST_P(RtaOracle, RandomCorpusMatchesTheExactAnalysis) {
+  const std::int64_t ticks_per_us = GetParam();
+  Draw draw(0x5eed0000u + static_cast<std::uint64_t>(ticks_per_us));
+  Tally plain;
+  Tally jitter;
+  Tally mandatory;
+  int landings = 0;
+  for (int s = 0; s < kSetsPerResolution; ++s) {
+    const std::vector<TickTask> set = draw_set(draw, ticks_per_us, s);
+    landings += check_set(without_constraints(set), set, ticks_per_us, plain,
+                          jitter, mandatory);
+  }
+  plain.expect_clean("plain");
+  jitter.expect_clean("jitter");
+  mandatory.expect_clean("mandatory");
+  // The corpus must reach the ordering the kernel's stop rule decides:
+  // a fixed point found at the start, already past the deadline, is
+  // reported, not treated as divergence.
+  EXPECT_GT(jitter.past_deadline_fixed_points, 0);
+  std::printf("ticks of 1/%lld us: %lld plain, %lld jitter, %lld mandatory "
+              "analyses; %d responses on a period multiple\n",
+              static_cast<long long>(ticks_per_us),
+              static_cast<long long>(plain.analyses),
+              static_cast<long long>(jitter.analyses),
+              static_cast<long long>(mandatory.analyses), landings);
+}
+
+// Two-task sets whose least fixed point is exactly k T_a, a multiple of
+// the higher-priority period, for every term: plain (c_b = k (T_a -
+// c_a)), jitter (the window w + J_a ends on k T_a) and mandatory jobs
+// of an (m,k) task a.  Where the double sum lands a few ulps above k T_a
+// only the release count's -kTimeEpsilon keeps the job released at that
+// instant out; the family must contain such members at every resolution.
+TEST_P(RtaOracle, ResponsesOnAPeriodMultiple) {
+  const std::int64_t ticks_per_us = GetParam();
+  Tally tallies[3];
+  int above[3] = {0, 0, 0};
+  for (std::int64_t period_us = 1; period_us <= 12; ++period_us) {
+    const std::int64_t period = period_us * ticks_per_us;
+    for (int q = 0; q < 100; ++q) {
+      const std::int64_t c_a = 1 + (period - 2) * q / 99;
+      for (int k = 1; k <= 8; ++k) {
+        for (const Term term :
+             {Term::kPlain, Term::kJitter, Term::kMandatory}) {
+          TickTask a;
+          a.period = a.deadline = period;
+          a.wcet = c_a;
+          TickTask b;
+          b.period = b.deadline = k * period;  // b also ends on its deadline.
+          const std::int64_t landing = k * period;  // End of b's window for a.
+          if (term == Term::kPlain) {
+            b.wcet = k * (period - c_a);
+          } else if (term == Term::kJitter) {
+            a.jitter = (period - c_a) / 2;
+            b.wcet = k * (period - c_a) - a.jitter;
+          } else {
+            a.m = 1 + q % 2;
+            a.k = a.m + 1 + q % 3;
+            b.wcet = k * period - mandatory_jobs(k, a.m, a.k) * c_a;
+          }
+          if (b.wcet < 1) continue;
+          a.priority = 0;
+          b.priority = 1;
+          // Alternate which task comes first in index order.
+          const std::size_t ib = k % 2 == 0 ? 1 : 0;
+          const std::vector<TickTask> set =
+              ib == 1 ? std::vector<TickTask>{a, b}
+                      : std::vector<TickTask>{b, a};
+          const auto where = [&] { return describe(set, ib, ticks_per_us); };
+          const Exact exact = exact_response(set, ib, term);
+          ASSERT_TRUE(exact.converged) << where();
+          ASSERT_EQ(exact.w + a.jitter, landing) << where();
+          const Rendered r = render(set, ticks_per_us);
+          const auto index = static_cast<TaskIndex>(ib);
+          const double want =
+              recompute(r.tasks, ib, r.tasks[index].wcet, exact);
+          const auto t = static_cast<int>(term);
+          std::optional<Time> got;
+          if (term == Term::kPlain) {
+            got = response_time(r.tasks, index);
+          } else if (term == Term::kJitter) {
+            got = response_time_extended(r.tasks, index, r.extras);
+          } else {
+            got = weakly_hard::degraded_response_time(r.tasks, index);
+          }
+          tallies[t].check(got, exact, want, where);
+          // Would a count without the -kTimeEpsilon book job k + 1?
+          const double window = want + r.extras.jitter[1 - ib];
+          if (std::ceil(window / static_cast<double>(period_us)) > k) {
+            ++above[t];
+          }
+        }
+      }
+    }
+  }
+  const char* labels[3] = {"plain", "jitter", "mandatory"};
+  for (int t = 0; t < 3; ++t) {
+    tallies[t].expect_clean(labels[t]);
+    EXPECT_GT(above[t], 0) << "no " << labels[t]
+                           << " member lands above its multiple";
+  }
+  std::printf("ticks of 1/%lld us: %lld/%lld/%lld family analyses; "
+              "%d/%d/%d sums above the multiple\n",
+              static_cast<long long>(ticks_per_us),
+              static_cast<long long>(tallies[0].analyses),
+              static_cast<long long>(tallies[1].analyses),
+              static_cast<long long>(tallies[2].analyses), above[0],
+              above[1], above[2]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ticks, RtaOracle, ::testing::Values(10, 100, 1000),
+                         [](const auto& info) {
+                           return "per_us_" + std::to_string(info.param);
+                         });
+
+}  // namespace
+}  // namespace lpfps::sched

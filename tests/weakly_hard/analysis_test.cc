@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iomanip>
+
 #include "sched/analysis.h"
 #include "sched/priority.h"
 #include "sched/task.h"
@@ -47,17 +50,29 @@ TEST(WeaklyHardUtilization, ScalesFirmTasksByMOverK) {
   EXPECT_NEAR(weakly_hard_utilization(tasks), 0.75, 1e-12);
 }
 
-TEST(DegradedResponseTime, ReducesToPlainRtaWithoutConstraints) {
+sched::TaskSet hard_pair(std::int64_t period_a, double wcet_a,
+                         std::int64_t period_b, double wcet_b) {
   sched::TaskSet tasks;
-  tasks.add(sched::make_task("a", 10, 3.0));
-  tasks.add(sched::make_task("b", 20, 5.0));
+  tasks.add(sched::make_task("a", period_a, wcet_a));
+  tasks.add(sched::make_task("b", period_b, wcet_b));
   sched::assign_rate_monotonic(tasks);
-  for (TaskIndex i = 0; i < 2; ++i) {
-    const auto degraded = degraded_response_time(tasks, i);
-    const auto plain = sched::response_time(tasks, i);
-    ASSERT_TRUE(degraded.has_value());
-    ASSERT_TRUE(plain.has_value());
-    EXPECT_DOUBLE_EQ(*degraded, *plain);
+  return tasks;
+}
+
+TEST(DegradedResponseTime, ReducesToPlainRtaWithoutConstraints) {
+  // The last two pairs have a higher-priority WCET below kTimeEpsilon,
+  // where only an exact fixed-point stop counts every job.
+  for (const sched::TaskSet& tasks :
+       {hard_pair(10, 3.0, 20, 5.0), hard_pair(3, 4e-7, 100, 3.0000008),
+        hard_pair(10, 5e-7, 100, 3.0)}) {
+    for (TaskIndex i = 0; i < 2; ++i) {
+      const auto degraded = degraded_response_time(tasks, i);
+      const auto plain = sched::response_time(tasks, i);
+      ASSERT_TRUE(degraded.has_value());
+      ASSERT_TRUE(plain.has_value());
+      EXPECT_EQ(*degraded, *plain)
+          << tasks[i].name << std::setprecision(17) << " " << *plain;
+    }
   }
 }
 
