@@ -1,20 +1,22 @@
 // End-to-end tooling walkthrough: define a task set in the text format,
-// simulate it under LPFPS, validate the recorded schedule with the
-// independent checker, and export analysis-ready CSVs — the workflow a
-// user would run on their own system description.
+// simulate it under LPFPS, audit the recorded schedule against the
+// trace invariants, and export analysis-ready CSVs — the workflow a
+// user would run on their own system description.  Exits 1 if the
+// audit finds a violation.
 //
 //   $ ./example_trace_export [output-directory]
 #include <cstdio>
 #include <fstream>
 #include <string>
 
+#include "audit/audit.h"
+#include "audit/harness.h"
 #include "core/engine.h"
 #include "io/svg_gantt.h"
 #include "io/task_set_io.h"
 #include "io/trace_io.h"
 #include "sched/analysis.h"
 #include "sched/priority.h"
-#include "sched/validator.h"
 
 int main(int argc, char** argv) {
   using namespace lpfps;
@@ -42,16 +44,19 @@ diagnostics    period=32000  wcet=2500  bcet=500
   core::EngineOptions options;
   options.horizon = 64'000.0;  // Two hyperperiods.
   options.record_trace = true;
+  const auto cpu = power::ProcessorConfig::arm8_default();
+  const core::SchedulerPolicy policy = core::SchedulerPolicy::lpfps();
   const core::SimulationResult result = core::simulate(
-      tasks, power::ProcessorConfig::arm8_default(),
-      core::SchedulerPolicy::lpfps(),
-      std::make_shared<exec::ClampedGaussianModel>(), options);
+      tasks, cpu, policy, std::make_shared<exec::ClampedGaussianModel>(),
+      options);
   std::fputs(result.summary().c_str(), stdout);
 
-  // 3. Independently validate the schedule the engine produced.
-  const sched::ValidationReport report =
-      sched::validate_schedule(*result.trace, tasks);
-  std::printf("schedule validation: %s\n",
+  // 3. Audit the schedule the engine produced: re-derive every invariant
+  //    (job windows, fixed priority, plans, energy, counters) from the
+  //    trace alone.
+  const audit::AuditReport report = audit::audit_run(
+      result, tasks, cpu, audit::derive_options(policy, options));
+  std::printf("schedule audit: %s\n",
               report.ok() ? "clean" : report.to_string().c_str());
 
   // 4. Export for plotting.

@@ -1,6 +1,10 @@
 #include "admission/cache.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -10,11 +14,22 @@ namespace lpfps::admission {
 std::optional<std::size_t> cache_capacity_from_env() {
   const char* value = std::getenv("LPFPS_ADMISSION_CACHE");
   if (value == nullptr || *value == '\0') return std::nullopt;
-  if (*value == '-') return std::nullopt;  // strtoull would wrap it.
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') return std::nullopt;  // Not a number.
-  return static_cast<std::size_t>(parsed);
+  // A leading digit keeps strtoull from skipping blanks or wrapping a
+  // sign.
+  if (std::isdigit(static_cast<unsigned char>(*value)) != 0) {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long parsed = std::strtoull(value, &end, 10);
+    if (*end == '\0' && errno != ERANGE &&
+        parsed <= std::numeric_limits<std::size_t>::max()) {
+      return static_cast<std::size_t>(parsed);
+    }
+  }
+  std::fprintf(stderr,
+               "admission: ignoring LPFPS_ADMISSION_CACHE=%s (not a "
+               "non-negative integer)\n",
+               value);
+  return std::nullopt;
 }
 
 AdmissionCache::AdmissionCache(std::size_t capacity) : capacity_(capacity) {}

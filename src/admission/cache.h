@@ -69,7 +69,8 @@ struct CacheEntry {
 };
 
 /// Cache capacity override from the LPFPS_ADMISSION_CACHE environment
-/// variable, or nullopt when unset/unparsable.  0 means "cache off".
+/// variable, or nullopt when unset, empty or unparsable (the last with
+/// one stderr line naming the value).  0 means "cache off".
 /// Follows the hoisted-env-read convention of
 /// core::cycle_detection_env_enabled(): the function re-reads the
 /// environment on every call, and callers hoist one read per unit of

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "common/float_compare.h"
 #include "power/speed_profile.h"
@@ -51,13 +54,13 @@ struct Interval {
   Time end = 0.0;
 };
 
-/// Sorts `intervals`, drops empty ones and merges overlapping/adjacent
-/// ones, all in place.
-void merge_intervals(std::vector<Interval>& intervals) {
-  std::sort(intervals.begin(), intervals.end(),
-            [](const Interval& a, const Interval& b) {
-              return a.begin < b.begin;
-            });
+bool begins_before(const Interval& a, const Interval& b) {
+  return a.begin < b.begin;
+}
+
+/// Drops empty intervals from `intervals` (sorted by begin) and merges
+/// overlapping/adjacent ones, in place.
+void coalesce(std::vector<Interval>& intervals) {
   std::size_t merged = 0;
   for (std::size_t k = 0; k < intervals.size(); ++k) {
     const Interval i = intervals[k];
@@ -69,6 +72,12 @@ void merge_intervals(std::vector<Interval>& intervals) {
     }
   }
   intervals.resize(merged);
+}
+
+/// Sorts `intervals` and coalesces them.
+void merge_intervals(std::vector<Interval>& intervals) {
+  std::sort(intervals.begin(), intervals.end(), begins_before);
+  coalesce(intervals);
 }
 
 class Auditor {
@@ -153,9 +162,13 @@ class Auditor {
       skipped_releases_[t].reserve(counts[t].skips);
       window_capacity += counts[t].records + 1;
     }
-    // J5 merges one task's windows at a time and S1 all of them, both
-    // in this one buffer.
-    intervals_.reserve(window_capacity);
+    // J5 merges one task's windows at a time in `cover_`; S3 folds each
+    // task's cover into `busy_` through `merged_`, and S1 reads `busy_`.
+    cover_.reserve(window_capacity);
+    if (options_.check_work_conserving) {
+      busy_.reserve(window_capacity);
+      merged_.reserve(window_capacity);
+    }
 
     for (std::size_t i = 0; i < segments().size(); ++i) {
       const Segment& s = segments()[i];
@@ -549,41 +562,84 @@ class Auditor {
     }
 
     // J5: every running segment sits inside one of its task's windows.
-    std::vector<Interval>& cover = intervals_;
-    for (std::size_t t = 0; t < task_count(); ++t) {
-      cover.clear();
-      for (const Window& w : windows_[t]) cover.push_back({w.release, w.end});
-      merge_intervals(cover);
+    // S3: none overlaps a window of a higher-priority task.  Tasks are
+    // visited highest priority first, so `busy_` holds the merged
+    // windows of every higher-priority task; each task's own cover
+    // joins it after its segments are checked, which leaves `busy_` the
+    // all-window cover S1 reads.  Tied priorities (which
+    // TaskSet::validate rejects) have no order to check.
+    const bool pending_model = options_.check_work_conserving;
+    std::vector<std::size_t> order(task_count());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const auto priority = [this](std::size_t t) {
+      return tasks_[static_cast<TaskIndex>(t)].priority;
+    };
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                return std::pair(priority(a), a) < std::pair(priority(b), b);
+              });
+    const bool check_priority =
+        pending_model &&
+        std::adjacent_find(order.begin(), order.end(),
+                           [&](std::size_t a, std::size_t b) {
+                             return priority(a) == priority(b);
+                           }) == order.end();
+    busy_.clear();
+    for (const std::size_t t : order) {
+      const std::string& name = tasks_[static_cast<TaskIndex>(t)].name;
+      cover_.clear();
+      for (const Window& w : windows_[t]) {
+        cover_.push_back({w.release, w.end});
+      }
+      merge_intervals(cover_);
       std::size_t c = 0;
+      std::size_t h = 0;
       for (const std::size_t index : task_segments_[t]) {
         const Segment& s = segments()[index];
-        while (c < cover.size() &&
-               cover[c].end < s.begin + options_.epsilon) {
+        while (c < cover_.size() &&
+               cover_[c].end < s.begin + options_.epsilon) {
           ++c;
         }
-        if (c >= cover.size() ||
-            s.begin < cover[c].begin - options_.epsilon ||
-            s.end > cover[c].end + options_.epsilon) {
+        if (c >= cover_.size() ||
+            s.begin < cover_[c].begin - options_.epsilon ||
+            s.end > cover_[c].end + options_.epsilon) {
           add("J5.placement", s.begin,
-              tasks_[static_cast<TaskIndex>(t)].name + " runs in [" +
-                  fmt(s.begin) + ", " + fmt(s.end) +
+              name + " runs in [" + fmt(s.begin) + ", " + fmt(s.end) +
                   ") outside any of its job windows");
         }
+        if (!check_priority) continue;
+        while (h < busy_.size() &&
+               busy_[h].end <= s.begin + options_.epsilon) {
+          ++h;
+        }
+        for (std::size_t k = h; k < busy_.size() &&
+                                busy_[k].begin < s.end - options_.epsilon;
+             ++k) {
+          const Time lo = std::max(s.begin, busy_[k].begin);
+          const Time hi = std::min(s.end, busy_[k].end);
+          if (hi - lo > options_.epsilon) {
+            add("S3.priority", lo,
+                name + " runs in [" + fmt(lo) + ", " + fmt(hi) +
+                    ") while a higher-priority job is pending (pending " +
+                    "window [" + fmt(busy_[k].begin) + ", " +
+                    fmt(busy_[k].end) + "))");
+            break;
+          }
+        }
       }
+      if (!pending_model) continue;
+      merged_.clear();
+      std::merge(busy_.begin(), busy_.end(), cover_.begin(), cover_.end(),
+                 std::back_inserter(merged_), begins_before);
+      coalesce(merged_);
+      busy_.swap(merged_);
     }
   }
 
   // ---- S: work conservation and release readiness -----------------------
 
+  /// S1 over `busy_`, the all-window cover check_jobs leaves behind.
   void check_work_conservation() {
-    std::vector<Interval>& busy = intervals_;
-    busy.clear();
-    for (const auto& task_windows : windows_) {
-      for (const Window& w : task_windows) {
-        busy.push_back({w.release, w.end});
-      }
-    }
-    merge_intervals(busy);
     for (const Segment& s : segments()) {
       if (s.mode != ProcessorMode::kIdleBusyWait &&
           s.mode != ProcessorMode::kPowerDown &&
@@ -591,11 +647,11 @@ class Auditor {
         continue;
       }
       // First pending interval ending after the segment begins.
-      auto it = std::lower_bound(busy.begin(), busy.end(), s.begin,
+      auto it = std::lower_bound(busy_.begin(), busy_.end(), s.begin,
                                  [](const Interval& i, Time t) {
                                    return i.end <= t;
                                  });
-      if (it == busy.end()) continue;
+      if (it == busy_.end()) continue;
       const Time lo = std::max(s.begin, it->begin);
       const Time hi = std::min(s.end, it->end);
       if (hi - lo > options_.epsilon) {
@@ -1277,7 +1333,9 @@ class Auditor {
   std::vector<std::vector<Window>> windows_;
   std::vector<std::vector<std::size_t>> task_segments_;
   std::vector<std::vector<Time>> skipped_releases_;  ///< Sorted, per task.
-  std::vector<Interval> intervals_;  ///< J5/S1 merge buffer.
+  std::vector<Interval> cover_;   ///< One task's merged windows (J5).
+  std::vector<Interval> busy_;    ///< Merged windows so far (S3, then S1).
+  std::vector<Interval> merged_;  ///< Merge target folding cover_ into busy_.
 };
 
 }  // namespace

@@ -24,6 +24,8 @@
 //   J5  placement   a task runs only inside one of its job windows
 //   S1  conserving  idle/power-down/wake-up only while nothing is pending
 //   S2  releases    full (base) speed at every release; never asleep
+//   S3  priority    no running segment overlaps a higher-priority
+//                   task's job window by more than epsilon
 //   D1  plan end    a slowdown plan ends by min(next arrival, deadline)
 //   D2  capacity    plan capacity (eq. 1) covers the remaining WCET
 //   E1  energy      per-mode energy equals re-integration of the profile
@@ -96,8 +98,10 @@ struct AuditOptions {
   /// J3: executed <= WCET.  Disable when context-switch overhead
   /// inflates job demand past the nominal WCET by design.
   bool check_job_demand = true;
-  /// S1: disable under release jitter, where the scheduler legally
-  /// idles while an invisible (staged) job is pending.
+  /// S1 and S3, which both read the recorded job windows as the
+  /// scheduler's pending set: disable under release jitter, where the
+  /// scheduler legally idles or runs a lower-priority job while an
+  /// invisible (staged) job is pending.
   bool check_work_conserving = true;
   /// S2: disable under release jitter (a plan may legally span the
   /// nominal release of a job that arrives late).

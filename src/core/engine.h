@@ -91,7 +91,8 @@ struct EngineOptions {
   /// predicts the *nominal* release — a safe lower bound on the actual
   /// arrival — and LPFPS conservatively abstains from DVS and
   /// power-down while a released-but-not-yet-visible job is in flight.
-  /// Note: the independent schedule validator assumes zero jitter.
+  /// For a jittered run audit::derive_options disarms the auditor's
+  /// S1-S3 and D checks, which assume visible nominal releases.
   std::vector<Time> release_jitter;
   /// Wake-up timer granularity in microseconds (0 = a free-running
   /// comparator, the paper's implicit assumption).  Tick-based kernels

@@ -39,10 +39,15 @@ bool parse_number(const std::string& token, double& out) {
   }
 }
 
-std::int64_t to_time_integer(double value, int line, const char* field) {
-  if (value <= 0.0 || value != std::floor(value)) {
-    fail(line, std::string(field) + " must be a positive integer, got " +
-                   std::to_string(value));
+/// `value` as an integer time: whole, positive (non-negative when
+/// `allow_zero`) and below 2^63, so the conversion is defined.
+std::int64_t to_time_integer(double value, int line, const char* field,
+                             bool allow_zero = false) {
+  const bool in_domain = allow_zero ? value >= 0.0 : value > 0.0;
+  if (!in_domain || value != std::floor(value) || value >= 0x1p63) {
+    fail(line, std::string(field) + " must be a " +
+                   (allow_zero ? "non-negative" : "positive") +
+                   " integer below 2^63, got " + std::to_string(value));
   }
   return static_cast<std::int64_t>(value);
 }
@@ -122,11 +127,15 @@ sched::TaskSet parse_task_set(std::istream& in) {
     if (deadline < 0.0) deadline = period;
     if (bcet < 0.0) bcet = wcet;
 
+    const std::int64_t period_us =
+        to_time_integer(period, line_number, "period");
+    const std::int64_t deadline_us =
+        to_time_integer(deadline, line_number, "deadline");
+    const std::int64_t phase_us =
+        to_time_integer(phase, line_number, "phase", /*allow_zero=*/true);
     try {
-      tasks.add(sched::make_task(
-          name, to_time_integer(period, line_number, "period"),
-          to_time_integer(deadline, line_number, "deadline"), wcet, bcet,
-          static_cast<std::int64_t>(phase)));
+      tasks.add(sched::make_task(name, period_us, deadline_us, wcet, bcet,
+                                 phase_us));
     } catch (const std::logic_error& error) {
       fail(line_number, error.what());
     }

@@ -1,5 +1,7 @@
 #include "runner/runner.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -18,12 +20,17 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t job_index) {
 }
 
 std::size_t default_job_count() {
-  if (const char* env = std::getenv("LPFPS_JOBS")) {
+  const char* env = std::getenv("LPFPS_JOBS");
+  if (env != nullptr && *env != '\0') {
     char* end = nullptr;
+    errno = 0;
     const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
+    if (end != env && *end == '\0' && errno != ERANGE && parsed > 0) {
       return static_cast<std::size_t>(parsed);
     }
+    std::fprintf(stderr,
+                 "runner: ignoring LPFPS_JOBS=%s (not a positive integer)\n",
+                 env);
   }
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware > 0 ? hardware : 1;

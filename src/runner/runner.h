@@ -58,7 +58,8 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t job_index);
 
 /// Worker count used when a caller does not pin one: `LPFPS_JOBS` if
 /// set to a positive integer, else `hardware_concurrency()`, else 1.
-/// Reads the environment on every call.
+/// Reads the environment on every call; an empty value counts as
+/// unset, and any other value it ignores gets one stderr line.
 std::size_t default_job_count();
 
 /// A minimal fixed-size pool: `threads` workers draining a FIFO work

@@ -221,11 +221,25 @@ TEST(CacheEnv, CapacityParsesDisablesAndIgnoresGarbage) {
   ASSERT_TRUE(cache_capacity_from_env().has_value());
   EXPECT_EQ(*cache_capacity_from_env(), 0u);
 
-  ::setenv("LPFPS_ADMISSION_CACHE", "not-a-number", 1);
-  EXPECT_FALSE(cache_capacity_from_env().has_value());
+  // Garbage falls back to the default with one stderr line naming the
+  // knob and the value.
+  for (const char* bad : {"not-a-number", "-3", "-1", " -1", "1k",
+                          "99999999999999999999999"}) {
+    ::setenv("LPFPS_ADMISSION_CACHE", bad, 1);
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(cache_capacity_from_env().has_value()) << bad;
+    const std::string warning = testing::internal::GetCapturedStderr();
+    EXPECT_NE(
+        warning.find(std::string("ignoring LPFPS_ADMISSION_CACHE=") + bad),
+        std::string::npos)
+        << warning;
+  }
 
-  ::setenv("LPFPS_ADMISSION_CACHE", "-3", 1);
+  // Empty counts as unset: no warning.
+  ::setenv("LPFPS_ADMISSION_CACHE", "", 1);
+  testing::internal::CaptureStderr();
   EXPECT_FALSE(cache_capacity_from_env().has_value());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 
   ::unsetenv("LPFPS_ADMISSION_CACHE");
 }

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/engine.h"
 #include "sched/priority.h"
@@ -161,6 +164,29 @@ TEST(Auditor, CatchesUnflaggedDeadlineMiss) {
   EXPECT_TRUE(has_code(report, "J4.flag")) << report.to_string();
 }
 
+TEST(Auditor, CatchesAForgedRelease) {
+  // Releases are deterministic: phase + k*T.
+  auto jobs = clean_jobs();
+  jobs[1].release = 107.0;
+  jobs[1].absolute_deadline = 207.0;
+  const sim::Trace trace =
+      sim::Trace::unchecked(clean_segments(), std::move(jobs));
+  const AuditReport report = audit_trace(trace, solo_tasks(), 200.0);
+  ASSERT_TRUE(has_code(report, "J1.release")) << report.to_string();
+  EXPECT_NE(message_of(report, "J1.release").find("periodic model says 100"),
+            std::string::npos)
+      << message_of(report, "J1.release");
+}
+
+TEST(Auditor, CatchesAnOnTimeJobFlaggedAsMissed) {
+  auto jobs = clean_jobs();
+  jobs[0].missed_deadline = true;  // Completes at 50, deadline 100.
+  const sim::Trace trace =
+      sim::Trace::unchecked(clean_segments(), std::move(jobs));
+  const AuditReport report = audit_trace(trace, solo_tasks(), 200.0);
+  EXPECT_TRUE(has_code(report, "J4.flag")) << report.to_string();
+}
+
 TEST(Auditor, CatchesSleepWhilePending) {
   // Job 0 has 50 us of demand but the processor naps in the middle of
   // its window: work-conservation (paper L8-L13: sleep only when every
@@ -211,12 +237,15 @@ TEST(Auditor, CatchesExecutionBetweenTwoOfItsTasksWindows) {
   const sim::Trace trace =
       sim::Trace::unchecked(std::move(segments), std::move(jobs));
   const AuditReport report = audit_trace(trace, tasks, 400.0);
-  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  // b also runs inside a's window [100, 130), so S3 reports it too.
+  ASSERT_EQ(report.violations.size(), 2u) << report.to_string();
   EXPECT_EQ(report.violations[0].invariant, "J5.placement");
   EXPECT_EQ(report.violations[0].at, 110.0);
   EXPECT_NE(report.violations[0].message.find("b runs in [110, 120)"),
             std::string::npos)
       << report.violations[0].message;
+  EXPECT_EQ(report.violations[1].invariant, "S3.priority");
+  EXPECT_EQ(report.violations[1].at, 110.0);
 }
 
 /// Job 0 misses its deadline and completes at 130, inside job 1's window
@@ -328,6 +357,109 @@ TEST(Auditor, StopsCollectingAtMaxViolations) {
   const AuditReport report =
       audit_trace(trace, solo_tasks(), 200.0, options);
   EXPECT_EQ(report.violations.size(), 1u);
+}
+
+// ---- S3: the fixed-priority invariant -----------------------------------
+
+/// {T=100, C=20} over {T=400, C=30}, rate-monotonic.
+sched::TaskSet two_tasks(double low_wcet = 30.0) {
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("a", 100, 20.0));
+  tasks.add(sched::make_task("b", 400, low_wcet));
+  sched::assign_rate_monotonic(tasks);
+  return tasks;
+}
+
+/// a's jobs released at `releases`, each run at the head of its period
+/// with the processor idle for the rest of it.
+void append_high_priority_periods(std::vector<Segment>& segments,
+                                  std::vector<JobRecord>& jobs,
+                                  std::initializer_list<Time> releases) {
+  for (const Time release : releases) {
+    segments.push_back(
+        seg(release, release + 20.0, ProcessorMode::kRunning, 0));
+    segments.push_back(
+        seg(release + 20.0, release + 100.0, ProcessorMode::kIdleBusyWait));
+    jobs.push_back(job(0, static_cast<std::int64_t>(release / 100.0),
+                       release, release + 100.0, release + 20.0, 20.0));
+  }
+}
+
+/// b's job runs [0, 30) while a's job, released at 0 too, waits and
+/// runs [30, 50).  Every window, work integral and deadline is right;
+/// only the order is inverted.
+sim::Trace priority_inversion_trace() {
+  std::vector<Segment> segments = {
+      seg(0.0, 30.0, ProcessorMode::kRunning, 1),
+      seg(30.0, 50.0, ProcessorMode::kRunning, 0),
+      seg(50.0, 100.0, ProcessorMode::kIdleBusyWait)};
+  std::vector<JobRecord> jobs = {job(1, 0, 0.0, 400.0, 30.0, 30.0),
+                                 job(0, 0, 0.0, 100.0, 50.0, 20.0)};
+  append_high_priority_periods(segments, jobs, {100.0, 200.0, 300.0});
+  return sim::Trace::unchecked(std::move(segments), std::move(jobs));
+}
+
+TEST(Auditor, CatchesALowerPriorityJobRunningAheadOfAPendingOne) {
+  const AuditReport report =
+      audit_trace(priority_inversion_trace(), two_tasks(), 400.0);
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  EXPECT_EQ(report.violations[0].invariant, "S3.priority");
+  EXPECT_EQ(report.violations[0].at, 0.0);
+  EXPECT_NE(report.violations[0].message.find("b runs in [0, 30)"),
+            std::string::npos)
+      << report.violations[0].message;
+}
+
+TEST(Auditor, PriorityCheckFollowsTheWorkConservingFlag) {
+  // S1 and S3 both read the windows as the scheduler's pending set; a
+  // run that breaks that model (jitter, throttling) disarms both.
+  AuditOptions options;
+  options.check_work_conserving = false;
+  const AuditReport report =
+      audit_trace(priority_inversion_trace(), two_tasks(), 400.0, options);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(Auditor, LowerPriorityRunEndingAtAHigherPriorityReleaseIsLegal) {
+  // b (C=90) runs [20, 100) and is preempted exactly at a's release.
+  std::vector<Segment> segments = {
+      seg(0.0, 20.0, ProcessorMode::kRunning, 0),
+      seg(20.0, 100.0, ProcessorMode::kRunning, 1),
+      seg(100.0, 120.0, ProcessorMode::kRunning, 0),
+      seg(120.0, 130.0, ProcessorMode::kRunning, 1),
+      seg(130.0, 200.0, ProcessorMode::kIdleBusyWait)};
+  std::vector<JobRecord> jobs = {job(0, 0, 0.0, 100.0, 20.0, 20.0),
+                                 job(0, 1, 100.0, 200.0, 120.0, 20.0),
+                                 job(1, 0, 0.0, 400.0, 130.0, 90.0)};
+  append_high_priority_periods(segments, jobs, {200.0, 300.0});
+  const sim::Trace trace =
+      sim::Trace::unchecked(std::move(segments), std::move(jobs));
+  const AuditReport report = audit_trace(trace, two_tasks(90.0), 400.0);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(Auditor, CatchesSwappedTasksInAnEngineTrace) {
+  // Give the first two running segments of a real FPS trace each
+  // other's task: the lower-priority task now runs first.
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("hi", 50, 10.0));
+  tasks.add(sched::make_task("lo", 80, 20.0));
+  sched::assign_rate_monotonic(tasks);
+  core::EngineOptions options;
+  options.horizon = 400.0;
+  options.record_trace = true;
+  const core::SimulationResult result =
+      core::simulate(tasks, power::ProcessorConfig::arm8_default(),
+                     core::SchedulerPolicy::fps(), nullptr, options);
+  ASSERT_TRUE(audit_trace(*result.trace, tasks, 400.0).ok());
+  std::vector<Segment> segments = result.trace->segments();
+  ASSERT_GE(segments.size(), 2u);
+  ASSERT_EQ(segments[0].task, 0);
+  ASSERT_EQ(segments[1].task, 1);
+  std::swap(segments[0].task, segments[1].task);
+  const sim::Trace trace = sim::Trace::unchecked(
+      std::move(segments), std::vector<JobRecord>(result.trace->jobs()));
+  EXPECT_TRUE(has_code(audit_trace(trace, tasks, 400.0), "S3.priority"));
 }
 
 // ---- F-codes: budget enforcement and safe-mode fallback -------------

@@ -2,11 +2,12 @@
 // LPFPS-style per-window reclamation below it.
 #include <gtest/gtest.h>
 
+#include "audit/audit.h"
+#include "audit/harness.h"
 #include "core/engine.h"
 #include "core/speed_ratio.h"
 #include "core/static_slowdown.h"
 #include "sched/priority.h"
-#include "sched/validator.h"
 #include "workloads/registry.h"
 
 namespace lpfps::core {
@@ -94,12 +95,13 @@ TEST(HybridEngine, MeetsDeadlinesOnAllPaperWorkloads) {
       EngineOptions options;
       options.horizon = std::min(w.horizon, 2e6);
       options.record_trace = true;
+      const sched::TaskSet tasks = w.tasks.with_bcet_ratio(bcet);
+      const SchedulerPolicy policy = SchedulerPolicy::lpfps_hybrid(*base);
       const SimulationResult result =
-          simulate(w.tasks.with_bcet_ratio(bcet), cpu(),
-                   SchedulerPolicy::lpfps_hybrid(*base), exec, options);
+          simulate(tasks, cpu(), policy, exec, options);
       EXPECT_EQ(result.deadline_misses, 0) << w.name << " bcet " << bcet;
-      const auto report =
-          sched::validate_schedule(*result.trace, w.tasks);
+      const audit::AuditReport report = audit::audit_run(
+          result, tasks, cpu(), audit::derive_options(policy, options));
       EXPECT_TRUE(report.ok()) << w.name << "\n" << report.to_string();
     }
   }

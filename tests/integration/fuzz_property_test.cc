@@ -1,12 +1,15 @@
 // Randomized property sweep: UUniFast task sets x execution-time models
-// x LPFPS variants must (a) never miss a deadline (the engine throws),
-// (b) never consume more power than FPS, and (c) produce schedules the
-// independent validator accepts.
+// must, under LPFPS, (a) never miss a deadline (the engine throws),
+// (b) never consume more power than FPS, and (c) produce schedules that
+// pass the full trace audit (audit::audit_run: timeline, job windows,
+// the fixed-priority invariant, work conservation, plans, energy and
+// counters).
 #include <gtest/gtest.h>
 
+#include "audit/audit.h"
+#include "audit/harness.h"
 #include "core/engine.h"
 #include "sched/analysis.h"
-#include "sched/validator.h"
 #include "workloads/generator.h"
 
 namespace lpfps {
@@ -65,7 +68,9 @@ TEST_P(FuzzProperty, RandomSetsNeverMissAndNeverLoseToFps) {
     EXPECT_LE(lpfps.average_power, fps.average_power + 1e-9)
         << "U=" << utilization << " draw=" << draws;
 
-    const auto report = sched::validate_schedule(*lpfps.trace, tasks);
+    const audit::AuditReport report = audit::audit_run(
+        lpfps, tasks, power::ProcessorConfig::arm8_default(),
+        audit::derive_options(SchedulerPolicy::lpfps(), options));
     EXPECT_TRUE(report.ok())
         << "U=" << utilization << " draw=" << draws << "\n"
         << report.to_string();

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "workloads/ins.h"
 
@@ -73,6 +75,46 @@ TEST(TaskSetParse, RejectsBadNumbers) {
   EXPECT_THROW(parse_task_set_string("t 100 ten\n"), std::runtime_error);
   EXPECT_THROW(parse_task_set_string("t 100.5 10\n"), std::runtime_error);
   EXPECT_THROW(parse_task_set_string("t -100 10\n"), std::runtime_error);
+}
+
+/// The message of the parse error `text` raises, or "" if it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    parse_task_set_string(text);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(TaskSetParse, RejectsFractionalAndNegativePhases) {
+  for (const char* text : {"t period=100 wcet=10 phase=2.5\n",
+                           "t period=100 wcet=10 phase=-0.5\n",
+                           "t period=100 wcet=10 phase=-3\n",
+                           "t 100 10 100 10 0.25\n"}) {
+    const std::string message = parse_error(text);
+    EXPECT_NE(message.find("line 1: phase must be a non-negative integer"),
+              std::string::npos)
+        << text << " -> " << message;
+  }
+  EXPECT_EQ(parse_task_set_string("t period=100 wcet=10 phase=0\n")[0].phase,
+            0);
+}
+
+TEST(TaskSetParse, RejectsTimesOutsideTheIntegerRange) {
+  // 2^63 and up do not fit the int64 time type.
+  const std::pair<const char*, const char*> cases[] = {
+      {"t period=1e30 wcet=10\n", "period must be"},
+      {"t period=9223372036854775808 wcet=10\n", "period must be"},
+      {"t period=100 wcet=10 deadline=1e19\n", "deadline must be"},
+      {"t period=100 wcet=10 phase=1e19\n", "phase must be"},
+      {"t period=100 wcet=10 phase=inf\n", "phase must be"}};
+  for (const auto& [text, expected] : cases) {
+    const std::string message = parse_error(text);
+    EXPECT_NE(message.find(std::string("line 1: ") + expected),
+              std::string::npos)
+        << text << " -> " << message;
+  }
 }
 
 TEST(TaskSetParse, RejectsSemanticViolations) {

@@ -43,11 +43,22 @@ TEST(DefaultJobCount, HonorsTheEnvironmentVariable) {
   EXPECT_EQ(default_job_count(), 3u);
   ASSERT_EQ(setenv("LPFPS_JOBS", "1", 1), 0);
   EXPECT_EQ(default_job_count(), 1u);
-  // Invalid values fall back to hardware concurrency (>= 1).
-  for (const char* bad : {"0", "-2", "four", ""}) {
+  // Invalid values fall back to hardware concurrency (>= 1), each with
+  // one stderr line naming the knob and the value.
+  for (const char* bad : {"0", "-2", "four", "4x", "99999999999999999999"}) {
     ASSERT_EQ(setenv("LPFPS_JOBS", bad, 1), 0);
+    testing::internal::CaptureStderr();
     EXPECT_GE(default_job_count(), 1u) << "LPFPS_JOBS=" << bad;
+    const std::string warning = testing::internal::GetCapturedStderr();
+    EXPECT_NE(warning.find(std::string("ignoring LPFPS_JOBS=") + bad),
+              std::string::npos)
+        << warning;
   }
+  // Empty counts as unset: no warning.
+  ASSERT_EQ(setenv("LPFPS_JOBS", "", 1), 0);
+  testing::internal::CaptureStderr();
+  EXPECT_GE(default_job_count(), 1u);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
   ASSERT_EQ(unsetenv("LPFPS_JOBS"), 0);
   EXPECT_GE(default_job_count(), 1u);
 }

@@ -15,14 +15,22 @@
 //                    static | hybrid | avr | all     (default: lpfps)
 //   --priority A     rm | dm | audsley               (default: rm)
 //   --exec M         wcet | gaussian | uniform | bimodal (default: gaussian)
-//   --horizon T      simulation length in us (default: >=1s of hyperperiods)
-//   --seed N         RNG seed (default 1)
-//   --bcet-ratio R   override every task's BCET to R * WCET
+//   --horizon T      simulation length in us, > 0 (default: >=1s of
+//                    hyperperiods)
+//   --seed N         RNG seed, an unsigned integer (default 1)
+//   --bcet-ratio R   override every task's BCET to R * WCET, 0 < R <= 1
 //   --csv            machine-readable result rows instead of summaries
 //   --trace-csv F    write segment CSV to file F (single policy only)
 //   --jobs-csv F     write job CSV to file F (single policy only)
-//   --gantt B E      print an ASCII Gantt chart of [B, E) us
+//   --gantt B E      print an ASCII Gantt chart of [B, E) us, B < E
 //   --svg F B E      write an SVG Gantt chart of [B, E) us to file F
+//
+// A malformed or out-of-range value exits with status 2 and names the
+// flag.
+#include <algorithm>
+#include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -30,8 +38,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "common/float_compare.h"
 #include "core/avr.h"
 #include "core/engine.h"
 #include "core/static_slowdown.h"
@@ -68,6 +79,48 @@ struct CliOptions {
   std::exit(2);
 }
 
+/// The value of a numeric flag: `token` must be, as a whole, a finite
+/// number of type T inside the flag's domain (`in_domain`, described by
+/// `domain`); anything else is a usage error naming the flag.  A
+/// std::uint64_t takes bare digits only (std::stoull would wrap "-1").
+template <typename T, typename InDomain>
+T parse_flag(const std::string& flag, const std::string& token,
+             InDomain in_domain, const char* domain) {
+  T value{};
+  std::size_t consumed = 0;
+  try {
+    if constexpr (std::is_same_v<T, std::uint64_t>) {
+      if (std::all_of(token.begin(), token.end(), [](unsigned char c) {
+            return std::isdigit(c) != 0;
+          })) {
+        value = std::stoull(token, &consumed);
+      }
+    } else {
+      value = std::stod(token, &consumed);
+    }
+  } catch (const std::exception&) {
+    consumed = 0;  // No number, or out of range.
+  }
+  if (token.empty() || consumed != token.size() ||
+      !std::isfinite(static_cast<double>(value)) || !in_domain(value)) {
+    usage_error("bad value '" + token + "' for " + flag + " (need " +
+                domain + ")");
+  }
+  return value;
+}
+
+/// A [begin, end) window in us for --gantt/--svg: finite, begin < end.
+std::pair<Time, Time> parse_window(const std::string& flag,
+                                   const std::string& begin_token,
+                                   const std::string& end_token) {
+  const auto any = [](double) { return true; };
+  const Time begin = parse_flag<double>(flag, begin_token, any, "a number");
+  const Time end = parse_flag<double>(
+      flag, end_token, [&](double e) { return definitely_less(begin, e); },
+      "an end after the begin");
+  return {begin, end};
+}
+
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions options;
   std::vector<std::string> args(argv + 1, argv + argc);
@@ -85,11 +138,17 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (arg == "--exec") {
       options.exec = next_value(arg);
     } else if (arg == "--horizon") {
-      options.horizon = std::stod(next_value(arg));
+      options.horizon = parse_flag<double>(
+          arg, next_value(arg), [](double h) { return h > 0.0; },
+          "a positive length in us");
     } else if (arg == "--seed") {
-      options.seed = std::stoull(next_value(arg));
+      options.seed = parse_flag<std::uint64_t>(
+          arg, next_value(arg), [](std::uint64_t) { return true; },
+          "an unsigned integer");
     } else if (arg == "--bcet-ratio") {
-      options.bcet_ratio = std::stod(next_value(arg));
+      options.bcet_ratio = parse_flag<double>(
+          arg, next_value(arg), [](double r) { return r > 0.0 && r <= 1.0; },
+          "a ratio in (0, 1]");
     } else if (arg == "--csv") {
       options.csv = true;
     } else if (arg == "--trace-csv") {
@@ -97,14 +156,12 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (arg == "--jobs-csv") {
       options.jobs_csv = next_value(arg);
     } else if (arg == "--gantt") {
-      const Time begin = std::stod(next_value(arg));
-      const Time end = std::stod(next_value("--gantt END"));
-      options.gantt = {begin, end};
+      const std::string begin = next_value(arg);
+      options.gantt = parse_window(arg, begin, next_value("--gantt END"));
     } else if (arg == "--svg") {
       options.svg_file = next_value(arg);
-      const Time begin = std::stod(next_value("--svg BEGIN"));
-      const Time end = std::stod(next_value("--svg END"));
-      options.svg_window = {begin, end};
+      const std::string begin = next_value("--svg BEGIN");
+      options.svg_window = parse_window(arg, begin, next_value("--svg END"));
     } else if (!arg.empty() && arg[0] == '-') {
       usage_error("unknown option " + arg);
     } else if (options.task_file.empty()) {
