@@ -2,27 +2,25 @@
 //
 // Drives the admission service (docs/ADMISSION.md) with random churn
 // workloads on UUniFast task sets and reports admissions/sec plus
-// per-request latency percentiles, for three analysis arms:
+// per-request latency percentiles, for two analysis arms:
 //
-//   incremental          seeded RTA resumes + memoization cache +
-//                        hinted frequency walk (the production config)
-//   incremental/nocache  seeded resumes only — isolates the cache's
-//                        contribution from the seeding's
-//   scratch              from-scratch RTA, no cache, binary-search
-//                        frequency — the reference arm
+//   incremental  seeded RTA resumes + hinted frequency walk + per-task
+//                headroom + closed-form bound (the production config)
+//   scratch      from-scratch RTA, binary-search frequency, whole-set
+//                headroom probes — the reference arm
 //
-// All three arms produce bit-identical decision streams (the
-// differential suite's contract), so the events/sec columns compare
-// identical work.  The bench itself re-verifies that equivalence on
-// every run — each churn point's decision digest is computed per arm
-// and any mismatch aborts — and writes the verification record to
-// AUDIT_admission.json, with the cache/RTA accounting counters in the
-// meta (counters are excluded from decision CSV rows by convention;
-// this is where they surface instead).
+// Both arms produce bit-identical decision streams (the differential
+// suite's contract), so the events/sec columns compare identical work.
+// The bench itself re-verifies that equivalence on every run — each
+// churn point's decision digest is computed per arm and any mismatch
+// aborts — and writes the verification record to AUDIT_admission.json,
+// with the RTA accounting counters in the meta (counters are excluded
+// from decision CSV rows by convention; this is where they surface
+// instead).
 //
-// A fourth section runs batches of independent sessions through the
+// A third section runs batches of independent sessions through the
 // runner's thread pool (admission/pipeline.h) at 1 and N workers.
-// Three further sections cover the cross-request reuse layers:
+// Two further sections follow:
 //
 //   stationary-churn   WCET-revision churn at scales {40, 80} (plus a
 //                      200-task point under LPFPS_HORIZON_SCALE >= 2)
@@ -33,9 +31,6 @@
 //                      the boundary-search reuse (the incremental arm's
 //                      per-task headroom would add its own, separate
 //                      gain to it)
-//   shared-cache       one SharedAdmissionCache across a 32-session
-//                      batch at 1 and N workers, batch digest verified
-//                      against the serial private-cache reference
 //   multicore-churn    4-core partitioned admission, incremental vs
 //                      from-scratch per-core engines, equal digests
 //
@@ -45,9 +40,9 @@
 // >= 4.1x the scratch arm's admissions/sec and the stationary regime
 // >= 6.5x.  The speedups are also recorded in the meta as
 // `speedup_incremental_vs_scratch` / `speedup_stationary_vs_scratch`,
-// and per-arm cache hit/collision rates and the task solves the
-// closed-form response-time bound skipped (`clears/req`, 0 on the
-// scratch arm) ride along in stdout, the bench points, and the meta.
+// and the task solves the closed-form response-time bound skipped
+// (`clears/req`, 0 on the scratch arm) ride along in stdout, the bench
+// points, and the meta.
 //
 // Timing methodology matches bench_kernel_throughput: each point sizes
 // an adaptive repetition count to fill ~kMinWall seconds.  Latency
@@ -58,7 +53,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,19 +82,16 @@ constexpr std::uint64_t kSeed = 11;
 struct Arm {
   const char* name;
   bool incremental;
-  bool use_cache;
 };
 
 constexpr Arm kArms[] = {
-    {"incremental", true, true},
-    {"incremental/nocache", true, false},
-    {"scratch", false, false},
+    {"incremental", true},
+    {"scratch", false},
 };
 
 ServiceConfig config_for(const Arm& arm) {
   ServiceConfig config;
   config.incremental = arm.incremental;
-  config.use_cache = arm.use_cache;
   // A mildly memory-bound platform: the non-ideal model is the default
   // here precisely so the bench exercises it continuously.
   config.scaling = wcet::FrequencyScalingModel{0.3};
@@ -115,10 +106,9 @@ ServiceConfig config_for(const Arm& arm) {
 /// the same in every arm and would otherwise dilute the comparison —
 /// and `latencies` (when non-null) collects one microsecond sample per
 /// request.  `digest` (when non-null) gets the FNV chain over the
-/// decision CSV rows; `cache`/`rta` the final counters.
+/// decision CSV rows; `rta`/`stats` the final counters.
 std::int64_t replay(const ChurnStream& stream, const ServiceConfig& config,
                     double* busy_seconds, std::uint64_t* digest,
-                    admission::CacheCounters* cache,
                     sched::IncrementalRta::Stats* rta,
                     std::vector<double>* latencies,
                     admission::ServiceStats* stats = nullptr) {
@@ -141,7 +131,6 @@ std::int64_t replay(const ChurnStream& stream, const ServiceConfig& config,
   }
   if (busy_seconds != nullptr) *busy_seconds = busy;
   if (digest != nullptr) *digest = hash;
-  if (cache != nullptr) *cache = service.cache_counters();
   if (rta != nullptr) *rta = service.rta_stats();
   if (stats != nullptr) *stats = service.stats();
   return handled;
@@ -153,14 +142,6 @@ double per_request(std::uint64_t count, std::uint64_t requests) {
   return requests > 0
              ? static_cast<double>(count) / static_cast<double>(requests)
              : 0.0;
-}
-
-/// hits / (hits + misses), 0 when idle — the rate the bench reports
-/// per arm (counters never reach decision rows; this is their outlet).
-double hit_rate(const admission::CacheCounters& cache) {
-  const double lookups =
-      static_cast<double>(cache.hits) + static_cast<double>(cache.misses);
-  return lookups > 0.0 ? static_cast<double>(cache.hits) / lookups : 0.0;
 }
 
 struct Throughput {
@@ -269,7 +250,6 @@ int main() {
 
   std::uint64_t audit_mismatches = 0;
   std::int64_t audit_decisions = 0;
-  admission::CacheCounters meta_cache;
   sched::IncrementalRta::Stats meta_rta;
   double inc_eps = 0.0;
   double scratch_eps = 0.0;
@@ -298,24 +278,22 @@ int main() {
       const Throughput t = measure([&] {
         double busy = 0.0;
         const std::int64_t handled =
-            replay(stream, config, &busy, nullptr, nullptr, nullptr, nullptr);
+            replay(stream, config, &busy, nullptr, nullptr, nullptr);
         return std::pair<std::int64_t, double>(handled, busy);
       });
       // One audited replay outside the throughput loop: decision
       // digest, final counters, and the first latency samples.
       std::uint64_t digest = 0;
-      admission::CacheCounters cache;
       sched::IncrementalRta::Stats rta;
       admission::ServiceStats stats;
       std::vector<double> latencies;
-      replay(stream, config, nullptr, &digest, &cache, &rta, &latencies,
-             &stats);
+      replay(stream, config, nullptr, &digest, &rta, &latencies, &stats);
       // Latency pool: re-replay until the sample count supports a
       // stable p99; every replay must reproduce the same digest.
       while (latencies.size() <
              static_cast<std::size_t>(t.events_per_run) * 8) {
         std::uint64_t check = 0;
-        replay(stream, config, nullptr, &check, nullptr, nullptr, &latencies);
+        replay(stream, config, nullptr, &check, nullptr, &latencies);
         if (check != digest) ++audit_mismatches;
       }
       const double p50 = percentile(latencies, 0.50);
@@ -334,7 +312,6 @@ int main() {
       audit_decisions += t.events_per_run;
 
       if (std::string(arm.name) == "incremental") {
-        meta_cache = cache;
         meta_rta = rta;
         churn_clears_meta += stats.bound_clears;
         churn_requests_meta += stats.requests;
@@ -344,12 +321,10 @@ int main() {
       }
 
       std::printf("%-10s %-14s %-22s %9lld %5d %8.3f %12.0f %9.2f %9.2f %9.2f"
-                  "  cache_hit_rate=%.3f collisions=%llu clears/req=%.1f\n",
+                  "  clears/req=%.1f\n",
                   "admission", name.c_str(), arm.name,
                   static_cast<long long>(t.total_events()), t.reps,
-                  t.wall_seconds, t.events_per_sec(), p50, p95, p99,
-                  hit_rate(cache),
-                  static_cast<unsigned long long>(cache.collisions), clears);
+                  t.wall_seconds, t.events_per_sec(), p50, p95, p99, clears);
       json.add_point()
           .set("section", "admission")
           .set("name", name)
@@ -362,11 +337,6 @@ int main() {
           .set("latency_p95_us", p95)
           .set("latency_p99_us", p99)
           .set("decision_digest", core::hex64(digest))
-          .set("cache_hits", cache.hits)
-          .set("cache_misses", cache.misses)
-          .set("cache_hit_rate", hit_rate(cache))
-          .set("cache_evictions", cache.evictions)
-          .set("cache_collisions", cache.collisions)
           .set("tasks_reanalyzed", rta.tasks_reanalyzed)
           .set("tasks_seeded", rta.tasks_seeded)
           .set("tasks_kept", rta.tasks_kept)
@@ -376,9 +346,7 @@ int main() {
           .set("name", name)
           .set("policy", arm.name)
           .set("decision_digest", core::hex64(digest))
-          .set("matches_reference", digest == reference_digest)
-          .set("cache_hit_rate", hit_rate(cache))
-          .set("cache_collisions", cache.collisions);
+          .set("matches_reference", digest == reference_digest);
     }
     if (inc_eps > 0.0 && scratch_eps > 0.0) {
       speedup_product *= inc_eps / scratch_eps;
@@ -479,22 +447,19 @@ int main() {
         config.sensitivity = false;
         const Throughput t = measure([&] {
           double busy = 0.0;
-          const std::int64_t handled = replay(stream, config, &busy, nullptr,
-                                              nullptr, nullptr, nullptr);
+          const std::int64_t handled =
+              replay(stream, config, &busy, nullptr, nullptr, nullptr);
           return std::pair<std::int64_t, double>(handled, busy);
         });
         std::uint64_t digest = 0;
-        admission::CacheCounters cache;
         sched::IncrementalRta::Stats rta;
         admission::ServiceStats stats;
         std::vector<double> latencies;
-        replay(stream, config, nullptr, &digest, &cache, &rta, &latencies,
-               &stats);
+        replay(stream, config, nullptr, &digest, &rta, &latencies, &stats);
         while (latencies.size() <
                static_cast<std::size_t>(t.events_per_run) * 8) {
           std::uint64_t check = 0;
-          replay(stream, config, nullptr, &check, nullptr, nullptr,
-                 &latencies);
+          replay(stream, config, nullptr, &check, nullptr, &latencies);
           if (check != digest) ++audit_mismatches;
         }
         const double p50 = percentile(latencies, 0.50);
@@ -522,12 +487,11 @@ int main() {
 
         std::printf(
             "%-10s %-14s %-22s %9lld %5d %8.3f %12.0f %9.2f %9.2f %9.2f"
-            "  stationary=%llu cache_hit_rate=%.3f clears/req=%.1f\n",
+            "  stationary=%llu clears/req=%.1f\n",
             "stationary", name.c_str(), arm.name,
             static_cast<long long>(t.total_events()), t.reps, t.wall_seconds,
             t.events_per_sec(), p50, p95, p99,
-            static_cast<unsigned long long>(stats.stationary_hits),
-            hit_rate(cache), clears);
+            static_cast<unsigned long long>(stats.stationary_hits), clears);
         json.add_point()
             .set("section", "stationary-churn")
             .set("name", name)
@@ -542,18 +506,14 @@ int main() {
             .set("decision_digest", core::hex64(digest))
             .set("stationary_hits", stats.stationary_hits)
             .set("levels_probed", stats.levels_probed)
-            .set("bound_clears_per_request", clears)
-            .set("cache_hit_rate", hit_rate(cache))
-            .set("cache_collisions", cache.collisions);
+            .set("bound_clears_per_request", clears);
         audit.add_point()
             .set("section", "stationary-churn")
             .set("name", name)
             .set("policy", arm.name)
             .set("decision_digest", core::hex64(digest))
             .set("matches_reference", digest == reference_digest)
-            .set("stationary_hits", stats.stationary_hits)
-            .set("cache_hit_rate", hit_rate(cache))
-            .set("cache_collisions", cache.collisions);
+            .set("stationary_hits", stats.stationary_hits);
       }
       if (stationary_inc_eps > 0.0 && stationary_scratch_eps > 0.0) {
         stationary_product *= stationary_inc_eps / stationary_scratch_eps;
@@ -564,84 +524,7 @@ int main() {
     }
   }
 
-  // ---- Section 5: one shared decision cache across a session batch. ----
-  // The serial private-cache batch digest is the reference; the shared
-  // arm must reproduce it at 1 worker and at N (which sessions pay for
-  // analyses shifts with timing — what they answer must not).
-  {
-    std::vector<admission::SessionSpec> specs(32);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      specs[i].churn = stationary_churn_for(20 + static_cast<int>(i % 3) * 10);
-      specs[i].churn.requests = 128;
-      specs[i].service = config_for(kArms[0]);
-      specs[i].seed = runner::derive_seed(kSeed + 31, i);
-    }
-    const auto batch_digest_of =
-        [](const std::vector<admission::SessionResult>& results) {
-          std::uint64_t hash = core::kFnvOffsetBasis;
-          for (const auto& r : results) {
-            hash = core::fnv1a_bytes(&r.decision_digest,
-                                     sizeof(r.decision_digest), hash);
-          }
-          return hash;
-        };
-    const std::uint64_t private_digest =
-        batch_digest_of(admission::run_sessions(specs, 1));
-    const std::size_t workers =
-        std::max<std::size_t>(2, runner::default_job_count());
-    for (const std::size_t threads : {std::size_t{1}, workers}) {
-      const auto cache =
-          std::make_shared<admission::SharedAdmissionCache>(1 << 14);
-      std::vector<admission::SessionSpec> shared_specs = specs;
-      for (auto& spec : shared_specs) spec.service.shared_cache = cache;
-      std::uint64_t batch_digest = 0;
-      std::int64_t handled_once = 0;
-      const Throughput t = measure([&] {
-        const io::WallTimer timer;
-        const auto results = admission::run_sessions(shared_specs, threads);
-        const double seconds = timer.seconds();
-        std::int64_t handled = 0;
-        for (const auto& r : results) {
-          handled += static_cast<std::int64_t>(r.requests);
-        }
-        batch_digest = batch_digest_of(results);
-        handled_once = handled;
-        return std::pair<std::int64_t, double>(handled, seconds);
-      });
-      if (batch_digest != private_digest) ++audit_mismatches;
-      audit_decisions += handled_once;
-      const admission::CacheCounters totals = cache->counters();
-      const std::string name = "threads-" + std::to_string(threads);
-      std::printf(
-          "%-10s %-14s %-22s %9lld %5d %8.3f %12.0f %9s %9s %9s"
-          "  cache_hit_rate=%.3f collisions=%llu\n",
-          "shared", name.c_str(), "incremental/shared",
-          static_cast<long long>(t.total_events()), t.reps, t.wall_seconds,
-          t.events_per_sec(), "-", "-", "-", hit_rate(totals),
-          static_cast<unsigned long long>(totals.collisions));
-      json.add_point()
-          .set("section", "shared-cache")
-          .set("name", name)
-          .set("policy", "incremental/shared")
-          .set("events", t.total_events())
-          .set("reps", t.reps)
-          .set("wall_seconds", t.wall_seconds)
-          .set("events_per_sec", t.events_per_sec())
-          .set("batch_digest", core::hex64(batch_digest))
-          .set("cache_hit_rate", hit_rate(totals))
-          .set("cache_collisions", totals.collisions);
-      audit.add_point()
-          .set("section", "shared-cache")
-          .set("name", name)
-          .set("policy", "incremental/shared")
-          .set("batch_digest", core::hex64(batch_digest))
-          .set("matches_private_serial", batch_digest == private_digest)
-          .set("cache_hit_rate", hit_rate(totals))
-          .set("cache_collisions", totals.collisions);
-    }
-  }
-
-  // ---- Section 6: partitioned multicore admission under churn. ---------
+  // ---- Section 5: partitioned multicore admission under churn. ---------
   {
     std::vector<admission::MulticoreSessionSpec> specs(16);
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -736,11 +619,6 @@ int main() {
            per_request(churn_clears_meta, churn_requests_meta))
       .set("stationary_bound_clears_per_request",
            per_request(stationary_clears_meta, stationary_requests_meta))
-      .set("cache_hits", meta_cache.hits)
-      .set("cache_misses", meta_cache.misses)
-      .set("cache_insertions", meta_cache.insertions)
-      .set("cache_evictions", meta_cache.evictions)
-      .set("cache_collisions", meta_cache.collisions)
       .set("tasks_reanalyzed", meta_rta.tasks_reanalyzed)
       .set("tasks_seeded", meta_rta.tasks_seeded)
       .set("tasks_kept", meta_rta.tasks_kept)
@@ -748,10 +626,6 @@ int main() {
   audit.meta()
       .set("decisions_verified", audit_decisions)
       .set("digest_mismatches", audit_mismatches)
-      .set("cache_hits", meta_cache.hits)
-      .set("cache_misses", meta_cache.misses)
-      .set("cache_hit_rate", hit_rate(meta_cache))
-      .set("cache_collisions", meta_cache.collisions)
       .set("stationary_hits", stationary_hits_meta)
       .set("stationary_requests", stationary_requests_meta);
 

@@ -4,17 +4,14 @@
 // engine policy plus synthetic 50/100-task UUniFast sets for fixed
 // simulated horizons, and reports raw simulation throughput: scheduler
 // events per wall-clock second and nanoseconds per event.  A third
-// section stresses sim::EventQueue directly with the random
-// push/cancel/pop mix the engine's tentative-completion pattern
-// produces, so queue-level changes are visible in isolation.  A fourth
 // section runs the deterministic (WCET) model over 12 hyperperiods with
 // steady-state cycle detection on and off, so the fast-forward speedup
-// is tracked — and gated — like any other throughput number.  A fifth
+// is tracked — and gated — like any other throughput number.  A fourth
 // section measures the fleet engine (docs/FLEET.md) on a pool of 1024
 // small UUniFast sims: a plain core::simulate loop (serial), one
 // engine re-run with its specs already added (run-only), and a fresh
 // engine plus 1024 add() calls per run (add+run), the cost every sweep
-// caller pays.  A sixth section, emitted only with the audit enabled,
+// caller pays.  A fifth section, emitted only with the audit enabled,
 // prices the default-on audit on a sweep-shaped pool: the same sims
 // unaudited and audited.
 //
@@ -44,7 +41,6 @@
 #include "io/bench_json.h"
 #include "runner/runner.h"
 #include "sched/analysis.h"
-#include "sim/event_queue.h"
 #include "workloads/generator.h"
 #include "workloads/registry.h"
 
@@ -159,90 +155,6 @@ std::vector<core::SchedulerPolicy> bench_policies() {
   };
 }
 
-/// Pre-drawn randomness for the event-queue stress, generated outside
-/// the timed region so the measurement is queue cost, not mt19937 cost.
-/// One row per op: the op selector, a push time offset, a push priority,
-/// and a raw pick index (reduced modulo the live pool size at use time).
-struct OpTape {
-  std::vector<double> selector;
-  std::vector<double> time_offset;
-  std::vector<std::int32_t> priority;
-  std::vector<std::uint32_t> pick;
-};
-
-OpTape make_op_tape(std::uint64_t seed, int op_budget) {
-  Rng rng(seed);
-  OpTape tape;
-  tape.selector.reserve(static_cast<std::size_t>(op_budget));
-  tape.time_offset.reserve(static_cast<std::size_t>(op_budget));
-  tape.priority.reserve(static_cast<std::size_t>(op_budget));
-  tape.pick.reserve(static_cast<std::size_t>(op_budget));
-  for (int i = 0; i < op_budget; ++i) {
-    tape.selector.push_back(rng.uniform(0.0, 1.0));
-    tape.time_offset.push_back(rng.uniform(0.0, 100.0));
-    tape.priority.push_back(
-        static_cast<std::int32_t>(rng.uniform_int(0, 3)));
-    tape.pick.push_back(static_cast<std::uint32_t>(
-        rng.uniform_int(0, 0x7fffffff)));
-  }
-  return tape;
-}
-
-/// The engine's event pattern against the queue in isolation: pushes of
-/// releases and tentative completions, cancellations of stale
-/// completions, pops in time order, at a *stationary* queue depth —
-/// the engine keeps only a handful of pending events (one release per
-/// task, a tentative completion, a ramp, the end marker), so the
-/// representative regime is a bounded heap, not unbounded growth.  The
-/// mix refills below depth_cap/2 and drains above it, oscillating
-/// around half-full.  Returns the op count (constant for a given tape,
-/// so `measure` can check determinism — the branch taken per step
-/// depends only on the tape and the queue's observable state, which any
-/// correct implementation reproduces identically).
-std::int64_t run_event_queue_mix(const OpTape& tape,
-                                 std::size_t depth_cap) {
-  sim::EventQueue queue;
-  queue.reserve(depth_cap + 1);
-  std::vector<sim::EventId> cancellable;
-  Time now = 0.0;
-  std::int64_t ops = 0;
-  const int op_budget = static_cast<int>(tape.selector.size());
-  for (int i = 0; i < op_budget; ++i) {
-    const double r = tape.selector[static_cast<std::size_t>(i)];
-    if (queue.size() < depth_cap / 2 ||
-        (r < 0.45 && queue.size() < depth_cap)) {
-      sim::Event event;
-      event.time = now + tape.time_offset[static_cast<std::size_t>(i)];
-      event.kind = sim::EventKind::kCompletion;
-      event.payload = static_cast<std::int32_t>(i & 0xff);
-      event.priority = tape.priority[static_cast<std::size_t>(i)];
-      cancellable.push_back(queue.push(event));
-      // The engine holds at most a handful of cancellable ids at a
-      // time; a bounded pool keeps cancel() hitting both live and
-      // already-popped ids, like stale tentative completions do.
-      if (cancellable.size() > 64) {
-        cancellable.erase(cancellable.begin(),
-                          cancellable.begin() + 32);
-      }
-    } else if (r < 0.70 && !cancellable.empty()) {
-      const std::size_t pick =
-          tape.pick[static_cast<std::size_t>(i)] % cancellable.size();
-      queue.cancel(cancellable[pick]);
-      cancellable[pick] = cancellable.back();
-      cancellable.pop_back();
-    } else if (!queue.empty()) {
-      const sim::Event event = queue.pop();
-      if (event.time > now) now = event.time;
-    }
-    ++ops;
-  }
-  while (!queue.empty()) {
-    queue.pop();
-    ++ops;
-  }
-  return ops;
-}
-
 }  // namespace
 
 int main() {
@@ -325,19 +237,7 @@ int main() {
     }
   }
 
-  // ---- Section 3: the event queue in isolation. ------------------------
-  // Two stationary depth regimes: engine-like (tens of pending events)
-  // and a deep-heap stress.  400k tape ops each.
-  for (const std::size_t depth : {std::size_t{64}, std::size_t{8192}}) {
-    const OpTape tape = make_op_tape(42, 400000);
-    const Throughput t =
-        measure([&tape, depth] { return run_event_queue_mix(tape, depth); });
-    const std::string name = "mix-depth-" + std::to_string(depth);
-    print_row("event_queue", name, "-", t, {});
-    add_point(json, "event_queue", name, "-", t, {});
-  }
-
-  // ---- Section 4: steady-state fast-forward (deterministic model). -----
+  // ---- Section 3: steady-state fast-forward (deterministic model). -----
   // WCET execution is exactly periodic, so after two simulated
   // hyperperiods the engine fingerprints a repeat and replays the rest
   // of the 12-hyperperiod horizon.  events_per_sec here is *effective*
@@ -380,7 +280,7 @@ int main() {
                 static_cast<long long>(cycle.cycles_detected));
   }
 
-  // ---- Section 5: the fleet engine (docs/FLEET.md). --------------------
+  // ---- Section 4: the fleet engine (docs/FLEET.md). --------------------
   // A pool of small RM-feasible 5-task UUniFast sims — the sweep regime
   // where per-sim fixed cost (engine copies, buffer allocation, RNG
   // seeding) rivals the event work — timed three ways.  `serial` is a
@@ -458,7 +358,7 @@ int main() {
                 kFleetSims);
   }
 
-  // ---- Section 6: audit cost (docs/PERFORMANCE.md). --------------------
+  // ---- Section 5: audit cost (docs/PERFORMANCE.md). --------------------
   // What the default-on audit adds to a sweep.  A pool shaped like the
   // repository benchmark's sweep workload: 5-task UUniFast sets at
   // U = 0.1..0.9, periods 10-40 ms in 10 ms steps, three hyperperiods,

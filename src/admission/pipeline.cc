@@ -33,7 +33,6 @@ SessionResult run_session(const SessionSpec& spec) {
   result.decision_digest = digest;
   result.final_fingerprint = service.fingerprint();
   result.stats = service.stats();
-  result.cache = service.cache_counters();
   result.rta = service.rta_stats();
   return result;
 }

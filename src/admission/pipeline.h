@@ -11,9 +11,8 @@
 // and 4 threads and compares digests.
 //
 // The decision digest folds each decision's CSV row (decision fields
-// only — accounting is excluded, so arms that differ merely in cache
-// hits or probe counts digest equal) through the FNV machinery of
-// core/fingerprint.h.
+// only — accounting is excluded, so arms that differ merely in probe
+// counts digest equal) through the FNV machinery of core/fingerprint.h.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +39,6 @@ struct SessionResult {
   /// Fingerprint of the service's final task set.
   std::uint64_t final_fingerprint = 0;
   ServiceStats stats;
-  CacheCounters cache;
   sched::IncrementalRta::Stats rta;
 };
 

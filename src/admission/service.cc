@@ -112,45 +112,15 @@ void ServiceConfig::validate() const {
                   "admission: top level must be f_max");
 }
 
-ServiceConfig AdmissionService::apply_env_overrides(ServiceConfig config) {
-  if (const std::optional<std::size_t> capacity = cache_capacity_from_env()) {
-    if (*capacity == 0) {
-      // 0 = caching off entirely: the private cache stores nothing and
-      // the shared cache is detached, so no lookup or insert happens.
-      config.use_cache = false;
-      config.shared_cache.reset();
-    } else {
-      config.cache_capacity = *capacity;
-    }
-  }
-  return config;
-}
-
 AdmissionService::AdmissionService(sched::TaskSet initial,
                                    ServiceConfig config)
-    : config_(apply_env_overrides(std::move(config))),
+    : config_(std::move(config)),
       rta_(std::move(initial),
            config_.incremental ? sched::IncrementalRta::Mode::kIncremental
-                               : sched::IncrementalRta::Mode::kFromScratch),
-      cache_(config_.use_cache && config_.shared_cache == nullptr
-                 ? config_.cache_capacity
-                 : 0) {
+                               : sched::IncrementalRta::Mode::kFromScratch) {
   config_.validate();
   LPFPS_CHECK_MSG(rta_.schedulable(),
                   "admission: initial set must be schedulable at f_max");
-  if (config_.shared_cache != nullptr) {
-    // Config token: everything besides the candidate task set that a
-    // cached decision depends on.  Folded as a key prefix (not into the
-    // digest alone) so token equality is byte-verified like the rest of
-    // the canonical key.
-    core::FnvHasher hasher;
-    for (const MegaHertz level : config_.table.levels()) hasher.mix(level);
-    hasher.mix(config_.scaling.memory_bound_fraction);
-    hasher.mix(static_cast<std::uint64_t>(config_.sensitivity ? 1 : 0));
-    const std::uint64_t token = hasher.digest();
-    shared_key_prefix_.assign(reinterpret_cast<const char*>(&token),
-                              sizeof(token));
-  }
 }
 
 std::string AdmissionService::canonical_key(const sched::TaskSet& tasks) {
@@ -525,13 +495,11 @@ Decision AdmissionService::handle(const Request& request) {
   Decision d;
   d.kind = request.kind;
 
-  std::string key = candidate_key(request);
-  const std::uint64_t digest = core::fnv1a(key);
-  d.fingerprint = digest;
+  d.fingerprint = core::fnv1a(candidate_key(request));
 
   // A priority clash can never be scheduled under unique-priority FPS;
-  // reject without analysis (and without poisoning the cache —
-  // IncrementalRta refuses duplicate priorities outright).
+  // reject without analysis (IncrementalRta refuses duplicate priorities
+  // outright).
   bool clash = false;
   if (request.kind != RequestKind::kRemove) {
     const std::vector<sched::Task>& current = rta_.tasks().tasks();
@@ -551,13 +519,12 @@ Decision AdmissionService::handle(const Request& request) {
   int min_level = -1;
   double headroom = 0.0;
   if (!clash) {
-    // Request direction, hoisted ahead of the cache lookup: it both
-    // brackets the level search and decides whether the retained
-    // cross-request probe responses stay valid.  Same priority with
-    // WCET up / period down / deadline down can only tighten every
-    // task's constraint (interference grows, own slack shrinks); the
-    // mirror image can only relax them.  Anything else gives no
-    // direction.
+    // Request direction: it both brackets the level search and decides
+    // whether the retained cross-request probe responses stay valid.
+    // Same priority with WCET up / period down / deadline down can only
+    // tighten every task's constraint (interference grows, own slack
+    // shrinks); the mirror image can only relax them.  Anything else
+    // gives no direction.
     sched::Task previous;
     SearchBound bound = SearchBound::kUnbounded;
     switch (request.kind) {
@@ -602,130 +569,63 @@ Decision AdmissionService::handle(const Request& request) {
       probe_pushed = true;
     }
 
-    // Shared-cache traffic keys on the config token + canonical bytes
-    // and hashes the prefixed key; d.fingerprint stays the unprefixed
-    // candidate digest either way.
-    const bool shared = config_.use_cache && config_.shared_cache != nullptr;
-    std::string shared_key;
-    std::uint64_t shared_digest = 0;
-    if (shared) {
-      shared_key.reserve(shared_key_prefix_.size() + key.size());
-      shared_key = shared_key_prefix_;
-      shared_key += key;
-      shared_digest = core::fnv1a(shared_key);
+    // The rollback snapshot is one response vector plus (for mutate)
+    // one task: a rejected add is undone by popping the appended task, a
+    // rejected mutate by swapping the old task back, and removals are
+    // never rejected — so no full TaskSet copy is needed anywhere here.
+    std::vector<std::optional<Time>> before_r = rta_.response_times();
+    const sched::IncrementalRta::Stats rta_before = rta_.stats();
+    switch (request.kind) {
+      case RequestKind::kAdd:
+        rta_.add_task(request.task);
+        break;
+      case RequestKind::kRemove:
+        rta_.remove_task(request.index);
+        break;
+      case RequestKind::kMutate:
+        rta_.mutate_task(request.index, request.task);
+        break;
     }
-    std::optional<CacheEntry> shared_hit;
-    const CacheEntry* hit = nullptr;
-    if (shared) {
-      bool collision = false;
-      shared_hit =
-          config_.shared_cache->find(shared_digest, shared_key, &collision);
-      if (collision) saturating_increment(shared_view_.collisions);
-      if (shared_hit.has_value()) {
-        saturating_increment(shared_view_.hits);
-        hit = &*shared_hit;
-      } else {
-        saturating_increment(shared_view_.misses);
+    schedulable = rta_.schedulable();
+    d.tasks_reanalyzed =
+        rta_.stats().tasks_reanalyzed - rta_before.tasks_reanalyzed;
+    d.tasks_seeded = rta_.stats().tasks_seeded - rta_before.tasks_seeded;
+    if (schedulable) {
+      if (config_.incremental) {
+        // The bound walks tasks highest priority first; priorities are
+        // unique (a clash was rejected above).
+        by_priority_.resize(rta_.tasks().size());
+        std::iota(by_priority_.begin(), by_priority_.end(), std::size_t{0});
+        const std::vector<sched::Task>& tasks = rta_.tasks().tasks();
+        std::sort(by_priority_.begin(), by_priority_.end(),
+                  [&](std::size_t a, std::size_t b) {
+                    return tasks[a].priority < tasks[b].priority;
+                  });
       }
-    } else if (config_.use_cache) {
-      hit = cache_.find(digest, key);
-    }
-
-    if (hit != nullptr) {
-      d.cache_hit = true;
-      schedulable = hit->schedulable;
-      min_level = hit->min_level;
-      headroom = hit->wcet_headroom;
-      if (schedulable) {
-        // Adopt the memoized state: the stored response vector is what
-        // analyzing the candidate produces (bit-identity contract), so
-        // the service state is indistinguishable from a recomputation.
-        sched::TaskSet candidate = rta_.tasks();
-        switch (request.kind) {
-          case RequestKind::kAdd:
-            candidate.add(request.task);
-            break;
-          case RequestKind::kRemove:
-            candidate.remove(request.index);
-            break;
-          case RequestKind::kMutate:
-            candidate.replace(request.index, request.task);
-            break;
-        }
-        rta_.reset(std::move(candidate), hit->response_times);
+      const std::uint64_t clears_before = stats_.bound_clears;
+      const std::uint64_t probes_before = stats_.levels_probed;
+      min_level = min_feasible_level(bound);
+      d.levels_probed =
+          static_cast<std::int64_t>(stats_.levels_probed - probes_before);
+      d.stationary = last_search_stationary_;
+      if (d.stationary) saturating_increment(stats_.stationary_hits);
+      if (config_.sensitivity) {
+        const std::uint64_t hr_before = stats_.headroom_probes;
+        headroom = compute_headroom(min_level);
+        d.headroom_probes =
+            static_cast<std::int64_t>(stats_.headroom_probes - hr_before);
       }
+      d.bound_clears =
+          static_cast<std::int64_t>(stats_.bound_clears - clears_before);
     } else {
-      // The rollback snapshot is one response vector plus (for mutate)
-      // one task: a rejected add is undone by popping the appended
-      // task, a rejected mutate by swapping the old task back, and
-      // removals are never rejected — so no full TaskSet copy is needed
-      // anywhere on this path.
-      std::vector<std::optional<Time>> before_r = rta_.response_times();
-      const sched::IncrementalRta::Stats rta_before = rta_.stats();
-      switch (request.kind) {
-        case RequestKind::kAdd:
-          rta_.add_task(request.task);
-          break;
-        case RequestKind::kRemove:
-          rta_.remove_task(request.index);
-          break;
-        case RequestKind::kMutate:
-          rta_.mutate_task(request.index, request.task);
-          break;
-      }
-      schedulable = rta_.schedulable();
-      d.tasks_reanalyzed =
-          rta_.stats().tasks_reanalyzed - rta_before.tasks_reanalyzed;
-      d.tasks_seeded = rta_.stats().tasks_seeded - rta_before.tasks_seeded;
-      if (schedulable) {
-        if (config_.incremental) {
-          // The bound walks tasks highest priority first; priorities are
-          // unique (a clash was rejected above).
-          by_priority_.resize(rta_.tasks().size());
-          std::iota(by_priority_.begin(), by_priority_.end(), std::size_t{0});
-          const std::vector<sched::Task>& tasks = rta_.tasks().tasks();
-          std::sort(by_priority_.begin(), by_priority_.end(),
-                    [&](std::size_t a, std::size_t b) {
-                      return tasks[a].priority < tasks[b].priority;
-                    });
-        }
-        const std::uint64_t clears_before = stats_.bound_clears;
-        const std::uint64_t probes_before = stats_.levels_probed;
-        min_level = min_feasible_level(bound);
-        d.levels_probed = static_cast<std::int64_t>(stats_.levels_probed -
-                                                    probes_before);
-        d.stationary = last_search_stationary_;
-        if (d.stationary) saturating_increment(stats_.stationary_hits);
-        if (config_.sensitivity) {
-          const std::uint64_t hr_before = stats_.headroom_probes;
-          headroom = compute_headroom(min_level);
-          d.headroom_probes = static_cast<std::int64_t>(
-              stats_.headroom_probes - hr_before);
-        }
-        d.bound_clears =
-            static_cast<std::int64_t>(stats_.bound_clears - clears_before);
-      }
-      if (config_.use_cache) {
-        CacheEntry entry{schedulable, min_level, headroom,
-                         rta_.response_times()};
-        if (shared) {
-          config_.shared_cache->insert(shared_digest, std::move(shared_key),
-                                       std::move(entry));
-          saturating_increment(shared_view_.insertions);
-        } else {
-          cache_.insert(digest, std::move(key), std::move(entry));
-        }
-      }
-      if (!schedulable) {
-        // Shrinking interference cannot create a deadline miss, so a
-        // rejection here is always an add or a mutate.
-        LPFPS_CHECK(request.kind != RequestKind::kRemove);
-        if (request.kind == RequestKind::kAdd) {
-          rta_.undo_add(std::move(before_r));
-        } else {
-          rta_.undo_mutate(request.index, std::move(previous),
-                           std::move(before_r));
-        }
+      // Shrinking interference cannot create a deadline miss, so a
+      // rejection here is always an add or a mutate.
+      LPFPS_CHECK(request.kind != RequestKind::kRemove);
+      if (request.kind == RequestKind::kAdd) {
+        rta_.undo_add(std::move(before_r));
+      } else {
+        rta_.undo_mutate(request.index, std::move(previous),
+                         std::move(before_r));
       }
     }
     if (probe_pushed && !schedulable) probe_r_.pop_back();

@@ -9,19 +9,14 @@
 // frequency at which every deadline still holds under the (possibly
 // non-ideal) WCET scaling model.
 //
-// Five reuse layers make the query loop fast without changing any
+// Four reuse layers make the query loop fast without changing any
 // answer:
 //
 //   1. incremental RTA (sched/incremental_rta.h) — response-time
 //      fixed points are reused across mutations and resumed as seeds,
 //      bit-identical to from-scratch analysis by the exact-fixed-point
 //      contract;
-//   2. a fingerprint-keyed memoization cache (admission/cache.h) —
-//      revisited candidate sets replay their stored decision and
-//      response-time vector, verified byte-exact against the canonical
-//      key before being served; optionally one SharedAdmissionCache
-//      serves many services across threads (ServiceConfig::shared_cache);
-//   3. a direction-aware minimum-frequency search — feasibility is
+//   2. a direction-aware minimum-frequency search — feasibility is
 //      monotone in the frequency level AND in the request (adding or
 //      tightening a task can only raise the minimum level, removing or
 //      relaxing one can only lower it), so the incremental service
@@ -29,7 +24,7 @@
 //      probe's fixed-point iteration seeded from the f_max response
 //      times; the reference service binary-searches all levels from
 //      C_i seeds.  Both land on the same minimal feasible level;
-//   4. a cross-request stationary-boundary fast path — most churn
+//   3. a cross-request stationary-boundary fast path — most churn
 //      (small WCET revisions, near-boundary oscillation) leaves the
 //      minimum-frequency boundary where it was, so the incremental
 //      service retains the previous search's converged per-boundary
@@ -40,7 +35,7 @@
 //      when feasible(B) && !feasible(B - 1) is established, the exact
 //      condition every other schedule proves, so the answer is
 //      bit-identical by construction;
-//   5. a per-task WCET headroom — the sensitivity answer is the
+//   4. a per-task WCET headroom — the sensitivity answer is the
 //      largest feasible point of a fixed scale lattice, and set
 //      feasibility is the AND of per-task predicates monotone in the
 //      scale, so the incremental service searches one candidate task
@@ -61,26 +56,38 @@
 // f_max.  Admitting a request means the post-change set keeps that
 // invariant; rejecting rolls the service back to the pre-request state
 // (removals are always admitted — shrinking interference cannot create
-// a deadline miss).  Decision fields — including the sensitivity
-// answer Decision::wcet_headroom — are bit-identical across
-// {incremental, from-scratch} x {cache on, off, shared} — the
-// differential test's contract — while accounting fields tell the arms
-// apart.
+// a deadline miss).  Decision fields, including the sensitivity answer
+// Decision::wcet_headroom, are bit-identical between the incremental
+// and from-scratch arms (the differential test's contract); accounting
+// fields tell the arms apart.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "admission/cache.h"
 #include "admission/types.h"
 #include "power/frequency.h"
 #include "sched/incremental_rta.h"
 #include "wcet/scaling.h"
 
 namespace lpfps::admission {
+
+/// Bumps a saturating counter: sticks at max instead of wrapping, so a
+/// service that runs for months cannot let a wrapped counter corrupt
+/// rate arithmetic downstream.
+inline void saturating_increment(std::uint64_t& counter) {
+  if (counter != std::numeric_limits<std::uint64_t>::max()) ++counter;
+}
+
+/// `counter + amount`, saturating at max.
+inline void saturating_add(std::uint64_t& counter, std::uint64_t amount) {
+  const std::uint64_t room =
+      std::numeric_limits<std::uint64_t>::max() - counter;
+  counter += amount < room ? amount : room;
+}
 
 struct ServiceConfig {
   /// Discrete frequency levels the minimum-safe answer is drawn from.
@@ -92,28 +99,21 @@ struct ServiceConfig {
   /// scratch, every frequency search binary-searches all levels, and
   /// the WCET headroom probes the whole set at every scale.
   bool incremental = true;
+  /// Ignored: the service keeps no decision cache.  Kept only because
+  /// the perfbench harness (perfbench/src/) still sets it; nothing reads
+  /// it.
   bool use_cache = true;
-  std::size_t cache_capacity = 4096;
   /// Compute Decision::wcet_headroom for every admitted request (the
   /// largest uniform WCET-scaling factor feasible at the granted
   /// level).  A decision knob, not an arm knob: it changes what is
-  /// answered, so it folds into the shared-cache config token.
+  /// answered.
   bool sensitivity = true;
-  /// When set (and use_cache is true), decisions are memoized in this
-  /// cache instead of a private one — shared across services and
-  /// threads.  Keys are prefixed with a token over {table, scaling,
-  /// sensitivity} so differently configured services sharing one cache
-  /// can never serve each other's answers; the `incremental` flag is
-  /// deliberately excluded (arms answer bit-identically, so cross-arm
-  /// sharing is sound).  The LPFPS_ADMISSION_CACHE=0 override disables
-  /// this path too.
-  std::shared_ptr<SharedAdmissionCache> shared_cache;
 
   /// Throws unless the table is discrete and the scaling model valid.
   void validate() const;
 };
 
-/// Cumulative service accounting (saturating, like CacheCounters).
+/// Cumulative service accounting (saturating counters).
 struct ServiceStats {
   std::uint64_t requests = 0;
   std::uint64_t admitted = 0;
@@ -154,20 +154,12 @@ class AdmissionService {
   std::uint64_t fingerprint() const;
 
   const ServiceStats& stats() const { return stats_; }
-  /// This service's view of its cache traffic.  Private cache: the
-  /// cache's own counters.  Shared cache: the lookups/insertions *this*
-  /// service performed (evictions happen inside the shared cache and
-  /// stay 0 here) — the shared cache's aggregate counters are on the
-  /// SharedAdmissionCache itself.
-  const CacheCounters& cache_counters() const {
-    return config_.shared_cache != nullptr ? shared_view_
-                                           : cache_.counters();
-  }
   const sched::IncrementalRta::Stats& rta_stats() const {
     return rta_.stats();
   }
 
-  /// The canonical cache-key bytes of a task set: period, deadline,
+  /// The canonical bytes of a task set, which fingerprint() and
+  /// Decision::fingerprint hash: the task count, then period, deadline,
   /// WCET bit pattern, and priority per task in index order.  Name,
   /// BCET, and phase are excluded — they cannot affect any RTA or
   /// minimum-frequency answer.  Exposed for tests.
@@ -256,20 +248,9 @@ class AdmissionService {
   /// correctness input.
   int predicted_level(int hint) const;
 
-  /// Applies the LPFPS_ADMISSION_CACHE override (read once per
-  /// service, the hoisted-env-read convention): 0 disables caching
-  /// entirely (private and shared), any other value replaces the
-  /// private cache capacity.
-  static ServiceConfig apply_env_overrides(ServiceConfig config);
-
   ServiceConfig config_;
   sched::IncrementalRta rta_;
-  AdmissionCache cache_;
   ServiceStats stats_;
-  /// FNV token over {frequency table, scaling model, sensitivity},
-  /// prefixed onto shared-cache keys (see ServiceConfig::shared_cache).
-  std::string shared_key_prefix_;
-  CacheCounters shared_view_;  ///< This service's shared-cache traffic.
   int last_min_level_ = -1;   ///< Search hint; -1 = no previous answer.
   double last_util_ = 0.0;    ///< Utilization at the previous answer.
   bool last_search_stationary_ = false;

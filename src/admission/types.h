@@ -8,14 +8,13 @@
 //   * decision fields — what was decided (admitted, minimum safe
 //     frequency, the candidate set's fingerprint).  These are
 //     bit-identical between the incremental and from-scratch analysis
-//     arms and between cache hits and misses, and they are exactly
-//     what io::admission_csv_row serializes;
-//   * accounting fields — how the decision was obtained (cache hit,
-//     tasks reanalyzed, levels probed, solves the bound cleared).
-//     Like the engine's cycle-detection counters (core/result.h),
-//     these are excluded from the CSV row by design and flow into
-//     bench JSON / AUDIT meta instead, so an accounting difference can
-//     never masquerade as a behavioral one.
+//     arms, and they are exactly what io::admission_csv_row serializes;
+//   * accounting fields — how the decision was obtained (stationary
+//     fast path, tasks reanalyzed, levels probed, solves the bound
+//     cleared).  Like the engine's cycle-detection counters
+//     (core/result.h), these are excluded from the CSV row by design
+//     and flow into bench JSON / AUDIT meta instead, so an accounting
+//     difference can never masquerade as a behavioral one.
 #pragma once
 
 #include <cstdint>
@@ -69,6 +68,8 @@ struct Decision {
   double utilization = 0.0;
 
   // --- accounting (excluded from io::admission_csv_row) ---
+  /// Always false: the service keeps no decision cache.  Kept only
+  /// because the perfbench harness (perfbench/src/) still reads it.
   bool cache_hit = false;
   /// The stationary-boundary fast path answered the minimum-frequency
   /// search (the cached boundary verified unchanged in <= 2 probes).

@@ -8,7 +8,7 @@
 // (op, current set), so two services fed the same stream make identical
 // decisions, stay in identical states, and therefore resolve every
 // subsequent op identically — regardless of which analysis arm
-// (incremental/from-scratch, cache on/off) they run.  That closure
+// (incremental or from-scratch) they run.  That closure
 // property is what lets the differential test replay one stream through
 // both arms and demand bit-identical decisions.
 //

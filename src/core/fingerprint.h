@@ -4,19 +4,18 @@
 // The steady-state cycle detector compares full scheduler states
 // (core/sim_state.h) for exact equality; the golden-equivalence suite
 // pins engine behavior by hashing canonical CSV renderings; and the
-// admission service (src/admission/) memoizes schedulability decisions
-// keyed on task-set fingerprints.  All three reduce byte streams to
-// 64-bit digests the same way: FNV-1a, chosen for its trivial
-// incremental form (fold one byte at a time) and stable cross-platform
-// output — a digest written into a golden file or a bench baseline on
-// one machine compares equal on every other.
+// admission service (src/admission/) stamps every decision with the
+// digest of the candidate task set's canonical bytes.  All three
+// reduce byte streams to 64-bit digests the same way: FNV-1a, chosen
+// for its trivial incremental form (fold one byte at a time) and
+// stable cross-platform output — a digest written into a golden file
+// or a bench baseline on one machine compares equal on every other.
 //
 // Digests are identifiers, not proofs: two different states can collide.
 // Callers that must not act on a collision keep the canonical bytes
-// alongside the digest and verify on match (the admission cache does;
-// see admission/cache.h), or use the digest only as an index into an
-// exact comparison (the golden CSV files store the hashed text's
-// provenance in git).
+// alongside the digest and verify on match, or use the digest only as
+// an index into an exact comparison (the golden CSV files store the
+// hashed text's provenance in git).
 #pragma once
 
 #include <cstddef>

@@ -3,7 +3,7 @@
 // The row carries only *decision* fields — what was decided, not how
 // (admitted, minimum safe frequency, WCET-scaling headroom, candidate
 // fingerprint, set size/utilization).
-// Accounting (cache hits, tasks reanalyzed, levels probed) is excluded
+// Accounting (tasks reanalyzed, levels probed, bound clears) is excluded
 // by the same convention that keeps cycle-detection counters out of
 // io::result_csv_row: the differential suite hashes these rows to
 // assert that the incremental and from-scratch arms decide

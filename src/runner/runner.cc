@@ -26,7 +26,12 @@ std::size_t default_job_count() {
     errno = 0;
     const long parsed = std::strtol(env, &end, 10);
     if (end != env && *end == '\0' && errno != ERANGE && parsed > 0) {
-      return static_cast<std::size_t>(parsed);
+      if (static_cast<unsigned long>(parsed) <= kMaxJobCount) {
+        return static_cast<std::size_t>(parsed);
+      }
+      std::fprintf(stderr, "runner: clamping LPFPS_JOBS=%s to %zu\n", env,
+                   kMaxJobCount);
+      return kMaxJobCount;
     }
     std::fprintf(stderr,
                  "runner: ignoring LPFPS_JOBS=%s (not a positive integer)\n",

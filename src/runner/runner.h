@@ -56,10 +56,17 @@ namespace lpfps::runner {
 /// indices yield statistically independent streams.
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t job_index);
 
+/// The most workers `LPFPS_JOBS` can ask for.  A batch never needs more
+/// threads than a large host has cores, and each worker is an operating
+/// system thread, so a larger value is clamped here instead of being
+/// handed to ThreadPool.
+inline constexpr std::size_t kMaxJobCount = 256;
+
 /// Worker count used when a caller does not pin one: `LPFPS_JOBS` if
-/// set to a positive integer, else `hardware_concurrency()`, else 1.
-/// Reads the environment on every call; an empty value counts as
-/// unset, and any other value it ignores gets one stderr line.
+/// set to a positive integer (clamped to kMaxJobCount), else
+/// `hardware_concurrency()`, else 1.  Reads the environment on every
+/// call; an empty value counts as unset, and any other value it ignores
+/// or clamps gets one stderr line.
 std::size_t default_job_count();
 
 /// A minimal fixed-size pool: `threads` workers draining a FIFO work

@@ -154,13 +154,6 @@ void IncrementalRta::reanalyze_all() {
   }
 }
 
-void IncrementalRta::reset(TaskSet tasks,
-                           std::vector<std::optional<Time>> response_times) {
-  LPFPS_CHECK(response_times.size() == tasks.size());
-  tasks_ = std::move(tasks);
-  response_ = std::move(response_times);
-}
-
 void IncrementalRta::undo_add(
     std::vector<std::optional<Time>> response_times) {
   LPFPS_CHECK(!tasks_.empty());

@@ -99,11 +99,6 @@ class IncrementalRta {
   /// Discards all cached state and reanalyzes every task from scratch.
   void reanalyze_all();
 
-  /// Replaces the whole state with externally supplied values (cache
-  /// hits, snapshot rollback).  `response_times` must be what analyzing
-  /// `tasks` would produce — the admission cache stores exactly that.
-  void reset(TaskSet tasks, std::vector<std::optional<Time>> response_times);
-
   /// Reverts the most recent add_task without reanalysis: pops the
   /// appended task and adopts `response_times`, the pre-add vector the
   /// caller saved.  O(1) plus the vector move — the cheap rollback path

@@ -4,10 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
-
-#include "admission/cache.h"
 
 namespace lpfps::admission {
 namespace {
@@ -30,11 +27,8 @@ void expect_equal(const SessionResult& a, const SessionResult& b) {
   EXPECT_EQ(a.decision_digest, b.decision_digest);
   EXPECT_EQ(a.final_fingerprint, b.final_fingerprint);
   // Accounting replays exactly too: each session owns its service, so
-  // cache and RTA counters are thread-count-independent.
+  // service and RTA counters are thread-count-independent.
   EXPECT_EQ(a.stats.levels_probed, b.stats.levels_probed);
-  EXPECT_EQ(a.cache.hits, b.cache.hits);
-  EXPECT_EQ(a.cache.misses, b.cache.misses);
-  EXPECT_EQ(a.cache.evictions, b.cache.evictions);
   EXPECT_EQ(a.rta.tasks_reanalyzed, b.rta.tasks_reanalyzed);
   EXPECT_EQ(a.rta.tasks_seeded, b.rta.tasks_seeded);
   EXPECT_EQ(a.rta.tasks_kept, b.rta.tasks_kept);
@@ -60,52 +54,6 @@ TEST(AdmissionPipeline, SessionsAreIndependentOfBatchComposition) {
   const auto in_batch = run_sessions(specs, 3);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     expect_equal(in_batch[i], run_session(specs[i]));
-  }
-}
-
-TEST(AdmissionPipeline, CacheCapacityNeverChangesDecisions) {
-  // Accounting is excluded from the decision digest, so squeezing the
-  // cache (different hit/eviction trajectories) must leave every digest
-  // untouched while the counters visibly diverge.
-  std::vector<SessionSpec> roomy = batch(6);
-  std::vector<SessionSpec> tight = batch(6);
-  for (SessionSpec& spec : tight) spec.service.cache_capacity = 1;
-  const auto a = run_sessions(roomy, 2);
-  const auto b = run_sessions(tight, 2);
-  bool counters_differ = false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].decision_digest, b[i].decision_digest) << i;
-    EXPECT_EQ(a[i].final_fingerprint, b[i].final_fingerprint) << i;
-    counters_differ = counters_differ ||
-                      a[i].cache.hits != b[i].cache.hits ||
-                      a[i].cache.evictions != b[i].cache.evictions;
-  }
-  EXPECT_TRUE(counters_differ);  // The arms really took different paths.
-}
-
-TEST(AdmissionPipeline, SharedCacheBatchesMatchPrivateSerialBitwise) {
-  // One SharedAdmissionCache across the whole batch: which session pays
-  // for an analysis becomes thread-timing dependent, but every decision
-  // digest must stay byte-identical to the serial private-cache run —
-  // at 1 worker and at 4.
-  const std::vector<SessionSpec> private_specs = batch(8);
-  const auto reference = run_sessions(private_specs, 1);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    std::vector<SessionSpec> shared_specs = batch(8);
-    const auto cache = std::make_shared<SharedAdmissionCache>(4096);
-    for (SessionSpec& spec : shared_specs) spec.service.shared_cache = cache;
-    const auto shared = run_sessions(shared_specs, threads);
-    ASSERT_EQ(shared.size(), reference.size());
-    for (std::size_t i = 0; i < shared.size(); ++i) {
-      EXPECT_EQ(shared[i].decision_digest, reference[i].decision_digest)
-          << "threads=" << threads << " session " << i;
-      EXPECT_EQ(shared[i].final_fingerprint, reference[i].final_fingerprint)
-          << "threads=" << threads << " session " << i;
-      EXPECT_EQ(shared[i].requests, reference[i].requests);
-      EXPECT_EQ(shared[i].admitted, reference[i].admitted);
-      EXPECT_EQ(shared[i].rejected, reference[i].rejected);
-    }
   }
 }
 

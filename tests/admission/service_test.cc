@@ -1,17 +1,19 @@
-// admission/service.h — admit/reject semantics, rollback, and the
-// minimum-safe-frequency answer checked against brute force.
+// admission/service.h — admit/reject semantics, rollback, the
+// minimum-safe-frequency answer checked against brute force, and the
+// saturating counters that keep month-long services from wrapping.
 #include "admission/service.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <memory>
+#include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "admission/workload.h"
 #include "common/float_compare.h"
+#include "io/admission_io.h"
 #include "power/frequency.h"
 #include "sched/analysis.h"
 #include "sched/task.h"
@@ -252,38 +254,33 @@ TEST(AdmissionService, MemoryBoundTasksNeedLowerFrequency) {
   EXPECT_LE(db.min_level, da.min_level);
 }
 
-TEST(AdmissionService, CacheHitReplaysDecisionBitwise) {
-  // add A, add B, remove B, re-add B: the final state repeats an
-  // earlier fingerprint, so the second "add B" must hit and reproduce
-  // the exact first decision.
-  ServiceConfig with_cache = small_table_config();
-  ServiceConfig no_cache = small_table_config();
-  no_cache.use_cache = false;
-
-  AdmissionService cached(sched::TaskSet{}, with_cache);
-  AdmissionService plain(sched::TaskSet{}, no_cache);
+TEST(AdmissionService, RevisitedSetReplaysDecisionBitwise) {
+  // add a, add b, remove b, add b: the second add(b) revisits the set
+  // the first one decided and must reproduce its CSV row and
+  // response-time vector bit for bit, on both arms.
   const sched::Task a = task("a", 100, 30.0, 0);
   const sched::Task b = task("b", 400, 100.0, 1);
-
-  Decision dc{}, dp{};
-  for (const Request& r :
-       {add(a), add(b), remove(1), add(b)}) {
-    dc = cached.handle(r);
-    dp = plain.handle(r);
-    EXPECT_EQ(dc.admitted, dp.admitted);
-    EXPECT_EQ(dc.min_level, dp.min_level);
-    EXPECT_EQ(dc.min_safe_mhz, dp.min_safe_mhz);  // Bitwise.
-    EXPECT_EQ(dc.fingerprint, dp.fingerprint);
+  std::vector<std::string> rows;
+  for (const bool incremental : {true, false}) {
+    ServiceConfig config = small_table_config();
+    config.incremental = incremental;
+    AdmissionService service(sched::TaskSet{}, config);
+    ASSERT_TRUE(service.handle(add(a)).admitted);
+    const Decision first = service.handle(add(b));
+    ASSERT_TRUE(first.admitted);
+    const std::vector<std::optional<Time>> first_r = service.response_times();
+    ASSERT_TRUE(service.handle(remove(1)).admitted);
+    const Decision again = service.handle(add(b));
+    EXPECT_EQ(io::admission_csv_row(again), io::admission_csv_row(first))
+        << "incremental=" << incremental;
+    ASSERT_EQ(service.response_times().size(), first_r.size());
+    for (std::size_t i = 0; i < first_r.size(); ++i) {
+      EXPECT_EQ(service.response_times()[i], first_r[i])  // Bitwise.
+          << "incremental=" << incremental << " task " << i;
+    }
+    rows.push_back(io::admission_csv_row(again));
   }
-  EXPECT_TRUE(dc.cache_hit);   // The re-add replayed from the cache.
-  EXPECT_FALSE(dp.cache_hit);  // The uncached arm analyzed again.
-  EXPECT_GE(cached.cache_counters().hits, 1u);
-  EXPECT_EQ(plain.cache_counters().hits, 0u);
-  // Adopted state is indistinguishable from the recomputed one.
-  ASSERT_EQ(cached.response_times().size(), plain.response_times().size());
-  for (std::size_t i = 0; i < cached.response_times().size(); ++i) {
-    EXPECT_EQ(cached.response_times()[i], plain.response_times()[i]);
-  }
+  EXPECT_EQ(rows[0], rows[1]);  // The arms agree too.
 }
 
 TEST(AdmissionService, StationaryChurnAnswersWithoutSearching) {
@@ -441,7 +438,6 @@ TEST(AdmissionService, HeadroomSolvesFewerTasksThanWholeSetProbes) {
 
   ServiceConfig fast_config;
   fast_config.scaling = wcet::FrequencyScalingModel{0.3};
-  fast_config.use_cache = false;  // Every admit computes its headroom.
   ServiceConfig reference_config = fast_config;
   reference_config.incremental = false;
   AdmissionService fast(stream.initial, fast_config);
@@ -474,84 +470,6 @@ TEST(AdmissionService, SensitivityOffReportsZeroHeadroom) {
   EXPECT_EQ(service.stats().headroom_probes, 0u);
 }
 
-TEST(AdmissionService, EnvOverridesCacheCapacity) {
-  const sched::Task a = task("a", 100, 30.0, 0);
-  const sched::Task b = task("b", 400, 100.0, 1);
-
-  ::setenv("LPFPS_ADMISSION_CACHE", "0", 1);
-  {
-    AdmissionService service(sched::TaskSet{}, small_table_config());
-    for (const Request& r : {add(a), add(b), remove(1), add(b)}) {
-      service.handle(r);
-    }
-    EXPECT_EQ(service.cache_counters().hits, 0u);
-    EXPECT_EQ(service.cache_counters().insertions, 0u);
-  }
-  {
-    // 0 must silence a shared cache too.
-    ServiceConfig config = small_table_config();
-    config.shared_cache = std::make_shared<SharedAdmissionCache>(64, 2);
-    AdmissionService service(sched::TaskSet{}, config);
-    service.handle(add(a));
-    EXPECT_EQ(config.shared_cache->size(), 0u);
-  }
-
-  ::setenv("LPFPS_ADMISSION_CACHE", "1", 1);
-  {
-    AdmissionService service(sched::TaskSet{}, small_table_config());
-    for (const Request& r : {add(a), add(b), remove(1), add(b)}) {
-      service.handle(r);
-    }
-    // Capacity 1 cannot hold the distinct candidate sets.
-    EXPECT_GT(service.cache_counters().evictions, 0u);
-  }
-  ::unsetenv("LPFPS_ADMISSION_CACHE");
-}
-
-TEST(AdmissionService, SharedCacheServesAcrossServicesNotAcrossConfigs) {
-  const auto shared = std::make_shared<SharedAdmissionCache>(1024, 4);
-  ServiceConfig config = small_table_config();
-  config.shared_cache = shared;
-  const sched::Task a = task("a", 100, 30.0, 0);
-  const sched::Task b = task("b", 400, 100.0, 1);
-
-  // A private-cache reference supplies the expected decisions.
-  AdmissionService reference(sched::TaskSet{}, small_table_config());
-  AdmissionService first(sched::TaskSet{}, config);
-  std::vector<Decision> expected;
-  for (const Request& r : {add(a), add(b)}) {
-    expected.push_back(reference.handle(r));
-    first.handle(r);
-  }
-  EXPECT_EQ(first.cache_counters().hits, 0u);
-  EXPECT_GE(first.cache_counters().insertions, 2u);
-
-  // A second service on the same shared cache replays first's analyses
-  // — bit-identically to the private-cache reference.
-  AdmissionService second(sched::TaskSet{}, config);
-  std::size_t i = 0;
-  for (const Request& r : {add(a), add(b)}) {
-    const Decision d = second.handle(r);
-    ASSERT_LT(i, expected.size());
-    EXPECT_EQ(d.admitted, expected[i].admitted);
-    EXPECT_EQ(d.min_level, expected[i].min_level);
-    EXPECT_EQ(d.min_safe_mhz, expected[i].min_safe_mhz);    // Bitwise.
-    EXPECT_EQ(d.wcet_headroom, expected[i].wcet_headroom);  // Bitwise.
-    EXPECT_EQ(d.fingerprint, expected[i].fingerprint);
-    EXPECT_TRUE(d.cache_hit);
-    ++i;
-  }
-  EXPECT_EQ(second.cache_counters().hits, 2u);
-
-  // A differently configured service sharing the cache must never be
-  // served first's entries: the config token isolates the key spaces.
-  ServiceConfig other = config;
-  other.scaling = wcet::FrequencyScalingModel{0.5};
-  AdmissionService third(sched::TaskSet{}, other);
-  third.handle(add(a));
-  EXPECT_EQ(third.cache_counters().hits, 0u);
-}
-
 TEST(AdmissionService, RequiresDiscreteTableAndSchedulableInitial) {
   ServiceConfig continuous;
   continuous.table = power::FrequencyTable::continuous(8, 100);
@@ -579,6 +497,25 @@ TEST(AdmissionService, CanonicalKeyIgnoresNameBcetPhase) {
   s3.add(task("alpha", 100, 10.5, 0));  // WCET differs -> key differs.
   EXPECT_NE(AdmissionService::canonical_key(s1),
             AdmissionService::canonical_key(s3));
+}
+
+TEST(SaturatingCounter, IncrementsSaturateAtMax) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t c = kMax - 2;
+  saturating_increment(c);
+  EXPECT_EQ(c, kMax - 1);
+  saturating_increment(c);
+  EXPECT_EQ(c, kMax);
+  saturating_increment(c);  // Must stick, not wrap to 0.
+  EXPECT_EQ(c, kMax);
+
+  std::uint64_t d = kMax - 10;
+  saturating_add(d, 7);
+  EXPECT_EQ(d, kMax - 3);
+  saturating_add(d, 1000);
+  EXPECT_EQ(d, kMax);
+  saturating_add(d, 1);
+  EXPECT_EQ(d, kMax);
 }
 
 }  // namespace

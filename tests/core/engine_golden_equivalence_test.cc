@@ -42,7 +42,8 @@ namespace lpfps {
 namespace {
 
 // The hashing itself lives in core/fingerprint.h — the same FNV-1a the
-// admission cache and cycle detector use; goldens pin its output too.
+// admission fingerprints and cycle detector use; goldens pin its output
+// too.
 using core::fnv1a;
 using core::hex64;
 

@@ -43,6 +43,24 @@ TEST(DefaultJobCount, HonorsTheEnvironmentVariable) {
   EXPECT_EQ(default_job_count(), 3u);
   ASSERT_EQ(setenv("LPFPS_JOBS", "1", 1), 0);
   EXPECT_EQ(default_job_count(), 1u);
+  // The cap itself is taken silently; anything above it is clamped to
+  // it with one stderr line naming the knob and the value.  Only the
+  // count is checked: no pool is built from these values.
+  const std::string cap = std::to_string(kMaxJobCount);
+  ASSERT_EQ(setenv("LPFPS_JOBS", cap.c_str(), 1), 0);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(default_job_count(), kMaxJobCount);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  for (const std::string& huge :
+       {std::to_string(kMaxJobCount + 1), std::string("1000000")}) {
+    ASSERT_EQ(setenv("LPFPS_JOBS", huge.c_str(), 1), 0);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(default_job_count(), kMaxJobCount) << "LPFPS_JOBS=" << huge;
+    const std::string warning = testing::internal::GetCapturedStderr();
+    EXPECT_NE(warning.find("clamping LPFPS_JOBS=" + huge + " to " + cap),
+              std::string::npos)
+        << warning;
+  }
   // Invalid values fall back to hardware concurrency (>= 1), each with
   // one stderr line naming the knob and the value.
   for (const char* bad : {"0", "-2", "four", "4x", "99999999999999999999"}) {

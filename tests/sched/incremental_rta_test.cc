@@ -189,17 +189,6 @@ TEST(IncrementalRta, FromScratchModeMatchesIncrementalBitwise) {
   EXPECT_LT(inc.stats().tasks_reanalyzed, scratch.stats().tasks_reanalyzed);
 }
 
-TEST(IncrementalRta, ResetReplacesState) {
-  IncrementalRta rta(three_tasks());
-  TaskSet other;
-  other.add(task("x", 100, 30.0, 0));
-  IncrementalRta reference(other);
-  rta.reset(other, reference.response_times());
-  EXPECT_EQ(rta.tasks().size(), 1u);
-  EXPECT_DOUBLE_EQ(*rta.response_times()[0], 30.0);
-  expect_matches_scratch(rta);
-}
-
 TEST(IncrementalRta, RejectsDuplicatePriorities) {
   IncrementalRta rta(three_tasks());
   EXPECT_THROW(rta.add_task(task("dup", 100, 1.0, 1)), std::logic_error);
