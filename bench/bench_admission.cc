@@ -392,23 +392,29 @@ int main() {
       } else if (batch_digest != serial_digest) {
         ++audit_mismatches;  // N-worker replay diverged from serial.
       }
-      const std::string name = "threads-" + std::to_string(threads);
+      // The table shows the worker count; the JSON names the point by
+      // role, so the baseline key holds on any host, and carries the
+      // count in `workers`.
+      const std::string label = "threads-" + std::to_string(threads);
+      const std::string role = threads == 1 ? "threads-1" : "threads-N";
       std::printf("%-10s %-14s %-22s %9lld %5d %8.3f %12.0f %9s %9s %9s\n",
-                  "pipeline", name.c_str(), "incremental",
+                  "pipeline", label.c_str(), "incremental",
                   static_cast<long long>(t.total_events()), t.reps,
                   t.wall_seconds, t.events_per_sec(), "-", "-", "-");
       json.add_point()
           .set("section", "pipeline")
-          .set("name", name)
+          .set("name", role)
           .set("policy", "incremental")
+          .set("workers", static_cast<std::int64_t>(threads))
           .set("events", t.total_events())
           .set("reps", t.reps)
           .set("wall_seconds", t.wall_seconds)
           .set("events_per_sec", t.events_per_sec());
       audit.add_point()
           .set("section", "pipeline")
-          .set("name", name)
+          .set("name", role)
           .set("policy", "incremental")
+          .set("workers", static_cast<std::int64_t>(threads))
           .set("batch_digest", core::hex64(batch_digest))
           .set("matches_serial", batch_digest == serial_digest);
     }

@@ -4,14 +4,11 @@
 // engine policy plus synthetic 50/100-task UUniFast sets for fixed
 // simulated horizons, and reports raw simulation throughput: scheduler
 // events per wall-clock second and nanoseconds per event.  A third
-// section runs the deterministic (WCET) model over 12 hyperperiods with
-// steady-state cycle detection on and off, so the fast-forward speedup
-// is tracked — and gated — like any other throughput number.  A fourth
 // section measures the fleet engine (docs/FLEET.md) on a pool of 1024
 // small UUniFast sims: a plain core::simulate loop (serial), one
 // engine re-run with its specs already added (run-only), and a fresh
 // engine plus 1024 add() calls per run (add+run), the cost every sweep
-// caller pays.  A fifth section, emitted only with the audit enabled,
+// caller pays.  A fourth section, emitted only with the audit enabled,
 // prices the default-on audit on a sweep-shaped pool: the same sims
 // unaudited and audited.
 //
@@ -100,35 +97,17 @@ std::int64_t events_of(const std::vector<core::SimulationResult>& results) {
   return events;
 }
 
-/// Steady-state fast-forward statistics of one representative run; the
-/// same fields SimulationResult carries, captured per bench point so the
-/// JSON record shows whether a point's throughput came from full
-/// simulation or from cycle replay.
-struct CycleStats {
-  std::int64_t cycles_detected = 0;
-  Time fast_forwarded_us = 0.0;
-  std::int64_t fingerprint_checks = 0;
-  double fingerprint_seconds = 0.0;
-
-  static CycleStats of(const core::SimulationResult& result) {
-    return {result.cycles_detected, result.fast_forwarded_time,
-            result.fingerprint_checks, result.fingerprint_seconds};
-  }
-};
-
 void print_row(const std::string& section, const std::string& name,
-               const std::string& policy, const Throughput& t,
-               const CycleStats& cycle) {
-  std::printf("%-12s %-16s %-18s %10lld %5d %8.3f %14.0f %10.1f %6lld\n",
+               const std::string& policy, const Throughput& t) {
+  std::printf("%-12s %-16s %-18s %10lld %5d %8.3f %14.0f %10.1f\n",
               section.c_str(), name.c_str(), policy.c_str(),
               static_cast<long long>(t.total_events()), t.reps,
-              t.wall_seconds, t.events_per_sec(), t.ns_per_event(),
-              static_cast<long long>(cycle.cycles_detected));
+              t.wall_seconds, t.events_per_sec(), t.ns_per_event());
 }
 
 void add_point(io::BenchJsonWriter& json, const std::string& section,
                const std::string& name, const std::string& policy,
-               const Throughput& t, const CycleStats& cycle) {
+               const Throughput& t) {
   json.add_point()
       .set("section", section)
       .set("name", name)
@@ -137,11 +116,7 @@ void add_point(io::BenchJsonWriter& json, const std::string& section,
       .set("reps", t.reps)
       .set("wall_seconds", t.wall_seconds)
       .set("events_per_sec", t.events_per_sec())
-      .set("ns_per_event", t.ns_per_event())
-      .set("cycles_detected", cycle.cycles_detected)
-      .set("fast_forwarded_us", cycle.fast_forwarded_us)
-      .set("fingerprint_checks", cycle.fingerprint_checks)
-      .set("fingerprint_seconds", cycle.fingerprint_seconds);
+      .set("ns_per_event", t.ns_per_event());
 }
 
 std::vector<core::SchedulerPolicy> bench_policies() {
@@ -165,21 +140,15 @@ int main() {
   const auto exec = std::make_shared<exec::ClampedGaussianModel>();
   const std::uint64_t kSeed = 7;
   const Time kHorizonCap = 1e6;
-  // One LPFPS_CYCLE read for the whole bench, baked into every
-  // EngineOptions below — the engine otherwise re-reads the
-  // environment at each measured run's begin(), once per simulation
-  // in the fleet section, and runs started at different times could
-  // in principle disagree about the gate mid-bench.
-  const bool cycle_env = core::cycle_detection_env_enabled();
   json.meta()
       .set("seed", kSeed)
       .set("horizon_cap_us", kHorizonCap)
       .set("min_wall_seconds", kMinWall)
       .set("audited", audit::enabled());
 
-  std::printf("%-12s %-16s %-18s %10s %5s %8s %14s %10s %6s\n", "section",
+  std::printf("%-12s %-16s %-18s %10s %5s %8s %14s %10s\n", "section",
               "name", "policy", "events", "reps", "wall_s", "events/sec",
-              "ns/event", "cycles");
+              "ns/event");
 
   // ---- Section 1: the paper's registered workloads. --------------------
   for (const workloads::Workload& w : workloads::paper_workloads()) {
@@ -187,20 +156,17 @@ int main() {
     core::EngineOptions options;
     options.horizon = std::min(w.horizon, kHorizonCap);
     options.seed = kSeed;
-    options.cycle_detection = cycle_env;
     for (const core::SchedulerPolicy& policy : bench_policies()) {
       if (audit::enabled()) {
         (void)audit::simulate(tasks, cpu, policy, exec, options, &agg);
       }
-      CycleStats cycle;
       const Throughput t = measure([&] {
-        const core::SimulationResult result =
-            core::simulate(tasks, cpu, policy, exec, options);
-        cycle = CycleStats::of(result);
-        return static_cast<std::int64_t>(result.scheduler_invocations);
+        return static_cast<std::int64_t>(
+            core::simulate(tasks, cpu, policy, exec, options)
+                .scheduler_invocations);
       });
-      print_row("workload", w.name, policy.name, t, cycle);
-      add_point(json, "workload", w.name, policy.name, t, cycle);
+      print_row("workload", w.name, policy.name, t);
+      add_point(json, "workload", w.name, policy.name, t);
     }
   }
 
@@ -218,81 +184,35 @@ int main() {
     core::EngineOptions options;
     options.horizon = kHorizonCap;
     options.seed = kSeed;
-    options.cycle_detection = cycle_env;
     const std::string name = "uunifast-" + std::to_string(task_count);
     for (const core::SchedulerPolicy& policy :
          {core::SchedulerPolicy::fps(), core::SchedulerPolicy::lpfps()}) {
       if (audit::enabled()) {
         (void)audit::simulate(tasks, cpu, policy, exec, options, &agg);
       }
-      CycleStats cycle;
       const Throughput t = measure([&] {
-        const core::SimulationResult result =
-            core::simulate(tasks, cpu, policy, exec, options);
-        cycle = CycleStats::of(result);
-        return static_cast<std::int64_t>(result.scheduler_invocations);
+        return static_cast<std::int64_t>(
+            core::simulate(tasks, cpu, policy, exec, options)
+                .scheduler_invocations);
       });
-      print_row("synthetic", name, policy.name, t, cycle);
-      add_point(json, "synthetic", name, policy.name, t, cycle);
+      print_row("synthetic", name, policy.name, t);
+      add_point(json, "synthetic", name, policy.name, t);
     }
   }
 
-  // ---- Section 3: steady-state fast-forward (deterministic model). -----
-  // WCET execution is exactly periodic, so after two simulated
-  // hyperperiods the engine fingerprints a repeat and replays the rest
-  // of the 12-hyperperiod horizon.  events_per_sec here is *effective*
-  // throughput (extrapolated events over replay-path wall time); the
-  // "/off" twin simulates the full horizon, so the pair pins the
-  // speedup and the perf gate catches a silently-disarmed detector.
-  for (const workloads::Workload& w : workloads::paper_workloads()) {
-    const Time hyper = static_cast<Time>(w.tasks.hyperperiod());
-    core::EngineOptions on;
-    on.horizon = 12.0 * hyper;
-    on.seed = kSeed;
-    on.cycle_detection = cycle_env;
-    core::EngineOptions off = on;
-    off.cycle_detection = false;
-    const core::SchedulerPolicy policy = core::SchedulerPolicy::lpfps();
-    if (audit::enabled()) {
-      (void)audit::simulate(w.tasks, cpu, policy, nullptr, on, &agg);
-    }
-    CycleStats cycle;
-    const Throughput fast = measure([&] {
-      const core::SimulationResult result =
-          core::simulate(w.tasks, cpu, policy, nullptr, on);
-      cycle = CycleStats::of(result);
-      return static_cast<std::int64_t>(result.scheduler_invocations);
-    });
-    const Throughput full = measure([&] {
-      const core::SimulationResult result =
-          core::simulate(w.tasks, cpu, policy, nullptr, off);
-      return static_cast<std::int64_t>(result.scheduler_invocations);
-    });
-    print_row("cycle", w.name, policy.name, fast, cycle);
-    add_point(json, "cycle", w.name, policy.name, fast, cycle);
-    print_row("cycle", w.name, policy.name + "/off", full, {});
-    add_point(json, "cycle", w.name, policy.name + "/off", full, {});
-    std::printf("%-12s %-16s speedup x%.1f (%lld cycles replayed)\n",
-                "cycle", w.name.c_str(),
-                full.ns_per_event() > 0.0
-                    ? fast.events_per_sec() / full.events_per_sec()
-                    : 0.0,
-                static_cast<long long>(cycle.cycles_detected));
-  }
-
-  // ---- Section 4: the fleet engine (docs/FLEET.md). --------------------
+  // ---- Section 3: the fleet engine (docs/FLEET.md). --------------------
   // A pool of small RM-feasible 5-task UUniFast sims — the sweep regime
-  // where per-sim fixed cost (engine copies, buffer allocation, RNG
-  // seeding) rivals the event work — timed three ways.  `serial` is a
-  // plain core::simulate loop: a fresh engine and fresh buffers per
-  // sim.  `run-only` re-runs one FleetEngine whose specs were added
-  // once, outside the timer: one reused lane, rebound per sim.
-  // `add+run` builds a fresh engine and add()s every spec per rep,
-  // paying the per-spec preparation (validation, cycle probe, warmed
-  // RNG state) once per sim — what a sweep caller pays.  Results are
-  // bit-identical on every path, so events/run is constant and the
-  // events/sec column isolates per-sim overhead.  CI gates add+run's
-  // share of the section peak via --min-ratio fleet add+run.
+  // where per-sim fixed cost (buffer allocation, power-model
+  // construction, RNG seeding) rivals the event work — timed three ways.
+  // `serial` is a plain core::simulate loop: a fresh engine and fresh
+  // buffers per sim.  `run-only` re-runs one FleetEngine whose specs
+  // were added once, outside the timer: one reused lane, rebound per
+  // sim.  `add+run` builds a fresh engine and add()s every spec per rep,
+  // paying the per-spec preparation (validation, warmed RNG state) once
+  // per sim — what a sweep caller pays.  Results are bit-identical on
+  // every path, so events/run is constant and the events/sec column
+  // isolates per-sim overhead.  CI gates add+run's share of the section
+  // peak via --min-ratio fleet add+run.
   {
     const std::size_t kFleetSims = 1024;
     std::vector<fleet::SimSpec> specs;
@@ -311,8 +231,7 @@ int main() {
       core::EngineOptions options;
       options.horizon = 10'000;
       options.seed = runner::derive_seed(kSeed, specs.size());
-      options.cycle_detection = cycle_env;
-      const core::SchedulerPolicy policy = specs.size() % 2 == 0
+        const core::SchedulerPolicy policy = specs.size() % 2 == 0
                                                ? core::SchedulerPolicy::fps()
                                                : core::SchedulerPolicy::lpfps();
       specs.push_back({std::move(tasks), cpu, policy, exec, options});
@@ -341,8 +260,8 @@ int main() {
       return events_of(fresh.run_all());
     });
     const auto emit = [&json](const char* name, const Throughput& t) {
-      print_row("fleet", name, "fps+lpfps", t, {});
-      add_point(json, "fleet", name, "fps+lpfps", t, {});
+      print_row("fleet", name, "fps+lpfps", t);
+      add_point(json, "fleet", name, "fps+lpfps", t);
     };
     emit("serial", serial);
     emit("run-only", run_only);
@@ -358,7 +277,7 @@ int main() {
                 kFleetSims);
   }
 
-  // ---- Section 5: audit cost (docs/PERFORMANCE.md). --------------------
+  // ---- Section 4: audit cost (docs/PERFORMANCE.md). --------------------
   // What the default-on audit adds to a sweep.  A pool shaped like the
   // repository benchmark's sweep workload: 5-task UUniFast sets at
   // U = 0.1..0.9, periods 10-40 ms in 10 ms steps, three hyperperiods,
@@ -387,8 +306,7 @@ int main() {
         core::EngineOptions options;
         options.horizon = 3.0 * static_cast<Time>(tasks.hyperperiod());
         options.seed = runner::derive_seed(kSeed, pool.size());
-        options.cycle_detection = cycle_env;
-        pool.push_back({tasks, cpu, core::SchedulerPolicy::fps(), exec,
+            pool.push_back({tasks, cpu, core::SchedulerPolicy::fps(), exec,
                         options});
         pool.push_back({std::move(tasks), cpu, core::SchedulerPolicy::lpfps(),
                         exec, options});
@@ -401,10 +319,10 @@ int main() {
     const Throughput audited = measure([&] {
       return events_of(audit::simulate_fleet_sharded(pool, {}, nullptr, 1));
     });
-    print_row("audit_cost", "unaudited", "fps+lpfps", unaudited, {});
-    add_point(json, "audit_cost", "unaudited", "fps+lpfps", unaudited, {});
-    print_row("audit_cost", "audited", "fps+lpfps", audited, {});
-    add_point(json, "audit_cost", "audited", "fps+lpfps", audited, {});
+    print_row("audit_cost", "unaudited", "fps+lpfps", unaudited);
+    add_point(json, "audit_cost", "unaudited", "fps+lpfps", unaudited);
+    print_row("audit_cost", "audited", "fps+lpfps", audited);
+    add_point(json, "audit_cost", "audited", "fps+lpfps", audited);
     std::printf("%-12s %-16s audited x%.2f of unaudited events/sec "
                 "(%zu sims)\n",
                 "audit_cost", "share",

@@ -46,26 +46,28 @@ void BM_QuantizeUp(benchmark::State& state) {
 BENCHMARK(BM_QuantizeUp);
 
 void BM_EngineTable1Hyperperiod(benchmark::State& state) {
-  const core::Engine engine(workloads::example_table1(),
-                            power::ProcessorConfig::arm8_default(),
-                            core::SchedulerPolicy::lpfps(), nullptr);
+  const sched::TaskSet tasks = workloads::example_table1();
+  const auto cpu = power::ProcessorConfig::arm8_default();
+  const auto policy = core::SchedulerPolicy::lpfps();
   core::EngineOptions options;
   options.horizon = 400.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(options));
+    benchmark::DoNotOptimize(
+        core::simulate(tasks, cpu, policy, nullptr, options));
   }
   state.SetItemsProcessed(state.iterations() * 17);  // Jobs per run.
 }
 BENCHMARK(BM_EngineTable1Hyperperiod);
 
 void BM_EngineInsHyperperiod(benchmark::State& state) {
-  const core::Engine engine(workloads::ins(),
-                            power::ProcessorConfig::arm8_default(),
-                            core::SchedulerPolicy::lpfps(), nullptr);
+  const sched::TaskSet tasks = workloads::ins();
+  const auto cpu = power::ProcessorConfig::arm8_default();
+  const auto policy = core::SchedulerPolicy::lpfps();
   core::EngineOptions options;
   options.horizon = 5e6;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(options));
+    benchmark::DoNotOptimize(
+        core::simulate(tasks, cpu, policy, nullptr, options));
   }
   state.SetItemsProcessed(state.iterations() * 2063);  // Jobs per run.
 }

@@ -11,9 +11,8 @@
 //     arms, and they are exactly what io::admission_csv_row serializes;
 //   * accounting fields — how the decision was obtained (stationary
 //     fast path, tasks reanalyzed, levels probed, solves the bound
-//     cleared).  Like the engine's cycle-detection counters
-//     (core/result.h), these are excluded from the CSV row by design
-//     and flow into bench JSON / AUDIT meta instead, so an accounting
+//     cleared).  These are excluded from the CSV row by design and
+//     flow into bench JSON / AUDIT meta instead, so an accounting
 //     difference can never masquerade as a behavioral one.
 #pragma once
 

@@ -1211,8 +1211,8 @@ class Auditor {
     // The engine accumulates exact segment durations; the trace stores
     // rounded absolute endpoints, so each re-derived duration can be off
     // by an ulp of the horizon.  The tolerance must therefore grow with
-    // the per-mode segment count, or week-long (fast-forwardable) runs
-    // flag phantom E2 drift.
+    // the per-mode segment count, or week-long runs (millions of
+    // segments) flag phantom E2 drift.
     const Time endpoint_ulp = std::numeric_limits<double>::epsilon() *
                               std::max(1.0, result_->simulated_time);
     for (std::size_t m = 0; m < 5; ++m) {

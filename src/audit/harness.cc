@@ -1,6 +1,7 @@
 #include "audit/harness.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -11,11 +12,35 @@
 
 namespace lpfps::audit {
 
+namespace {
+
+/// enabled() runs once per audited simulation, so a bad value is named
+/// once, not once per run: the line repeats only when the value changes.
+void warn_unrecognised(const char* value) {
+  static std::mutex mutex;
+  static std::string last_warned;
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (last_warned == value) return;
+  last_warned = value;
+  std::fprintf(stderr,
+               "audit: ignoring LPFPS_AUDIT=%s (not 0/off/false or "
+               "1/on/true); the audit stays on\n",
+               value);
+}
+
+}  // namespace
+
 bool enabled() {
   const char* value = std::getenv("LPFPS_AUDIT");
-  if (value == nullptr) return true;
-  return std::strcmp(value, "0") != 0 && std::strcmp(value, "off") != 0 &&
-         std::strcmp(value, "false") != 0;
+  if (value == nullptr || *value == '\0') return true;
+  for (const char* on : {"1", "on", "true"}) {
+    if (std::strcmp(value, on) == 0) return true;
+  }
+  for (const char* off : {"0", "off", "false"}) {
+    if (std::strcmp(value, off) == 0) return false;
+  }
+  warn_unrecognised(value);
+  return true;
 }
 
 AuditOptions derive_options(const core::SchedulerPolicy& policy,
@@ -86,8 +111,6 @@ void CounterTotals::add(const core::SimulationResult& result) {
       std::max<std::int64_t>(run_queue_high_water, result.run_queue_high_water);
   delay_queue_high_water = std::max<std::int64_t>(
       delay_queue_high_water, result.delay_queue_high_water);
-  cycles_detected += result.cycles_detected;
-  fast_forwarded_time += result.fast_forwarded_time;
   simulated_time += result.simulated_time;
   total_energy += result.total_energy;
   overruns_detected += result.overruns_detected;
@@ -104,11 +127,10 @@ void CounterTotals::add(const core::SimulationResult& result) {
 std::string counters_csv_header() {
   return "runs,jobs_completed,deadline_misses,context_switches,"
          "scheduler_invocations,speed_changes,power_downs,dvs_slowdowns,"
-         "run_queue_high_water,delay_queue_high_water,cycles_detected,"
-         "fast_forwarded_time,simulated_time,total_energy,"
-         "overruns_detected,ramp_faults_detected,late_wakeups_detected,"
-         "jobs_killed,jobs_throttled,jobs_skipped,safe_mode_entries,"
-         "jobs_skipped_weakly,mk_violations\n";
+         "run_queue_high_water,delay_queue_high_water,simulated_time,"
+         "total_energy,overruns_detected,ramp_faults_detected,"
+         "late_wakeups_detected,jobs_killed,jobs_throttled,jobs_skipped,"
+         "safe_mode_entries,jobs_skipped_weakly,mk_violations\n";
 }
 
 std::string counters_csv_row(const CounterTotals& totals) {
@@ -119,7 +141,6 @@ std::string counters_csv_row(const CounterTotals& totals) {
      << totals.scheduler_invocations << "," << totals.speed_changes << ","
      << totals.power_downs << "," << totals.dvs_slowdowns << ","
      << totals.run_queue_high_water << "," << totals.delay_queue_high_water
-     << "," << totals.cycles_detected << "," << totals.fast_forwarded_time
      << "," << totals.simulated_time << "," << totals.total_energy << ","
      << totals.overruns_detected << "," << totals.ramp_faults_detected << ","
      << totals.late_wakeups_detected << "," << totals.jobs_killed << ","
@@ -189,8 +210,6 @@ std::string AuditAggregator::write_report() const {
       .set("dvs_slowdowns", counters_.dvs_slowdowns)
       .set("run_queue_high_water", counters_.run_queue_high_water)
       .set("delay_queue_high_water", counters_.delay_queue_high_water)
-      .set("cycles_detected", counters_.cycles_detected)
-      .set("fast_forwarded_time_us", counters_.fast_forwarded_time)
       .set("simulated_time_us", counters_.simulated_time)
       .set("total_energy", counters_.total_energy)
       .set("overruns_detected", counters_.overruns_detected)

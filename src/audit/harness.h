@@ -20,8 +20,11 @@
 
 namespace lpfps::audit {
 
-/// True unless LPFPS_AUDIT is "0", "off" or "false" (re-read per call so
-/// tests can toggle it).
+/// The LPFPS_AUDIT switch, re-read per call so tests can toggle it.
+/// Unset, empty, "1", "on" and "true" mean on; "0", "off" and "false"
+/// mean off.  Any other value keeps the default (on) and is named in
+/// one stderr line, repeated only when the value changes, as
+/// runner::default_job_count names a bad LPFPS_JOBS.
 bool enabled();
 
 /// Audit options matching how the engine was configured: the policy's
@@ -43,11 +46,6 @@ struct CounterTotals {
   std::int64_t dvs_slowdowns = 0;
   std::int64_t run_queue_high_water = 0;    ///< Max across runs.
   std::int64_t delay_queue_high_water = 0;  ///< Max across runs.
-  /// Steady-state fast-forward totals: how many hyperperiods the batch
-  /// skipped and how much simulated time they covered.  Zero when cycle
-  /// detection is off or never converged.
-  std::int64_t cycles_detected = 0;
-  Time fast_forwarded_time = 0.0;
   Time simulated_time = 0.0;
   Energy total_energy = 0.0;
   /// Fault detection / containment totals (docs/ROBUSTNESS.md); all

@@ -114,10 +114,6 @@ class Rng {
 
   Mt19937_64& engine() { return engine_; }
 
-  /// Read-only engine access, used to fingerprint (and compare) the
-  /// exact generator state between simulation checkpoints.
-  const Mt19937_64& engine() const { return engine_; }
-
  private:
   Mt19937_64 engine_;
 };

@@ -106,25 +106,13 @@ struct EngineOptions {
   /// no hook — keeps the hot path snapshot-free; install one only for
   /// inspection, debugging, or queue-shape tests.
   sched::InvocationHook invocation_hook;
-  /// Steady-state fast-forward: fingerprint the full scheduler state at
-  /// each hyperperiod boundary and, once two consecutive boundaries
-  /// match, replay the proven cycle arithmetically instead of
-  /// re-simulating it.  Output (result CSV rows, coalesced traces,
-  /// audits) is bit-identical to the full simulation; only wall-clock
-  /// time changes.  Deterministic execution models (wcet/bcet) converge
-  /// after the first hyperperiod; stochastic models and jittered or
-  /// tick-granular runs never match and pay one fingerprint per
-  /// hyperperiod at most.  The LPFPS_CYCLE environment variable
-  /// (0/off/false) force-disables it without touching call sites.
-  bool cycle_detection = true;
   /// Fault injection (docs/ROBUSTNESS.md).  Overrun specs wrap the
   /// execution-time model in exec::FaultyExecModel internally — this
   /// plan is the single configuration point; do not pre-wrap the model
   /// yourself.  Ramp and wakeup faults perturb the engine's physical
   /// layer while every scheduling computation keeps using the spec
   /// values.  A default-constructed (empty) plan leaves the engine
-  /// bit-identical to a fault-free build; fault runs are ineligible for
-  /// steady-state cycle detection.
+  /// bit-identical to a fault-free build.
   faults::FaultPlan faults;
   /// Detection and containment: budget enforcement at WCET exhaustion
   /// (throttle/kill) and the safe-mode fallback that runs plain FPS
@@ -138,36 +126,15 @@ struct EngineOptions {
   /// Weakly-hard skip governor (docs/WEAKLY_HARD.md).  Armed only when
   /// the task set declares (m,k)/skip constraints and the policy is not
   /// kNever; disarmed runs are bit-identical to the hard engine.
-  /// Governor-armed runs are ineligible for steady-state cycle
-  /// detection (the skip history is not part of the state fingerprint).
   /// Pair with throw_on_miss=false when probing overload.
   WeaklyHardOptions weakly_hard;
 };
 
-class Engine {
- public:
-  /// `tasks` must validate (unique priorities assigned).  `exec_model`
-  /// may be null, in which case every job takes its WCET.
-  Engine(sched::TaskSet tasks, power::ProcessorConfig processor,
-         SchedulerPolicy policy, exec::ExecModelPtr exec_model);
-
-  SimulationResult run(const EngineOptions& options) const;
-
- private:
-  sched::TaskSet tasks_;
-  power::ProcessorConfig processor_;
-  SchedulerPolicy policy_;
-  exec::ExecModelPtr exec_model_;
-};
-
-/// The LPFPS_CYCLE runtime gate: false iff the environment variable is
-/// set to 0/off/false.  The engine re-reads it at every begin(); this
-/// accessor lets a caller hoist one read for a whole section of work
-/// (bake the verdict into EngineOptions::cycle_detection) so runs
-/// started at different times cannot disagree about the gate mid-bench.
-bool cycle_detection_env_enabled();
-
-/// One-call convenience wrapper.
+/// Runs one simulation over [0, options.horizon).  `tasks` must be
+/// non-empty and validate (unique priorities assigned); `exec_model`
+/// may be null, in which case every job takes its WCET.  Throws
+/// std::logic_error on invalid input (core::SimState::validate) and
+/// std::runtime_error on a deadline miss when options.throw_on_miss.
 SimulationResult simulate(const sched::TaskSet& tasks,
                           const power::ProcessorConfig& processor,
                           const SchedulerPolicy& policy,

@@ -1,15 +1,14 @@
 // FNV-1a fingerprinting — the shared hashing machinery behind every
 // "is this state one we have seen before?" question in the repository.
 //
-// The steady-state cycle detector compares full scheduler states
-// (core/sim_state.h) for exact equality; the golden-equivalence suite
-// pins engine behavior by hashing canonical CSV renderings; and the
-// admission service (src/admission/) stamps every decision with the
-// digest of the candidate task set's canonical bytes.  All three
-// reduce byte streams to 64-bit digests the same way: FNV-1a, chosen
-// for its trivial incremental form (fold one byte at a time) and
-// stable cross-platform output — a digest written into a golden file
-// or a bench baseline on one machine compares equal on every other.
+// The golden-equivalence suite pins engine behavior by hashing
+// canonical CSV renderings, the admission service (src/admission/)
+// stamps every decision with the digest of the candidate task set's
+// canonical bytes, and the benches digest their decision streams.  All
+// of them reduce byte streams to 64-bit digests the same way: FNV-1a,
+// chosen for its trivial incremental form (fold one byte at a time) and
+// stable cross-platform output — a digest written into a golden file or
+// a bench baseline on one machine compares equal on every other.
 //
 // Digests are identifiers, not proofs: two different states can collide.
 // Callers that must not act on a collision keep the canonical bytes

@@ -31,10 +31,6 @@ std::string SimulationResult::summary() const {
        << " releases skipped, " << safe_mode_entries
        << " safe-mode entries\n";
   }
-  if (cycles_detected > 0) {
-    os << "cycles skipped    : " << cycles_detected << " hyperperiods ("
-       << fast_forwarded_time << " us fast-forwarded)\n";
-  }
   static constexpr const char* kModeNames[5] = {
       "run", "idle-nop", "power-down", "wake-up", "ramping"};
   for (std::size_t i = 0; i < by_mode.size(); ++i) {

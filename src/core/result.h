@@ -2,7 +2,6 @@
 #pragma once
 
 #include <array>
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -65,16 +64,6 @@ struct SimulationResult {
   /// indexed like the TaskSet; negative entries are (m,k) violations.
   /// INT_MAX marks hard tasks.  Empty when the governor is disarmed.
   std::vector<int> weakly_hard_worst_slack;
-
-  /// Steady-state fast-forward statistics (EngineOptions::cycle_detection).
-  /// These describe how the result was *obtained*, not what it contains,
-  /// so they are deliberately excluded from io::result_csv_row — a
-  /// fast-forwarded run and its fully simulated twin must stay
-  /// row-for-row identical.
-  std::int64_t cycles_detected = 0;   ///< Whole hyperperiods skipped.
-  Time fast_forwarded_time = 0.0;     ///< Simulated time covered by replay.
-  std::int64_t fingerprint_checks = 0;  ///< Boundary fingerprints taken.
-  double fingerprint_seconds = 0.0;   ///< Wall time spent fingerprinting.
 
   /// Per-task execution energy and processor time, indexed like the
   /// TaskSet (idle/power-down/wake energy is not attributed to tasks).

@@ -1,14 +1,10 @@
-// Method bodies of core::SimState — the engine main loop, moved here
-// verbatim from engine.cc when the loop was opened up for the fleet
-// engine (see sim_state.h for the contract).  Engine::run delegates to
-// SimState::run, so this file *is* the reference simulation semantics.
+// Method bodies of core::SimState — the engine main loop (see
+// sim_state.h for the contract).  core::simulate and the fleet engine
+// both drive it, so this file *is* the reference simulation semantics.
 #include "core/sim_state.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -26,27 +22,26 @@ using namespace detail;
 
 namespace {
 
-}  // namespace
-
-/// LPFPS_CYCLE=0/off/false force-disables steady-state fast-forward
-/// regardless of EngineOptions::cycle_detection (the same convention the
-/// audit layer uses for LPFPS_AUDIT).
-bool cycle_detection_env_enabled() {
-  const char* value = std::getenv("LPFPS_CYCLE");
-  if (value == nullptr) return true;
-  return std::strcmp(value, "0") != 0 && std::strcmp(value, "off") != 0 &&
-         std::strcmp(value, "false") != 0;
+/// Hard RTA verdict for the structural overload latch: a set that cannot
+/// meet every deadline even at full speed is in permanent overload, so
+/// the governor degrades from t = 0.  Sets outside the RTA's D <= T
+/// domain fall back to the utilization test alone (the dynamic latch
+/// still covers them at run time).
+bool hard_rta_schedulable(const sched::TaskSet& tasks) {
+  if (tasks.utilization() > 1.0) return false;
+  for (const sched::Task& t : tasks.tasks()) {
+    if (t.deadline > t.period) return true;
+  }
+  return sched::is_schedulable_rta(tasks);
 }
 
-namespace {
+}  // namespace
 
-
-/// The begin() validation bundle, shared with SimState::prepare so the
-/// fleet's hoisted checks are exactly the per-run ones.
-void validate_spec(const sched::TaskSet& tasks,
-                   const power::ProcessorConfig& processor,
-                   const SchedulerPolicy& policy,
-                   const EngineOptions& options) {
+void SimState::validate(const sched::TaskSet& tasks,
+                        const power::ProcessorConfig& processor,
+                        const SchedulerPolicy& policy,
+                        const EngineOptions& options) {
+  LPFPS_CHECK_MSG(!tasks.empty(), "engine needs at least one task");
   LPFPS_CHECK(options.horizon > 0.0);
   LPFPS_CHECK(options.context_switch_cost >= 0.0);
   LPFPS_CHECK_MSG(options.release_jitter.empty() ||
@@ -71,54 +66,6 @@ void validate_spec(const sched::TaskSet& tasks,
         "throttle containment cannot combine with the weakly-hard governor");
   }
 }
-
-/// Hard RTA verdict for the structural overload latch: a set that cannot
-/// meet every deadline even at full speed is in permanent overload, so
-/// the governor degrades from t = 0.  Sets outside the RTA's D <= T
-/// domain fall back to the utilization test alone (the dynamic latch
-/// still covers them at run time).
-bool hard_rta_schedulable(const sched::TaskSet& tasks) {
-  if (tasks.utilization() > 1.0) return false;
-  for (const sched::Task& t : tasks.tasks()) {
-    if (t.deadline > t.period) return true;
-  }
-  return sched::is_schedulable_rta(tasks);
-}
-
-/// The spec-fixed cycle-eligibility gates of setup_cycle_detection (the
-/// LPFPS_CYCLE env gate stays at run time): returns the hyperperiod when
-/// the spec qualifies, 0 when it does not.  Gate rationale lives at the
-/// call site in setup_cycle_detection.
-std::int64_t eligible_cycle_hyperperiod(const sched::TaskSet& tasks,
-                                        const exec::ExecModelPtr& exec_model,
-                                        const EngineOptions& options) {
-  if (!options.cycle_detection) return 0;
-  if (options.faults.any() || options.containment.enabled()) return 0;
-  // The governor's skip history (window masks, overload latch) is not
-  // part of the boundary fingerprint, so armed runs must not fast-forward.
-  if (tasks.has_weakly_hard() &&
-      options.weakly_hard.policy != weakly_hard::SkipPolicy::kNever) {
-    return 0;
-  }
-  for (const Time j : options.release_jitter) {
-    if (j > 0.0) return 0;
-  }
-  if (options.timer_granularity > 0.0) return 0;
-  if (options.invocation_hook) return 0;
-  if (exec_model != nullptr && exec_model->name() == "trace") return 0;
-  std::int64_t hyper = 0;
-  try {
-    hyper = tasks.hyperperiod();
-  } catch (const std::overflow_error&) {
-    return 0;  // Mutually-prime periods: no cycle within 64 bits.
-  }
-  if (hyper <= 0) return 0;
-  if (hyper > (std::int64_t{1} << 52)) return 0;
-  if (2.0 * static_cast<Time>(hyper) > options.horizon) return 0;
-  return hyper;
-}
-
-}  // namespace
 
 SimState::SimState(const sched::TaskSet& tasks,
                    const power::ProcessorConfig& processor,
@@ -247,22 +194,6 @@ void SimState::reset(const sched::TaskSet& tasks,
   running_ratio_integral_ = 0.0;
   running_time_ = 0.0;
 
-  // prev_fingerprint_ / prev_counters_ may carry the previous sim's
-  // state; both are gated behind cycle_has_prev_ and overwritten before
-  // any read, so clearing them would only cost allocations.
-  cycle_armed_ = false;
-  cycle_recording_ = false;
-  cycle_has_prev_ = false;
-  cycle_length_ = 0.0;
-  next_boundary_ = kNever;
-  jobs_per_cycle_.clear();
-  cycle_segments_.clear();
-  cycle_jobs_.clear();
-  cycles_detected_ = 0;
-  fast_forwarded_time_ = 0.0;
-  fingerprint_checks_ = 0;
-  fingerprint_seconds_ = 0.0;
-
   horizon_ = kNeverPoint;
   last_now_ = TimePoint{-1.0, 0.0};
   stalled_iterations_ = 0;
@@ -375,7 +306,6 @@ void SimState::skip_released_job(TaskIndex index) {
     // flag (and counter) stay untouched; the governor's (m,k) ledger
     // carries the QoS accounting instead.
     trace_.add_job(record);
-    if (cycle_recording_) cycle_jobs_.push_back({record, now_});
   }
   settle_weakly_hard(index, /*met=*/false, /*skipped=*/true);
   delay_queue_.insert(
@@ -709,10 +639,7 @@ void SimState::finish_active_job() {
           policy_->name);
     }
   }
-  if (options_->record_trace) {
-    trace_.add_job(record);
-    if (cycle_recording_) cycle_jobs_.push_back({record, now_});
-  }
+  if (options_->record_trace) trace_.add_job(record);
   ++jobs_completed_;
 
   if (weakly_hard_enabled_) {
@@ -857,253 +784,6 @@ void SimState::maybe_detect_ramp_fault() {
   }
 }
 
-void SimState::setup_cycle_detection(const SpecPrep* prep) {
-  // The spec-fixed gates live in eligible_cycle_hyperperiod below
-  // (precomputed by prepare() on the fleet path): fault injection and
-  // containment carry state (budget windows, the safe-mode latch,
-  // perturbed timers) the fingerprint does not capture; jittered
-  // arrivals and tick-granular timers are aperiodic relative to the
-  // hyperperiod; an invocation hook observes every scheduler invocation
-  // and skipping cycles would silently drop the observations it is
-  // owed; trace-driven execution carries opaque per-task replay cursors
-  // the fingerprint cannot see; the boundary arithmetic (k*H, shifts by
-  // n*H) must stay inside the integer-exact double mantissa range; and
-  // detection needs boundaries at H and 2H inside the horizon before it
-  // can ever match.
-  const std::int64_t hyper =
-      prep != nullptr
-          ? (prep->cycle_eligible ? prep->hyperperiod : 0)
-          : eligible_cycle_hyperperiod(*tasks_, exec_model_, *options_);
-  if (hyper == 0) return;
-  if (!cycle_detection_env_enabled()) return;
-  const Time length = static_cast<Time>(hyper);
-  cycle_length_ = length;
-  next_boundary_ = length;
-  jobs_per_cycle_.resize(tasks_->size());
-  for (std::size_t i = 0; i < tasks_->size(); ++i) {
-    jobs_per_cycle_[i] =
-        hyper / (*tasks_)[static_cast<TaskIndex>(i)].period;
-  }
-  cycle_armed_ = true;
-}
-
-Fingerprint SimState::take_fingerprint() const {
-  Fingerprint fp;
-  fp.state = state_;
-  fp.active = active_;
-  fp.ratio = ratio_;
-  fp.ramp_target = ramp_target_;
-  fp.reinvoke_after_ramp = reinvoke_after_ramp_;
-  fp.plan_active = plan_active_;
-  fp.plan_up_started = plan_up_started_;
-  fp.now_base_rel = now_.base - next_boundary_;
-  fp.now_offset = now_.offset;
-  fp.plan_rampup_start_rel = span(now_, plan_rampup_start_);
-  fp.plan_end_rel = span(now_, plan_end_);
-  fp.wake_at_rel = span(now_, wake_at_);
-  fp.wake_end_rel = span(now_, wake_end_);
-  fp.shutdown_at_rel = span(now_, shutdown_at_);
-  fp.sleep_power_fraction = sleep_power_fraction_;
-  fp.sleep_wake_latency = sleep_wake_latency_;
-  fp.run_queue = run_queue_.entries();
-  fp.delay_queue_rel = delay_queue_.entries();
-  for (sched::DelayEntry& entry : fp.delay_queue_rel) {
-    entry.release_time = span(now_, at(entry.release_time));
-  }
-  fp.staged_rel.reserve(staged_.size());
-  for (const StagedJob& staged : staged_) {
-    fp.staged_rel.emplace_back(staged.task, span(now_, staged.ready));
-  }
-  const auto add_live = [&](TaskIndex index) {
-    const JobState& state = jobs_[static_cast<std::size_t>(index)];
-    fp.live_jobs.push_back({index, span(now_, at(state.release)),
-                            state.total_work, state.executed});
-  };
-  if (active_ != kNoTask) add_live(active_);
-  for (const sched::RunEntry& entry : run_queue_.entries()) {
-    add_live(entry.task);
-  }
-  for (const StagedJob& staged : staged_) add_live(staged.task);
-  fp.next_release_rel.reserve(tasks_->size());
-  for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks_->size()); ++i) {
-    const sched::Task& t = task(i);
-    fp.next_release_rel.push_back(span(
-        now_,
-        at(static_cast<Time>(t.phase) +
-           static_cast<Time>(next_instance_[static_cast<std::size_t>(i)] *
-                             t.period))));
-  }
-  fp.rng = rng_.engine();
-  return fp;
-}
-
-CounterSnapshot SimState::snapshot_counters() const {
-  return {jobs_completed_,        deadline_misses_, context_switches_,
-          scheduler_invocations_, speed_changes_,   power_downs_,
-          dvs_slowdowns_};
-}
-
-void SimState::disarm_cycle_detection() {
-  cycle_armed_ = false;
-  cycle_recording_ = false;
-  cycle_has_prev_ = false;
-  next_boundary_ = kNever;
-  cycle_segments_.clear();
-  cycle_jobs_.clear();
-}
-
-void SimState::on_cycle_boundary() {
-  const auto started = std::chrono::steady_clock::now();
-  Fingerprint current = take_fingerprint();
-  ++fingerprint_checks_;
-  bool rng_moved = false;
-  bool matched = false;
-  if (cycle_has_prev_) {
-    if (current.rng != prev_fingerprint_.rng) {
-      rng_moved = true;
-    } else {
-      matched = current == prev_fingerprint_;
-    }
-  }
-  fingerprint_seconds_ +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
-  if (rng_moved) {
-    // The execution model consumes randomness each cycle; an MT19937
-    // state never recurs within any simulatable horizon, so stop
-    // checking.  Stochastic runs thus pay exactly two fingerprints.
-    disarm_cycle_detection();
-    return;
-  }
-  if (matched) {
-    // Two consecutive boundaries are bit-identical: the simulation is a
-    // proven cycle.  Skip every whole hyperperiod that still fits.
-    const Time now_abs = now_.absolute();
-    std::int64_t cycles = static_cast<std::int64_t>(
-        (options_->horizon - now_abs) / cycle_length_);
-    while (now_abs + static_cast<Time>(cycles + 1) * cycle_length_ <=
-           options_->horizon) {
-      ++cycles;
-    }
-    while (cycles > 0 &&
-           now_abs + static_cast<Time>(cycles) * cycle_length_ >
-               options_->horizon) {
-      --cycles;
-    }
-    if (cycles > 0) fast_forward(cycles);
-    // Any tail shorter than a cycle simulates normally; further
-    // fingerprints could never pay off.
-    disarm_cycle_detection();
-    return;
-  }
-  prev_fingerprint_ = std::move(current);
-  cycle_has_prev_ = true;
-  prev_counters_ = snapshot_counters();
-  cycle_segments_.clear();
-  cycle_jobs_.clear();
-  cycle_recording_ = true;
-  next_boundary_ += cycle_length_;
-}
-
-void SimState::fast_forward(std::int64_t cycles) {
-  LPFPS_CHECK(cycles > 0 && cycle_recording_);
-  // Replay the template through the *identical* accumulator calls the
-  // simulation would have made, once per skipped cycle, so every float
-  // total follows the same addition sequence (and the trace coalescer
-  // sees the same segment stream) as the full run.  Durations come from
-  // the template verbatim — shift-invariant TimePoint arithmetic makes
-  // the full simulation's own cycle-j durations bit-identical to them —
-  // and absolute trace times re-materialize from (base + j*H, offset)
-  // with the exact single rounding the full run would apply.
-  for (std::int64_t j = 1; j <= cycles; ++j) {
-    const Time offset = static_cast<Time>(j) * cycle_length_;
-    for (const CycleSegment& cs : cycle_segments_) {
-      const Time dt = cs.dt;
-      const Ratio rb = cs.ratio_begin;
-      const Ratio re = cs.ratio_end;
-      // The template caches the exact energy each accumulation charged,
-      // so the replay is pure addition — no power-model evaluation.
-      accumulator_->charge_replay(cs.mode, dt, cs.energy);
-      if (cs.mode == sim::ProcessorMode::kRunning) {
-        auto& slot = per_task_[static_cast<std::size_t>(cs.task)];
-        slot.time += dt;
-        slot.energy += cs.energy;
-        running_ratio_integral_ += (rb + re) / 2.0 * dt;
-        running_time_ += dt;
-      }
-      if (options_->record_trace) {
-        sim::Segment segment;
-        segment.begin = (cs.begin.base + offset) + cs.begin.offset;
-        segment.end = (cs.end.base + offset) + cs.end.offset;
-        segment.mode = cs.mode;
-        segment.task = cs.task;
-        segment.ratio_begin = rb;
-        segment.ratio_end = re;
-        trace_.add_segment(segment);
-      }
-    }
-    if (options_->record_trace) {
-      for (const CycleJob& cj : cycle_jobs_) {
-        sim::JobRecord record = cj.record;
-        record.instance +=
-            j * jobs_per_cycle_[static_cast<std::size_t>(record.task)];
-        record.release += offset;
-        record.absolute_deadline += offset;
-        record.completion =
-            (cj.completion.base + offset) + cj.completion.offset;
-        trace_.add_job(record);
-      }
-    }
-  }
-
-  // Integer statistics advance by exact per-cycle deltas.  High-water
-  // marks need nothing: a repeated cycle sets no new maximum.
-  const CounterSnapshot delta = snapshot_counters();
-  jobs_completed_ +=
-      static_cast<int>(cycles * (delta.jobs_completed -
-                                 prev_counters_.jobs_completed));
-  deadline_misses_ +=
-      static_cast<int>(cycles * (delta.deadline_misses -
-                                 prev_counters_.deadline_misses));
-  context_switches_ +=
-      static_cast<int>(cycles * (delta.context_switches -
-                                 prev_counters_.context_switches));
-  scheduler_invocations_ +=
-      static_cast<int>(cycles * (delta.scheduler_invocations -
-                                 prev_counters_.scheduler_invocations));
-  speed_changes_ += static_cast<int>(
-      cycles * (delta.speed_changes - prev_counters_.speed_changes));
-  power_downs_ += static_cast<int>(
-      cycles * (delta.power_downs - prev_counters_.power_downs));
-  dvs_slowdowns_ += static_cast<int>(
-      cycles * (delta.dvs_slowdowns - prev_counters_.dvs_slowdowns));
-
-  // Shift every pending anchor so the state at now_ reappears, verbatim,
-  // at now_ + cycles * H.  Anchors are exact integers (or infinity), so
-  // the additions are exact and every offset survives untouched.  Stale
-  // JobState entries of delay-queue tasks shift too — harmless,
-  // start_job rewrites them before any read.
-  const Time shift = static_cast<Time>(cycles) * cycle_length_;
-  delay_queue_.shift_release_times(shift);
-  for (StagedJob& staged : staged_) staged.ready.base += shift;
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    jobs_[i].release += shift;
-    jobs_[i].window_release += shift;
-    jobs_[i].instance += cycles * jobs_per_cycle_[i];
-    next_instance_[i] += cycles * jobs_per_cycle_[i];
-  }
-  wake_at_.base += shift;
-  wake_end_.base += shift;
-  shutdown_at_.base += shift;
-  plan_rampup_start_.base += shift;
-  plan_end_.base += shift;
-  now_.base += shift;
-
-  cycles_detected_ += cycles;
-  fast_forwarded_time_ += shift;
-}
-
 double SimState::slope() const {
   if (ratio_ < ramp_target_) return effective_ramp_rate_;
   if (ratio_ > ramp_target_) return -effective_ramp_rate_;
@@ -1133,10 +813,8 @@ void SimState::advance_to(const TimePoint& next) {
   segment.ratio_begin = ratio_;
   segment.ratio_end = end_ratio;
 
-  // The energy the accumulator charged for this interval: attributed to
-  // the running task, and recorded into the cycle template so the
-  // replay re-adds the identical value without re-evaluating the power
-  // model.
+  // The energy the accumulator charged for this interval, attributed to
+  // the running task.
   Energy charged = 0.0;
   switch (state_) {
     case CpuState::kRunning: {
@@ -1181,35 +859,13 @@ void SimState::advance_to(const TimePoint& next) {
     }
   }
 
-  if (cycle_recording_) {
-    // Template for the steady-state replay: one entry per accumulation,
-    // including sub-epsilon slivers the trace writer drops (their energy
-    // still counts, so the replay must redo them).
-    cycle_segments_.push_back({now_, next, dt, charged, segment.mode,
-                               segment.task, segment.ratio_begin,
-                               segment.ratio_end});
-  }
   if (options_->record_trace) trace_.add_segment(segment);
   ratio_ = end_ratio;
   now_ = next;
 }
 
-SimState::SpecPrep SimState::prepare(const sched::TaskSet& tasks,
-                                     const power::ProcessorConfig& processor,
-                                     const SchedulerPolicy& policy,
-                                     const exec::ExecModelPtr& exec_model,
-                                     const EngineOptions& options) {
-  validate_spec(tasks, processor, policy, options);
-  SpecPrep prep;
-  prep.hyperperiod = eligible_cycle_hyperperiod(tasks, exec_model, options);
-  prep.cycle_eligible = prep.hyperperiod != 0;
-  return prep;
-}
-
-void SimState::begin(const SpecPrep* prep) {
-  if (prep == nullptr) {
-    validate_spec(*tasks_, *processor_, *policy_, *options_);
-  }
+void SimState::begin(bool validated) {
+  if (!validated) validate(*tasks_, *processor_, *policy_, *options_);
 
   // kOverload's structural trigger: hard-infeasible sets are in
   // overload from the first release, before any miss can be observed.
@@ -1240,11 +896,9 @@ void SimState::begin(const SpecPrep* prep) {
   for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks_->size()); ++i) {
     delay_queue_.insert({i, static_cast<Time>(task(i).phase)});
   }
-  setup_cycle_detection(prep);
   invoke_scheduler();
 
-  // Loop bookkeeping the old run() kept in locals.  horizon_ flips
-  // finished() live: before begin() it is kNeverPoint, so finished() is
+  // Loop bookkeeping.  horizon_ flips finished() live: before begin() it is kNeverPoint, so finished() is
   // false and callers cannot skip the prologue.
   horizon_ = at(options_->horizon);
   last_now_ = TimePoint{-1.0, 0.0};
@@ -1252,29 +906,6 @@ void SimState::begin(const SpecPrep* prep) {
 }
 
 void SimState::step() {
-  if (cycle_armed_) {
-    const Time now_abs = now_.absolute();
-    if (now_abs == next_boundary_) {
-      // The clock landed exactly on a hyperperiod boundary (phase-0
-      // task sets release every task there, so the loop always stops
-      // at it) and the boundary's handlers have run: a canonical
-      // sampling point.  on_cycle_boundary may fast-forward now_ to
-      // the last whole cycle before the horizon; re-test finished()
-      // before doing anything at the new instant (the old loop's
-      // `continue`).
-      on_cycle_boundary();
-      return;
-    }
-    if (now_abs > next_boundary_) {
-      // Overshot (phased releases leave no event on the boundary):
-      // resync to the next multiple and restart the match hunt.
-      while (next_boundary_ <= now_abs) next_boundary_ += cycle_length_;
-      cycle_has_prev_ = false;
-      cycle_recording_ = false;
-      cycle_segments_.clear();
-      cycle_jobs_.clear();
-    }
-  }
   // Livelock detector: every step must advance time (or change state so
   // a handler clears its condition); a stuck boundary would otherwise
   // spin forever.  The threshold is far above any legitimate
@@ -1491,9 +1122,8 @@ void SimState::step() {
 }
 
 SimulationResult SimState::finish() {
-  // The tolerance scales with the horizon: long fast-forwardable runs
-  // accumulate ulp-level dt rounding across millions of segment
-  // additions, exactly like a full simulation of the same span would.
+  // The tolerance scales with the horizon: long runs accumulate
+  // ulp-level dt rounding across millions of segment additions.
   LPFPS_CHECK_MSG(
       approx_equal(accumulator_->total_time(), options_->horizon,
                    std::max(1e-3, 1e-9 * options_->horizon)),
@@ -1531,22 +1161,12 @@ SimulationResult SimState::finish() {
     result.mk_violations = governor_.mk_violations();
     result.weakly_hard_worst_slack = governor_.worst_window_slack();
   }
-  result.cycles_detected = cycles_detected_;
-  result.fast_forwarded_time = fast_forwarded_time_;
-  result.fingerprint_checks = fingerprint_checks_;
-  result.fingerprint_seconds = fingerprint_seconds_;
   result.per_task = per_task_;
   if (options_->record_trace) {
     trace_.check_invariants();
     result.trace = std::move(trace_);
   }
   return result;
-}
-
-SimulationResult SimState::run() {
-  begin();
-  while (!finished()) step();
-  return finish();
 }
 
 }  // namespace lpfps::core

@@ -1,22 +1,20 @@
 // Stepwise simulation state — the engine's main loop, opened up.
 //
-// core::Engine::run is a closed box: construct, run to the horizon,
-// return the result.  SimState is the same machinery (it *is* the
-// engine's former internal Simulation class, verbatim) exposed as an
-// incremental state machine, so a caller that runs many independent
-// simulations — the fleet engine in src/fleet/ — can drive each one
-// event by event on one reused state:
+// SimState is the whole simulation engine exposed as an incremental
+// state machine, so a caller that runs many independent simulations —
+// the fleet engine in src/fleet/ — can drive each one event by event on
+// one reused state:
 //
 //   SimState sim(tasks, cpu, policy, exec, options);
 //   sim.begin();                       // validate, seed queues, L1 entry
 //   while (!sim.finished()) sim.step() // one event-loop iteration
 //   SimulationResult r = sim.finish(); // totals check + result assembly
 //
-// run() performs exactly that sequence, and Engine::run delegates to it,
-// so the serial path and any stepwise driver execute the *identical*
+// core::simulate performs exactly that sequence, so the one-call path
+// and any caller that steps a SimState itself execute the *identical*
 // arithmetic in the identical order: a stepwise run is bit-identical to
-// Engine::run by construction, not by testing alone (the differential
-// suite in tests/fleet/ pins it anyway).
+// core::simulate by construction, not by testing alone (the
+// differential suite in tests/fleet/ pins it anyway).
 //
 // reset() rebinds an existing SimState to a new simulation while
 // retaining every internal buffer's capacity (queues, job tables,
@@ -29,7 +27,7 @@
 //
 // Lifetime: SimState borrows `tasks`, `processor`, `policy` and
 // `options` (it stores pointers); they must outlive the run.  The
-// execution model is shared by shared_ptr.  Engine::run and
+// execution model is shared by shared_ptr.  core::simulate and
 // fleet::FleetEngine both satisfy this by keeping the spec alive for
 // the duration.
 #pragma once
@@ -56,7 +54,7 @@
 namespace lpfps::core {
 
 /// Internal time/state machinery of the engine loop.  Exposed in a
-/// header only so SimState can live outside engine.cc; not a public
+/// header only so SimState's members can be declared here; not a public
 /// API surface — everything here may change with the engine.
 namespace detail {
 
@@ -66,20 +64,18 @@ inline constexpr Time kNever = std::numeric_limits<Time>::infinity();
 /// offset instead of one accumulated double.
 ///
 /// The anchor is always an exactly-representable value (a release time,
-/// a hyperperiod boundary, the horizon — integers in this codebase) and
-/// the offset is the fractional distance the clock has moved since, a
-/// value bounded by one task period.  Durations are computed as
-/// (base difference) + (offset difference): the bases subtract exactly,
-/// so a duration between two instants one hyperperiod later is
-/// *bit-identical* — plain absolute doubles cannot promise that, because
-/// crossing a power-of-two magnitude changes the rounding grid and an
-/// `end - begin` subtraction picks up a different ulp.  This exact
-/// shift-invariance is what lets the steady-state fast-forward replay a
-/// proven cycle and still match a full simulation bit for bit.
+/// the horizon — integers in this codebase) and the offset is the
+/// fractional distance the clock has moved since, a value bounded by
+/// one task period.  Durations are computed as (base difference) +
+/// (offset difference), and absolute times (trace segments, job
+/// completions) materialize with a single rounding via absolute().
 ///
-/// Absolute times (trace segments, job completions) materialize with a
-/// single rounding via absolute(); the replay re-materializes from the
-/// same (base + n*H, offset) pair, reproducing the rounding exactly.
+/// The split is kept for its rounding, not for speed: every golden
+/// (data/golden/engine_equivalence.csv) and every %a energy pin
+/// (data/golden/engine_energy.csv) was recorded from this arithmetic.
+/// One plain absolute double rounds differently — crossing a power of
+/// two changes the rounding grid, so an `end - begin` subtraction picks
+/// up a different ulp — and would move output bits.
 struct TimePoint {
   Time base = 0.0;    ///< Exact anchor (or +inf for "never").
   Time offset = 0.0;  ///< Time since the anchor; may be slightly negative
@@ -96,7 +92,7 @@ inline TimePoint after(const TimePoint& p, Time delta) {
   return {p.base, p.offset + delta};
 }
 
-/// b - a with the anchors cancelling exactly (shift-invariant).
+/// b - a: the anchors subtract first, then the offsets.
 inline Time span(const TimePoint& a, const TimePoint& b) {
   return (b.base - a.base) + (b.offset - a.offset);
 }
@@ -141,110 +137,11 @@ struct JobState {
   bool throttled = false;     ///< Suspended; the next start_job resumes it.
 };
 
-/// Canonical scheduler state at a hyperperiod boundary, with every
-/// absolute time expressed relative to the boundary so two boundaries
-/// one (or more) hyperperiods apart can compare equal.  Equality is
-/// exact — bitwise on floats — because only a bit-identical state
-/// guarantees bit-identical future evolution; a near-miss simply means
-/// we keep simulating, never that we skip incorrectly.  kNever timers
-/// stay infinite under subtraction, so idle timers compare equal too.
-struct Fingerprint {
-  CpuState state = CpuState::kIdle;
-  TaskIndex active = kNoTask;
-  Ratio ratio = 1.0;
-  Ratio ramp_target = 1.0;
-  bool reinvoke_after_ramp = false;
-  bool plan_active = false;
-  bool plan_up_started = false;
-  /// The clock's own anchor decomposition at the boundary (normally
-  /// (0, 0): phase-0 sets release every task there).  Two boundaries
-  /// with different decompositions would materialize future absolute
-  /// times differently, so they must not compare equal.
-  Time now_base_rel = 0.0;
-  Time now_offset = 0.0;
-  Time plan_rampup_start_rel = 0.0;
-  Time plan_end_rel = 0.0;
-  Time wake_at_rel = 0.0;
-  Time wake_end_rel = 0.0;
-  Time shutdown_at_rel = 0.0;
-  double sleep_power_fraction = 0.0;
-  Time sleep_wake_latency = 0.0;
-  std::vector<sched::RunEntry> run_queue;
-  std::vector<sched::DelayEntry> delay_queue_rel;  ///< release -= boundary.
-  std::vector<std::pair<TaskIndex, Time>> staged_rel;
-
-  /// In-flight job of the active / ready / staged tasks.  Tasks waiting
-  /// in the delay queue carry stale JobState (overwritten by the next
-  /// start_job before any read), so only live jobs participate.
-  struct LiveJob {
-    TaskIndex task = kNoTask;
-    Time release_rel = 0.0;
-    Work total_work = 0.0;
-    Work executed = 0.0;
-    friend bool operator==(const LiveJob&, const LiveJob&) = default;
-  };
-  std::vector<LiveJob> live_jobs;
-
-  /// Upcoming release of each task's *next* instance, relative to the
-  /// boundary (start_job computes the absolute twin).  Implied by the
-  /// delay-queue entries for well-formed states; carried explicitly so a
-  /// next_instance_ divergence can never slip through.
-  std::vector<Time> next_release_rel;
-
-  /// The full generator state.  Deterministic models never touch it, so
-  /// it compares equal; stochastic models advance it monotonically, so
-  /// boundaries can never match (and one mismatch disarms the detector).
-  Mt19937_64 rng;
-
-  friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
-};
-
-/// One advance_to accumulation of the template cycle, replayed verbatim
-/// per skipped hyperperiod.  Times are kept as TimePoints so the replay
-/// re-materializes absolute trace times with the exact rounding the full
-/// simulation would produce.  `ramp` records which accumulator overload
-/// the simulation actually called (a sub-ulp ramp step can leave
-/// ratio_begin == ratio_end while still being a ramp accumulation).
-struct CycleSegment {
-  TimePoint begin;
-  TimePoint end;
-  Time dt = 0.0;  ///< span(begin, end), the exact duration accumulated.
-  /// Energy the accumulator charged for this segment.  A repeated
-  /// segment's energy is a pure function of (dt, ratios, mode), so the
-  /// replay adds this cached double — the identical value, in the
-  /// identical order — instead of re-evaluating the power model, which
-  /// is what makes fast-forward decisively cheaper than simulation.
-  Energy energy = 0.0;
-  sim::ProcessorMode mode = sim::ProcessorMode::kIdleBusyWait;
-  TaskIndex task = kNoTask;
-  Ratio ratio_begin = 1.0;
-  Ratio ratio_end = 1.0;
-};
-
-/// One job completion inside the template cycle.  The completion instant
-/// rides along as a TimePoint for exact re-materialization.
-struct CycleJob {
-  sim::JobRecord record;
-  TimePoint completion;
-};
-
-/// Integer statistics at a boundary; per-cycle deltas extrapolate
-/// exactly (replay adds `cycles * delta`, no float involved).
-struct CounterSnapshot {
-  int jobs_completed = 0;
-  int deadline_misses = 0;
-  int context_switches = 0;
-  int scheduler_invocations = 0;
-  int speed_changes = 0;
-  int power_downs = 0;
-  int dvs_slowdowns = 0;
-};
-
 }  // namespace detail
 
 /// The full mutable state of one simulation plus the engine main loop,
 /// decomposed into begin / step / finish (see the file comment for the
-/// contract).  Engine::run builds one of these per call; the fleet
+/// contract).  core::simulate builds one of these per call; the fleet
 /// engine keeps one per worker and reset()s it between sims.
 class SimState {
  public:
@@ -275,33 +172,20 @@ class SimState {
              const EngineOptions& options,
              const Mt19937_64* rng_state = nullptr);
 
-  /// Per-spec work that is a pure function of the (immutable) spec: the
-  /// validation verdict and the cycle-eligibility probe (hyperperiod
-  /// LCM included).  The fleet computes one of these per spec at add()
-  /// time and passes it back on every rebind, so lanes skip the
-  /// redundant re-checks; begin(nullptr) — the serial path — recomputes
-  /// both, bit-identically (neither influences any simulated value,
-  /// only whether begin() throws and whether the detector arms).
-  struct SpecPrep {
-    bool cycle_eligible = false;   ///< Passed every spec-fixed gate.
-    std::int64_t hyperperiod = 0;  ///< Cycle length; valid when eligible.
-  };
+  /// The checks begin() runs before simulating: a non-empty, valid task
+  /// set, a valid processor and policy, and options that fit them.
+  /// Throws std::logic_error on the first violation.  The fleet runs it
+  /// once per spec at add() time, so lane rebinds skip it.
+  static void validate(const sched::TaskSet& tasks,
+                       const power::ProcessorConfig& processor,
+                       const SchedulerPolicy& policy,
+                       const EngineOptions& options);
 
-  /// Validates the spec exactly as begin() would (same checks, same
-  /// exceptions) and probes cycle eligibility.
-  static SpecPrep prepare(const sched::TaskSet& tasks,
-                          const power::ProcessorConfig& processor,
-                          const SchedulerPolicy& policy,
-                          const exec::ExecModelPtr& exec_model,
-                          const EngineOptions& options);
-
-  /// Validates inputs, seeds the delay queue, arms cycle detection, and
-  /// performs the initial scheduler invocation (the prologue of the old
-  /// Engine::run).  Must be called exactly once before step().  With a
-  /// `prep` (from prepare() on the same spec), validation and the
-  /// eligibility probe are skipped; only the runtime LPFPS_CYCLE gate is
-  /// re-read.
-  void begin(const SpecPrep* prep = nullptr);
+  /// Validates inputs (unless the caller already ran validate() on the
+  /// same spec and passes `validated`), seeds the delay queue, and
+  /// performs the initial scheduler invocation.  Must be called exactly
+  /// once before step().
+  void begin(bool validated = false);
 
   /// True once the clock has reached the horizon; finish() may be called.
   bool finished() const {
@@ -316,10 +200,6 @@ class SimState {
   /// Checks the accounted-time invariant and assembles the result.
   /// Call exactly once, after finished() turns true.
   SimulationResult finish();
-
-  /// begin + step-to-horizon + finish, the exact serial semantics of
-  /// Engine::run (which delegates here).
-  SimulationResult run();
 
   /// Current simulated instant (absolute microseconds).
   Time clock() const { return now_.absolute(); }
@@ -377,22 +257,6 @@ class SimState {
   double slope() const;
   /// Advances the clock to `next`, integrating energy, work and trace.
   void advance_to(const detail::TimePoint& next);
-
-  // --- steady-state cycle detection ------------------------------------
-  /// Arms the detector when the run qualifies (see engine.h).  With a
-  /// `prep`, reuses its precomputed eligibility verdict + hyperperiod.
-  void setup_cycle_detection(const SpecPrep* prep);
-  /// Fingerprints the state at now_ == next_boundary_; on a match,
-  /// fast-forwards the remaining whole cycles and disarms.
-  void on_cycle_boundary();
-  detail::Fingerprint take_fingerprint() const;
-  detail::CounterSnapshot snapshot_counters() const;
-  /// Replays the recorded template cycle `cycles` times: identical
-  /// accumulator calls for energy/ratio integrals, exact integer deltas
-  /// for counters, time-shifted trace splices, then shifts every pending
-  /// absolute time so the simulation resumes at now_ + cycles * H.
-  void fast_forward(std::int64_t cycles);
-  void disarm_cycle_detection();
 
   const sched::Task& task(TaskIndex index) const {
     return (*tasks_)[index];
@@ -516,25 +380,8 @@ class SimState {
   double running_ratio_integral_ = 0.0;
   Time running_time_ = 0.0;
 
-  // Steady-state cycle detection (setup_cycle_detection decides whether
-  // to arm; everything below is inert when cycle_armed_ is false).
-  bool cycle_armed_ = false;
-  bool cycle_recording_ = false;  ///< advance_to appends to the template.
-  bool cycle_has_prev_ = false;
-  Time cycle_length_ = 0.0;       ///< Hyperperiod, exactly representable.
-  Time next_boundary_ = detail::kNever;
-  std::vector<std::int64_t> jobs_per_cycle_;  ///< H / period, per task.
-  detail::Fingerprint prev_fingerprint_;
-  detail::CounterSnapshot prev_counters_;
-  std::vector<detail::CycleSegment> cycle_segments_;  ///< Template cycle.
-  std::vector<detail::CycleJob> cycle_jobs_;  ///< Completions in the cycle.
-  std::int64_t cycles_detected_ = 0;
-  Time fast_forwarded_time_ = 0.0;
-  std::int64_t fingerprint_checks_ = 0;
-  double fingerprint_seconds_ = 0.0;
-
-  // Loop bookkeeping, formerly locals of the old run() (the livelock
-  // detector and the horizon the loop tests against).
+  // Loop bookkeeping: the livelock detector and the horizon the loop
+  // tests against.
   detail::TimePoint horizon_ = detail::kNeverPoint;
   detail::TimePoint last_now_{-1.0, 0.0};
   int stalled_iterations_ = 0;

@@ -14,7 +14,7 @@
 // WCET overruns are injected by exec::FaultyExecModel (the one
 // execution-time model whose samples may legally violate the
 // [BCET, WCET] postcondition); ramp and wakeup faults are injected by
-// core::Engine's physical layer.  With a default-constructed FaultPlan
+// the engine's physical layer (core::SimState).  With a default-constructed FaultPlan
 // and ContainmentPolicy the engine's behaviour is bit-identical to a
 // build without this layer (tests/core/engine_fault_injection_test.cc
 // pins that differentially, data/golden/engine_equivalence.csv pins it

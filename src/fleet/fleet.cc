@@ -15,17 +15,13 @@ FleetEngine::~FleetEngine() = default;
 std::size_t FleetEngine::add(SimSpec spec) {
   specs_.push_back(std::move(spec));
   const SimSpec& stored = specs_.back();
-  std::int64_t hyper = 0;
   std::exception_ptr error;
   try {
-    const core::SimState::SpecPrep prep =
-        core::SimState::prepare(stored.tasks, stored.processor, stored.policy,
-                                stored.exec_model, stored.options);
-    hyper = prep.cycle_eligible ? prep.hyperperiod : 0;
+    core::SimState::validate(stored.tasks, stored.processor, stored.policy,
+                             stored.options);
   } catch (...) {
     error = std::current_exception();
   }
-  prep_hyperperiod_.push_back(hyper);
   prep_errors_.push_back(std::move(error));
   prep_rng_.push_back(Rng::warmed_engine(stored.options.seed));
   return specs_.size() - 1;
@@ -52,12 +48,9 @@ std::vector<core::SimulationResult> FleetEngine::run_all(
                    spec.options, &prep_rng_[i]);
       ++stats_.lane_rebinds;
     }
-    core::SimState::SpecPrep prep;
-    prep.hyperperiod = prep_hyperperiod_[i];
-    prep.cycle_eligible = prep.hyperperiod != 0;
     // A throw below leaves the lane mid-run — harmless, the next bind
     // reset()s it from scratch.
-    lane_->begin(&prep);
+    lane_->begin(/*validated=*/true);
     while (!lane_->finished()) {
       lane_->step();
       ++stats_.steps;

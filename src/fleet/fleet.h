@@ -4,14 +4,13 @@
 // policy ablations, the Fig. 8 BCET grids — is a loop of *independent*
 // simulations, each tiny: a 5-task UUniFast set over a few hyperperiods
 // costs a handful of microseconds, of which a large fraction is per-sim
-// fixed setup (the Engine's task-set/processor/policy copies, half a
-// dozen vector allocations for queues, job tables and per-task totals,
-// power-model construction, RNG seeding).  The fleet engine amortizes
-// that fixed cost away:
+// fixed setup (half a dozen vector allocations for queues, job tables
+// and per-task totals, power-model construction, RNG seeding,
+// validation).  The fleet engine amortizes that fixed cost away:
 //
 //   * simulations are added up front as SimSpecs; add() validates each
-//     spec, probes its cycle eligibility and warms its RNG state once
-//     (SimState::prepare, Rng::warmed_engine);
+//     spec and warms its RNG state once (SimState::validate,
+//     Rng::warmed_engine);
 //   * run_all() runs the specs one after another, each to completion,
 //     on one reused SimState *lane* — rebinding the lane
 //     (SimState::reset) reuses every buffer the previous sim allocated,
@@ -25,17 +24,17 @@
 // workers, one FleetEngine (one lane) per worker.
 //
 // **Bit-identity contract.**  A lane executes the exact same
-// begin()/step().../finish() sequence `core::Engine::run` executes —
-// the same code, in SimState — and a reset lane is bit-identical to a
+// begin()/step().../finish() sequence `core::simulate` executes — the
+// same code, in SimState — and a reset lane is bit-identical to a
 // fresh one, so every result (CSV row, coalesced trace, audit report)
 // is bit-identical to a serial `core::simulate` of the same spec, at
 // any worker count.  The differential suite in tests/fleet/ pins this
-// across policies, workloads, faulted, cycle-eligible and weakly-hard
-// sims, run back to back on one lane; docs/FLEET.md documents the
-// argument and the measured cost.
+// across policies, workloads, faulted, long WCET and weakly-hard sims,
+// run back to back on one lane; docs/FLEET.md documents the argument
+// and the measured cost.
 //
 // **Eligibility.**  Any spec `core::simulate` accepts is eligible —
-// faults, containment, jitter, cycle detection, traces all ride along.
+// faults, containment, jitter, traces all ride along.
 // Specs sharing one exec::TraceDrivenModel instance must not be run
 // through the sharded fleet (mutable replay cursors — same rule as the
 // parallel runner).
@@ -126,13 +125,11 @@ class FleetEngine {
  private:
   std::vector<SimSpec> specs_;
 
-  // Per-spec preparation computed once at add() time (SimState::prepare):
-  // the validation verdict and the cycle-eligibility probe are pure
-  // functions of the immutable spec, so rebinding the lane skips both.
-  // A spec whose validation failed carries its exception and never
-  // binds the lane; running it rethrows the error begin() would have
-  // thrown.
-  std::vector<std::int64_t> prep_hyperperiod_;  ///< 0 = cycle-ineligible.
+  // Per-spec validation verdict, computed once at add() time
+  // (SimState::validate): it is a pure function of the immutable spec,
+  // so rebinding the lane skips it.  A spec whose validation failed
+  // carries its exception and never binds the lane; running it
+  // rethrows the error begin() would have thrown.
   std::vector<std::exception_ptr> prep_errors_;
   /// Warmed RNG state per spec (Rng::warmed_engine of options.seed,
   /// built once by add()): every lane bind restores it by copy, which

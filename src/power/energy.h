@@ -6,9 +6,9 @@
 // the energy went (the paper's §4 discussion of *why* INS wins relies on
 // exactly this breakdown).
 //
-// Every add_* returns the energy it charged, so callers that attribute
-// energy elsewhere (per-task totals, the cycle replay template) reuse
-// that value instead of evaluating the power model a second time.
+// Every add_* returns the energy it charged, so a caller that attributes
+// energy elsewhere (the engine's per-task totals) reuses that value
+// instead of evaluating the power model a second time.
 //
 // Ramp energies come from a small direct-mapped memo in front of
 // PowerModel::ramp_energy.  LPFPS ramps between a handful of quantized
@@ -69,15 +69,6 @@ class EnergyAccumulator {
 
   /// Wake-up transition (full power, no useful work).
   Energy add_wakeup(Time duration);
-
-  /// Re-charges an interval whose energy a previous add_* call already
-  /// computed (the engine's steady-state replay).  Identical guard and
-  /// addition sequence as the original call, without re-evaluating the
-  /// power model — `energy` must be the value that call charged.
-  void charge_replay(sim::ProcessorMode mode, Time duration,
-                     Energy energy) {
-    charge(mode, duration, energy);
-  }
 
   Energy total_energy() const;
   Time total_time() const;

@@ -60,12 +60,12 @@ class FixedPriorityKernel {
   /// triggers `action` — count only (kNone), suspend to the next period
   /// window with a replenished budget (kThrottle), or abort with the
   /// remaining work discarded (kKill).  Mirrors the containment
-  /// semantics of core::Engine (docs/ROBUSTNESS.md) so the two
+  /// semantics of core::simulate (docs/ROBUSTNESS.md) so the two
   /// simulators stay cross-checkable under faults.
   void set_overrun_containment(faults::OverrunAction action);
 
   /// Arms the weakly-hard skip governor with the same decision rule as
-  /// core::Engine (docs/WEAKLY_HARD.md): at each release of a task
+  /// core::simulate (docs/WEAKLY_HARD.md): at each release of a task
   /// declaring an (m,k) or skip constraint, a permitted skip is spent —
   /// always under kAlways, only while the overload latch (hard RTA
   /// failure at rest, or a detected overrun / actual miss until the next

@@ -59,10 +59,4 @@ std::optional<Time> DelayQueue::next_release() const {
   return entries_.front().release_time;
 }
 
-void DelayQueue::shift_release_times(Time delta) {
-  // A uniform translation preserves the (release_time, task) order, so
-  // the sorted invariant survives untouched.
-  for (DelayEntry& entry : entries_) entry.release_time += delta;
-}
-
 }  // namespace lpfps::sched

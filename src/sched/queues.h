@@ -24,18 +24,12 @@ namespace lpfps::sched {
 struct RunEntry {
   TaskIndex task = kNoTask;
   Priority priority = 0;
-
-  /// Exact equality, for state fingerprints (cycle detection).
-  friend bool operator==(const RunEntry&, const RunEntry&) = default;
 };
 
 /// An entry waiting in the delay queue.
 struct DelayEntry {
   TaskIndex task = kNoTask;
   Time release_time = 0.0;
-
-  /// Exact equality, for state fingerprints (cycle detection).
-  friend bool operator==(const DelayEntry&, const DelayEntry&) = default;
 };
 
 /// Priority-ordered ready queue.  Ties (impossible with validated task
@@ -108,11 +102,6 @@ class DelayQueue {
 
   /// Entries in release order (head first).
   const std::vector<DelayEntry>& entries() const noexcept { return entries_; }
-
-  /// Translates every queued release by `delta` microseconds, preserving
-  /// order.  The engine's steady-state fast-forward uses this to carry a
-  /// proven-periodic queue state across the skipped hyperperiods.
-  void shift_release_times(Time delta);
 
  private:
   std::vector<DelayEntry> entries_;  // Sorted by (release_time, task).

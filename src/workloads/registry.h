@@ -24,8 +24,8 @@ struct Workload {
 /// single hyperperiod exceeds `maximum` does it fall back to `maximum`
 /// itself (a partial cycle — the avionics set's 236 s hyperperiod is
 /// the one Table 2 case that needs this).  Whole-hyperperiod horizons
-/// keep energy comparisons unbiased and let the engine's steady-state
-/// fast-forward skip everything after the first repeated cycle.
+/// keep energy comparisons unbiased: every task's release pattern is
+/// counted over complete periods.
 Time pick_horizon(const sched::TaskSet& tasks, Time minimum, Time maximum);
 
 /// The paper's four applications in Table 2 order.

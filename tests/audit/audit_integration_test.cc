@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "audit/audit.h"
@@ -29,8 +30,11 @@ AuditReport audit_one(const sched::TaskSet& tasks,
   return audit_run(result, tasks, cpu, derive_options(policy, options));
 }
 
+/// Two execution models per workload and policy: the paper's clamped
+/// Gaussian, and WCET (null model), whose runs repeat every hyperperiod.
 TEST(AuditIntegration, AllWorkloadsAllPoliciesAreClean) {
-  const auto exec = std::make_shared<exec::ClampedGaussianModel>();
+  const exec::ExecModelPtr gaussian =
+      std::make_shared<exec::ClampedGaussianModel>();
   const auto cpu = power::ProcessorConfig::arm8_default();
   for (const workloads::Workload& w : workloads::paper_workloads()) {
     const sched::TaskSet tasks = w.tasks.with_bcet_ratio(0.5);
@@ -54,11 +58,15 @@ TEST(AuditIntegration, AllWorkloadsAllPoliciesAreClean) {
     }
 
     for (const core::SchedulerPolicy& policy : policies) {
-      const AuditReport report = audit_one(tasks, cpu, policy, exec, options);
-      EXPECT_TRUE(report.ok())
-          << w.name << " / " << policy.name << ": " << report.to_string();
-      EXPECT_GT(report.segments_checked, 0) << w.name << "/" << policy.name;
-      EXPECT_GT(report.jobs_checked, 0) << w.name << "/" << policy.name;
+      for (const exec::ExecModelPtr& exec : {gaussian, exec::ExecModelPtr{}}) {
+        const std::string label = w.name + "/" + policy.name + "/" +
+                                  (exec ? exec->name() : "wcet");
+        const AuditReport report =
+            audit_one(tasks, cpu, policy, exec, options);
+        EXPECT_TRUE(report.ok()) << label << ": " << report.to_string();
+        EXPECT_GT(report.segments_checked, 0) << label;
+        EXPECT_GT(report.jobs_checked, 0) << label;
+      }
     }
   }
 }

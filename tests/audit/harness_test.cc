@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "sched/priority.h"
 #include "sched/task.h"
@@ -43,9 +44,36 @@ TEST_F(AuditEnv, EnabledByDefaultAndOptOutSpellings) {
     setenv("LPFPS_AUDIT", off, 1);
     EXPECT_FALSE(enabled()) << off;
   }
-  for (const char* on : {"1", "on", "true", "anything"}) {
+  for (const char* on : {"", "1", "on", "true"}) {
     setenv("LPFPS_AUDIT", on, 1);
+    testing::internal::CaptureStderr();
     EXPECT_TRUE(enabled()) << on;
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "") << on;
+  }
+}
+
+TEST_F(AuditEnv, UnrecognisedValueIsNamedOnceAndKeepsTheDefault) {
+  // A typo must neither switch the audit off nor pass in silence.  The
+  // value is new on every repetition of this test, so the once-per-value
+  // warning fires each time.
+  static int repetition = 0;
+  const std::string value = "yes-" + std::to_string(++repetition);
+  setenv("LPFPS_AUDIT", value.c_str(), 1);
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(enabled());
+  EXPECT_TRUE(enabled());
+  const std::string warned = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(warned, "audit: ignoring LPFPS_AUDIT=" + value +
+                        " (not 0/off/false or 1/on/true); the audit "
+                        "stays on\n");
+  // Near misses of the off spellings are not off either.
+  for (const char* near : {"OFF", "no", "0 "}) {
+    setenv("LPFPS_AUDIT", near, 1);
+    testing::internal::CaptureStderr();
+    EXPECT_TRUE(enabled()) << near;
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(near),
+              std::string::npos)
+        << near;
   }
 }
 

@@ -150,15 +150,15 @@ TEST(Engine, RecordsMissesWhenAskedNotToThrow) {
 }
 
 TEST(Engine, RejectsEmptyTaskSet) {
-  EXPECT_THROW(Engine(sched::TaskSet{}, cpu(), SchedulerPolicy::fps(),
-                      nullptr),
+  EXPECT_THROW(simulate(sched::TaskSet{}, cpu(), SchedulerPolicy::fps(),
+                        nullptr, options(400.0)),
                std::logic_error);
 }
 
 TEST(Engine, RejectsNonPositiveHorizon) {
-  const Engine engine(lpfps::workloads::example_table1(), cpu(),
-                      SchedulerPolicy::fps(), nullptr);
-  EXPECT_THROW(engine.run(options(0.0)), std::logic_error);
+  EXPECT_THROW(simulate(lpfps::workloads::example_table1(), cpu(),
+                        SchedulerPolicy::fps(), nullptr, options(0.0)),
+               std::logic_error);
 }
 
 TEST(Engine, PhasedTaskStartsLate) {

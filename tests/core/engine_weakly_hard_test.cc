@@ -159,22 +159,6 @@ TEST(WeaklyHardEngine, ThrottleContainmentCannotCombineWithGovernor) {
                            nullptr, options));
 }
 
-TEST(WeaklyHardEngine, ArmedRunsAreCycleDetectionIneligible) {
-  const sched::TaskSet tasks = feasible_tasks();
-  EngineOptions options;
-  options.horizon = 400'000;  // 20 hyperperiods of 20 ms.
-  options.cycle_detection = true;
-  options.weakly_hard.policy = weakly_hard::SkipPolicy::kAlways;
-  const SimulationResult armed =
-      simulate(tasks, kCpu, SchedulerPolicy::fps(), nullptr, options);
-  EXPECT_EQ(armed.cycles_detected, 0);
-
-  options.weakly_hard.policy = weakly_hard::SkipPolicy::kNever;
-  const SimulationResult disarmed =
-      simulate(tasks, kCpu, SchedulerPolicy::fps(), nullptr, options);
-  EXPECT_GT(disarmed.cycles_detected, 0);
-}
-
 TEST(WeaklyHardEngine, KernelCrossCheckAgreesOnSkipsAndWindows) {
   // The reference kernel runs the same governor rule; under full-speed
   // FPS with WCET execution the two simulators must agree on every

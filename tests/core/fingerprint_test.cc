@@ -1,9 +1,9 @@
 // core/fingerprint.h — the shared FNV-1a machinery.  The constants and
-// byte-for-byte behavior are pinned here because three consumers (the
-// golden-equivalence suite, the cycle detector's state digests, the
-// admission decision fingerprints) must keep agreeing forever: a change
-// to this hash silently invalidates golden files and the decision
-// digests in the bench baselines alike.
+// byte-for-byte behavior are pinned here because its consumers (the
+// golden-equivalence suite, the admission decision fingerprints, the
+// bench decision digests) must keep agreeing forever: a change to this
+// hash silently invalidates golden files and the decision digests in
+// the bench baselines alike.
 #include "core/fingerprint.h"
 
 #include <gtest/gtest.h>

@@ -51,7 +51,7 @@ std::string identity(const sched::TaskSet& tasks,
 
 /// A 200-spec mixed batch: the sweep regime (RM-schedulable UUniFast
 /// sets, both policies, stochastic execution, positional seeds) with a
-/// faulted-and-contained sim and a cycle-eligible sim spliced into the
+/// faulted-and-contained sim and a long WCET sim spliced into the
 /// middle, so shard boundaries cut through feature-bearing lanes too.
 std::vector<fleet::SimSpec> make_mixed_specs() {
   const auto cpu = power::ProcessorConfig::arm8_default();
@@ -90,8 +90,8 @@ std::vector<fleet::SimSpec> make_mixed_specs() {
                  {workloads::example_table1(), cpu,
                   core::SchedulerPolicy::lpfps(), exec, options});
   }
-  // Cycle-eligible, mid-list: deterministic WCET execution over many
-  // hyperperiods fast-forwards after two boundaries.
+  // Long WCET run, mid-list: deterministic execution over 10,000
+  // hyperperiods of Table 1.
   {
     core::EngineOptions options;
     options.horizon = 4'000'000;
@@ -111,15 +111,12 @@ TEST(FleetSharded, WorkerCountCannotChangeOutput) {
       fleet::run_fleet_sharded(specs, {}, 1);
   ASSERT_EQ(serial.size(), specs.size());
   {
-    // Prove the batch exercises both feature paths.
+    // Prove the batch exercises the containment path.
     bool killed = false;
-    bool cycled = false;
     for (const auto& result : serial) {
       killed = killed || result.jobs_killed > 0;
-      cycled = cycled || result.cycles_detected > 0;
     }
     EXPECT_TRUE(killed);
-    EXPECT_TRUE(cycled);
   }
 
   for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
@@ -235,6 +232,37 @@ TEST(FleetSharded, MoreWorkersThanSpecsLeavesNoEmptyShardArtifacts) {
   EXPECT_TRUE(fleet::run_fleet_sharded({}, {}, 4).empty());
 }
 
+/// An empty task set fails core::SimState::validate, the one check
+/// behind every entry point, so the plain call, the fleet and the
+/// audited fleet all throw the same std::logic_error message.
+TEST(FleetSharded, EveryEntryPointRejectsAnEmptyTaskSetAlike) {
+  core::EngineOptions options;
+  options.horizon = 1000.0;
+  const fleet::SimSpec spec{sched::TaskSet{},
+                            power::ProcessorConfig::arm8_default(),
+                            core::SchedulerPolicy::fps(), nullptr, options};
+  const auto message_of = [](const auto& run) -> std::string {
+    try {
+      run();
+    } catch (const std::logic_error& error) {
+      return error.what();
+    }
+    return "no std::logic_error";
+  };
+  const std::string direct = message_of([&] {
+    (void)core::simulate(spec.tasks, spec.processor, spec.policy,
+                         spec.exec_model, spec.options);
+  });
+  EXPECT_NE(direct.find("engine needs at least one task"), std::string::npos)
+      << direct;
+  EXPECT_EQ(message_of([&] { (void)fleet::run_fleet_sharded({spec}, {}, 2); }),
+            direct);
+  EXPECT_EQ(message_of([&] {
+              (void)audit::simulate_fleet_sharded({spec}, {}, nullptr, 2);
+            }),
+            direct);
+}
+
 /// The audited batch: zero violations at any worker count, results
 /// identical to per-spec audit::simulate, traces dropped per spec after
 /// auditing, and an aggregator whose floating-point sums come out
@@ -244,8 +272,8 @@ TEST(FleetSharded, MoreWorkersThanSpecsLeavesNoEmptyShardArtifacts) {
 /// unlikely to pass by chance.
 TEST(FleetSharded, AuditedShardedMatchesPerSpecAuditAndFoldsInSpecOrder) {
   std::vector<fleet::SimSpec> specs = make_mixed_specs();
-  // The cycle-eligible spec's 4 s horizon makes its spliced trace
-  // dominate audit time, and it adds nothing to the fold-order check.
+  // The long WCET spec's 4 s horizon makes its trace dominate audit
+  // time, and it adds nothing to the fold-order check.
   std::erase_if(specs, [](const fleet::SimSpec& spec) {
     return spec.options.horizon > 1e6;
   });

@@ -82,25 +82,6 @@ TEST(DelayQueue, NextReleaseEmptyIsNullopt) {
   EXPECT_FALSE(queue.next_release().has_value());
 }
 
-TEST(DelayQueue, ShiftReleaseTimesTranslatesUniformly) {
-  // The engine's steady-state fast-forward moves every pending release
-  // forward by a whole number of hyperperiods: a uniform translation
-  // that must preserve ordering and tie-breaks exactly.
-  DelayQueue queue;
-  queue.insert({3, 250.0});
-  queue.insert({0, 100.0});
-  queue.insert({1, 100.0});
-  queue.shift_release_times(1000.0);
-  ASSERT_TRUE(queue.next_release().has_value());
-  EXPECT_DOUBLE_EQ(*queue.next_release(), 1100.0);
-  EXPECT_EQ(queue.pop_head().task, 0);  // Same-release ties keep order.
-  EXPECT_EQ(queue.pop_head().task, 1);
-  const DelayEntry last = queue.pop_head();
-  EXPECT_EQ(last.task, 3);
-  EXPECT_DOUBLE_EQ(last.release_time, 1250.0);
-  EXPECT_TRUE(queue.empty());
-}
-
 TEST(PaperFigure3a, QueueStateAtTimeZero) {
   // At t=0 all three tasks are released; tau1 becomes active, so the run
   // queue holds tau2 then tau3 (priority order) and the delay queue is
