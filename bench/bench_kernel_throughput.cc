@@ -5,10 +5,9 @@
 // simulated horizons, and reports raw simulation throughput: scheduler
 // events per wall-clock second and nanoseconds per event.  A third
 // section measures the fleet engine (docs/FLEET.md) on a pool of 1024
-// small UUniFast sims: a plain core::simulate loop (serial), one
-// engine re-run with its specs already added (run-only), and a fresh
-// engine plus 1024 add() calls per run (add+run), the cost every sweep
-// caller pays.  A fourth section, emitted only with the audit enabled,
+// small UUniFast sims: a plain core::simulate loop (serial) against a
+// fresh engine plus 1024 add() calls per run (add+run), the cost every
+// sweep caller pays.  A fourth section, emitted only with the audit enabled,
 // prices the default-on audit on a sweep-shaped pool: the same sims
 // unaudited and audited.
 //
@@ -203,14 +202,12 @@ int main() {
   // ---- Section 3: the fleet engine (docs/FLEET.md). --------------------
   // A pool of small RM-feasible 5-task UUniFast sims — the sweep regime
   // where per-sim fixed cost (buffer allocation, power-model
-  // construction, RNG seeding) rivals the event work — timed three ways.
+  // construction, RNG seeding) rivals the event work — timed two ways.
   // `serial` is a plain core::simulate loop: a fresh engine and fresh
-  // buffers per sim.  `run-only` re-runs one FleetEngine whose specs
-  // were added once, outside the timer: one reused lane, rebound per
-  // sim.  `add+run` builds a fresh engine and add()s every spec per rep,
-  // paying the per-spec preparation (validation, warmed RNG state) once
-  // per sim — what a sweep caller pays.  Results are bit-identical on
-  // every path, so events/run is constant and the events/sec column
+  // buffers per sim.  `add+run` builds a fresh FleetEngine and add()s
+  // every spec per rep — what a sweep caller pays: one reused lane,
+  // rebound (validated, reseeded) per sim.  Results are bit-identical on
+  // both paths, so events/run is constant and the events/sec column
   // isolates per-sim overhead.  CI gates add+run's share of the section
   // peak via --min-ratio fleet add+run.
   {
@@ -250,10 +247,6 @@ int main() {
       }
       return events;
     });
-    fleet::FleetEngine engine;
-    for (const fleet::SimSpec& spec : specs) engine.add(spec);
-    const Throughput run_only =
-        measure([&engine] { return events_of(engine.run_all()); });
     const Throughput add_run = measure([&specs] {
       fleet::FleetEngine fresh;
       for (const fleet::SimSpec& spec : specs) fresh.add(spec);
@@ -264,14 +257,10 @@ int main() {
       add_point(json, "fleet", name, "fps+lpfps", t);
     };
     emit("serial", serial);
-    emit("run-only", run_only);
     emit("add+run", add_run);
     const double serial_eps = serial.events_per_sec();
-    std::printf("%-12s %-16s run-only x%.2f, add+run x%.2f of serial "
-                "events/sec (%zu sims)\n",
+    std::printf("%-12s %-16s add+run x%.2f of serial events/sec (%zu sims)\n",
                 "fleet", "scaling",
-                serial_eps > 0.0 ? run_only.events_per_sec() / serial_eps
-                                 : 0.0,
                 serial_eps > 0.0 ? add_run.events_per_sec() / serial_eps
                                  : 0.0,
                 kFleetSims);

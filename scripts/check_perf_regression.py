@@ -27,8 +27,8 @@ current file's point named KEY in SECTION must run at at least RATIO
 times the fastest events_per_sec of that section in the same file.
 Unlike the baseline comparison this is machine-independent (both sides
 come from one run on one machine), so it can gate shape claims like
-"a fresh fleet engine's add()+run_all() keeps at least a quarter of the
-section peak" (--min-ratio fleet add+run 0.25) at full strictness.
+"a fresh fleet engine's add()+run_all() keeps at least 0.6 of the
+section peak" (--min-ratio fleet add+run 0.6) at full strictness.
 KEY matches the point's name; the policy column is ignored.
 
 --min-policy-ratio SECTION KEY POLICY_A POLICY_B RATIO is the within-run

@@ -310,21 +310,4 @@ std::vector<core::SimulationResult> simulate_fleet_sharded(
   return results;
 }
 
-double normalized_power(const sched::TaskSet& tasks,
-                        const power::ProcessorConfig& processor,
-                        const core::SchedulerPolicy& policy,
-                        const exec::ExecModelPtr& exec_model,
-                        const core::EngineOptions& options,
-                        AuditAggregator* aggregator) {
-  const core::SimulationResult fps =
-      simulate(tasks, processor, core::SchedulerPolicy::fps(), exec_model,
-               options, aggregator);
-  const core::SimulationResult other =
-      simulate(tasks, processor, policy, exec_model, options, aggregator);
-  if (!(fps.average_power > 0.0)) {
-    throw std::logic_error("normalized_power: FPS baseline drew no power");
-  }
-  return other.average_power / fps.average_power;
-}
-
 }  // namespace lpfps::audit

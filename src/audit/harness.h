@@ -134,12 +134,4 @@ std::vector<core::SimulationResult> simulate_fleet_sharded(
     std::vector<fleet::SimSpec> specs, const fleet::FleetOptions& fleet_options,
     AuditAggregator* aggregator = nullptr, std::size_t threads = 0);
 
-/// core::normalized_power with both runs audited.
-double normalized_power(const sched::TaskSet& tasks,
-                        const power::ProcessorConfig& processor,
-                        const core::SchedulerPolicy& policy,
-                        const exec::ExecModelPtr& exec_model,
-                        const core::EngineOptions& options,
-                        AuditAggregator* aggregator = nullptr);
-
 }  // namespace lpfps::audit

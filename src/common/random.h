@@ -14,8 +14,12 @@ namespace lpfps {
 /// MT19937-64 with the algorithm and constants the C++ standard fixes for
 /// std::mt19937_64 ([rand.predef]): for every seed the output stream is
 /// bitwise the same, so std:: distributions driven by it draw the same
-/// values.  It exists for one operation std::mt19937_64 offers only
-/// through text I/O: warm().
+/// values.  It exists for speed: its block generation applies the twist
+/// through a mask instead of a branch, so a raw draw costs 3.2-3.8 ns
+/// against libstdc++'s 8.6-10.7 ns, and a seed plus the first block
+/// about 1 us against 2.6-2.8 us — paid by every simulation, which
+/// reseeds its generator (docs/PERFORMANCE.md, "Why a lane binds with
+/// nothing precomputed").
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -32,16 +36,8 @@ class Mt19937_64 {
 
   /// Expands `value` over the whole state, as std::mt19937_64::seed
   /// does.  Like the standard engine, the first block of output is
-  /// generated lazily, by the first draw or by warm().
+  /// generated lazily, by the first draw.
   void seed(result_type value);
-
-  /// Generates the pending block now and leaves the cursor at its
-  /// start, so the next draw costs what any other draw costs.  The
-  /// output stream is unchanged.  A no-op when no block is pending
-  /// (the engine is already warm, or part-way through a block).
-  void warm() {
-    if (index_ >= kStateSize) generate_block();
-  }
 
   result_type operator()() {
     if (index_ >= kStateSize) generate_block();
@@ -52,9 +48,6 @@ class Mt19937_64 {
     z ^= z >> 43;
     return z;
   }
-
-  /// Equal state words and cursor, as std::mt19937_64's operator==.
-  friend bool operator==(const Mt19937_64&, const Mt19937_64&) = default;
 
  private:
   /// Twists the whole state into the next block and rewinds the cursor.
@@ -73,25 +66,9 @@ class Rng {
   /// `Rng(seed)`: `Mt19937_64::seed` performs the same state
   /// initialization as the seeded constructor, and every distribution
   /// method constructs its std:: distribution per call, so no sampling
-  /// state survives a reseed.  The fleet engine relies on this to rebind
-  /// simulation lanes without reallocating.
+  /// state survives a reseed.  core::SimState::reset relies on this:
+  /// every simulation bound to a reused lane reseeds its generator.
   void reseed(std::uint64_t seed) { engine_.seed(seed); }
-
-  /// Restores an engine state previously captured with warmed_engine():
-  /// a plain 2.5 KB copy, cheaper than reseed() plus the first-block
-  /// generation the first draw after it performs.  The fleet engine
-  /// caches one warmed state per spec and restores it on every lane
-  /// rebind.
-  void restore(const Mt19937_64& engine) { engine_ = engine; }
-
-  /// Engine state that replays, via restore(), the exact draw stream of
-  /// `Rng(seed)`: seeded, then warmed, so the first draw after a
-  /// restore is as cheap as any other.
-  static Mt19937_64 warmed_engine(std::uint64_t seed) {
-    Mt19937_64 engine(seed);
-    engine.warm();
-    return engine;
-  }
 
   /// Uniform real in [lo, hi).
   double uniform(double lo, double hi);

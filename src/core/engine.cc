@@ -1,6 +1,5 @@
 #include "core/engine.h"
 
-#include "common/check.h"
 #include "core/sim_state.h"
 
 namespace lpfps::core {
@@ -14,24 +13,10 @@ SimulationResult simulate(const sched::TaskSet& tasks,
                           const SchedulerPolicy& policy,
                           const exec::ExecModelPtr& exec_model,
                           const EngineOptions& options) {
-  SimState::validate(tasks, processor, policy, options);
   SimState simulation(tasks, processor, policy, exec_model, options);
-  simulation.begin(/*validated=*/true);
+  simulation.begin();
   while (!simulation.finished()) simulation.step();
   return simulation.finish();
-}
-
-double normalized_power(const sched::TaskSet& tasks,
-                        const power::ProcessorConfig& processor,
-                        const SchedulerPolicy& policy,
-                        const exec::ExecModelPtr& exec_model,
-                        const EngineOptions& options) {
-  const SimulationResult fps = simulate(
-      tasks, processor, SchedulerPolicy::fps(), exec_model, options);
-  const SimulationResult other =
-      simulate(tasks, processor, policy, exec_model, options);
-  LPFPS_CHECK(fps.average_power > 0.0);
-  return other.average_power / fps.average_power;
 }
 
 }  // namespace lpfps::core

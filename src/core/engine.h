@@ -133,21 +133,12 @@ struct EngineOptions {
 /// Runs one simulation over [0, options.horizon).  `tasks` must be
 /// non-empty and validate (unique priorities assigned); `exec_model`
 /// may be null, in which case every job takes its WCET.  Throws
-/// std::logic_error on invalid input (core::SimState::validate) and
+/// std::logic_error on invalid input (core::SimState::reset) and
 /// std::runtime_error on a deadline miss when options.throw_on_miss.
 SimulationResult simulate(const sched::TaskSet& tasks,
                           const power::ProcessorConfig& processor,
                           const SchedulerPolicy& policy,
                           const exec::ExecModelPtr& exec_model,
                           const EngineOptions& options);
-
-/// Runs `policy` and the FPS baseline under identical seeds and returns
-/// policy_average_power / fps_average_power (the paper's normalized
-/// power metric of Figure 8).
-double normalized_power(const sched::TaskSet& tasks,
-                        const power::ProcessorConfig& processor,
-                        const SchedulerPolicy& policy,
-                        const exec::ExecModelPtr& exec_model,
-                        const EngineOptions& options);
 
 }  // namespace lpfps::core

@@ -35,12 +35,13 @@ bool hard_rta_schedulable(const sched::TaskSet& tasks) {
   return sched::is_schedulable_rta(tasks);
 }
 
-}  // namespace
-
-void SimState::validate(const sched::TaskSet& tasks,
-                        const power::ProcessorConfig& processor,
-                        const SchedulerPolicy& policy,
-                        const EngineOptions& options) {
+/// The checks reset() runs before binding a spec: a non-empty, valid
+/// task set, a valid processor and policy, and options that fit them.
+/// Throws std::logic_error on the first violation.
+void validate_spec(const sched::TaskSet& tasks,
+                   const power::ProcessorConfig& processor,
+                   const SchedulerPolicy& policy,
+                   const EngineOptions& options) {
   LPFPS_CHECK_MSG(!tasks.empty(), "engine needs at least one task");
   LPFPS_CHECK(options.horizon > 0.0);
   LPFPS_CHECK(options.context_switch_cost >= 0.0);
@@ -67,21 +68,32 @@ void SimState::validate(const sched::TaskSet& tasks,
   }
 }
 
+}  // namespace
+
+void SimState::end_plan() {
+  plan_active_ = false;
+  plan_up_started_ = false;
+  plan_rampup_start_ = kNeverPoint;
+  plan_end_ = kNeverPoint;
+}
+
 SimState::SimState(const sched::TaskSet& tasks,
                    const power::ProcessorConfig& processor,
                    const SchedulerPolicy& policy,
                    const exec::ExecModelPtr& exec_model,
-                   const EngineOptions& options,
-                   const Mt19937_64* rng_state) {
-  reset(tasks, processor, policy, exec_model, options, rng_state);
+                   const EngineOptions& options) {
+  reset(tasks, processor, policy, exec_model, options);
 }
 
 void SimState::reset(const sched::TaskSet& tasks,
                      const power::ProcessorConfig& processor,
                      const SchedulerPolicy& policy,
                      const exec::ExecModelPtr& exec_model,
-                     const EngineOptions& options,
-                     const Mt19937_64* rng_state) {
+                     const EngineOptions& options) {
+  // Validation comes first, so a bad spec throws before any member
+  // changes — in particular before the FaultyExecModel below, whose own
+  // overrun checks would otherwise report a bad fault plan differently.
+  validate_spec(tasks, processor, policy, options);
   tasks_ = &tasks;
   processor_ = &processor;
   policy_ = &policy;
@@ -91,14 +103,7 @@ void SimState::reset(const sched::TaskSet& tasks,
   // Rng::reseed is bit-identical to fresh construction (see random.h),
   // and the optional re-emplacement rebuilds the power model in place —
   // the accumulator pointer below always refers to this lane's storage.
-  // A caller-provided warmed state (Rng::warmed_engine of options.seed)
-  // is the seeded engine with its first block already generated: a
-  // copy replays the same stream without redoing either step.
-  if (rng_state != nullptr) {
-    rng_.restore(*rng_state);
-  } else {
-    rng_.reseed(options.seed);
-  }
+  rng_.reseed(options.seed);
   power_model_.emplace(processor.make_power_model());
   accumulator_.emplace(&*power_model_);
   trace_ = sim::Trace();
@@ -126,10 +131,7 @@ void SimState::reset(const sched::TaskSet& tasks,
   ratio_ = 1.0;
   ramp_target_ = 1.0;
   reinvoke_after_ramp_ = false;
-  plan_active_ = false;
-  plan_up_started_ = false;
-  plan_rampup_start_ = kNeverPoint;
-  plan_end_ = kNeverPoint;
+  end_plan();
   wake_at_ = kNeverPoint;
   wake_end_ = kNeverPoint;
   sleep_power_fraction_ = 0.0;
@@ -170,8 +172,8 @@ void SimState::reset(const sched::TaskSet& tasks,
 
   // Weakly-hard governor wiring, resolved once: disarmed runs (no
   // weakly-hard tasks, or policy kNever) never touch any of it, keeping
-  // them bit-identical to the hard engine.  The structural overload
-  // latch needs a validated spec, so begin() computes it.
+  // them bit-identical to the hard engine.  begin() computes the
+  // structural overload latch.
   weakly_hard_enabled_ =
       tasks.has_weakly_hard() &&
       options.weakly_hard.policy != weakly_hard::SkipPolicy::kNever;
@@ -243,9 +245,57 @@ void SimState::start_job(TaskIndex index) {
   }
 }
 
+// inline: both L5-L7 loops call it on every release.  Left out of line
+// (GCC 12, -O3) it cost FPS runs about 4% of their events/sec on a
+// 4-vCPU x86-64 host.
+inline bool SimState::release_job(TaskIndex index) {
+  start_job(index);
+  // Throttle containment is banned while the governor is armed
+  // (validate_spec), so every entry reaching the governor is a fresh
+  // release.
+  if (weakly_hard_enabled_) {
+    note_release_pressure(index);
+    if (weakly_hard_should_skip(index)) {
+      skip_released_job(index);
+      return false;
+    }
+  }
+  TimePoint ready = at(job(index).release);
+  if (!options_->release_jitter.empty()) {
+    ready.offset += rng_.uniform(
+        0.0, options_->release_jitter[static_cast<std::size_t>(index)]);
+  }
+  if (tp_approx_le(ready, now_)) {
+    run_queue_.insert({index, task(index).priority});
+  } else {
+    staged_.push_back({index, ready});
+  }
+  return true;
+}
+
 Time SimState::next_arrival_for_active() const {
-  if (const auto release = delay_queue_.next_release(); release.has_value()) {
-    return *release;
+  if (!skip_dvs_) {
+    if (const auto release = delay_queue_.next_release();
+        release.has_value()) {
+      return *release;
+    }
+  } else if (!delay_queue_.empty()) {
+    // Earliest pending release whose job will actually demand the CPU:
+    // a release the governor certainly skips — permission already
+    // earned (the task's window history is frozen while it waits in the
+    // delay queue) and the overload latch unable to clear before the
+    // CPU next idles — defers that task's demand by one period.
+    // Lookahead is a single skip: the skip itself changes the task's
+    // window, so nothing further is certain.
+    Time best = kNever;
+    for (const sched::DelayEntry& entry : delay_queue_.entries()) {
+      Time candidate = entry.release_time;
+      if (weakly_hard_should_skip(entry.task)) {
+        candidate += static_cast<Time>(task(entry.task).period);
+      }
+      best = std::min(best, candidate);
+    }
+    return best;
   }
   // Single-task system: the processor is free until the task's own next
   // period begins (the enforcement window's end, which coincides with
@@ -317,32 +367,6 @@ void SimState::settle_weakly_hard(TaskIndex index, bool met, bool skipped) {
   governor_.settle(index, met, skipped);
 }
 
-Time SimState::next_arrival_for_active_skip_aware() const {
-  // Earliest pending release whose job will actually demand the CPU: a
-  // release the governor certainly skips — permission already earned
-  // (the task's window history is frozen while it waits in the delay
-  // queue) and the overload latch unable to clear before the CPU next
-  // idles — defers that task's demand by one period.  Lookahead is a
-  // single skip: the skip itself changes the task's window, so nothing
-  // further is certain.
-  bool any = false;
-  Time best = 0.0;
-  for (const sched::DelayEntry& entry : delay_queue_.entries()) {
-    Time candidate = entry.release_time;
-    if (weakly_hard_should_skip(entry.task)) {
-      candidate += static_cast<Time>(task(entry.task).period);
-    }
-    if (!any || candidate < best) {
-      best = candidate;
-      any = true;
-    }
-  }
-  if (any) return best;
-  // Single-task system, as in next_arrival_for_active.
-  const JobState& state = jobs_[static_cast<std::size_t>(active_)];
-  return state.window_release + static_cast<Time>(task(active_).period);
-}
-
 void SimState::try_slowdown() {
   LPFPS_CHECK(active_ != kNoTask);
   LPFPS_CHECK(approx_equal(ratio_, base_ratio_, 1e-12));
@@ -365,8 +389,7 @@ void SimState::try_slowdown() {
     return;
   }
 
-  const Time arrival = skip_dvs_ ? next_arrival_for_active_skip_aware()
-                                 : next_arrival_for_active();
+  const Time arrival = next_arrival_for_active();
   // Safety cap (see engine.h): never stretch past the active task's own
   // absolute deadline.
   const Time window_end =
@@ -469,30 +492,10 @@ bool SimState::consume_releases_under_plan() {
   // the governor skips so they do not tear down the slowdown plan that
   // was sized against the skip-aware arrival.  The first non-skipped due
   // release is handed over exactly as L5-L7 would and ends the plan via
-  // the ordinary L1-L4 ramp-up.  Throttle containment is banned while
-  // the governor is armed (validate_spec), so every popped entry is a
-  // fresh release here.
+  // the ordinary L1-L4 ramp-up.  skip_dvs_ implies an armed governor.
   while (!delay_queue_.empty() &&
          tp_approx_le(at(delay_queue_.head().release_time), now_)) {
-    const sched::DelayEntry due = delay_queue_.pop_head();
-    start_job(due.task);
-    note_release_pressure(due.task);
-    if (weakly_hard_should_skip(due.task)) {
-      skip_released_job(due.task);
-      continue;
-    }
-    TimePoint ready = at(job(due.task).release);
-    if (!options_->release_jitter.empty()) {
-      ready.offset += rng_.uniform(
-          0.0,
-          options_->release_jitter[static_cast<std::size_t>(due.task)]);
-    }
-    if (tp_approx_le(ready, now_)) {
-      run_queue_.insert({due.task, task(due.task).priority});
-    } else {
-      staged_.push_back({due.task, ready});
-    }
-    break;
+    if (release_job(delay_queue_.pop_head().task)) break;
   }
   bool staged_due = false;
   for (const auto& entry : staged_) {
@@ -531,28 +534,7 @@ void SimState::invoke_scheduler_impl() {
   // L5-L7: release due tasks (via the jitter stage when configured).
   while (!delay_queue_.empty() &&
          tp_approx_le(at(delay_queue_.head().release_time), now_)) {
-    const sched::DelayEntry due = delay_queue_.pop_head();
-    start_job(due.task);
-    // Throttle containment is banned while the governor is armed
-    // (validate_spec), so every popped entry is a fresh release.
-    if (weakly_hard_enabled_) {
-      note_release_pressure(due.task);
-      if (weakly_hard_should_skip(due.task)) {
-        skip_released_job(due.task);
-        continue;
-      }
-    }
-    TimePoint ready = at(job(due.task).release);
-    if (!options_->release_jitter.empty()) {
-      ready.offset += rng_.uniform(
-          0.0,
-          options_->release_jitter[static_cast<std::size_t>(due.task)]);
-    }
-    if (tp_approx_le(ready, now_)) {
-      run_queue_.insert({due.task, task(due.task).priority});
-    } else {
-      staged_.push_back({due.task, ready});
-    }
+    release_job(delay_queue_.pop_head().task);
   }
   for (auto it = staged_.begin(); it != staged_.end();) {
     if (tp_approx_le(it->ready, now_)) {
@@ -654,10 +636,7 @@ void SimState::finish_active_job() {
   active_ = kNoTask;
   state_ = CpuState::kIdle;
   maybe_detect_ramp_fault();
-  plan_active_ = false;
-  plan_up_started_ = false;
-  plan_rampup_start_ = kNeverPoint;
-  plan_end_ = kNeverPoint;
+  end_plan();
 }
 
 void SimState::on_budget_exhausted() {
@@ -708,10 +687,7 @@ void SimState::kill_active_job() {
   requeue_contained_task(active_);
   active_ = kNoTask;
   state_ = CpuState::kIdle;
-  plan_active_ = false;
-  plan_up_started_ = false;
-  plan_rampup_start_ = kNeverPoint;
-  plan_end_ = kNeverPoint;
+  end_plan();
 }
 
 void SimState::throttle_active_job() {
@@ -721,10 +697,7 @@ void SimState::throttle_active_job() {
   requeue_contained_task(active_);
   active_ = kNoTask;
   state_ = CpuState::kIdle;
-  plan_active_ = false;
-  plan_up_started_ = false;
-  plan_rampup_start_ = kNeverPoint;
-  plan_end_ = kNeverPoint;
+  end_plan();
 }
 
 void SimState::requeue_contained_task(TaskIndex index) {
@@ -757,10 +730,7 @@ void SimState::enter_safe_mode() {
   // back to base speed, and (via the safe_mode_ gates) decline new
   // slowdowns, power-downs and shutdown timers until the next idle
   // instant.
-  plan_active_ = false;
-  plan_up_started_ = false;
-  plan_rampup_start_ = kNeverPoint;
-  plan_end_ = kNeverPoint;
+  end_plan();
   shutdown_at_ = kNeverPoint;
   if (ramp_target_ != base_ratio_) {
     ramp_target_ = base_ratio_;
@@ -864,9 +834,7 @@ void SimState::advance_to(const TimePoint& next) {
   now_ = next;
 }
 
-void SimState::begin(bool validated) {
-  if (!validated) validate(*tasks_, *processor_, *policy_, *options_);
-
+void SimState::begin() {
   // kOverload's structural trigger: hard-infeasible sets are in
   // overload from the first release, before any miss can be observed.
   if (weakly_hard_enabled_ &&
@@ -1071,10 +1039,7 @@ void SimState::step() {
       ++ramp_faults_detected_;
       enter_safe_mode();
     }
-    plan_active_ = false;
-    plan_up_started_ = false;
-    plan_rampup_start_ = kNeverPoint;
-    plan_end_ = kNeverPoint;
+    end_plan();
   }
   if (state_ == CpuState::kPowerDown && tp_approx_le(wake_at_, now_)) {
     if (detection_enabled_ &&

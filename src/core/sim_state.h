@@ -5,8 +5,8 @@
 // the fleet engine in src/fleet/ — can drive each one event by event on
 // one reused state:
 //
-//   SimState sim(tasks, cpu, policy, exec, options);
-//   sim.begin();                       // validate, seed queues, L1 entry
+//   SimState sim(tasks, cpu, policy, exec, options);  // validate, bind
+//   sim.begin();                       // seed queues, L1 entry
 //   while (!sim.finished()) sim.step() // one event-loop iteration
 //   SimulationResult r = sim.finish(); // totals check + result assembly
 //
@@ -18,12 +18,13 @@
 //
 // reset() rebinds an existing SimState to a new simulation while
 // retaining every internal buffer's capacity (queues, job tables,
-// per-task totals).  A reset state is bit-identical to a freshly
-// constructed one — the RNG reseed, the cleared queues, and the
-// re-derived fault wiring reproduce the constructor exactly — which is
-// what lets the fleet engine reuse one lane per worker across
-// thousands of simulations without paying the allocation and setup cost
-// per sim (docs/FLEET.md quantifies that cost).
+// per-task totals).  It is the one place a simulation is bound: it
+// validates the spec, then binds it and reseeds the generator, and the
+// constructor is a reset() of an empty state.  A reset state is
+// therefore bit-identical to a freshly constructed one, which is what
+// lets the fleet engine reuse one lane per worker across thousands of
+// simulations without paying the allocation cost per sim
+// (docs/FLEET.md).
 //
 // Lifetime: SimState borrows `tasks`, `processor`, `policy` and
 // `options` (it stores pointers); they must outlive the run.  The
@@ -145,47 +146,33 @@ struct JobState {
 /// engine keeps one per worker and reset()s it between sims.
 class SimState {
  public:
-  /// `tasks` must validate (unique priorities assigned).  `exec_model`
-  /// may be null, in which case every job takes its WCET.  Borrows every
-  /// reference argument for the lifetime of the run (see file comment).
-  /// `rng_state`, when non-null, must be Rng::warmed_engine of
-  /// `options.seed`: the generator is restored from it by copy instead
-  /// of reseeded, so the rebind pays neither the seed expansion nor the
-  /// first-block generation, and draws the identical stream (the fleet
-  /// warms one state per spec at add() time).
+  /// Binds a new simulation; see reset().  `exec_model` may be null, in
+  /// which case every job takes its WCET.  Borrows every reference
+  /// argument for the lifetime of the run (see file comment).
   SimState(const sched::TaskSet& tasks,
            const power::ProcessorConfig& processor,
            const SchedulerPolicy& policy, const exec::ExecModelPtr& exec_model,
-           const EngineOptions& options,
-           const Mt19937_64* rng_state = nullptr);
+           const EngineOptions& options);
 
   SimState(const SimState&) = delete;
   SimState& operator=(const SimState&) = delete;
 
-  /// Rebinds to a new simulation, reusing buffer capacity.  The state
-  /// after reset is bit-identical to a freshly constructed SimState.
-  /// `rng_state` as in the constructor.
+  /// Rebinds to a new simulation, reusing buffer capacity.  Checks the
+  /// spec first — a non-empty, valid task set (unique priorities
+  /// assigned), a valid processor and policy, and options that fit them
+  /// — and throws std::logic_error on the first violation before
+  /// touching any state.  Then binds the spec and reseeds the generator
+  /// from options.seed.  The state after reset is bit-identical to a
+  /// freshly constructed SimState.
   void reset(const sched::TaskSet& tasks,
              const power::ProcessorConfig& processor,
              const SchedulerPolicy& policy,
              const exec::ExecModelPtr& exec_model,
-             const EngineOptions& options,
-             const Mt19937_64* rng_state = nullptr);
+             const EngineOptions& options);
 
-  /// The checks begin() runs before simulating: a non-empty, valid task
-  /// set, a valid processor and policy, and options that fit them.
-  /// Throws std::logic_error on the first violation.  The fleet runs it
-  /// once per spec at add() time, so lane rebinds skip it.
-  static void validate(const sched::TaskSet& tasks,
-                       const power::ProcessorConfig& processor,
-                       const SchedulerPolicy& policy,
-                       const EngineOptions& options);
-
-  /// Validates inputs (unless the caller already ran validate() on the
-  /// same spec and passes `validated`), seeds the delay queue, and
-  /// performs the initial scheduler invocation.  Must be called exactly
-  /// once before step().
-  void begin(bool validated = false);
+  /// Seeds the delay queue and performs the initial scheduler
+  /// invocation.  Must be called exactly once per bind, before step().
+  void begin();
 
   /// True once the clock has reached the horizon; finish() may be called.
   bool finished() const {
@@ -207,6 +194,12 @@ class SimState {
  private:
   // --- scheduling machinery -------------------------------------------
   void start_job(TaskIndex task);
+  /// L5-L7 for one due delay-queue entry: starts the job, lets an armed
+  /// governor skip it, draws its release jitter, and inserts it into the
+  /// run queue or stages it.  Returns false when the governor skipped it.
+  bool release_job(TaskIndex task);
+  /// Drops the DVS slowdown plan (no plan is active afterwards).
+  void end_plan();
   void invoke_scheduler();
   void invoke_scheduler_impl();
   void try_slowdown();
@@ -266,14 +259,11 @@ class SimState {
   }
 
   /// Next release the active task must be ready for: head of the delay
-  /// queue, or (single-task systems) its own next period.
-  Time next_arrival_for_active() const;
-
-  /// Skip-aware twin: the next release whose job the governor will
+  /// queue, or (single-task systems) its own next period.  Under
+  /// skip-aware DVS it is the next release whose job the governor will
   /// *not* certainly skip (each certainly-skipped head defers its task
-  /// by one period).  Equals next_arrival_for_active when skip-aware
-  /// DVS is off.
-  Time next_arrival_for_active_skip_aware() const;
+  /// by one period).
+  Time next_arrival_for_active() const;
 
   // --- borrowed inputs (rebound by reset) ------------------------------
   const sched::TaskSet* tasks_ = nullptr;

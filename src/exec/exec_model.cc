@@ -7,16 +7,6 @@
 
 namespace lpfps::exec {
 
-Work WcetModel::sample(const sched::Task& task, Rng& rng) const {
-  (void)rng;
-  return task.wcet;
-}
-
-Work BcetModel::sample(const sched::Task& task, Rng& rng) const {
-  (void)rng;
-  return task.bcet;
-}
-
 Work ClampedGaussianModel::sample(const sched::Task& task, Rng& rng) const {
   const double mean = (task.bcet + task.wcet) / 2.0;           // eq. (4)
   const double sigma = (task.wcet - task.bcet) / 6.0;          // eq. (5)
@@ -29,28 +19,6 @@ Work UniformModel::sample(const sched::Task& task, Rng& rng) const {
 
 BimodalModel::BimodalModel(double p_short) : p_short_(p_short) {
   LPFPS_CHECK(p_short_ >= 0.0 && p_short_ <= 1.0);
-}
-
-TraceDrivenModel::TraceDrivenModel(
-    std::map<std::string, std::vector<Work>> sequences)
-    : sequences_(std::move(sequences)) {
-  for (const auto& [name, sequence] : sequences_) {
-    LPFPS_CHECK_MSG(!sequence.empty(), name);
-    for (const Work w : sequence) LPFPS_CHECK_MSG(w > 0.0, name);
-  }
-}
-
-Work TraceDrivenModel::sample(const sched::Task& task, Rng& rng) const {
-  (void)rng;
-  const auto it = sequences_.find(task.name);
-  if (it == sequences_.end()) return task.wcet;
-  const std::vector<Work>& sequence = it->second;
-  std::size_t& cursor = cursors_[task.name];
-  const Work value = sequence[cursor % sequence.size()];
-  ++cursor;
-  LPFPS_CHECK_MSG(value <= task.wcet + 1e-9,
-                  task.name + ": recorded time exceeds WCET");
-  return std::min(value, task.wcet);
 }
 
 FaultyExecModel::FaultyExecModel(ExecModelPtr inner,

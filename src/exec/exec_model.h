@@ -7,8 +7,13 @@
 //     sigma       = (WCET - BCET) / 6                     (eq. 5)
 // clamped into [BCET, WCET] (footnote 5), so ~99.7% of unclamped draws
 // already land inside the interval.  That model is implemented here along
-// with deterministic-WCET, uniform, and bimodal alternatives used by
-// tests and extension studies.
+// with uniform and bimodal alternatives used by tests and extension
+// studies.  A null ExecModelPtr is the deterministic-WCET endpoint: the
+// engine then gives every job its WCET.
+//
+// Every model is stateless: sample() reads only the task and the
+// caller's generator, so one instance may be shared by any number of
+// simulations, on any number of threads.
 #pragma once
 
 #include <cstdint>
@@ -33,21 +38,6 @@ class ExecutionTimeModel {
   virtual Work sample(const sched::Task& task, Rng& rng) const = 0;
 
   virtual std::string name() const = 0;
-};
-
-/// Every job takes exactly its WCET (the paper's BCET == WCET endpoint
-/// and the assumption behind static schedulability analysis).
-class WcetModel final : public ExecutionTimeModel {
- public:
-  Work sample(const sched::Task& task, Rng& rng) const override;
-  std::string name() const override { return "wcet"; }
-};
-
-/// Every job takes exactly its BCET.
-class BcetModel final : public ExecutionTimeModel {
- public:
-  Work sample(const sched::Task& task, Rng& rng) const override;
-  std::string name() const override { return "bcet"; }
 };
 
 /// The paper's clamped Gaussian (eqs. 4-5 + clamping).
@@ -75,27 +65,6 @@ class BimodalModel final : public ExecutionTimeModel {
 
  private:
   double p_short_;
-};
-
-/// Replays recorded per-task execution-time sequences, keyed by task
-/// name, cycling when a sequence is exhausted.  Tasks without a
-/// sequence fall back to their WCET.  This is how the paper's worked
-/// scenarios (Example 2, Figure 2(b)) are scripted deterministically,
-/// and how measured traces would be fed in.
-class TraceDrivenModel final : public ExecutionTimeModel {
- public:
-  explicit TraceDrivenModel(
-      std::map<std::string, std::vector<Work>> sequences);
-
-  /// Returns the task's next recorded value (clamped to its WCET after
-  /// a contract check: recorded values must be positive and must not
-  /// exceed the WCET).
-  Work sample(const sched::Task& task, Rng& rng) const override;
-  std::string name() const override { return "trace"; }
-
- private:
-  std::map<std::string, std::vector<Work>> sequences_;
-  mutable std::map<std::string, std::size_t> cursors_;
 };
 
 using ExecModelPtr = std::shared_ptr<const ExecutionTimeModel>;

@@ -14,16 +14,6 @@ FleetEngine::~FleetEngine() = default;
 
 std::size_t FleetEngine::add(SimSpec spec) {
   specs_.push_back(std::move(spec));
-  const SimSpec& stored = specs_.back();
-  std::exception_ptr error;
-  try {
-    core::SimState::validate(stored.tasks, stored.processor, stored.policy,
-                             stored.options);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  prep_errors_.push_back(std::move(error));
-  prep_rng_.push_back(Rng::warmed_engine(stored.options.seed));
   return specs_.size() - 1;
 }
 
@@ -34,23 +24,22 @@ std::vector<core::SimulationResult> FleetEngine::run_all(
   std::vector<core::SimulationResult> results;
   results.reserve(specs_.size());
   for (std::size_t i = 0; i < specs_.size(); ++i) {
-    // The spec failed validation at add() time; begin() would throw
-    // the identical error, so raise it without binding the lane.
-    if (prep_errors_[i]) std::rethrow_exception(prep_errors_[i]);
+    // Binding validates the spec before it changes the lane, so a spec
+    // core::simulate would reject throws here with the same error.
     const SimSpec& spec = specs_[i];
     if (lane_ == nullptr) {
       lane_ = std::make_unique<core::SimState>(spec.tasks, spec.processor,
                                                spec.policy, spec.exec_model,
-                                               spec.options, &prep_rng_[i]);
+                                               spec.options);
       ++stats_.lane_constructions;
     } else {
       lane_->reset(spec.tasks, spec.processor, spec.policy, spec.exec_model,
-                   spec.options, &prep_rng_[i]);
+                   spec.options);
       ++stats_.lane_rebinds;
     }
     // A throw below leaves the lane mid-run — harmless, the next bind
     // reset()s it from scratch.
-    lane_->begin(/*validated=*/true);
+    lane_->begin();
     while (!lane_->finished()) {
       lane_->step();
       ++stats_.steps;

@@ -6,15 +6,15 @@
 // costs a handful of microseconds, of which a large fraction is per-sim
 // fixed setup (half a dozen vector allocations for queues, job tables
 // and per-task totals, power-model construction, RNG seeding,
-// validation).  The fleet engine amortizes that fixed cost away:
+// validation).  The fleet engine amortizes the allocations away:
 //
-//   * simulations are added up front as SimSpecs; add() validates each
-//     spec and warms its RNG state once (SimState::validate,
-//     Rng::warmed_engine);
+//   * simulations are added up front as SimSpecs; add() only stores the
+//     spec;
 //   * run_all() runs the specs one after another, each to completion,
-//     on one reused SimState *lane* — rebinding the lane
-//     (SimState::reset) reuses every buffer the previous sim allocated,
-//     so steady-state runs allocate nothing per sim;
+//     on one reused SimState *lane* — binding a spec to the lane
+//     (SimState::reset) validates it, reseeds the generator and reuses
+//     every buffer the previous sim allocated, so steady-state runs
+//     allocate nothing per sim;
 //   * an optional per-result callback runs on the same thread right
 //     after each simulation finishes — the audit harness uses it to
 //     audit each trace while it is still hot and drop it before the
@@ -35,19 +35,14 @@
 //
 // **Eligibility.**  Any spec `core::simulate` accepts is eligible —
 // faults, containment, jitter, traces all ride along.
-// Specs sharing one exec::TraceDrivenModel instance must not be run
-// through the sharded fleet (mutable replay cursors — same rule as the
-// parallel runner).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "common/random.h"
 #include "core/engine.h"
 #include "core/policy.h"
 #include "core/result.h"
@@ -104,18 +99,19 @@ class FleetEngine {
   FleetEngine(const FleetEngine&) = delete;
   FleetEngine& operator=(const FleetEngine&) = delete;
 
-  /// Registers one simulation; returns its index (== result slot).
+  /// Stores one simulation; returns its index (== result slot).  The
+  /// spec is checked when run_all() binds it, not here.
   std::size_t add(SimSpec spec);
 
   std::size_t size() const { return specs_.size(); }
 
   /// Runs every added spec to completion, in add order, on one reused
   /// lane, calling `on_result` (when set) after each.  The first failing
-  /// spec — its simulation or its callback threw — aborts the run with
-  /// the original exception; being first, it is the lowest-index
-  /// failure.  Stats are overwritten per call; calling again re-runs
-  /// the same specs and — determinism contract — returns identical
-  /// results.
+  /// spec — it failed validation when bound, or its simulation or its
+  /// callback threw — aborts the run with the original exception; being
+  /// first, it is the lowest-index failure.  Stats are overwritten per
+  /// call; calling again re-runs the same specs and — determinism
+  /// contract — returns identical results.
   std::vector<core::SimulationResult> run_all(
       const ResultCallback& on_result = {});
 
@@ -124,19 +120,6 @@ class FleetEngine {
 
  private:
   std::vector<SimSpec> specs_;
-
-  // Per-spec validation verdict, computed once at add() time
-  // (SimState::validate): it is a pure function of the immutable spec,
-  // so rebinding the lane skips it.  A spec whose validation failed
-  // carries its exception and never binds the lane; running it
-  // rethrows the error begin() would have thrown.
-  std::vector<std::exception_ptr> prep_errors_;
-  /// Warmed RNG state per spec (Rng::warmed_engine of options.seed,
-  /// built once by add()): every lane bind restores it by copy, which
-  /// replays the seeded stream bit-identically without redoing the seed
-  /// expansion and first-block generation.  A re-run of the same specs
-  /// (run_all() again) thus pays a 2.5 KB copy per sim, not a reseed.
-  std::vector<Mt19937_64> prep_rng_;
 
   /// The lane: built on first use, reset() for every later spec;
   /// unique_ptr keeps SimState incomplete in this header.

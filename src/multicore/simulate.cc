@@ -41,9 +41,8 @@ MulticoreResult simulate_partitioned(const sched::TaskSet& tasks,
   // index) and results come back in core order, so the result is
   // bit-identical for any LPFPS_JOBS.  A violation on any core throws
   // the whole batch (partitioned results are only as trustworthy as
-  // their weakest core).  Note exec_model is shared across concurrent
-  // cores: the stock models are stateless, but a TraceDrivenModel
-  // (mutable replay cursors) must not be used here.
+  // their weakest core).  Sharing exec_model across concurrent cores
+  // is safe: execution-time models are stateless.
   std::vector<fleet::SimSpec> specs;
   for (std::size_t index = 0; index < partition.cores.size(); ++index) {
     if (partition.cores[index].empty()) continue;

@@ -25,9 +25,7 @@
 // Thread-safety note: jobs run concurrently, so everything a job
 // touches must be immutable or job-local.  `core::simulate` already
 // qualifies (the engine owns its Rng, seeded from EngineOptions), and
-// the stock execution-time models are stateless — with one exception:
-// `exec::TraceDrivenModel` keeps mutable replay cursors and must not
-// be shared across parallel jobs.
+// the execution-time models are stateless.
 //
 // Concurrency defaults to `std::thread::hardware_concurrency()`,
 // overridable with the `LPFPS_JOBS` environment variable (re-read on

@@ -111,36 +111,6 @@ Time Trace::running_time(TaskIndex task) const {
   return total;
 }
 
-int Trace::preemption_count() const {
-  // A preemption shows up as a kRunning segment of task A directly
-  // followed (possibly after ramps) by a kRunning segment of task B while
-  // A's job has not finished by that boundary.
-  int count = 0;
-  for (std::size_t i = 0; i + 1 < segments_.size(); ++i) {
-    const Segment& cur = segments_[i];
-    if (cur.mode != ProcessorMode::kRunning) continue;
-    // Find the next running segment.
-    std::size_t j = i + 1;
-    while (j < segments_.size() &&
-           segments_[j].mode != ProcessorMode::kRunning) {
-      ++j;
-    }
-    if (j >= segments_.size()) break;
-    const Segment& next = segments_[j];
-    if (next.task == cur.task) continue;
-    // Was cur's task unfinished at the boundary?  Check job records.
-    for (const JobRecord& job : jobs_) {
-      if (job.task != cur.task) continue;
-      if (approx_le(job.release, cur.end) &&
-          (!job.finished || definitely_greater(job.completion, cur.end))) {
-        ++count;
-        break;
-      }
-    }
-  }
-  return count;
-}
-
 std::vector<JobRecord> Trace::missed_jobs() const {
   std::vector<JobRecord> missed;
   for (const JobRecord& job : jobs_) {

@@ -109,11 +109,6 @@ class Trace {
   /// Total time the given task was running.
   Time running_time(TaskIndex task) const;
 
-  /// Number of preemptions: completions of a kRunning segment whose task
-  /// was resumed later (i.e. a task's running segments for one job are
-  /// non-contiguous).  Computed from job/segment structure.
-  int preemption_count() const;
-
   /// Jobs that missed their deadline (should be empty for every policy in
   /// this library; the engine also throws when a miss occurs unless miss
   /// recording is explicitly enabled).

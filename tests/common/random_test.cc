@@ -189,39 +189,23 @@ TEST(Rng, EveryMethodMatchesStdDistributionsOnStdEngine) {
   }
 }
 
-TEST(Rng, RestoredWarmedEngineReplaysSeededRng) {
+/// core::SimState::reset reseeds a lane's generator in place for every
+/// simulation it binds, so a generator left part-way through a block by
+/// the previous simulation must, once reseeded, replay a fresh Rng of
+/// the new seed bitwise: raw draws and the gaussian draws the paper's
+/// execution-time model makes.
+TEST(Rng, ReseedMidBlockReplaysSeededRng) {
   for (const std::uint64_t seed : identity_seeds()) {
     Rng fresh(seed);
-    Rng restored(seed + 1);
-    (void)restored.uniform(0.0, 1.0);  // Mid-block: restore must overwrite.
-    restored.restore(Rng::warmed_engine(seed));
+    Rng reseeded(seed + 1);
+    for (int i = 0; i < 5; ++i) (void)reseeded.uniform(0.0, 1.0);
+    (void)reseeded.gaussian(0.0, 1.0);  // Leaves the cursor mid-block.
+    reseeded.reseed(seed);
     for (int i = 0; i < kIdentityDraws; ++i) {
-      ASSERT_EQ(restored.engine()(), fresh.engine()())
+      ASSERT_EQ(reseeded.engine()(), fresh.engine()())
           << "seed " << seed << " draw " << i;
-      expect_same_bits(restored.gaussian(0.0, 1.0), fresh.gaussian(0.0, 1.0),
+      expect_same_bits(reseeded.gaussian(0.0, 1.0), fresh.gaussian(0.0, 1.0),
                        "gaussian", seed, i);
-    }
-  }
-}
-
-TEST(Mt19937_64, WarmChangesNoOutput) {
-  for (const std::uint64_t seed : identity_seeds()) {
-    // Already warm: warm() is a no-op, state and cursor included.
-    const Mt19937_64 warmed = Rng::warmed_engine(seed);
-    Mt19937_64 again = warmed;
-    again.warm();
-    EXPECT_TRUE(again == warmed) << "seed " << seed;
-
-    // Mid-block and at an exhausted block: the stream is unchanged.
-    for (const int drawn : {5, static_cast<int>(Mt19937_64::kStateSize)}) {
-      Mt19937_64 lazy(seed);
-      for (int i = 0; i < drawn; ++i) (void)lazy();
-      Mt19937_64 eager = lazy;
-      eager.warm();
-      for (int i = 0; i < kIdentityDraws; ++i) {
-        ASSERT_EQ(eager(), lazy())
-            << "seed " << seed << " after " << drawn << " draw " << i;
-      }
     }
   }
 }

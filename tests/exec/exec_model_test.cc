@@ -12,22 +12,6 @@ sched::Task task_with_bcet(double bcet_ratio) {
   return sched::make_task("t", 1000, 1000, 100.0, 100.0 * bcet_ratio);
 }
 
-TEST(WcetModel, AlwaysWorstCase) {
-  Rng rng(1);
-  const WcetModel model;
-  const sched::Task t = task_with_bcet(0.5);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(model.sample(t, rng), 100.0);
-  }
-}
-
-TEST(BcetModel, AlwaysBestCase) {
-  Rng rng(1);
-  const BcetModel model;
-  const sched::Task t = task_with_bcet(0.5);
-  EXPECT_DOUBLE_EQ(model.sample(t, rng), 50.0);
-}
-
 TEST(ClampedGaussian, AlwaysWithinBounds) {
   Rng rng(2);
   const ClampedGaussianModel model;
@@ -113,57 +97,6 @@ TEST(Bimodal, ProbabilityParameterRespected) {
   EXPECT_NEAR(static_cast<double>(low) / n, 0.9, 0.03);
 }
 
-TEST(TraceDriven, ReplaysSequenceInOrder) {
-  Rng rng(9);
-  const TraceDrivenModel model({{"t", {10.0, 20.0, 30.0}}});
-  const sched::Task t = task_with_bcet(0.1);
-  EXPECT_DOUBLE_EQ(model.sample(t, rng), 10.0);
-  EXPECT_DOUBLE_EQ(model.sample(t, rng), 20.0);
-  EXPECT_DOUBLE_EQ(model.sample(t, rng), 30.0);
-}
-
-TEST(TraceDriven, CyclesWhenExhausted) {
-  Rng rng(9);
-  const TraceDrivenModel model({{"t", {10.0, 20.0}}});
-  const sched::Task t = task_with_bcet(0.1);
-  (void)model.sample(t, rng);
-  (void)model.sample(t, rng);
-  EXPECT_DOUBLE_EQ(model.sample(t, rng), 10.0);  // Wraps around.
-}
-
-TEST(TraceDriven, UnknownTaskFallsBackToWcet) {
-  Rng rng(9);
-  const TraceDrivenModel model({{"other", {5.0}}});
-  const sched::Task t = task_with_bcet(0.1);
-  EXPECT_DOUBLE_EQ(model.sample(t, rng), t.wcet);
-}
-
-TEST(TraceDriven, IndependentCursorsPerTask) {
-  Rng rng(9);
-  const TraceDrivenModel model({{"a", {1.0, 2.0}}, {"b", {3.0, 4.0}}});
-  const sched::Task a = sched::make_task("a", 1000, 1000, 100.0, 1.0);
-  const sched::Task b = sched::make_task("b", 1000, 1000, 100.0, 1.0);
-  EXPECT_DOUBLE_EQ(model.sample(a, rng), 1.0);
-  EXPECT_DOUBLE_EQ(model.sample(b, rng), 3.0);
-  EXPECT_DOUBLE_EQ(model.sample(a, rng), 2.0);
-  EXPECT_DOUBLE_EQ(model.sample(b, rng), 4.0);
-}
-
-TEST(TraceDriven, RejectsBadSequences) {
-  std::map<std::string, std::vector<Work>> empty_sequence;
-  empty_sequence["t"] = {};
-  EXPECT_THROW(TraceDrivenModel model(std::move(empty_sequence)),
-               std::logic_error);
-  EXPECT_THROW(TraceDrivenModel({{"t", {0.0}}}), std::logic_error);
-}
-
-TEST(TraceDriven, RejectsValuesAboveWcet) {
-  Rng rng(9);
-  const TraceDrivenModel model({{"t", {500.0}}});
-  const sched::Task t = task_with_bcet(0.1);  // WCET 100.
-  EXPECT_THROW(model.sample(t, rng), std::logic_error);
-}
-
 TEST(FaultyModel, DisabledSpecsAreSampleIdenticalToInner) {
   // With every overrun spec disabled the wrapper must add no RNG draws:
   // identical seeds produce identical sample streams.
@@ -196,8 +129,7 @@ TEST(FaultyModel, NullInnerFallsBackToWcetWhenNotFaulting) {
 
 TEST(FaultyModel, ProbabilityGovernsOverrunRate) {
   Rng rng(14);
-  const FaultyExecModel model(std::make_shared<WcetModel>(), {{0.25, 1.0}},
-                              {"t"});
+  const FaultyExecModel model(nullptr, {{0.25, 1.0}}, {"t"});
   const sched::Task t = task_with_bcet(0.3);
   int overruns = 0;
   const int n = 20'000;
@@ -230,12 +162,9 @@ TEST(FaultyModel, NameAdvertisesWrapping) {
 }
 
 TEST(Models, NamesAreDistinct) {
-  EXPECT_EQ(WcetModel().name(), "wcet");
-  EXPECT_EQ(BcetModel().name(), "bcet");
   EXPECT_EQ(ClampedGaussianModel().name(), "gaussian");
   EXPECT_EQ(UniformModel().name(), "uniform");
   EXPECT_EQ(BimodalModel().name(), "bimodal");
-  EXPECT_EQ(TraceDrivenModel({{"x", {1.0}}}).name(), "trace");
 }
 
 }  // namespace

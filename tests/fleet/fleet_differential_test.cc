@@ -196,10 +196,9 @@ TEST(FleetDifferential, MixedBatchWithFaultedAndLongWcetSims) {
 /// wiring and governor its predecessor left behind.  The batch mixes
 /// plain 4- and 7-task sims with faulted, long WCET and weakly-hard
 /// ones, and runs forward and reversed (every spec gets a different
-/// predecessor) and twice on one engine (round two binds only the
-/// rebound lane, restoring each RNG by copy from the warmed state add()
-/// cached).  A reset that misses any per-sim state diverges somewhere
-/// here.
+/// predecessor) and twice on one engine (round two binds every spec to
+/// the already-built lane, the first one included).  A reset that
+/// misses any per-sim state diverges somewhere here.
 TEST(FleetDifferential, LaneRebindLeaksNothing) {
   const std::vector<fleet::SimSpec> small = make_specs(3, false);
   const std::vector<fleet::SimSpec> large = make_specs(2, false, 7);
@@ -257,8 +256,8 @@ TEST(FleetDifferential, LaneRebindLeaksNothing) {
 
 /// A failing spec aborts the run with its original exception type: a
 /// simulation that misses a deadline (std::runtime_error), and a spec
-/// that fails validation at add() time, which surfaces the same type
-/// core::simulate throws for it.
+/// that fails validation when run_all() binds it to the lane, which
+/// surfaces the same type core::simulate throws for it.
 TEST(FleetDifferential, FailingSpecSurfacesItsOriginalException) {
   std::vector<fleet::SimSpec> specs = make_specs(2, false);
   specs.push_back(missing_spec());

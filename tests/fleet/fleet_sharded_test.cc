@@ -232,15 +232,25 @@ TEST(FleetSharded, MoreWorkersThanSpecsLeavesNoEmptyShardArtifacts) {
   EXPECT_TRUE(fleet::run_fleet_sharded({}, {}, 4).empty());
 }
 
-/// An empty task set fails core::SimState::validate, the one check
-/// behind every entry point, so the plain call, the fleet and the
-/// audited fleet all throw the same std::logic_error message.
-TEST(FleetSharded, EveryEntryPointRejectsAnEmptyTaskSetAlike) {
+/// core::SimState::reset validates every spec before it binds it, the
+/// one check behind every entry point, so the plain call, the fleet and
+/// the audited fleet all throw the same std::logic_error message: for
+/// an empty task set, and for a fault plan whose overrun list has the
+/// wrong length for the set.  The second case must report
+/// FaultPlan::validate's message, not the FaultyExecModel's own check,
+/// which the bind would reach first if it built the overrun wrapper
+/// before validating.
+TEST(FleetSharded, EveryEntryPointRejectsAnInvalidSpecAlike) {
   core::EngineOptions options;
   options.horizon = 1000.0;
-  const fleet::SimSpec spec{sched::TaskSet{},
-                            power::ProcessorConfig::arm8_default(),
-                            core::SchedulerPolicy::fps(), nullptr, options};
+  const fleet::SimSpec empty{sched::TaskSet{},
+                             power::ProcessorConfig::arm8_default(),
+                             core::SchedulerPolicy::fps(), nullptr, options};
+  // Table 1 has three tasks; two overrun entries fit neither the
+  // broadcast nor the per-task form.
+  fleet::SimSpec bad_faults = empty;
+  bad_faults.tasks = workloads::example_table1();
+  bad_faults.options.faults.overruns = {{1.0, 0.5}, {1.0, 0.5}};
   const auto message_of = [](const auto& run) -> std::string {
     try {
       run();
@@ -249,18 +259,22 @@ TEST(FleetSharded, EveryEntryPointRejectsAnEmptyTaskSetAlike) {
     }
     return "no std::logic_error";
   };
-  const std::string direct = message_of([&] {
-    (void)core::simulate(spec.tasks, spec.processor, spec.policy,
-                         spec.exec_model, spec.options);
-  });
-  EXPECT_NE(direct.find("engine needs at least one task"), std::string::npos)
-      << direct;
-  EXPECT_EQ(message_of([&] { (void)fleet::run_fleet_sharded({spec}, {}, 2); }),
-            direct);
-  EXPECT_EQ(message_of([&] {
-              (void)audit::simulate_fleet_sharded({spec}, {}, nullptr, 2);
-            }),
-            direct);
+  for (const auto& [spec, expected] :
+       {std::pair{empty, "engine needs at least one task"},
+        std::pair{bad_faults, "FaultPlan::overruns must be empty"}}) {
+    const std::string direct = message_of([&] {
+      (void)core::simulate(spec.tasks, spec.processor, spec.policy,
+                           spec.exec_model, spec.options);
+    });
+    EXPECT_NE(direct.find(expected), std::string::npos) << direct;
+    EXPECT_EQ(
+        message_of([&] { (void)fleet::run_fleet_sharded({spec}, {}, 2); }),
+        direct);
+    EXPECT_EQ(message_of([&] {
+                (void)audit::simulate_fleet_sharded({spec}, {}, nullptr, 2);
+              }),
+              direct);
+  }
 }
 
 /// The audited batch: zero violations at any worker count, results

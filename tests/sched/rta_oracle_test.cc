@@ -3,11 +3,12 @@
 //
 // Every input here is a whole number of ticks of 0.1, 0.01 or 0.001 us,
 // so the recurrence can be iterated exactly in int64 ticks.  The oracle
-// shares no code with the kernel.  It keeps the kernel's contract (start
-// at the base, stop at the first fixed point, give up once an iterate
-// plus the task's own jitter passes the deadline) on exact integers and
-// returns the release counts of the fixed point.  For the plain,
-// jitter-plus-blocking and degraded (m,k) analyses the test asserts:
+// (tests/support/exact_rta.h) shares no code with the kernel.  It keeps
+// the kernel's contract (start at the base, stop at the first fixed
+// point, give up once an iterate plus the task's own jitter passes the
+// deadline) on exact integers and returns the release counts of the
+// fixed point.  For the plain, jitter-plus-blocking and degraded (m,k)
+// analyses the test asserts:
 //   * the verdicts: a value where the oracle converges, nullopt where it
 //     gives up, and the same whole-set schedulability answer;
 //   * each value bit for bit: the double recomputed from the oracle's
@@ -25,7 +26,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <optional>
-#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,6 +33,7 @@
 #include "sched/analysis.h"
 #include "sched/task.h"
 #include "sched/task_set.h"
+#include "support/exact_rta.h"
 #include "weakly_hard/analysis.h"
 
 namespace lpfps::sched {
@@ -40,69 +41,13 @@ namespace {
 
 constexpr int kSetsPerResolution = 20000;
 
-// One task in ticks.  (m, k) == (0, 0) is a hard task.
-struct TickTask {
-  std::int64_t period = 0;
-  std::int64_t deadline = 0;
-  std::int64_t wcet = 0;
-  std::int64_t jitter = 0;
-  std::int64_t blocking = 0;
-  int priority = 0;
-  int m = 0;
-  int k = 0;
-};
-
-enum class Term { kPlain, kJitter, kMandatory };
-
-std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
-  return a <= 0 ? 0 : (a + b - 1) / b;
-}
-
-// Jobs among n consecutive releases that run in full degradation.
-std::int64_t mandatory_jobs(std::int64_t n, int m, int k) {
-  if (k == 0) return n;
-  return (n / k) * m + std::min<std::int64_t>(n % k, m);
-}
-
-// The oracle's answer for one task: the fixed point w (without the own
-// jitter) and the jobs of each higher-priority task it counts, or
-// converged == false when an iterate passed the deadline.
-struct Exact {
-  bool converged = false;
-  std::int64_t w = 0;
-  std::vector<std::int64_t> jobs;
-};
-
-Exact exact_response(const std::vector<TickTask>& set, std::size_t i,
-                     Term term) {
-  const TickTask& task = set[i];
-  const std::int64_t base =
-      task.wcet + (term == Term::kJitter ? task.blocking : 0);
-  const std::int64_t own_jitter = term == Term::kJitter ? task.jitter : 0;
-  Exact out;
-  out.jobs.assign(set.size(), 0);
-  std::int64_t w = base;
-  for (;;) {
-    std::int64_t next = base;
-    for (std::size_t j = 0; j < set.size(); ++j) {
-      const TickTask& other = set[j];
-      if (other.priority >= task.priority) continue;
-      const std::int64_t window =
-          w + (term == Term::kJitter ? other.jitter : 0);
-      std::int64_t n =
-          std::max<std::int64_t>(1, ceil_div(window, other.period));
-      if (term == Term::kMandatory) n = mandatory_jobs(n, other.m, other.k);
-      out.jobs[j] = n;
-      next += n * other.wcet;
-    }
-    if (next == w) break;
-    if (next + own_jitter > task.deadline) return out;
-    w = next;
-  }
-  out.converged = true;
-  out.w = w;
-  return out;
-}
+using oracle::ceil_div;
+using oracle::Draw;
+using oracle::Exact;
+using oracle::exact_response;
+using oracle::mandatory_jobs;
+using oracle::Term;
+using oracle::TickTask;
 
 // The double the kernel must return if it counted exactly the oracle's
 // jobs: the same products, summed in the same order.
@@ -288,22 +233,6 @@ int check_set(const std::vector<TickTask>& set,
   return landings;
 }
 
-// Seeded draws from raw 64-bit outputs, so the corpus does not depend on
-// the standard library's distribution algorithms.
-class Draw {
- public:
-  explicit Draw(std::uint64_t seed) : rng_(seed) {}
-  std::int64_t between(std::int64_t lo, std::int64_t hi) {
-    return lo + static_cast<std::int64_t>(
-                    rng_() % static_cast<std::uint64_t>(hi - lo + 1));
-  }
-  double unit() { return static_cast<double>(rng_() >> 11) * 0x1p-53; }
-  bool one_in(int n) { return between(1, n) == 1; }
-
- private:
-  std::mt19937_64 rng_;
-};
-
 // UUniFast (Bini & Buttazzo): n utilizations summing to `total`.
 std::vector<double> uunifast(Draw& draw, int n, double total) {
   std::vector<double> u(static_cast<std::size_t>(n));
@@ -348,22 +277,7 @@ std::vector<TickTask> draw_set(Draw& draw, std::int64_t ticks_per_us,
       t.m = static_cast<int>(draw.between(1, t.k));
     }
   }
-  std::vector<std::size_t> order(set.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (index % 4 == 3) {
-    for (std::size_t i = order.size() - 1; i > 0; --i) {
-      std::swap(order[i], order[static_cast<std::size_t>(draw.between(
-                              0, static_cast<std::int64_t>(i)))]);
-    }
-  } else {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return set[a].deadline < set[b].deadline;
-                     });
-  }
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    set[order[rank]].priority = static_cast<int>(rank);
-  }
+  oracle::assign_priorities(set, draw, /*shuffle=*/index % 4 == 3);
   return set;
 }
 
