@@ -203,13 +203,13 @@ int main() {
   // A pool of small RM-feasible 5-task UUniFast sims — the sweep regime
   // where per-sim fixed cost (buffer allocation, power-model
   // construction, RNG seeding) rivals the event work — timed two ways.
-  // `serial` is a plain core::simulate loop: a fresh engine and fresh
-  // buffers per sim.  `add+run` builds a fresh FleetEngine and add()s
-  // every spec per rep — what a sweep caller pays: one reused lane,
-  // rebound (validated, reseeded) per sim.  Results are bit-identical on
-  // both paths, so events/run is constant and the events/sec column
-  // isolates per-sim overhead.  CI gates add+run's share of the section
-  // peak via --min-ratio fleet add+run.
+  // `serial` is a plain core::simulate loop.  `add+run` builds a fresh
+  // FleetEngine and add()s every spec per rep — what a sweep caller
+  // pays: a spec copy per add() and a fresh SimState per sim, as
+  // core::simulate builds.  Results are bit-identical on both paths, so
+  // events/run is constant and the events/sec column isolates per-sim
+  // overhead.  CI gates add+run's share of the section peak via
+  // --min-ratio fleet add+run.
   {
     const std::size_t kFleetSims = 1024;
     std::vector<fleet::SimSpec> specs;

@@ -252,23 +252,11 @@ core::SimulationResult simulate(const sched::TaskSet& tasks,
                                 const exec::ExecModelPtr& exec_model,
                                 const core::EngineOptions& options,
                                 AuditAggregator* aggregator) {
-  if (!enabled()) {
-    return core::simulate(tasks, processor, policy, exec_model, options);
-  }
-  core::EngineOptions audited = options;
-  audited.record_trace = true;
-  core::SimulationResult result =
-      core::simulate(tasks, processor, policy, exec_model, audited);
-  const AuditReport report =
-      audit_run(result, tasks, processor, derive_options(policy, options));
-  if (aggregator != nullptr) {
-    aggregator->add(report, result);
-  } else if (!report.ok()) {
-    throw std::runtime_error("trace audit failed for policy '" +
-                             policy.name + "': " + report.to_string());
-  }
-  if (!options.record_trace) result.trace.reset();
-  return result;
+  // The one-spec batch, run on the calling thread.
+  std::vector<fleet::SimSpec> specs;
+  specs.push_back({tasks, processor, policy, exec_model, options});
+  return std::move(
+      simulate_fleet_sharded(std::move(specs), {}, aggregator, 1).front());
 }
 
 std::vector<core::SimulationResult> simulate_fleet_sharded(

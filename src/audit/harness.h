@@ -1,12 +1,13 @@
 // Default-on audit wiring for benches and sweeps.
 //
-// audit::simulate is a drop-in for core::simulate that records a trace,
-// runs the full audit_run battery on it, and throws (or feeds a shared
-// AuditAggregator) on any violation — so every bench is a self-verifying
-// experiment; audit::simulate_fleet_sharded is its batch form.  The
-// auditor is on by default and opt-out via the LPFPS_AUDIT environment
-// variable ("0"/"off"/"false" disables it); with it off,
-// audit::simulate is exactly core::simulate.
+// audit::simulate_fleet_sharded runs a batch of simulations, records a
+// trace of each, runs the full audit_run battery on it, and throws (or
+// feeds a shared AuditAggregator) on any violation — so every bench is a
+// self-verifying experiment; audit::simulate, a drop-in for
+// core::simulate, is its one-spec case.  The auditor is on by default
+// and opt-out via the LPFPS_AUDIT environment variable
+// ("0"/"off"/"false" disables it); with it off, audit::simulate returns
+// exactly what core::simulate does.
 #pragma once
 
 #include <cstdint>
@@ -105,11 +106,13 @@ class AuditAggregator {
   std::vector<Violation> samples_;  ///< First few violations, for reports.
 };
 
-/// core::simulate + default-on audit.  Forces a recorded trace while the
-/// audit is enabled, audits it, then drops the trace again unless the
-/// caller asked for it.  On a violation: throws std::runtime_error, or
-/// records into `aggregator` when one is supplied (batch mode — the
-/// caller invokes aggregator->check() after the batch).
+/// core::simulate + default-on audit: the one-spec case of
+/// simulate_fleet_sharded below, run on the calling thread.  Forces a
+/// recorded trace while the audit is enabled, audits it, then drops the
+/// trace again unless the caller asked for it.  On a violation: throws
+/// std::runtime_error, or records into `aggregator` when one is supplied
+/// (batch mode — the caller invokes aggregator->check() after the
+/// batch).
 core::SimulationResult simulate(const sched::TaskSet& tasks,
                                 const power::ProcessorConfig& processor,
                                 const core::SchedulerPolicy& policy,

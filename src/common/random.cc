@@ -73,13 +73,4 @@ double Rng::clamped_gaussian(double mean, double stddev, double lo,
   return clamp(gaussian(mean, stddev), lo, hi);
 }
 
-std::uint64_t Rng::fork_seed() {
-  // splitmix-style scrambling of a raw draw so that child streams do not
-  // correlate with the parent's subsequent output.
-  std::uint64_t z = engine_() + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace lpfps

@@ -17,9 +17,9 @@ namespace lpfps {
 /// values.  It exists for speed: its block generation applies the twist
 /// through a mask instead of a branch, so a raw draw costs 3.2-3.8 ns
 /// against libstdc++'s 8.6-10.7 ns, and a seed plus the first block
-/// about 1 us against 2.6-2.8 us — paid by every simulation, which
-/// reseeds its generator (docs/PERFORMANCE.md, "Why a lane binds with
-/// nothing precomputed").
+/// about 1 us against 2.6-2.8 us — paid once by every simulation, which
+/// seeds its own generator (docs/PERFORMANCE.md, "Why a simulation binds
+/// with nothing precomputed").
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -62,14 +62,6 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
-  /// Reseeds in place.  Bit-identical to constructing a fresh
-  /// `Rng(seed)`: `Mt19937_64::seed` performs the same state
-  /// initialization as the seeded constructor, and every distribution
-  /// method constructs its std:: distribution per call, so no sampling
-  /// state survives a reseed.  core::SimState::reset relies on this:
-  /// every simulation bound to a reused lane reseeds its generator.
-  void reseed(std::uint64_t seed) { engine_.seed(seed); }
-
   /// Uniform real in [lo, hi).
   double uniform(double lo, double hi);
 
@@ -84,12 +76,6 @@ class Rng {
   /// execution-time construction (eqs. (4)-(5) plus the clamping step
   /// described in footnote 5).
   double clamped_gaussian(double mean, double stddev, double lo, double hi);
-
-  /// Derives an independent child seed; used to give each task its own
-  /// stream so that adding tasks does not perturb others' draws.
-  std::uint64_t fork_seed();
-
-  Mt19937_64& engine() { return engine_; }
 
  private:
   Mt19937_64 engine_;

@@ -5,9 +5,9 @@
 namespace lpfps::core {
 
 // The engine main loop lives in core::SimState (sim_state.cc), opened
-// up into begin/step/finish so the fleet engine can run many
-// simulations on one reused state.  simulate() steps the very same
-// code once — one implementation, two callers, bit-identical results.
+// up into begin/step/finish so the fleet engine can step each
+// simulation of a batch itself.  simulate() steps the very same code —
+// one implementation, two callers, bit-identical results.
 SimulationResult simulate(const sched::TaskSet& tasks,
                           const power::ProcessorConfig& processor,
                           const SchedulerPolicy& policy,

@@ -133,7 +133,7 @@ struct EngineOptions {
 /// Runs one simulation over [0, options.horizon).  `tasks` must be
 /// non-empty and validate (unique priorities assigned); `exec_model`
 /// may be null, in which case every job takes its WCET.  Throws
-/// std::logic_error on invalid input (core::SimState::reset) and
+/// std::logic_error on invalid input (core::SimState's constructor) and
 /// std::runtime_error on a deadline miss when options.throw_on_miss.
 SimulationResult simulate(const sched::TaskSet& tasks,
                           const power::ProcessorConfig& processor,

@@ -35,13 +35,14 @@ bool hard_rta_schedulable(const sched::TaskSet& tasks) {
   return sched::is_schedulable_rta(tasks);
 }
 
-/// The checks reset() runs before binding a spec: a non-empty, valid
-/// task set, a valid processor and policy, and options that fit them.
-/// Throws std::logic_error on the first violation.
-void validate_spec(const sched::TaskSet& tasks,
-                   const power::ProcessorConfig& processor,
-                   const SchedulerPolicy& policy,
-                   const EngineOptions& options) {
+/// The checks the constructor runs before binding a spec: a non-empty,
+/// valid task set, a valid processor and policy, and options that fit
+/// them.  Throws std::logic_error on the first violation.  Returns
+/// `tasks`, so it can run as the constructor's first member initializer.
+const sched::TaskSet& validate_spec(const sched::TaskSet& tasks,
+                                    const power::ProcessorConfig& processor,
+                                    const SchedulerPolicy& policy,
+                                    const EngineOptions& options) {
   LPFPS_CHECK_MSG(!tasks.empty(), "engine needs at least one task");
   LPFPS_CHECK(options.horizon > 0.0);
   LPFPS_CHECK(options.context_switch_cost >= 0.0);
@@ -66,6 +67,7 @@ void validate_spec(const sched::TaskSet& tasks,
         options.containment.on_overrun != faults::OverrunAction::kThrottle,
         "throttle containment cannot combine with the weakly-hard governor");
   }
+  return tasks;
 }
 
 }  // namespace
@@ -81,76 +83,48 @@ SimState::SimState(const sched::TaskSet& tasks,
                    const power::ProcessorConfig& processor,
                    const SchedulerPolicy& policy,
                    const exec::ExecModelPtr& exec_model,
-                   const EngineOptions& options) {
-  reset(tasks, processor, policy, exec_model, options);
-}
-
-void SimState::reset(const sched::TaskSet& tasks,
-                     const power::ProcessorConfig& processor,
-                     const SchedulerPolicy& policy,
-                     const exec::ExecModelPtr& exec_model,
-                     const EngineOptions& options) {
-  // Validation comes first, so a bad spec throws before any member
-  // changes — in particular before the FaultyExecModel below, whose own
-  // overrun checks would otherwise report a bad fault plan differently.
-  validate_spec(tasks, processor, policy, options);
-  tasks_ = &tasks;
-  processor_ = &processor;
-  policy_ = &policy;
-  exec_model_ = exec_model;
-  options_ = &options;
-
-  // Rng::reseed is bit-identical to fresh construction (see random.h),
-  // and the optional re-emplacement rebuilds the power model in place —
-  // the accumulator pointer below always refers to this lane's storage.
-  rng_.reseed(options.seed);
-  power_model_.emplace(processor.make_power_model());
-  accumulator_.emplace(&*power_model_);
-  trace_ = sim::Trace();
-
-  now_ = TimePoint{};
-  state_ = CpuState::kIdle;
-
-  // Size every per-task buffer up front: each queue holds at most one
-  // entry per task, so after this nothing in the scheduling hot path
-  // allocates.  assign() produces the same value-initialized elements a
-  // fresh sized construction would; reserve() only ever grows, so a lane
-  // rebinding to a smaller task set keeps (and reuses) its capacity.
-  run_queue_.clear();
+                   const EngineOptions& options)
+    // Validation comes first, so a bad spec throws before anything is
+    // built — in particular before the FaultyExecModel below, whose own
+    // overrun checks would otherwise report a bad fault plan differently.
+    : tasks_(&validate_spec(tasks, processor, policy, options)),
+      processor_(&processor),
+      policy_(&policy),
+      exec_model_(exec_model),
+      options_(&options),
+      rng_(options.seed),
+      power_model_(processor.make_power_model()),
+      accumulator_(&power_model_),
+      jobs_(tasks.size()),
+      next_instance_(tasks.size(), 0),
+      per_task_(tasks.size()),
+      detection_enabled_(options.faults.any() || options.containment.enabled()),
+      faults_injected_(options.faults.any()),
+      overruns_possible_(options.faults.overruns_enabled()),
+      ramp_fault_armed_(options.faults.ramp.enabled()),
+      // The physical ramp slope.  With no ramp fault this is the exact
+      // same double as the spec value, keeping fault-free runs
+      // bit-identical; under a fault the scheduler keeps planning with
+      // the spec rho while the hardware moves at this one.
+      effective_ramp_rate_(
+          ramp_fault_armed_
+              ? processor.ramp_rate * options.faults.ramp.rho_factor
+              : processor.ramp_rate),
+      // Weakly-hard governor wiring, resolved once: disarmed runs (no
+      // weakly-hard tasks, or policy kNever) never touch any of it,
+      // keeping them bit-identical to the hard engine.  begin() computes
+      // the structural overload latch.
+      weakly_hard_enabled_(tasks.has_weakly_hard() &&
+                           options.weakly_hard.policy !=
+                               weakly_hard::SkipPolicy::kNever),
+      skip_dvs_(weakly_hard_enabled_ && options.weakly_hard.skip_dvs),
+      skip_policy_(weakly_hard_enabled_ ? options.weakly_hard.policy
+                                        : weakly_hard::SkipPolicy::kNever) {
+  // Each queue holds at most one entry per task, so with every per-task
+  // buffer sized here nothing in the scheduling hot path allocates.
   run_queue_.reserve(tasks.size());
-  delay_queue_.clear();
   delay_queue_.reserve(tasks.size());
-  jobs_.assign(tasks.size(), JobState{});
-  next_instance_.assign(tasks.size(), 0);
-  per_task_.assign(tasks.size(), power::ModeTotals{});
-  active_ = kNoTask;
-  staged_.clear();
   staged_.reserve(tasks.size());
-
-  base_ratio_ = 1.0;
-  ratio_ = 1.0;
-  ramp_target_ = 1.0;
-  reinvoke_after_ramp_ = false;
-  end_plan();
-  wake_at_ = kNeverPoint;
-  wake_end_ = kNeverPoint;
-  sleep_power_fraction_ = 0.0;
-  sleep_wake_latency_ = 0.0;
-  shutdown_at_ = kNeverPoint;
-
-  detection_enabled_ = options.faults.any() || options.containment.enabled();
-  faults_injected_ = options.faults.any();
-  overruns_possible_ = options.faults.overruns_enabled();
-  ramp_fault_armed_ = options.faults.ramp.enabled();
-  // The physical ramp slope.  With no ramp fault this is the exact
-  // same double as the spec value, keeping fault-free runs
-  // bit-identical; under a fault the scheduler keeps planning with the
-  // spec rho while the hardware moves at this one.
-  effective_ramp_rate_ =
-      ramp_fault_armed_
-          ? processor.ramp_rate * options.faults.ramp.rho_factor
-          : processor.ramp_rate;
-  faulty_model_.reset();
   if (overruns_possible_) {
     std::vector<std::string> names;
     names.reserve(tasks.size());
@@ -160,45 +134,7 @@ void SimState::reset(const sched::TaskSet& tasks,
     faulty_model_ = std::make_shared<exec::FaultyExecModel>(
         exec_model, options.faults.overruns, std::move(names));
   }
-  safe_mode_ = false;
-  wake_programmed_ = kNeverPoint;
-  overruns_detected_ = 0;
-  ramp_faults_detected_ = 0;
-  late_wakeups_detected_ = 0;
-  jobs_killed_ = 0;
-  jobs_throttled_ = 0;
-  jobs_skipped_ = 0;
-  safe_mode_entries_ = 0;
-
-  // Weakly-hard governor wiring, resolved once: disarmed runs (no
-  // weakly-hard tasks, or policy kNever) never touch any of it, keeping
-  // them bit-identical to the hard engine.  begin() computes the
-  // structural overload latch.
-  weakly_hard_enabled_ =
-      tasks.has_weakly_hard() &&
-      options.weakly_hard.policy != weakly_hard::SkipPolicy::kNever;
-  skip_policy_ = weakly_hard_enabled_ ? options.weakly_hard.policy
-                                      : weakly_hard::SkipPolicy::kNever;
-  skip_dvs_ = weakly_hard_enabled_ && options.weakly_hard.skip_dvs;
-  overload_structural_ = false;
-  overload_dynamic_ = false;
   if (weakly_hard_enabled_) governor_.reset(tasks);
-
-  jobs_completed_ = 0;
-  deadline_misses_ = 0;
-  context_switches_ = 0;
-  scheduler_invocations_ = 0;
-  speed_changes_ = 0;
-  power_downs_ = 0;
-  dvs_slowdowns_ = 0;
-  run_queue_high_water_ = 0;
-  delay_queue_high_water_ = 0;
-  running_ratio_integral_ = 0.0;
-  running_time_ = 0.0;
-
-  horizon_ = kNeverPoint;
-  last_now_ = TimePoint{-1.0, 0.0};
-  stalled_iterations_ = 0;
 }
 
 void SimState::start_job(TaskIndex index) {
@@ -792,9 +728,9 @@ void SimState::advance_to(const TimePoint& next) {
       const Work done = power::work_done(ratio_, s, dt);
       job(active_).executed += done;
       if (detection_enabled_) job(active_).budget_used += done;
-      charged = s == 0.0 ? accumulator_->add_run(dt, ratio_)
-                         : accumulator_->add_run_ramp(dt, ratio_, end_ratio,
-                                                      effective_ramp_rate_);
+      charged = s == 0.0 ? accumulator_.add_run(dt, ratio_)
+                         : accumulator_.add_run_ramp(dt, ratio_, end_ratio,
+                                                     effective_ramp_rate_);
       auto& slot = per_task_[static_cast<std::size_t>(active_)];
       slot.time += dt;
       slot.energy += charged;
@@ -806,24 +742,24 @@ void SimState::advance_to(const TimePoint& next) {
     }
     case CpuState::kIdle: {
       if (s == 0.0) {
-        charged = accumulator_->add_idle_nop(dt, ratio_);
+        charged = accumulator_.add_idle_nop(dt, ratio_);
         segment.mode = sim::ProcessorMode::kIdleBusyWait;
       } else {
-        charged = accumulator_->add_idle_ramp(dt, ratio_, end_ratio,
-                                              effective_ramp_rate_);
+        charged = accumulator_.add_idle_ramp(dt, ratio_, end_ratio,
+                                             effective_ramp_rate_);
         segment.mode = sim::ProcessorMode::kRamping;
       }
       break;
     }
     case CpuState::kPowerDown: {
       LPFPS_CHECK(s == 0.0);
-      charged = accumulator_->add_power_down(dt, sleep_power_fraction_);
+      charged = accumulator_.add_power_down(dt, sleep_power_fraction_);
       segment.mode = sim::ProcessorMode::kPowerDown;
       break;
     }
     case CpuState::kWakeUp: {
       LPFPS_CHECK(s == 0.0);
-      charged = accumulator_->add_wakeup(dt);
+      charged = accumulator_.add_wakeup(dt);
       segment.mode = sim::ProcessorMode::kWakeUp;
       break;
     }
@@ -1090,18 +1026,18 @@ SimulationResult SimState::finish() {
   // The tolerance scales with the horizon: long runs accumulate
   // ulp-level dt rounding across millions of segment additions.
   LPFPS_CHECK_MSG(
-      approx_equal(accumulator_->total_time(), options_->horizon,
+      approx_equal(accumulator_.total_time(), options_->horizon,
                    std::max(1e-3, 1e-9 * options_->horizon)),
       "unaccounted simulation time");
 
   SimulationResult result;
   result.policy_name = policy_->name;
   result.simulated_time = options_->horizon;
-  result.total_energy = accumulator_->total_energy();
+  result.total_energy = accumulator_.total_energy();
   result.average_power = result.total_energy / options_->horizon;
   for (std::size_t i = 0; i < result.by_mode.size(); ++i) {
     result.by_mode[i] =
-        accumulator_->totals(static_cast<sim::ProcessorMode>(i));
+        accumulator_.totals(static_cast<sim::ProcessorMode>(i));
   }
   result.jobs_completed = jobs_completed_;
   result.deadline_misses = deadline_misses_;
@@ -1126,7 +1062,7 @@ SimulationResult SimState::finish() {
     result.mk_violations = governor_.mk_violations();
     result.weakly_hard_worst_slack = governor_.worst_window_slack();
   }
-  result.per_task = per_task_;
+  result.per_task = std::move(per_task_);
   if (options_->record_trace) {
     trace_.check_invariants();
     result.trace = std::move(trace_);

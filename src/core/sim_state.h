@@ -2,8 +2,7 @@
 //
 // SimState is the whole simulation engine exposed as an incremental
 // state machine, so a caller that runs many independent simulations —
-// the fleet engine in src/fleet/ — can drive each one event by event on
-// one reused state:
+// the fleet engine in src/fleet/ — can drive each one event by event:
 //
 //   SimState sim(tasks, cpu, policy, exec, options);  // validate, bind
 //   sim.begin();                       // seed queues, L1 entry
@@ -16,15 +15,11 @@
 // core::simulate by construction, not by testing alone (the
 // differential suite in tests/fleet/ pins it anyway).
 //
-// reset() rebinds an existing SimState to a new simulation while
-// retaining every internal buffer's capacity (queues, job tables,
-// per-task totals).  It is the one place a simulation is bound: it
-// validates the spec, then binds it and reseeds the generator, and the
-// constructor is a reset() of an empty state.  A reset state is
-// therefore bit-identical to a freshly constructed one, which is what
-// lets the fleet engine reuse one lane per worker across thousands of
-// simulations without paying the allocation cost per sim
-// (docs/FLEET.md).
+// The constructor is the one place a simulation is bound: it validates
+// the spec before it builds anything, then binds it and seeds the
+// generator once from options.seed.  A SimState runs one simulation;
+// the next one gets a new SimState (docs/FLEET.md says why no state is
+// reused).
 //
 // Lifetime: SimState borrows `tasks`, `processor`, `policy` and
 // `options` (it stores pointers); they must outlive the run.  The
@@ -35,7 +30,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "common/float_compare.h"
@@ -142,13 +136,17 @@ struct JobState {
 
 /// The full mutable state of one simulation plus the engine main loop,
 /// decomposed into begin / step / finish (see the file comment for the
-/// contract).  core::simulate builds one of these per call; the fleet
-/// engine keeps one per worker and reset()s it between sims.
+/// contract).  core::simulate and the fleet engine build one of these
+/// per simulation.
 class SimState {
  public:
-  /// Binds a new simulation; see reset().  `exec_model` may be null, in
-  /// which case every job takes its WCET.  Borrows every reference
-  /// argument for the lifetime of the run (see file comment).
+  /// Binds a new simulation.  Checks the spec first — a non-empty,
+  /// valid task set (unique priorities assigned), a valid processor and
+  /// policy, and options that fit them — and throws std::logic_error on
+  /// the first violation before building anything.  Then binds the spec
+  /// and seeds the generator from options.seed.  `exec_model` may be
+  /// null, in which case every job takes its WCET.  Borrows every
+  /// reference argument for the lifetime of the run (see file comment).
   SimState(const sched::TaskSet& tasks,
            const power::ProcessorConfig& processor,
            const SchedulerPolicy& policy, const exec::ExecModelPtr& exec_model,
@@ -157,21 +155,8 @@ class SimState {
   SimState(const SimState&) = delete;
   SimState& operator=(const SimState&) = delete;
 
-  /// Rebinds to a new simulation, reusing buffer capacity.  Checks the
-  /// spec first — a non-empty, valid task set (unique priorities
-  /// assigned), a valid processor and policy, and options that fit them
-  /// — and throws std::logic_error on the first violation before
-  /// touching any state.  Then binds the spec and reseeds the generator
-  /// from options.seed.  The state after reset is bit-identical to a
-  /// freshly constructed SimState.
-  void reset(const sched::TaskSet& tasks,
-             const power::ProcessorConfig& processor,
-             const SchedulerPolicy& policy,
-             const exec::ExecModelPtr& exec_model,
-             const EngineOptions& options);
-
   /// Seeds the delay queue and performs the initial scheduler
-  /// invocation.  Must be called exactly once per bind, before step().
+  /// invocation.  Must be called exactly once, before step().
   void begin();
 
   /// True once the clock has reached the horizon; finish() may be called.
@@ -185,11 +170,9 @@ class SimState {
   void step();
 
   /// Checks the accounted-time invariant and assembles the result.
-  /// Call exactly once, after finished() turns true.
+  /// Call exactly once, after finished() turns true; it moves the trace
+  /// and the per-task totals out.
   SimulationResult finish();
-
-  /// Current simulated instant (absolute microseconds).
-  Time clock() const { return now_.absolute(); }
 
  private:
   // --- scheduling machinery -------------------------------------------
@@ -265,7 +248,9 @@ class SimState {
   /// by one period).
   Time next_arrival_for_active() const;
 
-  // --- borrowed inputs (rebound by reset) ------------------------------
+  // --- borrowed inputs -------------------------------------------------
+  // tasks_ is the first member: the constructor validates the spec in
+  // its initializer, so nothing below is built for a spec that throws.
   const sched::TaskSet* tasks_ = nullptr;
   const power::ProcessorConfig* processor_ = nullptr;
   const SchedulerPolicy* policy_ = nullptr;
@@ -273,12 +258,11 @@ class SimState {
   const EngineOptions* options_ = nullptr;
 
   // --- mutable state ----------------------------------------------------
-  // Optionals give the lane-reuse story in-place re-emplacement: the
-  // power model's address stays stable (the accumulator points at it)
-  // and neither needs a default-constructed null state.
-  Rng rng_{0};
-  std::optional<power::PowerModel> power_model_;
-  std::optional<power::EnergyAccumulator> accumulator_;
+  Rng rng_;
+  power::PowerModel power_model_;
+  /// Points at power_model_; SimState is neither copied nor moved, so
+  /// the address stays valid.
+  power::EnergyAccumulator accumulator_;
   sim::Trace trace_;
 
   detail::TimePoint now_;
@@ -323,7 +307,7 @@ class SimState {
   // Timeout-shutdown policy state.
   detail::TimePoint shutdown_at_ = detail::kNeverPoint;
 
-  // Fault injection / containment (resolved once per reset; all of it
+  // Fault injection / containment (resolved once at bind; all of it
   // inert — and bit-identity preserving — when neither options->faults
   // nor options->containment is configured).
   bool detection_enabled_ = false;  ///< Any fault or containment active.
@@ -342,14 +326,14 @@ class SimState {
   int jobs_skipped_ = 0;
   int safe_mode_entries_ = 0;
 
-  // Weakly-hard skip governor (resolved once per reset; everything
+  // Weakly-hard skip governor (resolved once at bind; everything
   // below is inert — and bit-identity preserving — unless the task set
   // declares weakly-hard constraints and the policy is not kNever).
   bool weakly_hard_enabled_ = false;
   bool skip_dvs_ = false;
   weakly_hard::SkipPolicy skip_policy_ = weakly_hard::SkipPolicy::kNever;
   weakly_hard::SkipGovernor governor_;
-  /// Hard RTA failed at reset: the set cannot meet every deadline even
+  /// Hard RTA failed at begin(): the set cannot meet every deadline even
   /// at base speed, so degradation is on from t = 0 and never clears.
   bool overload_structural_ = false;
   /// Runtime trigger — predicted miss at a release, detected overrun,

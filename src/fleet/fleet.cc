@@ -8,10 +8,6 @@
 
 namespace lpfps::fleet {
 
-FleetEngine::FleetEngine() = default;
-
-FleetEngine::~FleetEngine() = default;
-
 std::size_t FleetEngine::add(SimSpec spec) {
   specs_.push_back(std::move(spec));
   return specs_.size() - 1;
@@ -24,27 +20,17 @@ std::vector<core::SimulationResult> FleetEngine::run_all(
   std::vector<core::SimulationResult> results;
   results.reserve(specs_.size());
   for (std::size_t i = 0; i < specs_.size(); ++i) {
-    // Binding validates the spec before it changes the lane, so a spec
-    // core::simulate would reject throws here with the same error.
+    // The constructor validates the spec before it builds anything, so a
+    // spec core::simulate would reject throws here with the same error.
     const SimSpec& spec = specs_[i];
-    if (lane_ == nullptr) {
-      lane_ = std::make_unique<core::SimState>(spec.tasks, spec.processor,
-                                               spec.policy, spec.exec_model,
-                                               spec.options);
-      ++stats_.lane_constructions;
-    } else {
-      lane_->reset(spec.tasks, spec.processor, spec.policy, spec.exec_model,
-                   spec.options);
-      ++stats_.lane_rebinds;
-    }
-    // A throw below leaves the lane mid-run — harmless, the next bind
-    // reset()s it from scratch.
-    lane_->begin();
-    while (!lane_->finished()) {
-      lane_->step();
+    core::SimState simulation(spec.tasks, spec.processor, spec.policy,
+                              spec.exec_model, spec.options);
+    simulation.begin();
+    while (!simulation.finished()) {
+      simulation.step();
       ++stats_.steps;
     }
-    core::SimulationResult result = lane_->finish();
+    core::SimulationResult result = simulation.finish();
     ++stats_.rounds;
     stats_.events += result.scheduler_invocations;
     if (on_result) on_result(i, spec, result);

@@ -3,35 +3,29 @@
 // Every sweep in this repository — random tasksets, fault magnitudes,
 // policy ablations, the Fig. 8 BCET grids — is a loop of *independent*
 // simulations, each tiny: a 5-task UUniFast set over a few hyperperiods
-// costs a handful of microseconds, of which a large fraction is per-sim
-// fixed setup (half a dozen vector allocations for queues, job tables
-// and per-task totals, power-model construction, RNG seeding,
-// validation).  The fleet engine amortizes the allocations away:
+// costs tens of microseconds.  The fleet engine runs such a batch:
 //
 //   * simulations are added up front as SimSpecs; add() only stores the
 //     spec;
 //   * run_all() runs the specs one after another, each to completion,
-//     on one reused SimState *lane* — binding a spec to the lane
-//     (SimState::reset) validates it, reseeds the generator and reuses
-//     every buffer the previous sim allocated, so steady-state runs
-//     allocate nothing per sim;
+//     on a SimState of its own — its constructor validates the spec,
+//     binds it and seeds the generator once;
 //   * an optional per-result callback runs on the same thread right
 //     after each simulation finishes — the audit harness uses it to
 //     audit each trace while it is still hot and drop it before the
 //     next spec runs (audit::simulate_fleet_sharded).
 //
 // run_fleet_sharded() fans a spec list out across runner::ThreadPool
-// workers, one FleetEngine (one lane) per worker.
+// workers, one FleetEngine per worker.
 //
-// **Bit-identity contract.**  A lane executes the exact same
+// **Bit-identity contract.**  Each simulation executes the exact same
 // begin()/step().../finish() sequence `core::simulate` executes — the
-// same code, in SimState — and a reset lane is bit-identical to a
-// fresh one, so every result (CSV row, coalesced trace, audit report)
-// is bit-identical to a serial `core::simulate` of the same spec, at
-// any worker count.  The differential suite in tests/fleet/ pins this
-// across policies, workloads, faulted, long WCET and weakly-hard sims,
-// run back to back on one lane; docs/FLEET.md documents the argument
-// and the measured cost.
+// same code, in SimState, on a freshly constructed state — so every
+// result (CSV row, trace, audit report) is bit-identical to a serial
+// `core::simulate` of the same spec, at any worker count.  The
+// differential suite in tests/fleet/ pins this across policies,
+// workloads, faulted, long WCET and weakly-hard sims run back to back;
+// docs/FLEET.md documents the argument and the measured cost.
 //
 // **Eligibility.**  Any spec `core::simulate` accepts is eligible —
 // faults, containment, jitter, traces all ride along.
@@ -40,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/engine.h"
@@ -50,14 +43,11 @@
 #include "power/processor.h"
 #include "sched/task_set.h"
 
-namespace lpfps::core {
-class SimState;
-}  // namespace lpfps::core
-
 namespace lpfps::fleet {
 
 /// One simulation to run: the same four components core::simulate
-/// takes, owned by value so a spec outlives the lane that borrows it.
+/// takes, owned by value so a spec outlives the SimState that borrows
+/// it.
 struct SimSpec {
   sched::TaskSet tasks;
   power::ProcessorConfig processor;
@@ -75,16 +65,17 @@ struct FleetOptions {};
 /// the bench and docs/FLEET.md report.
 struct FleetStats {
   std::size_t sims = 0;
-  std::size_t lane_constructions = 0;  ///< Fresh SimState allocations.
-  std::size_t lane_rebinds = 0;        ///< Buffer-reusing resets.
-  std::size_t rounds = 0;              ///< Simulations run to completion.
-  std::int64_t steps = 0;              ///< Engine steps across all sims.
+  /// Always 0: every simulation binds a fresh SimState.  Kept only
+  /// because the perfbench harness (perfbench/src/) still reads it.
+  std::size_t lane_rebinds = 0;
+  std::size_t rounds = 0;   ///< Simulations run to completion.
+  std::int64_t steps = 0;   ///< Engine steps across all sims.
   std::int64_t events = 0;  ///< Scheduler invocations across all sims.
 };
 
 /// Called on the running thread right after spec `index` finishes, with
-/// the spec as the lane ran it and its result (which the callback may
-/// edit, e.g. drop the trace).  A throw counts as that spec's failure.
+/// the spec as it ran and its result (which the callback may edit, e.g.
+/// drop the trace).  A throw counts as that spec's failure.
 using ResultCallback = std::function<void(
     std::size_t index, const SimSpec& spec, core::SimulationResult& result)>;
 
@@ -93,21 +84,15 @@ using ResultCallback = std::function<void(
 /// (run_fleet_sharded fans out *above* this layer).
 class FleetEngine {
  public:
-  FleetEngine();
-  ~FleetEngine();
-
-  FleetEngine(const FleetEngine&) = delete;
-  FleetEngine& operator=(const FleetEngine&) = delete;
-
   /// Stores one simulation; returns its index (== result slot).  The
-  /// spec is checked when run_all() binds it, not here.
+  /// spec is checked when run_all() runs it, not here.
   std::size_t add(SimSpec spec);
 
   std::size_t size() const { return specs_.size(); }
 
-  /// Runs every added spec to completion, in add order, on one reused
-  /// lane, calling `on_result` (when set) after each.  The first failing
-  /// spec — it failed validation when bound, or its simulation or its
+  /// Runs every added spec to completion, in add order, each on a fresh
+  /// SimState, calling `on_result` (when set) after each.  The first
+  /// failing spec — it failed validation, or its simulation or its
   /// callback threw — aborts the run with the original exception; being
   /// first, it is the lowest-index failure.  Stats are overwritten per
   /// call; calling again re-runs the same specs and — determinism
@@ -120,11 +105,6 @@ class FleetEngine {
 
  private:
   std::vector<SimSpec> specs_;
-
-  /// The lane: built on first use, reset() for every later spec;
-  /// unique_ptr keeps SimState incomplete in this header.
-  std::unique_ptr<core::SimState> lane_;
-
   FleetStats stats_;
 };
 

@@ -1,7 +1,9 @@
 #include "io/task_set_io.h"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -39,6 +41,15 @@ bool parse_number(const std::string& token, double& out) {
   }
 }
 
+/// `value` in its shortest round-trip form (2.5e-07, 1e+300), so an
+/// error names the number the file holds.
+std::string format_value(double value) {
+  char buffer[32];
+  const std::to_chars_result written =
+      std::to_chars(std::begin(buffer), std::end(buffer), value);
+  return std::string(buffer, written.ptr);
+}
+
 /// `value` as an integer time: whole, positive (non-negative when
 /// `allow_zero`) and below 2^63, so the conversion is defined.
 std::int64_t to_time_integer(double value, int line, const char* field,
@@ -47,7 +58,7 @@ std::int64_t to_time_integer(double value, int line, const char* field,
   if (!in_domain || value != std::floor(value) || value >= 0x1p63) {
     fail(line, std::string(field) + " must be a " +
                    (allow_zero ? "non-negative" : "positive") +
-                   " integer below 2^63, got " + std::to_string(value));
+                   " integer below 2^63, got " + format_value(value));
   }
   return static_cast<std::int64_t>(value);
 }
@@ -123,7 +134,7 @@ sched::TaskSet parse_task_set(std::istream& in) {
     }
 
     if (period <= 0.0) fail(line_number, "period is required and positive");
-    if (wcet <= 0.0) fail(line_number, "wcet is required and positive");
+    if (!(wcet > 0.0)) fail(line_number, "wcet is required and positive");
     if (deadline < 0.0) deadline = period;
     if (bcet < 0.0) bcet = wcet;
 
@@ -133,6 +144,17 @@ sched::TaskSet parse_task_set(std::istream& in) {
         to_time_integer(deadline, line_number, "deadline");
     const std::int64_t phase_us =
         to_time_integer(phase, line_number, "phase", /*allow_zero=*/true);
+    // The relations Task::validate checks, named here with their values.
+    if (!(bcet > 0.0 && bcet <= wcet)) {
+      fail(line_number, "bcet must be positive and at most wcet (" +
+                            format_value(wcet) + "), got " +
+                            format_value(bcet));
+    }
+    if (!(wcet <= static_cast<double>(deadline_us))) {
+      fail(line_number, "wcet must be at most deadline (" +
+                            std::to_string(deadline_us) + "), got " +
+                            format_value(wcet));
+    }
     try {
       tasks.add(sched::make_task(name, period_us, deadline_us, wcet, bcet,
                                  phase_us));

@@ -89,9 +89,8 @@ class EnergyAccumulator {
     Energy energy = 0.0;
     std::uint8_t kind = 0;
   };
-  /// 64 slots (2.5 KiB) trade hit rate against footprint: every fleet
-  /// lane owns an accumulator, and a block of lanes must stay
-  /// cache-resident.  Hit rates per Table 2 set are in
+  /// 64 slots (2.5 KiB) trade hit rate against footprint: every
+  /// simulation owns an accumulator, which should stay cache-resident.  Hit rates per Table 2 set are in
   /// docs/PERFORMANCE.md ("Ramp energy").
   static constexpr int kRampSlotBits = 6;
   static constexpr std::size_t kRampSlots = std::size_t{1} << kRampSlotBits;

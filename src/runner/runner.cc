@@ -11,8 +11,7 @@ namespace lpfps::runner {
 
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t job_index) {
   // splitmix64 (Steele/Lea/Flood): advance the state by (job_index + 1)
-  // golden-gamma increments, then apply the output permutation.  The
-  // same mixer as Rng::fork_seed, made positional.
+  // golden-gamma increments, then apply the output permutation.
   std::uint64_t z = base_seed + (job_index + 1) * 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;

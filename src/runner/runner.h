@@ -18,7 +18,7 @@
 //
 // A batch of plain simulations goes through fleet::run_fleet_sharded
 // (or its audited form, audit::simulate_fleet_sharded), which shards
-// the specs over run_batch with one reused simulation lane per worker;
+// the specs over run_batch with one fleet engine per worker;
 // run_batch itself serves loops whose jobs are more than one
 // simulation (AVR, YDS and static-slowdown comparisons).
 //

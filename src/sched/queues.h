@@ -48,11 +48,6 @@ class RunQueue {
 
   void insert(RunEntry entry);
 
-  /// Empties the queue, keeping the allocated capacity.  The fleet
-  /// engine uses this to rebind a simulation lane to a new task set
-  /// without reallocating.
-  void clear() noexcept { entries_.clear(); }
-
   /// Highest-priority waiting task.  Precondition: !empty().
   const RunEntry& head() const;
 
@@ -83,10 +78,6 @@ class DelayQueue {
   void reserve(std::size_t tasks) { entries_.reserve(tasks); }
 
   void insert(DelayEntry entry);
-
-  /// Empties the queue, keeping the allocated capacity (see
-  /// RunQueue::clear).
-  void clear() noexcept { entries_.clear(); }
 
   /// Earliest-release entry.  Precondition: !empty().
   const DelayEntry& head() const;

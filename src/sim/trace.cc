@@ -27,6 +27,13 @@ const char* to_string(ProcessorMode mode) {
   return "?";
 }
 
+namespace {
+
+/// True when `b` can be folded into `a` by the record-time coalescing
+/// rule: same mode and task, speed-continuous (a.ratio_end ==
+/// b.ratio_begin exactly), and either both at constant speed or both
+/// ramping in the same direction at the same rate (slopes equal within
+/// 1e-9 relative tolerance).  Time contiguity is the caller's concern.
 bool can_coalesce(const Segment& a, const Segment& b) {
   if (a.mode != b.mode || a.task != b.task) return false;
   if (a.ratio_end != b.ratio_begin) return false;
@@ -47,19 +54,7 @@ bool can_coalesce(const Segment& a, const Segment& b) {
          1e-9 * std::max(1.0, std::max(std::abs(sa), std::abs(sb)));
 }
 
-std::vector<Segment> coalesce_segments(const std::vector<Segment>& segments) {
-  std::vector<Segment> out;
-  out.reserve(segments.size());
-  for (const Segment& s : segments) {
-    if (!out.empty() && can_coalesce(out.back(), s)) {
-      out.back().end = s.end;
-      out.back().ratio_end = s.ratio_end;
-    } else {
-      out.push_back(s);
-    }
-  }
-  return out;
-}
+}  // namespace
 
 void Trace::reserve(std::size_t segments, std::size_t jobs) {
   segments_.reserve(segments);

@@ -64,19 +64,6 @@ struct JobRecord {
   Time response_time() const { return completion - release; }
 };
 
-/// True when `b` can be folded into `a` by the record-time coalescing
-/// rule: same mode and task, speed-continuous (a.ratio_end ==
-/// b.ratio_begin exactly), and either both at constant speed or both
-/// ramping in the same direction at the same rate (slopes equal within
-/// 1e-9 relative tolerance).  Time contiguity is the caller's concern.
-bool can_coalesce(const Segment& a, const Segment& b);
-
-/// Applies the coalescing rule to an already-recorded segment list and
-/// returns the canonical form.  Idempotent on anything Trace records;
-/// equivalence tests canonicalize both sides before comparing so traces
-/// written before and after record-time coalescing hash identically.
-std::vector<Segment> coalesce_segments(const std::vector<Segment>& segments);
-
 /// Recorded simulation history.
 class Trace {
  public:
@@ -87,9 +74,10 @@ class Trace {
 
   /// Appends a segment.  Zero-length segments are dropped.  Segments must
   /// be appended in order and contiguously (each begins where the previous
-  /// ended); adjacent segments satisfying can_coalesce — same mode and
-  /// task at constant speed, or a continuing ramp — are merged in place
-  /// (the record-time coalescing writer).
+  /// ended); adjacent segments that describe one stretch — same mode and
+  /// task, speed-continuous, and either both at constant speed or a
+  /// continuing ramp — are merged in place (the record-time coalescing
+  /// writer, the only one).
   void add_segment(const Segment& segment);
 
   void add_job(const JobRecord& job);

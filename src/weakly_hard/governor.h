@@ -33,11 +33,11 @@ enum class SkipPolicy : std::uint8_t {
 
 const char* to_string(SkipPolicy policy);
 
-/// Per-task skip accounting for one run.  reset() rebinds to a task
-/// set reusing buffers (fleet-lane friendly).
+/// Per-task skip accounting for one run; reset() binds it to a task
+/// set.
 class SkipGovernor {
  public:
-  /// Rebinds to `tasks`: sizes per-task histories, caches each task's
+  /// Binds to `tasks`: sizes per-task histories, caches each task's
   /// effective (m,k)/skip parameters, zeroes all counters.
   void reset(const sched::TaskSet& tasks);
 

@@ -11,9 +11,8 @@
 // double), and runs them under FPS with every job at its WCET.  For
 // every task, completion minus release of instance 0 in the trace must
 // equal the oracle's value exactly.  Each set runs through
-// core::simulate and through one fleet::FleetEngine whose single lane
-// rebinds from set to set.  The oracle shares no code with the engine
-// or with sched::.
+// core::simulate and through one fleet::FleetEngine batch.  The oracle
+// shares no code with the engine or with sched::.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -205,12 +204,11 @@ TEST_P(CriticalInstant, FirstJobResponseEqualsExactRta) {
   for (const fleet::SimSpec& spec : specs) engine.add(spec);
   const std::vector<SimulationResult> results = engine.run_all();
   ASSERT_EQ(results.size(), cases.size());
-  EXPECT_EQ(engine.stats().lane_rebinds, cases.size() - 1);
   int fleet_mismatches = 0;
   std::string fleet_first;
   for (std::size_t s = 0; s < cases.size(); ++s) {
     fleet_mismatches +=
-        count_mismatches(cases[s], results[s], "fleet lane", fleet_first);
+        count_mismatches(cases[s], results[s], "fleet", fleet_first);
   }
   EXPECT_EQ(fleet_mismatches, 0) << fleet_first;
 

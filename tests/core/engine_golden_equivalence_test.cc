@@ -3,11 +3,11 @@
 // records) and SimulationResult counters captured from the engine before
 // the zero-allocation hot-path work, bit for bit.
 //
-// Segments are canonicalized with sim::coalesce_segments before hashing,
-// so the record-time coalescing writer (which merges continuing ramps
-// and constant-speed runs as they are appended) compares equal to the
-// uncoalesced traces the goldens were captured from — that is exactly
-// the "modulo documented coalescing" contract of docs/PERFORMANCE.md.
+// The goldens hash canonical segments: each maximal stretch of one mode
+// and task at constant speed, or of one continuing ramp, is one segment
+// (docs/PERFORMANCE.md, "Trace coalescing").  Trace::add_segment merges
+// pieces into that form as they are recorded and is the only writer, so
+// the recorded segments are hashed as they stand.
 //
 // Regenerate data/golden/engine_equivalence.csv after an *intended*
 // behaviour change with:
@@ -86,14 +86,11 @@ std::vector<core::SchedulerPolicy> policies_for(
 
 GoldenRow row_for(const core::SimulationResult& result) {
   const sim::Trace& trace = result.trace.value();
-  const std::vector<sim::Segment> canonical =
-      sim::coalesce_segments(trace.segments());
-  const sim::Trace canon = sim::Trace::unchecked(canonical, trace.jobs());
   GoldenRow row;
-  row.segment_count = static_cast<std::int64_t>(canonical.size());
+  row.segment_count = static_cast<std::int64_t>(trace.segments().size());
   row.job_count = static_cast<std::int64_t>(trace.jobs().size());
-  row.segments_hash = hex64(fnv1a(io::trace_segments_csv(canon, {})));
-  row.jobs_hash = hex64(fnv1a(io::trace_jobs_csv(canon, {})));
+  row.segments_hash = hex64(fnv1a(io::trace_segments_csv(trace, {})));
+  row.jobs_hash = hex64(fnv1a(io::trace_jobs_csv(trace, {})));
   row.result_hash = hex64(fnv1a(io::result_csv_row(result)));
   return row;
 }

@@ -1,7 +1,7 @@
 // Differential suite pinning the fleet engine's bit-identity contract:
-// every simulation run through fleet::FleetEngine — on one reused
-// lane, after any predecessor — must produce results bit-identical to
-// a serial core::simulate of the same spec.  Identity is asserted on
+// every simulation run through fleet::FleetEngine — after any
+// predecessor in the batch — must produce results bit-identical to a
+// serial core::simulate of the same spec.  Identity is asserted on
 // the serialized forms the repo treats as ground truth
 // (io::result_fault_csv_row, trace segment/job CSVs), the same currency
 // the runner-determinism suite uses.
@@ -90,8 +90,8 @@ fleet::SimSpec faulted_spec(bool record_trace) {
 }
 
 /// Long WCET run: deterministic execution (null model) over 10,000
-/// hyperperiods of Table 1, so the lane carries a long trace and large
-/// instance counters into its next bind.
+/// hyperperiods of Table 1: a long trace and large instance counters
+/// just before the next spec in a batch.
 fleet::SimSpec long_wcet_spec(bool record_trace) {
   core::EngineOptions options;
   options.horizon = 4'000'000;
@@ -167,7 +167,7 @@ TEST(FleetDifferential, EngineMatchesSerialAcrossPolicies) {
 /// One faulted-and-contained sim and one long WCET sim mixed into a
 /// batch of stochastic neighbours: the fleet must reproduce the
 /// containment counters and the long deterministic run bit-for-bit,
-/// proving both run unchanged on a lane.
+/// proving both run unchanged in a batch.
 TEST(FleetDifferential, MixedBatchWithFaultedAndLongWcetSims) {
   std::vector<fleet::SimSpec> specs = make_specs(2, true);
   specs.push_back(faulted_spec(true));
@@ -191,15 +191,13 @@ TEST(FleetDifferential, MixedBatchWithFaultedAndLongWcetSims) {
   }
 }
 
-/// Lane reuse must not leak state between sims: one lane runs every
-/// spec back to back, so each sim inherits the buffers, RNG, fault
-/// wiring and governor its predecessor left behind.  The batch mixes
-/// plain 4- and 7-task sims with faulted, long WCET and weakly-hard
-/// ones, and runs forward and reversed (every spec gets a different
-/// predecessor) and twice on one engine (round two binds every spec to
-/// the already-built lane, the first one included).  A reset that
-/// misses any per-sim state diverges somewhere here.
-TEST(FleetDifferential, LaneRebindLeaksNothing) {
+/// Nothing one simulation leaves behind reaches the next: the batch
+/// mixes plain 4- and 7-task sims with faulted, long WCET and
+/// weakly-hard ones, and runs forward and reversed (every spec gets a
+/// different predecessor) and twice on one engine.  Any state shared
+/// across sims — a cached model, a generator, a governor — would make
+/// some sim diverge here.
+TEST(FleetDifferential, NoStateCarriesBetweenSims) {
   const std::vector<fleet::SimSpec> small = make_specs(3, false);
   const std::vector<fleet::SimSpec> large = make_specs(2, false, 7);
   std::vector<fleet::SimSpec> specs;
@@ -247,17 +245,15 @@ TEST(FleetDifferential, LaneRebindLeaksNothing) {
             << "sim " << i << " diverged, reversed " << reversed
             << ", round " << round;
       }
-      EXPECT_EQ(engine.stats().lane_constructions, round == 0 ? 1u : 0u);
-      EXPECT_EQ(engine.stats().lane_rebinds,
-                round == 0 ? order.size() - 1 : order.size());
+      EXPECT_EQ(engine.stats().rounds, order.size());
     }
   }
 }
 
 /// A failing spec aborts the run with its original exception type: a
 /// simulation that misses a deadline (std::runtime_error), and a spec
-/// that fails validation when run_all() binds it to the lane, which
-/// surfaces the same type core::simulate throws for it.
+/// that fails validation when run_all() binds it, which surfaces the
+/// same type core::simulate throws for it.
 TEST(FleetDifferential, FailingSpecSurfacesItsOriginalException) {
   std::vector<fleet::SimSpec> specs = make_specs(2, false);
   specs.push_back(missing_spec());
@@ -292,7 +288,7 @@ TEST(FleetDifferential, AuditPassOverFleetTraces) {
   EXPECT_NO_THROW(agg.check());
 }
 
-TEST(FleetDifferential, StatsObserveLaneMechanics) {
+TEST(FleetDifferential, StatsCountTheRun) {
   const std::vector<fleet::SimSpec> specs = make_specs(9, false);  // 18 sims.
   fleet::FleetEngine engine;
   for (const fleet::SimSpec& spec : specs) engine.add(spec);
@@ -301,9 +297,7 @@ TEST(FleetDifferential, StatsObserveLaneMechanics) {
 
   const fleet::FleetStats& stats = engine.stats();
   EXPECT_EQ(stats.sims, specs.size());
-  // One lane: built for the first sim, rebound for the other 17.
-  EXPECT_EQ(stats.lane_constructions, 1u);
-  EXPECT_EQ(stats.lane_rebinds, specs.size() - 1);
+  EXPECT_EQ(stats.lane_rebinds, 0u);  // Every sim binds a fresh state.
   EXPECT_EQ(stats.rounds, specs.size());
   EXPECT_GT(stats.steps, 0);
   std::int64_t events = 0;

@@ -52,7 +52,7 @@ std::string identity(const sched::TaskSet& tasks,
 /// A 200-spec mixed batch: the sweep regime (RM-schedulable UUniFast
 /// sets, both policies, stochastic execution, positional seeds) with a
 /// faulted-and-contained sim and a long WCET sim spliced into the
-/// middle, so shard boundaries cut through feature-bearing lanes too.
+/// middle, so shard boundaries cut through feature-bearing sims too.
 std::vector<fleet::SimSpec> make_mixed_specs() {
   const auto cpu = power::ProcessorConfig::arm8_default();
   const auto exec = std::make_shared<exec::ClampedGaussianModel>();
@@ -186,7 +186,7 @@ TEST(FleetSharded, LowestIndexFailureWinsBetweenSimulationAndCallback) {
 }
 
 /// The callback runs once per spec, with the spec's global index and
-/// the spec as the lane ran it, and may edit the result in place.
+/// the spec as it ran, and may edit the result in place.
 TEST(FleetSharded, CallbackSeesEverySpecByGlobalIndex) {
   std::vector<fleet::SimSpec> specs = make_mixed_specs();
   specs.resize(30);
@@ -232,11 +232,11 @@ TEST(FleetSharded, MoreWorkersThanSpecsLeavesNoEmptyShardArtifacts) {
   EXPECT_TRUE(fleet::run_fleet_sharded({}, {}, 4).empty());
 }
 
-/// core::SimState::reset validates every spec before it binds it, the
-/// one check behind every entry point, so the plain call, the fleet and
-/// the audited fleet all throw the same std::logic_error message: for
-/// an empty task set, and for a fault plan whose overrun list has the
-/// wrong length for the set.  The second case must report
+/// core::SimState's constructor validates every spec before it binds
+/// it, the one check behind every entry point, so the plain call, the
+/// fleet and the audited fleet all throw the same std::logic_error
+/// message: for an empty task set, and for a fault plan whose overrun
+/// list has the wrong length for the set.  The second case must report
 /// FaultPlan::validate's message, not the FaultyExecModel's own check,
 /// which the bind would reach first if it built the overrun wrapper
 /// before validating.

@@ -1,9 +1,9 @@
 // Fleet bit-identity for weakly-hard batches (docs/FLEET.md +
 // docs/WEAKLY_HARD.md): a mixed batch of hard, governor-armed and
 // skip-DVS sims must come out byte-identical whether run serially
-// through core::simulate, back to back on one fleet lane, or sharded
-// across workers — the skip governor's decisions are pure functions of
-// per-sim state, which a lane rebind resets.
+// through core::simulate, back to back through one fleet engine, or
+// sharded across workers — the skip governor's decisions are pure
+// functions of per-sim state, which every simulation builds afresh.
 #include "fleet/fleet.h"
 
 #include <string>

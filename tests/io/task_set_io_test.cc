@@ -6,6 +6,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "workloads/ins.h"
@@ -87,15 +88,30 @@ std::string parse_error(const std::string& text) {
   return "";
 }
 
+/// The message names the rejected value in a form that round-trips, and
+/// no internal check text (file path, expression) leaks into it.
+void expect_names_value(const std::string& text, const std::string& message,
+                        const std::string& value) {
+  EXPECT_NE(message.find("got " + value), std::string::npos)
+      << text << " -> " << message;
+  EXPECT_EQ(message.find("check failed"), std::string::npos)
+      << text << " -> " << message;
+}
+
 TEST(TaskSetParse, RejectsFractionalAndNegativePhases) {
-  for (const char* text : {"t period=100 wcet=10 phase=2.5\n",
-                           "t period=100 wcet=10 phase=-0.5\n",
-                           "t period=100 wcet=10 phase=-3\n",
-                           "t 100 10 100 10 0.25\n"}) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"t period=100 wcet=10 phase=2.5\n", "2.5"},
+      {"t period=100 wcet=10 phase=-0.5\n", "-0.5"},
+      {"t period=100 wcet=10 phase=-3\n", "-3"},
+      {"t 100 10 100 10 0.25\n", "0.25"},
+      // Below std::to_string's six decimals: it printed 0.000000.
+      {"t 100 10 100 10 2.5e-7\n", "2.5e-07"}};
+  for (const auto& [text, value] : cases) {
     const std::string message = parse_error(text);
     EXPECT_NE(message.find("line 1: phase must be a non-negative integer"),
               std::string::npos)
         << text << " -> " << message;
+    expect_names_value(text, message, value);
   }
   EXPECT_EQ(parse_task_set_string("t period=100 wcet=10 phase=0\n")[0].phase,
             0);
@@ -103,26 +119,49 @@ TEST(TaskSetParse, RejectsFractionalAndNegativePhases) {
 
 TEST(TaskSetParse, RejectsTimesOutsideTheIntegerRange) {
   // 2^63 and up do not fit the int64 time type.
-  const std::pair<const char*, const char*> cases[] = {
-      {"t period=1e30 wcet=10\n", "period must be"},
-      {"t period=9223372036854775808 wcet=10\n", "period must be"},
-      {"t period=100 wcet=10 deadline=1e19\n", "deadline must be"},
-      {"t period=100 wcet=10 phase=1e19\n", "phase must be"},
-      {"t period=100 wcet=10 phase=inf\n", "phase must be"}};
-  for (const auto& [text, expected] : cases) {
+  const std::tuple<const char*, const char*, const char*> cases[] = {
+      {"t period=1e30 wcet=10\n", "period must be", "1e+30"},
+      {"t period=9223372036854775808 wcet=10\n", "period must be",
+       "9223372036854775808"},
+      // std::to_string printed all 301 digits of this one.
+      {"t period=1e300 wcet=10\n", "period must be", "1e+300"},
+      {"t period=100 wcet=10 deadline=1e19\n", "deadline must be", "1e+19"},
+      {"t period=100 wcet=10 phase=1e19\n", "phase must be", "1e+19"},
+      {"t period=100 wcet=10 phase=inf\n", "phase must be", "inf"}};
+  for (const auto& [text, expected, value] : cases) {
     const std::string message = parse_error(text);
     EXPECT_NE(message.find(std::string("line 1: ") + expected),
               std::string::npos)
         << text << " -> " << message;
+    expect_names_value(text, message, value);
   }
 }
 
 TEST(TaskSetParse, RejectsSemanticViolations) {
-  // bcet > wcet surfaces as a line-numbered parse error.
-  EXPECT_THROW(parse_task_set_string("t 100 10 100 20\n"),
-               std::runtime_error);
-  // wcet > deadline.
-  EXPECT_THROW(parse_task_set_string("t 100 60 50\n"), std::runtime_error);
+  // Each relation is a line-numbered parse error naming the field and
+  // both values.
+  const std::tuple<const char*, const char*, const char*> cases[] = {
+      {"t 100 10 100 20\n", "bcet must be positive and at most wcet (10)",
+       "20"},
+      {"t period=100 wcet=10 bcet=0\n",
+       "bcet must be positive and at most wcet (10)", "0"},
+      {"t 100 60 50\n", "wcet must be at most deadline (50)", "60"},
+      {"t period=100 wcet=10.5 deadline=10\n",
+       "wcet must be at most deadline (10)", "10.5"}};
+  for (const auto& [text, expected, value] : cases) {
+    const std::string message = parse_error(text);
+    EXPECT_NE(message.find(std::string("line 1: ") + expected),
+              std::string::npos)
+        << text << " -> " << message;
+    expect_names_value(text, message, value);
+  }
+  // NaN fails every comparison, so it must be caught as not positive
+  // rather than slip through to Task::validate.
+  const std::string nan_wcet = parse_error("t period=100 wcet=nan\n");
+  EXPECT_NE(nan_wcet.find("line 1: wcet is required and positive"),
+            std::string::npos)
+      << nan_wcet;
+  EXPECT_EQ(nan_wcet.find("check failed"), std::string::npos) << nan_wcet;
 }
 
 TEST(TaskSetParse, TooManyFields) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <stdexcept>
 
 namespace lpfps::sim {
@@ -73,30 +74,32 @@ TEST(Trace, DoesNotMergeOpposingRamps) {
   EXPECT_EQ(trace.segments().size(), 2u);
 }
 
-TEST(Trace, CoalesceSegmentsMatchesRecordTimeMerging) {
-  // The canonicalizer applied to a raw (unmerged) list must land on the
-  // same segments the record-time writer produces — the property the
-  // golden equivalence hashes rely on.
-  const std::vector<Segment> raw = {
-      seg(0.0, 4.0, ProcessorMode::kRunning, 0),
-      seg(4.0, 6.0, ProcessorMode::kRunning, 0),
-      seg(6.0, 8.0, ProcessorMode::kRunning, 0, 1.0, 0.8),
-      seg(8.0, 10.0, ProcessorMode::kRunning, 0, 0.8, 0.6),
+TEST(Trace, RecordTimeMergingProducesCanonicalSegments) {
+  // The writer folds each segment into its predecessor as it is
+  // appended, so a raw (unmerged) list recorded piece by piece lands on
+  // the canonical form the golden hashes pin: a constant run, a
+  // continuing ramp and an idle gap.
+  Trace trace;
+  trace.add_segment(seg(0.0, 4.0, ProcessorMode::kRunning, 0));
+  trace.add_segment(seg(4.0, 6.0, ProcessorMode::kRunning, 0));
+  trace.add_segment(seg(6.0, 8.0, ProcessorMode::kRunning, 0, 1.0, 0.8));
+  trace.add_segment(seg(8.0, 10.0, ProcessorMode::kRunning, 0, 0.8, 0.6));
+  trace.add_segment(seg(10.0, 12.0, ProcessorMode::kIdleBusyWait));
+  const Segment expected[] = {
+      seg(0.0, 6.0, ProcessorMode::kRunning, 0),
+      seg(6.0, 10.0, ProcessorMode::kRunning, 0, 1.0, 0.6),
       seg(10.0, 12.0, ProcessorMode::kIdleBusyWait),
   };
-  Trace trace;
-  for (const Segment& s : raw) trace.add_segment(s);
-  const std::vector<Segment> canonical = coalesce_segments(raw);
-  ASSERT_EQ(canonical.size(), trace.segments().size());
-  for (std::size_t i = 0; i < canonical.size(); ++i) {
-    EXPECT_DOUBLE_EQ(canonical[i].begin, trace.segments()[i].begin);
-    EXPECT_DOUBLE_EQ(canonical[i].end, trace.segments()[i].end);
-    EXPECT_DOUBLE_EQ(canonical[i].ratio_end, trace.segments()[i].ratio_end);
-    EXPECT_EQ(canonical[i].mode, trace.segments()[i].mode);
+  ASSERT_EQ(trace.segments().size(), std::size(expected));
+  for (std::size_t i = 0; i < std::size(expected); ++i) {
+    const Segment& got = trace.segments()[i];
+    EXPECT_EQ(got.begin, expected[i].begin) << "segment " << i;
+    EXPECT_EQ(got.end, expected[i].end) << "segment " << i;
+    EXPECT_EQ(got.mode, expected[i].mode) << "segment " << i;
+    EXPECT_EQ(got.task, expected[i].task) << "segment " << i;
+    EXPECT_EQ(got.ratio_begin, expected[i].ratio_begin) << "segment " << i;
+    EXPECT_EQ(got.ratio_end, expected[i].ratio_end) << "segment " << i;
   }
-  // Idempotent: a second pass changes nothing.
-  const std::vector<Segment> twice = coalesce_segments(canonical);
-  EXPECT_EQ(twice.size(), canonical.size());
 }
 
 TEST(Trace, ReservePreallocatesWithoutChangingContent) {
