@@ -19,7 +19,7 @@
 // instead).
 //
 // A third section runs batches of independent sessions through the
-// runner's thread pool (admission/pipeline.h) at 1 and N workers.
+// batch runner (admission/pipeline.h) at 1 and N workers.
 // Two further sections follow:
 //
 //   stationary-churn   WCET-revision churn at scales {40, 80} (plus a
@@ -356,7 +356,7 @@ int main() {
     scratch_eps = 0.0;
   }
 
-  // ---- Section 3: session batches over the thread pool. ----------------
+  // ---- Section 3: session batches over the batch runner. ---------------
   {
     std::vector<admission::SessionSpec> specs(32);
     for (std::size_t i = 0; i < specs.size(); ++i) {

@@ -7,7 +7,7 @@
 // 1 MHz steps), rho = 0.07/us, NOP = 20% of a typical instruction,
 // power-down = 5% of full power with a 10-cycle wake-up.
 //
-// The sweeps fan out over the runner thread pool (LPFPS_JOBS) and are
+// The sweeps fan out over the runner's workers (LPFPS_JOBS) and are
 // bit-identical for any thread count; BENCH_fig8_power.json captures
 // every point for the perf trajectory.
 #include <cstdio>

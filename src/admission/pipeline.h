@@ -1,5 +1,5 @@
 // Async request pipeline: many admission sessions over the batch
-// runner's thread pool.
+// runner's worker threads.
 //
 // Each *session* is an independent service instance consuming one churn
 // stream; a batch of sessions fans out over runner::run_batch.  The

@@ -124,32 +124,6 @@ void CounterTotals::add(const core::SimulationResult& result) {
   mk_violations += result.mk_violations;
 }
 
-std::string counters_csv_header() {
-  return "runs,jobs_completed,deadline_misses,context_switches,"
-         "scheduler_invocations,speed_changes,power_downs,dvs_slowdowns,"
-         "run_queue_high_water,delay_queue_high_water,simulated_time,"
-         "total_energy,overruns_detected,ramp_faults_detected,"
-         "late_wakeups_detected,jobs_killed,jobs_throttled,jobs_skipped,"
-         "safe_mode_entries,jobs_skipped_weakly,mk_violations\n";
-}
-
-std::string counters_csv_row(const CounterTotals& totals) {
-  std::ostringstream os;
-  os.precision(12);
-  os << totals.runs << "," << totals.jobs_completed << ","
-     << totals.deadline_misses << "," << totals.context_switches << ","
-     << totals.scheduler_invocations << "," << totals.speed_changes << ","
-     << totals.power_downs << "," << totals.dvs_slowdowns << ","
-     << totals.run_queue_high_water << "," << totals.delay_queue_high_water
-     << "," << totals.simulated_time << "," << totals.total_energy << ","
-     << totals.overruns_detected << "," << totals.ramp_faults_detected << ","
-     << totals.late_wakeups_detected << "," << totals.jobs_killed << ","
-     << totals.jobs_throttled << "," << totals.jobs_skipped << ","
-     << totals.safe_mode_entries << "," << totals.jobs_skipped_weakly << ","
-     << totals.mk_violations << "\n";
-  return os.str();
-}
-
 AuditAggregator::AuditAggregator(std::string name)
     : name_(std::move(name)) {}
 

@@ -64,11 +64,9 @@ struct CounterTotals {
   std::int64_t mk_violations = 0;
 
   void add(const core::SimulationResult& result);
-};
 
-/// CSV row for a CounterTotals (the audit report's CSV form).
-std::string counters_csv_header();
-std::string counters_csv_row(const CounterTotals& totals);
+  bool operator==(const CounterTotals&) const = default;
+};
 
 /// Thread-safe collector for audited batches: accumulates counters and
 /// violations across parallel runs, prints one deterministic summary
@@ -121,7 +119,7 @@ core::SimulationResult simulate(const sched::TaskSet& tasks,
                                 AuditAggregator* aggregator = nullptr);
 
 /// The audited batch: runs `specs` through fleet::run_fleet_sharded
-/// (one FleetEngine per ThreadPool worker, contiguous positional
+/// (one FleetEngine per run_batch worker, contiguous positional
 /// shards) with traces forced on while the audit is enabled.  Each
 /// worker audits every simulation against its own spec as soon as it
 /// finishes, then drops the trace unless the spec asked for it.

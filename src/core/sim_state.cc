@@ -73,10 +73,22 @@ const sched::TaskSet& validate_spec(const sched::TaskSet& tasks,
 }  // namespace
 
 void SimState::end_plan() {
-  plan_active_ = false;
-  plan_up_started_ = false;
   plan_rampup_start_ = kNeverPoint;
   plan_end_ = kNeverPoint;
+}
+
+sim::JobRecord SimState::job_record(TaskIndex index, const sched::Task& t,
+                                    Work executed) const {
+  const JobState& state = jobs_[static_cast<std::size_t>(index)];
+  sim::JobRecord record;
+  record.task = index;
+  record.instance = state.instance;
+  record.release = state.release;
+  record.absolute_deadline =
+      state.release + static_cast<Time>(t.deadline);
+  record.completion = now_.absolute();
+  record.executed = executed;
+  return record;
 }
 
 SimState::SimState(const sched::TaskSet& tasks,
@@ -97,10 +109,8 @@ SimState::SimState(const sched::TaskSet& tasks,
       accumulator_(&power_model_),
       jobs_(tasks.size()),
       next_instance_(tasks.size(), 0),
-      per_task_(tasks.size()),
       detection_enabled_(options.faults.any() || options.containment.enabled()),
       faults_injected_(options.faults.any()),
-      overruns_possible_(options.faults.overruns_enabled()),
       ramp_fault_armed_(options.faults.ramp.enabled()),
       // The physical ramp slope.  With no ramp fault this is the exact
       // same double as the spec value, keeping fault-free runs
@@ -114,18 +124,15 @@ SimState::SimState(const sched::TaskSet& tasks,
       // weakly-hard tasks, or policy kNever) never touch any of it,
       // keeping them bit-identical to the hard engine.  begin() computes
       // the structural overload latch.
-      weakly_hard_enabled_(tasks.has_weakly_hard() &&
-                           options.weakly_hard.policy !=
-                               weakly_hard::SkipPolicy::kNever),
-      skip_dvs_(weakly_hard_enabled_ && options.weakly_hard.skip_dvs),
-      skip_policy_(weakly_hard_enabled_ ? options.weakly_hard.policy
-                                        : weakly_hard::SkipPolicy::kNever) {
+      skip_policy_(tasks.has_weakly_hard() ? options.weakly_hard.policy
+                                           : weakly_hard::SkipPolicy::kNever) {
   // Each queue holds at most one entry per task, so with every per-task
   // buffer sized here nothing in the scheduling hot path allocates.
   run_queue_.reserve(tasks.size());
   delay_queue_.reserve(tasks.size());
   staged_.reserve(tasks.size());
-  if (overruns_possible_) {
+  result_.per_task.resize(tasks.size());
+  if (options.faults.overruns_enabled()) {
     std::vector<std::string> names;
     names.reserve(tasks.size());
     for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks.size()); ++i) {
@@ -134,7 +141,10 @@ SimState::SimState(const sched::TaskSet& tasks,
     faulty_model_ = std::make_shared<exec::FaultyExecModel>(
         exec_model, options.faults.overruns, std::move(names));
   }
-  if (weakly_hard_enabled_) governor_.reset(tasks);
+  if (governor_armed()) {
+    skip_dvs_ = options.weakly_hard.skip_dvs;
+    governor_.reset(tasks);
+  }
 }
 
 void SimState::start_job(TaskIndex index) {
@@ -173,7 +183,7 @@ void SimState::start_job(TaskIndex index) {
     // overruns violate the upper bound by design — that is the lie the
     // containment machinery exists to absorb.
     LPFPS_CHECK_MSG(state.total_work > 0.0 &&
-                        (overruns_possible_ ||
+                        (faulty_model_ != nullptr ||
                          state.total_work <= t.wcet + kTimeEpsilon),
                     t.name);
   } else {
@@ -189,7 +199,7 @@ inline bool SimState::release_job(TaskIndex index) {
   // Throttle containment is banned while the governor is armed
   // (validate_spec), so every entry reaching the governor is a fresh
   // release.
-  if (weakly_hard_enabled_) {
+  if (governor_armed()) {
     note_release_pressure(index);
     if (weakly_hard_should_skip(index)) {
       skip_released_job(index);
@@ -276,30 +286,21 @@ void SimState::note_release_pressure(TaskIndex index) {
 
 void SimState::skip_released_job(TaskIndex index) {
   const sched::Task& t = task(index);
-  JobState& state = job(index);
   if (options_->record_trace) {
-    sim::JobRecord record;
-    record.task = index;
-    record.instance = state.instance;
-    record.release = state.release;
-    record.absolute_deadline =
-        state.release + static_cast<Time>(t.deadline);
-    record.completion = now_.absolute();
-    record.executed = 0.0;
-    record.finished = false;
+    sim::JobRecord record = job_record(index, t, 0.0);
     record.skipped = true;
     // A skip is a scheduling decision, not a late completion: the miss
     // flag (and counter) stay untouched; the governor's (m,k) ledger
     // carries the QoS accounting instead.
-    trace_.add_job(record);
+    result_.trace->add_job(record);
   }
   settle_weakly_hard(index, /*met=*/false, /*skipped=*/true);
   delay_queue_.insert(
-      {index, state.window_release + static_cast<Time>(t.period)});
+      {index, job(index).window_release + static_cast<Time>(t.period)});
 }
 
 void SimState::settle_weakly_hard(TaskIndex index, bool met, bool skipped) {
-  if (!weakly_hard_enabled_) return;
+  if (!governor_armed()) return;
   governor_.settle(index, met, skipped);
 }
 
@@ -319,7 +320,7 @@ void SimState::try_slowdown() {
   // declared budget C_i (plus tracked kernel overhead), so the test
   // becomes: a job at or past its budget signals an overrun in
   // progress, not slack.
-  if (overruns_possible_) {
+  if (faulty_model_ != nullptr) {
     if (state.executed >= t.wcet + state.overhead - kTimeEpsilon) return;
   } else if (state.total_work > t.wcet + kTimeEpsilon) {
     return;
@@ -356,10 +357,8 @@ void SimState::try_slowdown() {
 
   ramp_target_ = quantized;
   reinvoke_after_ramp_ = false;
-  ++speed_changes_;
-  ++dvs_slowdowns_;
-  plan_active_ = true;
-  plan_up_started_ = false;
+  ++result_.speed_changes;
+  ++result_.dvs_slowdowns;
   plan_rampup_start_ = up_start;
   plan_end_ = at(window_end);
 }
@@ -406,7 +405,7 @@ void SimState::enter_power_down() {
   sleep_power_fraction_ = state->power_fraction;
   sleep_wake_latency_ = latency;
   shutdown_at_ = kNeverPoint;
-  ++power_downs_;
+  ++result_.power_downs;
 }
 
 void SimState::invoke_scheduler() {
@@ -445,12 +444,12 @@ bool SimState::consume_releases_under_plan() {
 }
 
 void SimState::invoke_scheduler_impl() {
-  ++scheduler_invocations_;
+  ++result_.scheduler_invocations;
 
   // Skip-aware DVS: under an active slowdown plan, arrivals the governor
   // skips are consumed without ramping back to base — the plan keeps
   // running through them.
-  if (skip_dvs_ && plan_active_ && active_ != kNoTask &&
+  if (skip_dvs_ && plan_end_.base != kNever && active_ != kNoTask &&
       consume_releases_under_plan()) {
     sample_queue_depths();
     return;
@@ -461,7 +460,7 @@ void SimState::invoke_scheduler_impl() {
     if (!(ramp_target_ == base_ratio_ && ratio_ < ramp_target_)) {
       // Not already ramping up: redirect toward full speed.
       ramp_target_ = base_ratio_;
-      ++speed_changes_;
+      ++result_.speed_changes;
     }
     reinvoke_after_ramp_ = true;
     return;
@@ -488,7 +487,7 @@ void SimState::invoke_scheduler_impl() {
              run_queue_.head().priority < task(active_).priority) {
     run_queue_.insert({active_, task(active_).priority});
     active_ = run_queue_.pop_head().task;
-    ++context_switches_;
+    ++result_.context_switches;
     // Kernel save/restore overhead executes ahead of the incoming job's
     // own work, at the prevailing clock.  The budget tracks it too: the
     // overhead is the kernel's own doing, not the job lying.
@@ -536,18 +535,12 @@ void SimState::finish_active_job() {
   JobState& state = job(active_);
   LPFPS_CHECK(approx_ge(state.executed, state.total_work));
 
-  sim::JobRecord record;
-  record.task = active_;
-  record.instance = state.instance;
-  record.release = state.release;
-  record.absolute_deadline = state.release + static_cast<Time>(t.deadline);
-  record.completion = now_.absolute();
-  record.executed = state.total_work;
+  sim::JobRecord record = job_record(active_, t, state.total_work);
   record.finished = true;
   record.missed_deadline =
       tp_definitely_greater(now_, at(record.absolute_deadline));
   if (record.missed_deadline) {
-    ++deadline_misses_;
+    ++result_.deadline_misses;
     if (options_->throw_on_miss) {
       throw std::runtime_error(
           "deadline miss: task " + t.name + " instance " +
@@ -557,10 +550,10 @@ void SimState::finish_active_job() {
           policy_->name);
     }
   }
-  if (options_->record_trace) trace_.add_job(record);
-  ++jobs_completed_;
+  if (options_->record_trace) result_.trace->add_job(record);
+  ++result_.jobs_completed;
 
-  if (weakly_hard_enabled_) {
+  if (governor_armed()) {
     // An actual miss is the strongest overload evidence there is.
     if (record.missed_deadline) overload_dynamic_ = true;
     settle_weakly_hard(active_, /*met=*/!record.missed_deadline,
@@ -579,10 +572,10 @@ void SimState::on_budget_exhausted() {
   LPFPS_CHECK(state_ == CpuState::kRunning && active_ != kNoTask);
   JobState& state = job(active_);
   state.over_budget = true;
-  ++overruns_detected_;
+  ++result_.overruns_detected;
   // A detected overrun raises the dynamic overload latch: undeclared
   // demand is in the system, so permitted skips may now be spent.
-  if (weakly_hard_enabled_) overload_dynamic_ = true;
+  if (governor_armed()) overload_dynamic_ = true;
   enter_safe_mode();
   switch (options_->containment.on_overrun) {
     case faults::OverrunAction::kNone:
@@ -599,23 +592,14 @@ void SimState::on_budget_exhausted() {
 }
 
 void SimState::kill_active_job() {
-  const sched::Task& t = task(active_);
-  JobState& state = job(active_);
-  ++jobs_killed_;
+  ++result_.jobs_killed;
   if (options_->record_trace) {
-    sim::JobRecord record;
-    record.task = active_;
-    record.instance = state.instance;
-    record.release = state.release;
-    record.absolute_deadline =
-        state.release + static_cast<Time>(t.deadline);
-    record.completion = now_.absolute();
-    record.executed = state.executed;
-    record.finished = false;
+    sim::JobRecord record =
+        job_record(active_, task(active_), job(active_).executed);
     record.killed = true;
     // An abort is not a late completion; the instance is shed, so the
     // miss flag (and counter) stay untouched.
-    trace_.add_job(record);
+    result_.trace->add_job(record);
   }
   // The killed instance settles as a failure in its task's (m,k) window
   // — the work was discarded, not delivered.
@@ -628,7 +612,7 @@ void SimState::kill_active_job() {
 
 void SimState::throttle_active_job() {
   JobState& state = job(active_);
-  ++jobs_throttled_;
+  ++result_.jobs_throttled;
   state.throttled = true;
   requeue_contained_task(active_);
   active_ = kNoTask;
@@ -647,7 +631,7 @@ void SimState::requeue_contained_task(TaskIndex index) {
   // budget exhausts before the window ends, so nothing is skipped.
   while (tp_definitely_greater(now_, at(next_release))) {
     ++instance;
-    ++jobs_skipped_;
+    ++result_.jobs_skipped;
     // Each forfeited window is a failed delivery in the task's (m,k)
     // ledger, settled here in instance order (kill settles the aborted
     // instance first; throttle never combines with the governor).
@@ -661,7 +645,7 @@ void SimState::requeue_contained_task(TaskIndex index) {
 void SimState::enter_safe_mode() {
   if (!options_->containment.safe_mode_fallback || safe_mode_) return;
   safe_mode_ = true;
-  ++safe_mode_entries_;
+  ++result_.safe_mode_entries;
   // Fail toward plain FPS: abandon any slowdown plan, head straight
   // back to base speed, and (via the safe_mode_ gates) decline new
   // slowdowns, power-downs and shutdown timers until the next idle
@@ -670,12 +654,12 @@ void SimState::enter_safe_mode() {
   shutdown_at_ = kNeverPoint;
   if (ramp_target_ != base_ratio_) {
     ramp_target_ = base_ratio_;
-    ++speed_changes_;
+    ++result_.speed_changes;
   }
 }
 
 void SimState::maybe_detect_ramp_fault() {
-  if (!ramp_fault_armed_ || !plan_active_ || !plan_up_started_) return;
+  if (!ramp_fault_armed_ || !plan_ramping_up()) return;
   if (ratio_ >= base_ratio_ - 1e-12) return;  // The ramp landed on time.
   // The just-in-time plan commands ratio(t) = base - rho_spec *
   // (plan_end - t) during its up-ramp (and base thereafter); a clock
@@ -685,7 +669,7 @@ void SimState::maybe_detect_ramp_fault() {
       base_ratio_ -
       processor_->ramp_rate * std::max(0.0, span(now_, plan_end_));
   if (ratio_ < expected - 1e-9) {
-    ++ramp_faults_detected_;
+    ++result_.ramp_faults_detected;
     enter_safe_mode();
   }
 }
@@ -731,11 +715,10 @@ void SimState::advance_to(const TimePoint& next) {
       charged = s == 0.0 ? accumulator_.add_run(dt, ratio_)
                          : accumulator_.add_run_ramp(dt, ratio_, end_ratio,
                                                      effective_ramp_rate_);
-      auto& slot = per_task_[static_cast<std::size_t>(active_)];
+      auto& slot = result_.per_task[static_cast<std::size_t>(active_)];
       slot.time += dt;
       slot.energy += charged;
       running_ratio_integral_ += (ratio_ + end_ratio) / 2.0 * dt;
-      running_time_ += dt;
       segment.mode = sim::ProcessorMode::kRunning;
       segment.task = active_;
       break;
@@ -765,7 +748,7 @@ void SimState::advance_to(const TimePoint& next) {
     }
   }
 
-  if (options_->record_trace) trace_.add_segment(segment);
+  if (options_->record_trace) result_.trace->add_segment(segment);
   ratio_ = end_ratio;
   now_ = next;
 }
@@ -773,8 +756,7 @@ void SimState::advance_to(const TimePoint& next) {
 void SimState::begin() {
   // kOverload's structural trigger: hard-infeasible sets are in
   // overload from the first release, before any miss can be observed.
-  if (weakly_hard_enabled_ &&
-      skip_policy_ == weakly_hard::SkipPolicy::kOverload) {
+  if (skip_policy_ == weakly_hard::SkipPolicy::kOverload) {
     overload_structural_ = !hard_rta_schedulable(*tasks_);
   }
 
@@ -794,7 +776,7 @@ void SimState::begin() {
                                    static_cast<Time>(task(i).period)) +
           1;
     }
-    trace_.reserve(4 * job_hint + 16, job_hint);
+    result_.trace.emplace().reserve(4 * job_hint + 16, job_hint);
   }
 
   for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks_->size()); ++i) {
@@ -822,7 +804,8 @@ void SimState::step() {
           " ratio=" + std::to_string(ratio_) + " target=" +
           std::to_string(ramp_target_) + " active=" +
           std::to_string(active_) + " plan=" +
-          std::to_string(plan_active_) + " policy=" + policy_->name);
+          std::to_string(plan_end_.base != kNever) + " policy=" +
+          policy_->name);
     }
   } else {
     stalled_iterations_ = 0;
@@ -874,7 +857,7 @@ void SimState::step() {
                                          effective_ramp_rate_));
     if (tp_less(candidate, next_other)) next_other = candidate;
   }
-  if (plan_active_ && !plan_up_started_ &&
+  if (plan_rampup_start_.base != kNever &&
       tp_less(plan_rampup_start_, next_other)) {
     next_other = plan_rampup_start_;
   }
@@ -957,22 +940,22 @@ void SimState::step() {
     finish_active_job();
     need_scheduler = true;
   }
-  if (plan_active_ && !plan_up_started_ &&
+  if (plan_rampup_start_.base != kNever &&
       tp_approx_le(plan_rampup_start_, now_)) {
-    plan_up_started_ = true;
+    plan_rampup_start_ = kNeverPoint;  // The up-ramp has begun.
     if (ramp_target_ != base_ratio_) {
       ramp_target_ = base_ratio_;
-      ++speed_changes_;
+      ++result_.speed_changes;
     }
   }
-  if (ramp_fault_armed_ && plan_active_ && plan_up_started_ &&
-      ratio_ == base_ratio_ && ratio_ == ramp_target_) {
+  if (ramp_fault_armed_ && plan_ramping_up() && ratio_ == base_ratio_ &&
+      ratio_ == ramp_target_) {
     // The plan's return ramp has (finally) reached base speed.  Under
     // a DVS ramp fault the physical slope is shallower than the spec
     // rho the just-in-time plan was computed with, so the clock can
     // still be below base at plan_end_ — the observable anomaly.
     if (tp_definitely_greater(now_, plan_end_)) {
-      ++ramp_faults_detected_;
+      ++result_.ramp_faults_detected;
       enter_safe_mode();
     }
     end_plan();
@@ -982,7 +965,7 @@ void SimState::step() {
         span(wake_programmed_, now_) > kTimeEpsilon) {
       // The timer fired measurably after its programmed instant; the
       // gap the power-down was sized for is already compromised.
-      ++late_wakeups_detected_;
+      ++result_.late_wakeups_detected;
       enter_safe_mode();
     }
     wake_programmed_ = kNeverPoint;
@@ -1030,44 +1013,26 @@ SimulationResult SimState::finish() {
                    std::max(1e-3, 1e-9 * options_->horizon)),
       "unaccounted simulation time");
 
-  SimulationResult result;
-  result.policy_name = policy_->name;
-  result.simulated_time = options_->horizon;
-  result.total_energy = accumulator_.total_energy();
-  result.average_power = result.total_energy / options_->horizon;
-  for (std::size_t i = 0; i < result.by_mode.size(); ++i) {
-    result.by_mode[i] =
+  result_.policy_name = policy_->name;
+  result_.simulated_time = options_->horizon;
+  result_.total_energy = accumulator_.total_energy();
+  result_.average_power = result_.total_energy / options_->horizon;
+  for (std::size_t i = 0; i < result_.by_mode.size(); ++i) {
+    result_.by_mode[i] =
         accumulator_.totals(static_cast<sim::ProcessorMode>(i));
   }
-  result.jobs_completed = jobs_completed_;
-  result.deadline_misses = deadline_misses_;
-  result.context_switches = context_switches_;
-  result.scheduler_invocations = scheduler_invocations_;
-  result.speed_changes = speed_changes_;
-  result.power_downs = power_downs_;
-  result.dvs_slowdowns = dvs_slowdowns_;
-  result.run_queue_high_water = run_queue_high_water_;
-  result.delay_queue_high_water = delay_queue_high_water_;
-  result.mean_running_ratio =
-      running_time_ > 0.0 ? running_ratio_integral_ / running_time_ : 1.0;
-  result.overruns_detected = overruns_detected_;
-  result.ramp_faults_detected = ramp_faults_detected_;
-  result.late_wakeups_detected = late_wakeups_detected_;
-  result.jobs_killed = jobs_killed_;
-  result.jobs_throttled = jobs_throttled_;
-  result.jobs_skipped = jobs_skipped_;
-  result.safe_mode_entries = safe_mode_entries_;
-  if (weakly_hard_enabled_) {
-    result.jobs_skipped_weakly = governor_.jobs_skipped_weakly();
-    result.mk_violations = governor_.mk_violations();
-    result.weakly_hard_worst_slack = governor_.worst_window_slack();
+  // The accumulator sums the same running dt sequence advance_to folds
+  // into running_ratio_integral_.
+  const Time running_time = result_.mode(sim::ProcessorMode::kRunning).time;
+  result_.mean_running_ratio =
+      running_time > 0.0 ? running_ratio_integral_ / running_time : 1.0;
+  if (governor_armed()) {
+    result_.jobs_skipped_weakly = governor_.jobs_skipped_weakly();
+    result_.mk_violations = governor_.mk_violations();
+    result_.weakly_hard_worst_slack = governor_.worst_window_slack();
   }
-  result.per_task = std::move(per_task_);
-  if (options_->record_trace) {
-    trace_.check_invariants();
-    result.trace = std::move(trace_);
-  }
-  return result;
+  if (options_->record_trace) result_.trace->check_invariants();
+  return std::move(result_);
 }
 
 }  // namespace lpfps::core

@@ -7,7 +7,7 @@
 //   SimState sim(tasks, cpu, policy, exec, options);  // validate, bind
 //   sim.begin();                       // seed queues, L1 entry
 //   while (!sim.finished()) sim.step() // one event-loop iteration
-//   SimulationResult r = sim.finish(); // totals check + result assembly
+//   SimulationResult r = sim.finish(); // energy totals, result moved out
 //
 // core::simulate performs exactly that sequence, so the one-call path
 // and any caller that steps a SimState itself execute the *identical*
@@ -20,6 +20,11 @@
 // generator once from options.seed.  A SimState runs one simulation;
 // the next one gets a new SimState (docs/FLEET.md says why no state is
 // reused).
+//
+// Each fact has one member.  The counters, the per-task totals and the
+// trace are written straight into the SimulationResult that finish()
+// returns, and the running time is the energy accumulator's; a DVS
+// plan is its end and up-ramp instants, with kNever for "none".
 //
 // Lifetime: SimState borrows `tasks`, `processor`, `policy` and
 // `options` (it stores pointers); they must outlive the run.  The
@@ -169,9 +174,9 @@ class SimState {
   /// handler now due.  Precondition: begin() was called, !finished().
   void step();
 
-  /// Checks the accounted-time invariant and assembles the result.
-  /// Call exactly once, after finished() turns true; it moves the trace
-  /// and the per-task totals out.
+  /// Checks the accounted-time invariant, adds the energy totals to
+  /// the result the run has been counting into, and moves it out.  Call
+  /// exactly once, after finished() turns true.
   SimulationResult finish();
 
  private:
@@ -183,6 +188,19 @@ class SimState {
   bool release_job(TaskIndex task);
   /// Drops the DVS slowdown plan (no plan is active afterwards).
   void end_plan();
+  /// True while a plan runs and its up-ramp has begun.
+  bool plan_ramping_up() const {
+    return plan_end_.base != detail::kNever &&
+           plan_rampup_start_.base == detail::kNever;
+  }
+  bool governor_armed() const {
+    return skip_policy_ != weakly_hard::SkipPolicy::kNever;
+  }
+  /// The trace record of `index`'s current job, closed now with
+  /// `executed` work done; the caller marks how the job ended.  `t` is
+  /// task(index), passed in so the completion path looks it up once.
+  sim::JobRecord job_record(TaskIndex index, const sched::Task& t,
+                            Work executed) const;
   void invoke_scheduler();
   void invoke_scheduler_impl();
   void try_slowdown();
@@ -258,12 +276,20 @@ class SimState {
   const EngineOptions* options_ = nullptr;
 
   // --- mutable state ----------------------------------------------------
+  // The order is measured, not arbitrary: grouping the per-event members
+  // at the front read slower on paper-sims (docs/PERFORMANCE.md,
+  // "SimState member order").
   Rng rng_;
   power::PowerModel power_model_;
   /// Points at power_model_; SimState is neither copied nor moved, so
   /// the address stays valid.
   power::EnergyAccumulator accumulator_;
-  sim::Trace trace_;
+  /// What finish() returns.  Every counter, the per-task totals and the
+  /// trace (engaged by begin() when options->record_trace) are written
+  /// here as the run goes; finish() adds what only the end of the run
+  /// knows: the energy totals, the mean running ratio and the governor
+  /// totals.
+  SimulationResult result_;
 
   detail::TimePoint now_;
   detail::CpuState state_ = detail::CpuState::kIdle;
@@ -272,7 +298,6 @@ class SimState {
   sched::DelayQueue delay_queue_;
   std::vector<detail::JobState> jobs_;
   std::vector<std::int64_t> next_instance_;
-  std::vector<power::ModeTotals> per_task_;
   TaskIndex active_ = kNoTask;
 
   /// Jobs released (instance started, execution time drawn) but not yet
@@ -292,9 +317,9 @@ class SimState {
   /// L1-L4 semantics: re-enter the scheduler when the ramp completes.
   bool reinvoke_after_ramp_ = false;
 
-  // DVS plan (active only while the active task runs slowed).
-  bool plan_active_ = false;
-  bool plan_up_started_ = false;
+  // The DVS slowdown plan is its two instants.  plan_end_ is kNever
+  // while no plan runs; plan_rampup_start_ is kNever while no plan runs
+  // and again once the plan's up-ramp has begun.
   detail::TimePoint plan_rampup_start_ = detail::kNeverPoint;
   detail::TimePoint plan_end_ = detail::kNeverPoint;
 
@@ -312,25 +337,19 @@ class SimState {
   // nor options->containment is configured).
   bool detection_enabled_ = false;  ///< Any fault or containment active.
   bool faults_injected_ = false;    ///< FaultPlan actually perturbs the run.
-  bool overruns_possible_ = false;  ///< Execution model may exceed WCET.
   bool ramp_fault_armed_ = false;
   double effective_ramp_rate_ = 0.0;  ///< Physical rho (== spec if healthy).
-  exec::ExecModelPtr faulty_model_;   ///< Overrun wrapper, else null.
+  /// The overrun wrapper around exec_model_; non-null exactly when the
+  /// fault plan lets jobs exceed their WCET.
+  exec::ExecModelPtr faulty_model_;
   bool safe_mode_ = false;
   detail::TimePoint wake_programmed_ = detail::kNeverPoint;  ///< Spec L14.
-  int overruns_detected_ = 0;
-  int ramp_faults_detected_ = 0;
-  int late_wakeups_detected_ = 0;
-  int jobs_killed_ = 0;
-  int jobs_throttled_ = 0;
-  int jobs_skipped_ = 0;
-  int safe_mode_entries_ = 0;
 
   // Weakly-hard skip governor (resolved once at bind; everything
-  // below is inert — and bit-identity preserving — unless the task set
-  // declares weakly-hard constraints and the policy is not kNever).
-  bool weakly_hard_enabled_ = false;
-  bool skip_dvs_ = false;
+  // below is inert — and bit-identity preserving — while skip_policy_
+  // is kNever, which it is unless the task set declares weakly-hard
+  // constraints and the configured policy is not kNever).
+  bool skip_dvs_ = false;  ///< Skip-aware DVS; implies an armed governor.
   weakly_hard::SkipPolicy skip_policy_ = weakly_hard::SkipPolicy::kNever;
   weakly_hard::SkipGovernor governor_;
   /// Hard RTA failed at begin(): the set cannot meet every deadline even
@@ -341,18 +360,9 @@ class SimState {
   /// has drained).
   bool overload_dynamic_ = false;
 
-  // Statistics.
-  int jobs_completed_ = 0;
-  int deadline_misses_ = 0;
-  int context_switches_ = 0;
-  int scheduler_invocations_ = 0;
-  int speed_changes_ = 0;
-  int power_downs_ = 0;
-  int dvs_slowdowns_ = 0;
-  int run_queue_high_water_ = 0;
-  int delay_queue_high_water_ = 0;
+  /// Integral of the speed ratio over running time; finish() divides it
+  /// by the running time the accumulator kept.
   double running_ratio_integral_ = 0.0;
-  Time running_time_ = 0.0;
 
   // Loop bookkeeping: the livelock detector and the horizon the loop
   // tests against.
@@ -366,9 +376,11 @@ class SimState {
   void sample_queue_depths() {
     const int ready = static_cast<int>(run_queue_.size()) +
                       (active_ != kNoTask ? 1 : 0);
-    run_queue_high_water_ = std::max(run_queue_high_water_, ready);
-    delay_queue_high_water_ = std::max(
-        delay_queue_high_water_, static_cast<int>(delay_queue_.size()));
+    result_.run_queue_high_water =
+        std::max(result_.run_queue_high_water, ready);
+    result_.delay_queue_high_water =
+        std::max(result_.delay_queue_high_water,
+                 static_cast<int>(delay_queue_.size()));
   }
 };
 

@@ -15,7 +15,7 @@
 //     audit each trace while it is still hot and drop it before the
 //     next spec runs (audit::simulate_fleet_sharded).
 //
-// run_fleet_sharded() fans a spec list out across runner::ThreadPool
+// run_fleet_sharded() fans a spec list out across runner::run_batch
 // workers, one FleetEngine per worker.
 //
 // **Bit-identity contract.**  Each simulation executes the exact same
@@ -109,7 +109,7 @@ class FleetEngine {
 };
 
 /// Runs a batch: partitions `specs` positionally into contiguous
-/// shards, one per `runner::ThreadPool` worker, and runs one
+/// shards, one per `runner::run_batch` worker, and runs one
 /// FleetEngine per worker, calling `on_result` on that worker after
 /// each simulation with the spec's index in `specs`.  Shard boundaries
 /// are a pure function of (spec count, worker count) and every spec

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -89,11 +90,14 @@ sched::TaskSet parse_task_set(std::istream& in) {
     for (std::string token; fields >> token;) tokens.push_back(token);
     if (tokens.empty()) fail(line_number, "missing fields after name");
 
-    double period = 0.0;
-    double wcet = 0.0;
-    double deadline = -1.0;
-    double bcet = -1.0;
-    double phase = 0.0;
+    // A field the line does not give stays empty; deadline then
+    // defaults to the period, bcet to the wcet and phase to 0.  Any
+    // value the line does give is checked as given.
+    std::optional<double> period;
+    std::optional<double> wcet;
+    std::optional<double> deadline;
+    std::optional<double> bcet;
+    std::optional<double> phase;
 
     const bool keyed = tokens.front().find('=') != std::string::npos;
     if (keyed) {
@@ -122,42 +126,48 @@ sched::TaskSet parse_task_set(std::istream& in) {
         }
       }
     } else {
-      double* const slots[] = {&period, &wcet, &deadline, &bcet, &phase};
+      std::optional<double>* const slots[] = {&period, &wcet, &deadline,
+                                              &bcet, &phase};
       if (tokens.size() > std::size(slots)) {
         fail(line_number, "too many fields");
       }
       for (std::size_t i = 0; i < tokens.size(); ++i) {
-        if (!parse_number(tokens[i], *slots[i])) {
+        double value = 0.0;
+        if (!parse_number(tokens[i], value)) {
           fail(line_number, "bad numeric field: " + tokens[i]);
         }
+        *slots[i] = value;
       }
     }
 
-    if (period <= 0.0) fail(line_number, "period is required and positive");
-    if (!(wcet > 0.0)) fail(line_number, "wcet is required and positive");
-    if (deadline < 0.0) deadline = period;
-    if (bcet < 0.0) bcet = wcet;
+    if (!period || *period <= 0.0) {
+      fail(line_number, "period is required and positive");
+    }
+    if (!wcet || !(*wcet > 0.0)) {
+      fail(line_number, "wcet is required and positive");
+    }
 
     const std::int64_t period_us =
-        to_time_integer(period, line_number, "period");
+        to_time_integer(*period, line_number, "period");
     const std::int64_t deadline_us =
-        to_time_integer(deadline, line_number, "deadline");
-    const std::int64_t phase_us =
-        to_time_integer(phase, line_number, "phase", /*allow_zero=*/true);
+        to_time_integer(deadline.value_or(*period), line_number, "deadline");
+    const std::int64_t phase_us = to_time_integer(
+        phase.value_or(0.0), line_number, "phase", /*allow_zero=*/true);
     // The relations Task::validate checks, named here with their values.
-    if (!(bcet > 0.0 && bcet <= wcet)) {
+    const double bcet_value = bcet.value_or(*wcet);
+    if (!(bcet_value > 0.0 && bcet_value <= *wcet)) {
       fail(line_number, "bcet must be positive and at most wcet (" +
-                            format_value(wcet) + "), got " +
-                            format_value(bcet));
+                            format_value(*wcet) + "), got " +
+                            format_value(bcet_value));
     }
-    if (!(wcet <= static_cast<double>(deadline_us))) {
+    if (!(*wcet <= static_cast<double>(deadline_us))) {
       fail(line_number, "wcet must be at most deadline (" +
                             std::to_string(deadline_us) + "), got " +
-                            format_value(wcet));
+                            format_value(*wcet));
     }
     try {
-      tasks.add(sched::make_task(name, period_us, deadline_us, wcet, bcet,
-                                 phase_us));
+      tasks.add(sched::make_task(name, period_us, deadline_us, *wcet,
+                                 bcet_value, phase_us));
     } catch (const std::logic_error& error) {
       fail(line_number, error.what());
     }

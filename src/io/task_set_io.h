@@ -5,9 +5,10 @@
 //     # comment (also after fields)
 //     name  period  wcet  [deadline]  [bcet]  [phase]
 //
-// Times in microseconds; deadline defaults to the period, bcet to the
-// wcet, phase to 0.  Key=value pairs are also accepted after the name,
-// in any order:
+// Times in microseconds; an omitted deadline defaults to the period,
+// bcet to the wcet, phase to 0, and a given one is checked as given (a
+// negative deadline or bcet is an error).  Key=value pairs are also
+// accepted after the name, in any order:
 //
 //     engine_ctl  period=5000 wcet=1200 bcet=400
 //

@@ -1,5 +1,6 @@
 #include "multicore/simulate.h"
 
+#include "audit/harness.h"
 #include "common/check.h"
 #include "fleet/fleet.h"
 #include "runner/runner.h"
@@ -70,7 +71,6 @@ MulticoreResult simulate_partitioned(const sched::TaskSet& tasks,
     result.total_energy += run.total_energy;
     result.deadline_misses += run.deadline_misses;
     result.jobs_completed += run.jobs_completed;
-    if (run.scheduler_invocations > 0) result.counters.add(run);
     result.per_core.push_back(std::move(run));
   }
   result.mean_core_power =

@@ -6,7 +6,6 @@
 // are avoided.
 #pragma once
 
-#include "audit/harness.h"
 #include "core/engine.h"
 #include "multicore/partition.h"
 
@@ -20,15 +19,12 @@ struct MulticoreResult {
   double mean_core_power = 0.0;
   int deadline_misses = 0;
   int jobs_completed = 0;
-  /// Runtime counters summed across cores (high waters are maxes);
-  /// `counters.runs` counts simulated (non-parked) cores.
-  audit::CounterTotals counters;
 };
 
 /// Simulates every core of `partition` under the same policy/processor.
 /// Cores with no tasks contribute idle energy per the policy (a real
 /// chip's unused core would be parked; park it by choosing a power-down
-/// policy).  Core i uses seed options.seed + i.
+/// policy).  Core i uses seed runner::derive_seed(options.seed, i).
 ///
 /// Every per-core run is trace-audited by default (audit::enabled();
 /// opt out with LPFPS_AUDIT=0); an invariant violation on any core

@@ -4,8 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-
-#include "common/check.h"
+#include <thread>
 
 namespace lpfps::runner {
 
@@ -38,59 +37,6 @@ std::size_t default_job_count() {
   }
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware > 0 ? hardware : 1;
-}
-
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = default_job_count();
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  LPFPS_CHECK(job != nullptr);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    LPFPS_CHECK_MSG(!stopping_, "submit() on a stopping ThreadPool");
-    queue_.push_back(std::move(job));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      // Drain-then-exit: a stopping pool still runs everything queued.
-      if (queue_.empty()) return;
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    job();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
-  }
 }
 
 }  // namespace lpfps::runner

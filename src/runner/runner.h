@@ -3,8 +3,8 @@
 // Every experiment in this repository — the Figure 8 sweeps, the
 // baseline landscape, the A6 random-taskset study, partitioned
 // multicore — is an embarrassingly parallel loop of independent
-// `core::simulate` calls.  This layer fans such loops out over a small
-// thread pool while preserving a hard **determinism contract**:
+// `core::simulate` calls.  This layer fans such loops out over worker
+// threads while preserving a hard **determinism contract**:
 //
 //   1. every job's randomness derives from `(base_seed, job_index)`
 //      via `derive_seed` (a splitmix64 step), never from shared RNG
@@ -33,12 +33,10 @@
 // the serial path.
 #pragma once
 
-#include <condition_variable>
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <type_traits>
@@ -57,7 +55,7 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t job_index);
 /// The most workers `LPFPS_JOBS` can ask for.  A batch never needs more
 /// threads than a large host has cores, and each worker is an operating
 /// system thread, so a larger value is clamped here instead of being
-/// handed to ThreadPool.
+/// started.
 inline constexpr std::size_t kMaxJobCount = 256;
 
 /// Worker count used when a caller does not pin one: `LPFPS_JOBS` if
@@ -67,42 +65,11 @@ inline constexpr std::size_t kMaxJobCount = 256;
 /// or clamps gets one stderr line.
 std::size_t default_job_count();
 
-/// A minimal fixed-size pool: `threads` workers draining a FIFO work
-/// queue.  Destruction drains the queue (every submitted job runs)
-/// and joins the workers.
-class ThreadPool {
- public:
-  /// `threads == 0` means `default_job_count()`.
-  explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t thread_count() const { return workers_.size(); }
-
-  /// Enqueues a job.  Jobs must not throw — wrap and capture instead
-  /// (`run_batch` shows the pattern); a throwing job terminates.
-  void submit(std::function<void()> job);
-
-  /// Blocks until the queue is empty and no worker is mid-job.
-  void wait_idle();
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable work_cv_;  ///< Wakes workers.
-  std::condition_variable idle_cv_;  ///< Wakes wait_idle().
-  std::size_t active_ = 0;           ///< Jobs currently executing.
-  bool stopping_ = false;
-};
-
 /// Runs `fn(0) .. fn(job_count - 1)` and returns their results in job
 /// order.  `threads == 0` means `default_job_count()`; `threads <= 1`
-/// (or a single job) runs serially on the calling thread.  The result
+/// (or a single job) runs serially on the calling thread.  Otherwise
+/// the calling thread and `min(threads, job_count) - 1` workers claim
+/// job indices from one shared counter until none are left.  The result
 /// vector is identical for every thread count provided `fn` honors the
 /// determinism contract (job-local state seeded from the job index).
 ///
@@ -124,19 +91,23 @@ auto run_batch(std::size_t job_count, Fn&& fn, std::size_t threads = 0)
     for (std::size_t i = 0; i < job_count; ++i) slots[i].emplace(fn(i));
   } else {
     std::vector<std::exception_ptr> errors(job_count);
-    {
-      ThreadPool pool(std::min(threads, job_count));
-      for (std::size_t i = 0; i < job_count; ++i) {
-        pool.submit([&slots, &errors, &fn, i] {
-          try {
-            slots[i].emplace(fn(i));
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-        });
+    std::atomic<std::size_t> next_job{0};
+    const auto work = [&] {
+      for (std::size_t i = next_job++; i < job_count; i = next_job++) {
+        try {
+          slots[i].emplace(fn(i));
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
       }
-      pool.wait_idle();
-    }
+    };
+    {
+      const std::size_t helpers = std::min(threads, job_count) - 1;
+      std::vector<std::jthread> workers;
+      workers.reserve(helpers);
+      for (std::size_t w = 0; w < helpers; ++w) workers.emplace_back(work);
+      work();
+    }  // The workers join here, so every slot is written.
     for (const std::exception_ptr& error : errors) {
       if (error) std::rethrow_exception(error);
     }

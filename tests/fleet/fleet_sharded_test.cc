@@ -1,5 +1,5 @@
 // Suite pinning the sharded fleet's determinism contract: partitioning
-// a spec list positionally across ThreadPool workers — one FleetEngine
+// a spec list positionally across run_batch workers — one FleetEngine
 // per worker — must produce output byte-identical to one engine (and
 // therefore to serial core::simulate) for any worker count, including
 // failure surfacing: the lowest-spec-index failure wins, with its
@@ -315,8 +315,7 @@ TEST(FleetSharded, AuditedShardedMatchesPerSpecAuditAndFoldsInSpecOrder) {
     EXPECT_NO_THROW(agg.check());
     // Bitwise: the same additions in the same order.
     const audit::CounterTotals totals = agg.counters();
-    EXPECT_EQ(audit::counters_csv_row(totals),
-              audit::counters_csv_row(reference));
+    EXPECT_TRUE(totals == reference) << workers << " workers";
     EXPECT_EQ(std::bit_cast<std::uint64_t>(totals.total_energy),
               std::bit_cast<std::uint64_t>(reference.total_energy))
         << workers << " workers";

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
+#include "sched/priority.h"
 #include "workloads/ins.h"
 
 namespace lpfps::io {
@@ -147,7 +152,16 @@ TEST(TaskSetParse, RejectsSemanticViolations) {
        "bcet must be positive and at most wcet (10)", "0"},
       {"t 100 60 50\n", "wcet must be at most deadline (50)", "60"},
       {"t period=100 wcet=10.5 deadline=10\n",
-       "wcet must be at most deadline (10)", "10.5"}};
+       "wcet must be at most deadline (10)", "10.5"},
+      // A given negative deadline or bcet is rejected, not taken as
+      // "not given" and replaced by the period or the wcet.
+      {"a 100 10 -5 -5\n", "deadline must be a positive integer", "-5"},
+      {"a period=100 wcet=10 deadline=-1\n",
+       "deadline must be a positive integer", "-1"},
+      {"a 100 10 100 -5\n", "bcet must be positive and at most wcet (10)",
+       "-5"},
+      {"a period=100 wcet=10 bcet=-2.5\n",
+       "bcet must be positive and at most wcet (10)", "-2.5"}};
   for (const auto& [text, expected, value] : cases) {
     const std::string message = parse_error(text);
     EXPECT_NE(message.find(std::string("line 1: ") + expected),
@@ -162,6 +176,140 @@ TEST(TaskSetParse, RejectsSemanticViolations) {
             std::string::npos)
       << nan_wcet;
   EXPECT_EQ(nan_wcet.find("check failed"), std::string::npos) << nan_wcet;
+}
+
+/// `text` cut at every `separator`, keeping empty pieces, so joining
+/// them back with `separator` restores it.
+std::vector<std::string> split(const std::string& text, char separator) {
+  std::vector<std::string> pieces(1);
+  for (const char c : text) {
+    if (c == separator) {
+      pieces.emplace_back();
+    } else {
+      pieces.back() += c;
+    }
+  }
+  return pieces;
+}
+
+std::string join(const std::vector<std::string>& pieces, char separator) {
+  std::string text;
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    if (i > 0) text += separator;
+    text += pieces[i];
+  }
+  return text;
+}
+
+/// One hostile edit of a task file, chosen and placed by `rng`: swap
+/// two tokens of a line, flip a token's sign, replace, drop or insert a
+/// digit, append an exponent, rewrite a line in keyed form with one key
+/// renamed, or cut the file short.
+std::string mutate(const std::string& text, std::mt19937_64& rng) {
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::vector<std::string> lines = split(text, '\n');
+  std::string& line = lines[below(lines.size())];
+  std::vector<std::string> tokens = split(line, ' ');
+  std::erase(tokens, std::string());
+  if (tokens.empty()) return text;
+  std::string& token = tokens[below(tokens.size())];
+  switch (below(6)) {
+    case 0:
+      token.swap(tokens[below(tokens.size())]);
+      break;
+    case 1:
+      if (token.front() == '-') {
+        token.erase(0, 1);
+      } else {
+        token.insert(0, 1, '-');
+      }
+      break;
+    case 2: {
+      const std::size_t at = below(token.size());
+      const char digit = static_cast<char>('0' + below(10));
+      switch (below(3)) {
+        case 0:
+          token[at] = digit;
+          break;
+        case 1:
+          token.erase(at, 1);
+          break;
+        default:
+          token.insert(at, 1, digit);
+          break;
+      }
+      break;
+    }
+    case 3: {
+      const char* const exponents[] = {"e308", "e-9",   "e+19", "e400",
+                                       "e-400", "e",    ".5",   "e18"};
+      token += exponents[below(std::size(exponents))];
+      break;
+    }
+    case 4: {
+      if (tokens.size() < 2) break;
+      const char* const keys[] = {"period", "wcet", "deadline", "bcet",
+                                  "phase"};
+      for (std::size_t i = 1; i < tokens.size() && i <= std::size(keys); ++i) {
+        tokens[i] = std::string(keys[i - 1]) + "=" + tokens[i];
+      }
+      const char* const renames[] = {"prio", "Period", "wcet", "deadline",
+                                     "bcet", "",       "phase"};
+      std::string& keyed = tokens[1 + below(tokens.size() - 1)];
+      if (const auto eq = keyed.find('='); eq != std::string::npos) {
+        keyed.replace(0, eq, renames[below(std::size(renames))]);
+      }
+      break;
+    }
+    default:
+      return text.substr(0, below(text.size() + 1));
+  }
+  line = join(tokens, ' ');
+  return join(lines, '\n');
+}
+
+/// Hostile input: seeded edits of every shipped task file either parse
+/// into tasks that validate or fail with a line-numbered parse error,
+/// never with an internal check (std::logic_error).
+TEST(TaskSetParse, SeededMutationsOfShippedFilesParseOrFailCleanly) {
+  std::mt19937_64 rng(24);
+  int accepted = 0;
+  int rejected = 0;
+  for (const char* file : {"avionics.tasks", "cnc.tasks",
+                           "example_table1.tasks", "flight_control.tasks",
+                           "ins.tasks"}) {
+    std::ifstream in(std::string(LPFPS_SOURCE_DIR) + "/data/" + file);
+    std::stringstream original;
+    original << in.rdbuf();
+    ASSERT_FALSE(original.str().empty()) << file;
+    for (int round = 0; round < 400; ++round) {
+      std::string text = original.str();
+      for (std::size_t edits = 1 + rng() % 3; edits > 0; --edits) {
+        text = mutate(text, rng);
+      }
+      try {
+        sched::TaskSet tasks = parse_task_set_string(text);
+        sched::assign_rate_monotonic(tasks);
+        tasks.validate();
+        ++accepted;
+      } catch (const std::runtime_error& error) {
+        const std::string message = error.what();
+        EXPECT_EQ(message.rfind("task set parse error at line", 0), 0u)
+            << text << " -> " << message;
+        EXPECT_EQ(message.find("check failed"), std::string::npos)
+            << text << " -> " << message;
+        ++rejected;
+      } catch (const std::logic_error& error) {
+        ADD_FAILURE() << file << " round " << round << ": " << error.what()
+                      << "\n" << text;
+      }
+    }
+  }
+  // Both outcomes occur, so the edits neither all miss nor all break.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 TEST(TaskSetParse, TooManyFields) {

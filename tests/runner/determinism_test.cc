@@ -1,8 +1,8 @@
 // The runner's determinism contract, asserted end-to-end: a batch of
 // real LPFPS simulations fanned out over 4 threads must be
 // bit-identical — not merely close — to the same batch run serially.
-// This is what licenses rewiring the experiment pipeline onto the
-// thread pool without perturbing any published number.
+// This is what licenses running the experiment pipeline on parallel
+// workers without perturbing any published number.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -45,7 +44,7 @@ TEST(DefaultJobCount, HonorsTheEnvironmentVariable) {
   EXPECT_EQ(default_job_count(), 1u);
   // The cap itself is taken silently; anything above it is clamped to
   // it with one stderr line naming the knob and the value.  Only the
-  // count is checked: no pool is built from these values.
+  // count is checked: no thread is started from these values.
   const std::string cap = std::to_string(kMaxJobCount);
   ASSERT_EQ(setenv("LPFPS_JOBS", cap.c_str(), 1), 0);
   testing::internal::CaptureStderr();
@@ -79,35 +78,6 @@ TEST(DefaultJobCount, HonorsTheEnvironmentVariable) {
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
   ASSERT_EQ(unsetenv("LPFPS_JOBS"), 0);
   EXPECT_GE(default_job_count(), 1u);
-}
-
-TEST(ThreadPool, RunsEverySubmittedJob) {
-  std::atomic<int> count{0};
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ShutdownDrainsTheQueue) {
-  // Destroying the pool must still run everything already submitted.
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&count] { ++count; });
-    }
-  }
-  EXPECT_EQ(count.load(), 64);
-}
-
-TEST(ThreadPool, WaitIdleOnAnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();
-  pool.wait_idle();
 }
 
 TEST(RunBatch, ReturnsResultsInJobOrder) {
