@@ -40,7 +40,6 @@
 #include "exec/exec_model.h"
 #include "faults/faults.h"
 #include "power/processor.h"
-#include "sched/queues.h"
 #include "sched/task_set.h"
 #include "weakly_hard/governor.h"
 
@@ -100,12 +99,6 @@ struct EngineOptions {
   /// *down* to a multiple of the granularity (waking early is safe,
   /// late is not), shaving the tail off every power-down interval.
   Time timer_granularity = 0.0;
-  /// Opt-in observer called with a QueueSnapshot after every scheduler
-  /// invocation (the engine-side twin of FixedPriorityKernel's hook).
-  /// Building a snapshot copies both scheduler queues, so the default —
-  /// no hook — keeps the hot path snapshot-free; install one only for
-  /// inspection, debugging, or queue-shape tests.
-  sched::InvocationHook invocation_hook;
   /// Fault injection (docs/ROBUSTNESS.md).  Overrun specs wrap the
   /// execution-time model in exec::FaultyExecModel internally — this
   /// plan is the single configuration point; do not pre-wrap the model

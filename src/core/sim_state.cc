@@ -408,20 +408,6 @@ void SimState::enter_power_down() {
   ++result_.power_downs;
 }
 
-void SimState::invoke_scheduler() {
-  invoke_scheduler_impl();
-  if (options_->invocation_hook) {
-    sched::QueueSnapshot snapshot;
-    snapshot.time = now_.absolute();
-    snapshot.run_queue = run_queue_.entries();
-    snapshot.delay_queue = delay_queue_.entries();
-    snapshot.active_task = active_;
-    snapshot.active_executed =
-        active_ == kNoTask ? 0.0 : job(active_).executed;
-    options_->invocation_hook(snapshot);
-  }
-}
-
 bool SimState::consume_releases_under_plan() {
   // Skip-to-slack conversion (docs/WEAKLY_HARD.md): consume due releases
   // the governor skips so they do not tear down the slowdown plan that
@@ -443,7 +429,7 @@ bool SimState::consume_releases_under_plan() {
           !tp_approx_le(at(delay_queue_.head().release_time), now_));
 }
 
-void SimState::invoke_scheduler_impl() {
+void SimState::invoke_scheduler() {
   ++result_.scheduler_invocations;
 
   // Skip-aware DVS: under an active slowdown plan, arrivals the governor

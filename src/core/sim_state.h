@@ -202,7 +202,6 @@ class SimState {
   sim::JobRecord job_record(TaskIndex index, const sched::Task& t,
                             Work executed) const;
   void invoke_scheduler();
-  void invoke_scheduler_impl();
   void try_slowdown();
   void enter_power_down();
   void finish_active_job();

@@ -111,19 +111,27 @@ sched::TaskSet parse_task_set(std::istream& in) {
         if (!parse_number(token.substr(eq + 1), value)) {
           fail(line_number, "bad numeric value in " + token);
         }
+        std::optional<double>* slot = nullptr;
         if (key == "period") {
-          period = value;
+          slot = &period;
         } else if (key == "wcet") {
-          wcet = value;
+          slot = &wcet;
         } else if (key == "deadline") {
-          deadline = value;
+          slot = &deadline;
         } else if (key == "bcet") {
-          bcet = value;
+          slot = &bcet;
         } else if (key == "phase") {
-          phase = value;
+          slot = &phase;
         } else {
           fail(line_number, "unknown key: " + key);
         }
+        // A repeated key is rejected, not resolved to its last value.
+        if (slot->has_value()) {
+          fail(line_number, key + " is given twice (" +
+                                format_value(**slot) + "), got " +
+                                format_value(value));
+        }
+        *slot = value;
       }
     } else {
       std::optional<double>* const slots[] = {&period, &wcet, &deadline,

@@ -1,12 +1,10 @@
 #include "sched/kernel.h"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "common/check.h"
 #include "common/float_compare.h"
-#include "sched/analysis.h"
 
 namespace lpfps::sched {
 
@@ -16,13 +14,8 @@ namespace {
 struct JobState {
   std::int64_t instance = 0;
   Time release = 0.0;
-  Work total_work = 0.0;     ///< Actual execution time of this instance.
-  Work executed = 0.0;       ///< E_i so far.
-  // Budget enforcement (inert unless containment is armed).
-  Time window_release = 0.0; ///< Release of the enforcement window.
-  Work budget_used = 0.0;    ///< Work consumed against the window budget.
-  bool over_budget = false;  ///< Exhaustion latch: one firing per window.
-  bool throttled = false;    ///< Suspended; the next start_job resumes it.
+  Work total_work = 0.0;  ///< Actual execution time of this instance.
+  Work executed = 0.0;    ///< E_i so far.
 };
 
 }  // namespace
@@ -44,46 +37,9 @@ void FixedPriorityKernel::set_invocation_hook(InvocationHook hook) {
   hook_ = std::move(hook);
 }
 
-void FixedPriorityKernel::set_overrun_containment(
-    faults::OverrunAction action) {
-  containment_armed_ = true;
-  overrun_action_ = action;
-}
-
-void FixedPriorityKernel::set_skip_policy(weakly_hard::SkipPolicy policy) {
-  skip_policy_ = policy;
-}
-
 KernelResult FixedPriorityKernel::run(Time horizon) {
   LPFPS_CHECK(horizon > 0.0);
   KernelResult result;
-
-  // Weakly-hard governor wiring, mirroring core::SimState exactly so
-  // the engine cross-check stays bit-identical (docs/WEAKLY_HARD.md).
-  const bool weakly_hard_enabled =
-      tasks_.has_weakly_hard() &&
-      skip_policy_ != weakly_hard::SkipPolicy::kNever;
-  LPFPS_CHECK_MSG(!weakly_hard_enabled ||
-                      overrun_action_ != faults::OverrunAction::kThrottle,
-                  "throttle containment cannot combine with the "
-                  "weakly-hard governor");
-  weakly_hard::SkipGovernor governor;
-  bool overload_structural = false;
-  bool overload_dynamic = false;
-  if (weakly_hard_enabled) {
-    governor.reset(tasks_);
-    // Structural latch: the kernel runs at full speed, so the plain
-    // hard RTA verdict decides (utilization guard first — RTA assumes
-    // a feasible fixed point exists).
-    overload_structural = tasks_.utilization() > 1.0;
-    if (!overload_structural) {
-      bool rta_domain = true;
-      for (const Task& t : tasks_.tasks()) {
-        if (t.deadline > t.period) rta_domain = false;
-      }
-      if (rta_domain) overload_structural = !is_schedulable_rta(tasks_);
-    }
-  }
 
   const auto n = static_cast<TaskIndex>(tasks_.size());
   RunQueue run_queue;
@@ -114,102 +70,16 @@ KernelResult FixedPriorityKernel::run(Time horizon) {
 
   auto start_job = [&](TaskIndex task) {
     JobState& job = jobs[static_cast<std::size_t>(task)];
-    auto& instance = next_instance[static_cast<std::size_t>(task)];
-    if (job.throttled) {
-      // Resuming a throttled job: same instance, release and residual
-      // demand; only the enforcement window (and its budget) is new.
-      job.throttled = false;
-      job.window_release =
-          static_cast<Time>(tasks_[task].phase) +
-          static_cast<Time>(instance * tasks_[task].period);
-      ++instance;
-      job.budget_used = 0.0;
-      job.over_budget = false;
-      return;
-    }
-    job.instance = instance++;
+    job.instance = next_instance[static_cast<std::size_t>(task)]++;
     job.release = static_cast<Time>(tasks_[task].phase) +
                   static_cast<Time>(job.instance * tasks_[task].period);
-    job.window_release = job.release;
     job.total_work = exec_time_(task, job.instance);
     // Longer than WCET voids the analysis; shorter than the nominal BCET
-    // is allowed (scenario providers use it).  With containment armed
-    // the overrun is the point: budget enforcement absorbs it.
+    // is allowed (scenario providers use it).
     LPFPS_CHECK_MSG(job.total_work > 0.0 &&
-                        (containment_armed_ ||
-                         job.total_work <= tasks_[task].wcet + kTimeEpsilon),
+                        job.total_work <= tasks_[task].wcet + kTimeEpsilon,
                     tasks_[task].name);
     job.executed = 0.0;
-    job.budget_used = 0.0;
-    job.over_budget = false;
-  };
-
-  auto settle_weakly_hard = [&](TaskIndex task, bool met, bool skipped) {
-    if (!weakly_hard_enabled) return;
-    governor.settle(task, met, skipped);
-  };
-
-  // Re-inserts a contained task at its next enforcement-window boundary,
-  // forfeiting windows the overrun already consumed.
-  auto requeue_contained = [&](TaskIndex task) {
-    auto& instance = next_instance[static_cast<std::size_t>(task)];
-    Time next_release =
-        static_cast<Time>(tasks_[task].phase) +
-        static_cast<Time>(instance * tasks_[task].period);
-    while (definitely_greater(now, next_release)) {
-      ++instance;
-      ++result.jobs_skipped;
-      // Forfeited windows are failed deliveries, settled in instance
-      // order (the aborted instance settles before this loop runs).
-      settle_weakly_hard(task, /*met=*/false, /*skipped=*/false);
-      next_release = static_cast<Time>(tasks_[task].phase) +
-                     static_cast<Time>(instance * tasks_[task].period);
-    }
-    delay_queue.insert({task, next_release});
-  };
-
-  // Release-time overload probe, the engine's note_release_pressure at
-  // base ratio 1: declared demand that must clear before the released
-  // job's deadline — its own WCET plus remaining declared budgets of
-  // strictly-higher-priority jobs in flight.
-  auto note_release_pressure = [&](TaskIndex task) {
-    if (overload_structural || overload_dynamic) return;
-    if (skip_policy_ != weakly_hard::SkipPolicy::kOverload) return;
-    const Task& t = tasks_[task];
-    const JobState& released = jobs[static_cast<std::size_t>(task)];
-    Work demand = t.wcet;
-    const auto add_if_higher = [&](TaskIndex other) {
-      const Task& o = tasks_[other];
-      if (o.priority >= t.priority) return;
-      const JobState& s = jobs[static_cast<std::size_t>(other)];
-      demand += snap_nonnegative(o.wcet - s.executed);
-    };
-    if (active != kNoTask) add_if_higher(active);
-    for (const RunEntry& entry : run_queue.entries()) {
-      add_if_higher(entry.task);
-    }
-    const Time deadline = released.release + static_cast<Time>(t.deadline);
-    if (definitely_greater(now + demand, deadline)) {
-      overload_dynamic = true;
-    }
-  };
-
-  auto skip_released_job = [&](TaskIndex task) {
-    const Task& t = tasks_[task];
-    JobState& job = jobs[static_cast<std::size_t>(task)];
-    sim::JobRecord record;
-    record.task = task;
-    record.instance = job.instance;
-    record.release = job.release;
-    record.absolute_deadline = job.release + static_cast<Time>(t.deadline);
-    record.completion = now;
-    record.executed = 0.0;
-    record.finished = false;
-    record.skipped = true;
-    result.trace.add_job(record);
-    settle_weakly_hard(task, /*met=*/false, /*skipped=*/true);
-    delay_queue.insert(
-        {task, job.window_release + static_cast<Time>(t.period)});
   };
 
   // The scheduler invocation of Figure 4 lines L5-L11 (no power logic).
@@ -217,20 +87,9 @@ KernelResult FixedPriorityKernel::run(Time horizon) {
     ++result.scheduler_invocations;
     while (!delay_queue.empty() &&
            approx_le(delay_queue.head().release_time, now)) {
-      const DelayEntry due = delay_queue.pop_head();
-      start_job(due.task);
-      // Governor decision at release, after the demand draw — exactly
-      // the engine's hook order.  (Throttle cannot combine with the
-      // governor, so every popped entry is a fresh release here.)
-      if (weakly_hard_enabled) {
-        note_release_pressure(due.task);
-        if (governor.should_skip(due.task, skip_policy_,
-                                 overload_structural || overload_dynamic)) {
-          skip_released_job(due.task);
-          continue;
-        }
-      }
-      run_queue.insert({due.task, tasks_[due.task].priority});
+      const TaskIndex task = delay_queue.pop_head().task;
+      start_job(task);
+      run_queue.insert({task, tasks_[task].priority});
     }
     if (!run_queue.empty()) {
       if (active == kNoTask) {
@@ -242,13 +101,6 @@ KernelResult FixedPriorityKernel::run(Time horizon) {
         ++result.context_switches;
       }
     }
-    const int ready = static_cast<int>(run_queue.size()) +
-                      (active != kNoTask ? 1 : 0);
-    result.run_queue_high_water =
-        std::max(result.run_queue_high_water, ready);
-    // An idle instant ends a dynamic overload episode (the engine's
-    // idle-branch clear); the structural latch never clears.
-    if (active == kNoTask && run_queue.empty()) overload_dynamic = false;
     if (hook_) {
       QueueSnapshot snapshot;
       snapshot.time = now;
@@ -273,26 +125,12 @@ KernelResult FixedPriorityKernel::run(Time horizon) {
       next = std::min(next, *release);
     }
     bool completion_first = false;
-    bool budget_first = false;
     if (active != kNoTask) {
       const JobState& job = jobs[static_cast<std::size_t>(active)];
       const Time completion = now + (job.total_work - job.executed);
       if (approx_le(completion, next)) {
         next = std::min(next, completion);
         completion_first = true;
-      }
-      if (containment_armed_ && !job.over_budget) {
-        // Full speed: work and time share one clock.  Strictly-before
-        // only — a job finishing exactly at its budget is in contract,
-        // so completion wins the tie.
-        const Time exhaust =
-            now + (tasks_[active].wcet - job.budget_used);
-        if (definitely_less(exhaust, completion) &&
-            approx_le(exhaust, next)) {
-          next = std::min(next, exhaust);
-          completion_first = false;
-          budget_first = true;
-        }
       }
     }
     LPFPS_CHECK(approx_ge(next, now));
@@ -306,7 +144,6 @@ KernelResult FixedPriorityKernel::run(Time horizon) {
         segment.mode = sim::ProcessorMode::kRunning;
         segment.task = active;
         jobs[static_cast<std::size_t>(active)].executed += next - now;
-        jobs[static_cast<std::size_t>(active)].budget_used += next - now;
       } else {
         segment.mode = sim::ProcessorMode::kIdleBusyWait;
       }
@@ -314,47 +151,8 @@ KernelResult FixedPriorityKernel::run(Time horizon) {
     }
     now = next;
 
-    if (budget_first && active != kNoTask) {
-      JobState& job = jobs[static_cast<std::size_t>(active)];
-      job.over_budget = true;
-      ++result.overruns_detected;
-      if (weakly_hard_enabled) overload_dynamic = true;
-      switch (overrun_action_) {
-        case faults::OverrunAction::kNone:
-          // Monitor only: the job keeps the CPU past its budget.
-          break;
-        case faults::OverrunAction::kThrottle:
-          ++result.jobs_throttled;
-          job.throttled = true;
-          requeue_contained(active);
-          active = kNoTask;
-          break;
-        case faults::OverrunAction::kKill: {
-          const Task& task = tasks_[active];
-          sim::JobRecord record;
-          record.task = active;
-          record.instance = job.instance;
-          record.release = job.release;
-          record.absolute_deadline =
-              job.release + static_cast<Time>(task.deadline);
-          record.completion = now;
-          record.executed = job.executed;
-          record.finished = false;
-          record.killed = true;
-          result.trace.add_job(record);
-          ++result.jobs_killed;
-          // The aborted instance settles as a failed delivery before
-          // requeue_contained settles the forfeited windows.
-          settle_weakly_hard(active, /*met=*/false, /*skipped=*/false);
-          requeue_contained(active);
-          active = kNoTask;
-          break;
-        }
-      }
-    }
-
-    if (completion_first && active != kNoTask) {
-      JobState& job = jobs[static_cast<std::size_t>(active)];
+    if (completion_first) {
+      const JobState& job = jobs[static_cast<std::size_t>(active)];
       const Task& task = tasks_[active];
       sim::JobRecord record;
       record.task = active;
@@ -369,23 +167,14 @@ KernelResult FixedPriorityKernel::run(Time horizon) {
           definitely_greater(now, record.absolute_deadline);
       if (record.missed_deadline) ++result.deadline_misses;
       result.trace.add_job(record);
-      if (weakly_hard_enabled) {
-        if (record.missed_deadline) overload_dynamic = true;
-        settle_weakly_hard(active, /*met=*/!record.missed_deadline,
-                           /*skipped=*/false);
-      }
       delay_queue.insert(
-          {active, job.window_release + static_cast<Time>(task.period)});
+          {active, job.release + static_cast<Time>(task.period)});
       active = kNoTask;
     }
 
     invoke_scheduler();
   }
 
-  if (weakly_hard_enabled) {
-    result.jobs_skipped_weakly = governor.jobs_skipped_weakly();
-    result.mk_violations = governor.mk_violations();
-  }
   return result;
 }
 

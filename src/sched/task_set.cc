@@ -29,11 +29,6 @@ void TaskSet::replace(TaskIndex index, Task task) {
   tasks_[static_cast<std::size_t>(index)] = std::move(task);
 }
 
-const Task& TaskSet::operator[](TaskIndex index) const {
-  LPFPS_CHECK(index >= 0 && static_cast<std::size_t>(index) < tasks_.size());
-  return tasks_[static_cast<std::size_t>(index)];
-}
-
 Task& TaskSet::at(TaskIndex index) {
   LPFPS_CHECK(index >= 0 && static_cast<std::size_t>(index) < tasks_.size());
   return tasks_[static_cast<std::size_t>(index)];

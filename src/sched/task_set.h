@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/units.h"
 #include "sched/task.h"
 
@@ -26,7 +27,11 @@ class TaskSet {
   /// Replaces the task at `index` with `task` (validated).
   void replace(TaskIndex index, Task task);
 
-  const Task& operator[](TaskIndex index) const;
+  /// Inline: the engine looks tasks up several times per event.
+  const Task& operator[](TaskIndex index) const {
+    LPFPS_CHECK(index >= 0 && static_cast<std::size_t>(index) < tasks_.size());
+    return tasks_[static_cast<std::size_t>(index)];
+  }
   Task& at(TaskIndex index);
 
   std::size_t size() const { return tasks_.size(); }

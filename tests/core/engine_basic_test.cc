@@ -31,38 +31,6 @@ TEST(EngineFps, AveragePowerMatchesUtilizationFormula) {
   EXPECT_NEAR(result.average_power, 0.88, 1e-9);
 }
 
-TEST(EngineHook, InvocationHookObservesEveryInvocation) {
-  // The opt-in observer must fire exactly once per scheduler invocation
-  // with a coherent snapshot; without it the engine never copies the
-  // queues (the snapshot-free default).
-  EngineOptions opts = options(400.0);
-  std::vector<sched::QueueSnapshot> snapshots;
-  opts.invocation_hook = [&](const sched::QueueSnapshot& snapshot) {
-    snapshots.push_back(snapshot);
-  };
-  const SimulationResult result =
-      simulate(lpfps::workloads::example_table1(), cpu(),
-               SchedulerPolicy::lpfps(), nullptr, opts);
-  EXPECT_EQ(snapshots.size(),
-            static_cast<std::size_t>(result.scheduler_invocations));
-  Time last = -1.0;
-  for (const sched::QueueSnapshot& snapshot : snapshots) {
-    EXPECT_GE(snapshot.time, last);
-    last = snapshot.time;
-    for (const sched::RunEntry& entry : snapshot.run_queue) {
-      EXPECT_NE(entry.task, kNoTask);
-      EXPECT_NE(entry.task, snapshot.active_task);
-    }
-  }
-  // The run queue was genuinely observed: with three tasks the snapshot
-  // stream must show a non-empty queue at least once.
-  bool saw_waiting = false;
-  for (const sched::QueueSnapshot& snapshot : snapshots) {
-    saw_waiting = saw_waiting || !snapshot.run_queue.empty();
-  }
-  EXPECT_TRUE(saw_waiting);
-}
-
 TEST(EngineFps, ScheduleMatchesReferenceKernel) {
   // With DVS and power-down disabled the engine must produce exactly the
   // reference kernel's schedule.

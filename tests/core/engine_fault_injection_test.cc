@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,7 @@
 #include "audit/audit.h"
 #include "audit/harness.h"
 #include "io/trace_io.h"
+#include "sched/priority.h"
 #include "workloads/example.h"
 
 namespace lpfps::core {
@@ -112,6 +114,86 @@ TEST(FaultKill, CertainOverrunsAreKilledAtBudgetWithZeroMisses) {
     const Work wcet = tasks[job.task].wcet;
     EXPECT_NEAR(job.executed, wcet, 1e-6) << tasks[job.task].name;
   }
+  expect_audit_clean(result, tasks, policy, opts);
+}
+
+TEST(FaultKill, ForfeitsTheWindowsTheOverrunConsumed) {
+  // An overloaded pair: "t1" (T = 10, C = 6) preempts "t2" (T = 15,
+  // D = 9, C = 5.5), whose every job overruns to 8.25.  Each 30 us from
+  // s: t1 [s, s + 6), t2 [s + 6, s + 10), t1 [s + 10, s + 16), t2
+  // [s + 16, s + 17.5), killed at its budget past its own next release
+  // at s + 15.  That window is forfeited, not released into the past,
+  // and t2 returns at s + 30.  Over [0, 300): 10 kills, 10 forfeits.
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("t1", 10, 6.0));
+  tasks.add(sched::make_task("t2", 15, 9, 5.5, 5.5));
+  sched::assign_rate_monotonic(tasks);
+  const SchedulerPolicy policy = SchedulerPolicy::fps();
+  EngineOptions opts = traced_options(300.0);
+  opts.throw_on_miss = false;
+  opts.faults.overruns = {{0.0, 0.0}, {1.0, 0.5}};
+  opts.containment.on_overrun = faults::OverrunAction::kKill;
+
+  const SimulationResult result =
+      simulate(tasks, cpu(), policy, nullptr, opts);
+
+  EXPECT_EQ(result.overruns_detected, 10);
+  EXPECT_EQ(result.jobs_killed, 10);
+  EXPECT_EQ(result.jobs_skipped, 10);
+  EXPECT_EQ(result.deadline_misses, 0);
+  ASSERT_TRUE(result.trace.has_value());
+  int kills = 0;
+  for (const sim::JobRecord& job : result.trace->jobs()) {
+    if (!job.killed) continue;
+    EXPECT_EQ(job.task, 1);
+    EXPECT_EQ(job.instance, 2 * kills);
+    EXPECT_NEAR(job.completion, 30.0 * kills + 17.5, 1e-9);
+    EXPECT_NEAR(job.executed, 5.5, 1e-9);
+    ++kills;
+  }
+  EXPECT_EQ(kills, 10);
+  expect_audit_clean(result, tasks, policy, opts);
+}
+
+TEST(FaultKill, AKillOnTheNextReleaseKeepsThatWindow) {
+  // "h" (T = 20, C = 6, the higher priority) delays "t" (T = D = 10,
+  // C = 4; R_t = 10), whose every job overruns to 6.  t's even jobs start
+  // at 20j + 6 and are killed at their budget at 20j + 10, exactly t's
+  // next release: that window is not consumed, so the next job is
+  // released at once, runs [20j + 10, 20j + 14) and is killed in its own
+  // window.  Over [0, 100): instances 0-9 all run, nothing is forfeited.
+  sched::TaskSet tasks;
+  sched::Task h = sched::make_task("h", 20, 6.0);
+  h.priority = 0;
+  sched::Task t = sched::make_task("t", 10, 4.0);
+  t.priority = 1;
+  tasks.add(h);
+  tasks.add(t);
+  const SchedulerPolicy policy = SchedulerPolicy::fps();
+  EngineOptions opts = traced_options(100.0);
+  opts.throw_on_miss = false;
+  opts.faults.overruns = {{0.0, 0.0}, {1.0, 0.5}};
+  opts.containment.on_overrun = faults::OverrunAction::kKill;
+
+  const SimulationResult result =
+      simulate(tasks, cpu(), policy, nullptr, opts);
+
+  EXPECT_EQ(result.jobs_killed, 10);
+  EXPECT_EQ(result.jobs_skipped, 0);
+  EXPECT_EQ(result.deadline_misses, 0);
+  ASSERT_TRUE(result.trace.has_value());
+  std::int64_t instance = 0;
+  for (const sim::JobRecord& job : result.trace->jobs()) {
+    if (!job.killed) continue;
+    EXPECT_EQ(job.task, 1);
+    EXPECT_EQ(job.instance, instance);
+    EXPECT_NEAR(job.completion,
+                20.0 * static_cast<double>(instance / 2) +
+                    (instance % 2 == 0 ? 10.0 : 14.0),
+                1e-9);
+    ++instance;
+  }
+  EXPECT_EQ(instance, 10);
   expect_audit_clean(result, tasks, policy, opts);
 }
 
@@ -228,6 +310,34 @@ TEST(FaultBitIdentity, ArmedThrottleUnderWcetChangesNothing) {
       tasks, cpu(), SchedulerPolicy::lpfps(), nullptr,
       traced_options(40'000.0));
   EXPECT_EQ(io::result_csv_row(plain), io::result_csv_row(armed));
+}
+
+TEST(FaultBitIdentity, ArmedKillWithContextSwitchCostChangesNothing) {
+  // Preemption overhead is charged to the incoming job and its budget
+  // alike, so an in-contract job that pays it is no overrun: kill
+  // containment without faults leaves a run with overhead as it was.
+  // Every job takes its WCET, so every preempting job runs past C.
+  // Table 1 has no slack for the overhead (tau3's first job would end
+  // at 80, as tau2 is released again), so misses are recorded, not
+  // thrown; both runs record the same ones.
+  const sched::TaskSet tasks = example();
+  EngineOptions plain = traced_options(4000.0);
+  plain.throw_on_miss = false;
+  plain.context_switch_cost = 0.5;
+  EngineOptions armed = plain;
+  armed.containment.on_overrun = faults::OverrunAction::kKill;
+  for (const SchedulerPolicy& policy :
+       {SchedulerPolicy::fps(), SchedulerPolicy::lpfps()}) {
+    const SimulationResult a = simulate(tasks, cpu(), policy, nullptr, plain);
+    const SimulationResult b = simulate(tasks, cpu(), policy, nullptr, armed);
+    EXPECT_GT(a.context_switches, 0) << policy.name;
+    EXPECT_EQ(b.overruns_detected, 0) << policy.name;
+    EXPECT_EQ(b.jobs_killed, 0) << policy.name;
+    EXPECT_EQ(io::result_csv_row(a), io::result_csv_row(b)) << policy.name;
+    EXPECT_EQ(io::trace_jobs_csv(*a.trace, names(tasks)),
+              io::trace_jobs_csv(*b.trace, names(tasks)))
+        << policy.name;
+  }
 }
 
 TEST(FaultValidation, MismatchedOverrunVectorIsRejected) {

@@ -161,7 +161,12 @@ TEST(TaskSetParse, RejectsSemanticViolations) {
       {"a 100 10 100 -5\n", "bcet must be positive and at most wcet (10)",
        "-5"},
       {"a period=100 wcet=10 bcet=-2.5\n",
-       "bcet must be positive and at most wcet (10)", "-2.5"}};
+       "bcet must be positive and at most wcet (10)", "-2.5"},
+      // A repeated key is an error, not "the last value wins".
+      {"a period=100 wcet=10 wcet=20 period=50\n",
+       "wcet is given twice (10)", "20"},
+      {"a phase=0 period=100 wcet=10 phase=5\n", "phase is given twice (0)",
+       "5"}};
   for (const auto& [text, expected, value] : cases) {
     const std::string message = parse_error(text);
     EXPECT_NE(message.find(std::string("line 1: ") + expected),

@@ -2,13 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
 #include <vector>
 
-#include "common/float_compare.h"
-#include "core/engine.h"
-#include "sched/priority.h"
 #include "workloads/example.h"
 
 namespace lpfps::sched {
@@ -172,163 +168,6 @@ TEST(Kernel, JobCountsOverHyperperiod) {
   EXPECT_EQ(counts[0], 8);  // 400/50.
   EXPECT_EQ(counts[1], 5);  // 400/80.
   EXPECT_EQ(counts[2], 4);  // 400/100.
-}
-
-// ---- budget enforcement (set_overrun_containment) -------------------
-
-/// A provider inflating every task's demand to `factor` x WCET.
-ExecTimeProvider inflate_all(const TaskSet& tasks, double factor) {
-  return [tasks, factor](TaskIndex task, std::int64_t) -> Work {
-    return tasks[task].wcet * factor;
-  };
-}
-
-KernelResult run_contained(const TaskSet& tasks, Time horizon,
-                           faults::OverrunAction action,
-                           ExecTimeProvider provider) {
-  FixedPriorityKernel kernel(tasks);
-  kernel.set_exec_time_provider(std::move(provider));
-  kernel.set_overrun_containment(action);
-  return kernel.run(horizon);
-}
-
-TEST(KernelContainment, MonitorModeCountsOverrunsWithoutDisplacingJobs) {
-  const TaskSet tasks = lpfps::workloads::example_table1();
-  const KernelResult result =
-      run_contained(tasks, 400.0, faults::OverrunAction::kNone,
-                    inflate_all(tasks, 1.2));
-  EXPECT_GT(result.overruns_detected, 0);
-  EXPECT_EQ(result.jobs_killed, 0);
-  EXPECT_EQ(result.jobs_throttled, 0);
-  EXPECT_EQ(result.jobs_skipped, 0);
-  // Monitor mode never sheds demand: every record ran its full 1.2 C.
-  for (const sim::JobRecord& job : result.trace.jobs()) {
-    if (!job.finished) continue;
-    EXPECT_NEAR(job.executed, 1.2 * tasks[job.task].wcet, 1e-9);
-  }
-}
-
-TEST(KernelContainment, KillReproducesTheWcetScheduleWithZeroMisses) {
-  // Kill caps every job at exactly C, so the contained schedule's
-  // running segments coincide with the plain WCET run (Figure 2a) and
-  // no deadline is ever missed — the containment acceptance bar.
-  const TaskSet tasks = lpfps::workloads::example_table1();
-  const KernelResult contained =
-      run_contained(tasks, 400.0, faults::OverrunAction::kKill,
-                    inflate_all(tasks, 1.5));
-  const KernelResult plain = FixedPriorityKernel(tasks).run(400.0);
-
-  EXPECT_GT(contained.jobs_killed, 0);
-  EXPECT_EQ(contained.jobs_killed, contained.overruns_detected);
-  EXPECT_EQ(contained.deadline_misses, 0);
-  for (const sim::JobRecord& job : contained.trace.jobs()) {
-    EXPECT_TRUE(job.killed);
-    EXPECT_FALSE(job.finished);
-    EXPECT_NEAR(job.executed, tasks[job.task].wcet, 1e-9);
-  }
-
-  const auto& a = contained.trace.segments();
-  const auto& b = plain.trace.segments();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a[i].begin, b[i].begin, 1e-9) << "segment " << i;
-    EXPECT_NEAR(a[i].end, b[i].end, 1e-9) << "segment " << i;
-    EXPECT_EQ(a[i].task, b[i].task) << "segment " << i;
-    EXPECT_EQ(a[i].mode, b[i].mode) << "segment " << i;
-  }
-}
-
-TEST(KernelContainment, ThrottleResumesWithAReplenishedBudget) {
-  // Only tau2 overruns (30 against a budget of C = 20): it is suspended
-  // at its budget and finishes the remaining 10 in its next enforcement
-  // window, consuming every other tau2 release.
-  const TaskSet tasks = lpfps::workloads::example_table1();
-  auto provider = [&tasks](TaskIndex task, std::int64_t) -> Work {
-    return task == 1 ? 1.5 * tasks[task].wcet : tasks[task].wcet;
-  };
-  const KernelResult result = run_contained(
-      tasks, 800.0, faults::OverrunAction::kThrottle, provider);
-
-  EXPECT_GT(result.jobs_throttled, 0);
-  EXPECT_EQ(result.jobs_throttled, result.overruns_detected);
-  EXPECT_EQ(result.jobs_killed, 0);
-
-  int tau2_finished = 0;
-  for (const sim::JobRecord& job : result.trace.jobs()) {
-    if (!job.finished) continue;
-    if (job.task != 1) continue;
-    ++tau2_finished;
-    // The full faulted demand ran — deferred across windows, not shed.
-    EXPECT_NEAR(job.executed, 1.5 * tasks[1].wcet, 1e-9);
-    // ...and it really spans into a later window.
-    EXPECT_GT(job.completion - job.release,
-              static_cast<double>(tasks[1].period));
-  }
-  EXPECT_GT(tau2_finished, 0);
-}
-
-TEST(KernelContainment, KillForfeitsTheWindowsTheOverrunConsumed) {
-  // An overloaded pair: t1 (P=10, C=6) preempts t2 (P=15, C=5.5), so
-  // t2's budget exhausts at t=17.5, past its own next release at 15 —
-  // the requeue must skip that forfeited window instead of releasing
-  // into the past.
-  TaskSet tasks;
-  tasks.add(make_task("t1", 10, 6.0));
-  tasks.add(make_task("t2", 15, 9, 5.5, 5.5));
-  assign_rate_monotonic(tasks);
-  auto provider = [&tasks](TaskIndex task, std::int64_t) -> Work {
-    return task == 1 ? 1.5 * tasks[task].wcet : tasks[task].wcet;
-  };
-  const KernelResult result =
-      run_contained(tasks, 300.0, faults::OverrunAction::kKill, provider);
-  EXPECT_GT(result.jobs_killed, 0);
-  EXPECT_GT(result.jobs_skipped, 0);
-  for (const sim::JobRecord& job : result.trace.jobs()) {
-    if (!job.killed) continue;
-    EXPECT_EQ(job.task, 1);
-    EXPECT_NEAR(job.executed, tasks[1].wcet, 1e-9);
-  }
-}
-
-TEST(KernelContainment, KillCrossChecksTheEngineUnderIdenticalFaults) {
-  // The engine's deterministic overrun plan (p=1, magnitude 0.5) is the
-  // same workload as a 1.5 C provider; under plain FPS at full speed
-  // the two simulators must kill the same instances at the same times.
-  const TaskSet tasks = lpfps::workloads::example_table1();
-  const KernelResult kernel =
-      run_contained(tasks, 400.0, faults::OverrunAction::kKill,
-                    inflate_all(tasks, 1.5));
-
-  core::EngineOptions options;
-  options.horizon = 400.0;
-  options.record_trace = true;
-  options.throw_on_miss = false;
-  options.faults.overruns = {{1.0, 0.5}};
-  options.containment.on_overrun = faults::OverrunAction::kKill;
-  const core::SimulationResult engine =
-      core::simulate(tasks, power::ProcessorConfig::arm8_default(),
-                     core::SchedulerPolicy::fps(), nullptr, options);
-
-  EXPECT_EQ(engine.jobs_killed, kernel.jobs_killed);
-  EXPECT_EQ(engine.overruns_detected, kernel.overruns_detected);
-
-  const auto kills = [](const std::vector<sim::JobRecord>& jobs) {
-    std::map<std::pair<TaskIndex, std::int64_t>, Time> out;
-    for (const sim::JobRecord& job : jobs) {
-      if (job.killed) out[{job.task, job.instance}] = job.completion;
-    }
-    return out;
-  };
-  const auto from_kernel = kills(kernel.trace.jobs());
-  const auto from_engine = kills(engine.trace->jobs());
-  ASSERT_EQ(from_kernel.size(), from_engine.size());
-  for (const auto& [key, at] : from_kernel) {
-    const auto it = from_engine.find(key);
-    ASSERT_NE(it, from_engine.end())
-        << "task " << key.first << " instance " << key.second;
-    EXPECT_NEAR(it->second, at, 1e-6)
-        << "task " << key.first << " instance " << key.second;
-  }
 }
 
 }  // namespace
