@@ -190,7 +190,6 @@ int main() {
         .set("deadline_misses", r.deadline_misses)
         .set("miss_ratio", miss_ratio)
         .set("jobs_killed", r.jobs_killed)
-        .set("jobs_throttled", r.jobs_throttled)
         .set("jobs_skipped", r.jobs_skipped)
         .set("overruns_detected", r.overruns_detected)
         .set("safe_mode_entries", r.safe_mode_entries)

@@ -10,22 +10,31 @@ with it applied.
 The runner never edits the checkout.  It copies the tree (tracked files
 plus untracked files git does not ignore) into a work directory, builds
 it once, and then for each mutant applies the edit, rebuilds
-incrementally, runs the full ctest, records the failing entries (and the
-failing gtest cases inside them) and restores the file.
+incrementally, runs ctest, records the failing entries (and the failing
+gtest cases inside them) and restores the file.
+
+The control runs the full ctest; then the runner hashes each entry's
+executable.  A mutant runs only the entries whose executable its rebuild
+changed: an unchanged binary with unchanged inputs gives the control's
+result, so it can kill nothing.  An entry whose command is not an
+executable of the build tree, or that has DEPENDS or fixtures, runs with
+every mutant that changes an executable.  A mutant that changes no
+executable survives without running ctest.
 
 Output: a table on stdout and, with --json, the kill matrix
 (mutant x failing ctest entry) as JSON.
 
-Exit status is 1 when a mutant survives (every test passes), when a
-mutant does not compile, when the control dies or does not compile,
-when a mutant's text does not occur exactly once, or when ctest runs no
-entry; 0 otherwise.
+Exit status is 1 when a mutant survives (every test it runs passes, or
+it changes no executable), when a mutant does not compile, when the
+control dies or does not compile, when a mutant's text does not occur
+exactly once, or when ctest runs no entry; 0 otherwise.
 
 Usage: run_mutants.py [--work DIR] [--jobs N] [--json OUT]
            [--cmake-arg ARG]...
 """
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -39,6 +48,10 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MUTANTS = os.path.join(REPO, "scripts", "mutants.json")
 # Per-entry ctest timeout: a mutant that makes a loop spin dies by it.
 TEST_TIMEOUT_S = 300
+
+# Entry properties that tie an entry to others: such an entry always runs.
+ALWAYS_RUN_PROPERTIES = {"DEPENDS", "FIXTURES_REQUIRED", "FIXTURES_SETUP",
+                         "FIXTURES_CLEANUP"}
 
 # ctest's status line for a finished entry, and a gtest failure line.
 STATUS = re.compile(r"^\s*\d+/\d+ Test\s+#\d+: (\S+) \.*\s*(.*)$")
@@ -104,6 +117,46 @@ def run(cmd, cwd, log):
     return proc.returncode, proc.stdout
 
 
+def ctest_entries(build):
+    """Maps each ctest entry to the build-tree executable its command
+    runs (None when it runs none), and returns the set of entries that
+    must run with every mutant: those without such an executable, or
+    with DEPENDS or fixtures."""
+    out = subprocess.run(
+        ["ctest", "--test-dir", build, "--show-only=json-v1"],
+        check=True, capture_output=True, text=True).stdout
+    root = os.path.realpath(build) + os.sep
+    entries, always = {}, set()
+    for test in json.loads(out)["tests"]:
+        command = test.get("command") or [""]
+        exe = os.path.realpath(command[0])
+        if not (exe.startswith(root) and os.path.isfile(exe)):
+            exe = None
+        props = {p["name"] for p in test.get("properties", [])}
+        if exe is None or props & ALWAYS_RUN_PROPERTIES:
+            always.add(test["name"])
+        entries[test["name"]] = exe
+    return entries, always
+
+
+def digests(entries):
+    """SHA-256 of every executable the entries run."""
+    out = {}
+    for exe in set(entries.values()) - {None}:
+        with open(exe, "rb") as fh:
+            out[exe] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def ctest(build, jobs, work, log, names=None):
+    """Runs ctest (only `names` when given); returns its output."""
+    cmd = ["ctest", "--test-dir", build, "-j", str(jobs),
+           "--output-on-failure", "--timeout", str(TEST_TIMEOUT_S)]
+    if names is not None:
+        cmd += ["-R", "^(" + "|".join(re.escape(n) for n in names) + ")$"]
+    return run(cmd, work, log)[1]
+
+
 def failing_entries(output):
     """Maps each failed ctest entry to the gtest cases it reported failed,
     and counts the entries that ran.  ctest prints a finished entry's
@@ -126,6 +179,16 @@ def failing_entries(output):
         if case and current is not None and case.group(1) not in failed[current]:
             failed[current].append(case.group(1))
     return failed, ran
+
+
+def judge(record, output):
+    """Sets the record's failing entries and status from ctest output."""
+    record["failed"], ran = failing_entries(output)
+    record["entries_run"] = ran
+    if ran == 0:
+        record["status"] = "no_tests_ran"
+    else:
+        record["status"] = "killed" if record["failed"] else "survived"
 
 
 def main():
@@ -161,6 +224,8 @@ def main():
     print(f"initial build {time.monotonic() - started:.0f} s", flush=True)
 
     results = []
+    entries = always = None  # Read after the control's run.
+    baseline = None  # Executable -> digest of the control's build.
     for mutant in mutants:
         control = mutant["find"] == mutant["replace"]
         path = os.path.join(src, mutant["file"])
@@ -185,25 +250,31 @@ def main():
                           work, log)
             if code != 0:
                 record["status"] = "compile_error"
+            elif control:
+                judge(record, ctest(build, args.jobs, work, log))
+                entries, always = ctest_entries(build)
+                baseline = digests(entries)
+            elif baseline is None:
+                record["status"] = "no_control"
             else:
-                _, output = run(["ctest", "--test-dir", build, "-j",
-                                 str(args.jobs), "--output-on-failure",
-                                 "--timeout", str(TEST_TIMEOUT_S)],
-                                work, log)
-                record["failed"], ran = failing_entries(output)
-                if ran == 0:
-                    record["status"] = "no_tests_ran"
+                now = digests(entries)
+                changed = {exe for exe in now if now[exe] != baseline[exe]}
+                record["executables_changed"] = len(changed)
+                if not changed:
+                    record["entries_run"] = 0
+                    record["status"] = "survived"
                 else:
-                    record["status"] = ("killed" if record["failed"]
-                                        else "survived")
+                    names = [n for n, exe in entries.items()
+                             if exe in changed or n in always]
+                    judge(record, ctest(build, args.jobs, work, log, names))
         finally:
             with open(path, "w") as fh:
                 fh.write(original)
         record["seconds"] = round(time.monotonic() - t0, 1)
         results.append(record)
-        entries = sorted(record["failed"])
         print(f"{mutant['id']}: {record['status']} ({record['seconds']} s) "
-              f"{len(entries)} entries", flush=True)
+              f"{record.get('entries_run', 0)} entries run, "
+              f"{len(record['failed'])} failed", flush=True)
 
     # Leave the work tree's binaries matching the unmutated source.
     run(["cmake", "--build", build, "-j", str(args.jobs)], work, log)

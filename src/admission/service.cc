@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/float_compare.h"
 #include "core/fingerprint.h"
 
 namespace lpfps::admission {
@@ -81,23 +80,6 @@ bool scale_wcets(const std::vector<sched::Task>& tasks, double stretch,
     if (scaled[i] > static_cast<double>(tasks[i].deadline)) fits = false;
   }
   return fits;
-}
-
-// Task i's response under the scaled WCETs from max(seed, C_i) (pass 0
-// for C_i), bitwise response_time_from_seed's on the materialized scaled
-// set; nullopt when C_i overruns D_i or the response passes D_i.
-std::optional<double> response_fixed_point(
-    const std::vector<sched::Task>& tasks, const std::vector<double>& scaled,
-    std::size_t i, double seed) {
-  const double deadline = static_cast<double>(tasks[i].deadline);
-  if (scaled[i] > deadline) return std::nullopt;  // C_i alone overruns D_i.
-  const std::optional<double> r = sched::solve_response_time(
-      tasks, i, scaled[i], seed,
-      [c = scaled.data()](const sched::Task&, std::size_t j, double n) {
-        return n * c[j];
-      });
-  if (r.has_value() && definitely_greater(*r, deadline)) return std::nullopt;
-  return r;
 }
 
 }  // namespace
@@ -216,7 +198,7 @@ bool AdmissionService::feasible_at_level(
       continue;
     }
     const std::optional<double> r =
-        response_fixed_point(tasks, scaled_wcet_, i, seed);
+        sched::response_fixed_point(tasks, scaled_wcet_, i, seed);
     if (!r.has_value()) {
       saturating_add(stats_.bound_clears, clears);
       return false;
@@ -408,7 +390,7 @@ double AdmissionService::task_headroom(std::size_t b, int level) {
     scale_wcets(tasks, stretch, scale, scaled_wcet_);
     saturating_increment(stats_.headroom_probes);
     const std::optional<double> r =
-        response_fixed_point(tasks, scaled_wcet_, b, chain);
+        sched::response_fixed_point(tasks, scaled_wcet_, b, chain);
     if (!r.has_value()) return false;
     chain = *r;
     return true;
@@ -427,7 +409,8 @@ double AdmissionService::compute_headroom(int level) {
       if (!scale_wcets(tasks, stretch, scale, scaled_wcet_)) return false;
       for (std::size_t i = 0; i < n; ++i) {
         saturating_increment(stats_.headroom_probes);
-        if (!response_fixed_point(tasks, scaled_wcet_, i, 0.0).has_value()) {
+        if (!sched::response_fixed_point(tasks, scaled_wcet_, i, 0.0)
+                 .has_value()) {
           return false;
         }
       }
@@ -477,7 +460,8 @@ double AdmissionService::compute_headroom(int level) {
       continue;
     }
     saturating_increment(stats_.headroom_probes);
-    if (response_fixed_point(tasks, scaled_wcet_, i, seed_at(i, level, &f_max))
+    if (sched::response_fixed_point(tasks, scaled_wcet_, i,
+                                    seed_at(i, level, &f_max))
             .has_value()) {
       continue;
     }

@@ -902,27 +902,6 @@ class Auditor {
                     fmt(wcet) + " without being killed");
           }
           break;
-        case faults::OverrunAction::kThrottle: {
-          if (!job.finished) break;
-          // Each period window the job spans replenishes one budget of
-          // C, so total demand is capped at (windows spanned) * C.
-          const auto period = static_cast<double>(task.period);
-          const double spanned = std::max(
-              1.0,
-              std::ceil((job.completion - job.release) / period - 1e-9));
-          if (job.executed > spanned * wcet + wtol) {
-            add("F1.budget", job.completion,
-                task.name + " instance " + std::to_string(job.instance) +
-                    " executed " + fmt(job.executed) + " > " +
-                    fmt(spanned) + " budget window(s) * C=" + fmt(wcet));
-          }
-          if (job.executed > wcet + wtol) {
-            if (const auto at = work_crossing(t, job, wcet)) {
-              detections.push_back(*at);
-            }
-          }
-          break;
-        }
         case faults::OverrunAction::kNone:
           // Monitor-only: the overrun instant is still a detection.
           if (job.finished && job.executed > wcet + wtol) {
@@ -1003,7 +982,7 @@ class Auditor {
   /// W1-W4 (docs/WEAKLY_HARD.md): replay every weakly-hard task's
   /// settled-instance sequence purely from the job records — finished
   /// in time = met; miss / kill = failed; instance gaps = forfeited
-  /// enforcement windows, also failed; skip records = skipped (not
+  /// releases, also failed; skip records = skipped (not
   /// met) — and re-derive the per-window (m,k) invariants and skip
   /// permissions the governor claims to have maintained.
   void check_weakly_hard() {

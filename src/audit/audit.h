@@ -35,7 +35,7 @@
 //   C1  counters    jobs_completed / deadline_misses match the records
 //   C2  counters    power_downs matches the power-down segment count
 //   C3  counters    observed plans <= reported dvs_slowdowns
-//   F1  budgets     under containment, no enforcement window executes
+//   F1  budgets     under kill containment, no surviving job executes
 //                   past WCET + epsilon (docs/ROBUSTNESS.md)
 //   F2  safe mode   after a detected overrun the clock never decreases
 //                   and stays at base until the processor next idles;
@@ -114,9 +114,9 @@ struct AuditOptions {
   /// when containment forfeits windows) and J3 (overruns are the point)
   /// while keeping every structural check armed.
   bool faults_injected = false;
-  /// The run's containment action.  kThrottle/kKill arm F1 (budget
-  /// ceiling per enforcement window) and, for kKill, F3 (kill-record
-  /// shape and counter agreement).
+  /// The run's containment action.  kKill arms F1 (no surviving job
+  /// past one budget) and F3 (kill-record shape and counter
+  /// agreement).
   faults::OverrunAction containment = faults::OverrunAction::kNone;
   /// The run's safe-mode flag.  Arms F2: from each derived overrun
   /// instant the clock must be non-decreasing and at base until the

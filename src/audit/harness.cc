@@ -68,23 +68,17 @@ AuditOptions derive_options(const core::SchedulerPolicy& policy,
   if (ramp_fault) audit.ramp_rate_factor = options.faults.ramp.rho_factor;
 
   // J3: a kill caps every surviving job at its budget, so the WCET bound
-  // still holds; monitoring and throttling let demand exceed it.
-  if (overruns && action != faults::OverrunAction::kKill) {
-    audit.check_job_demand = false;
-  }
-  // S1: a throttled job is pending-but-suspended (deliberately
-  // non-work-conserving); a late wakeup sleeps across a release; a kill
-  // or throttle may forfeit windows the nominal pending model still
-  // counts.
+  // still holds; monitoring lets demand exceed it.
+  const bool kills = action == faults::OverrunAction::kKill;
+  if (overruns && !kills) audit.check_job_demand = false;
+  // S1: a late wakeup sleeps across a release; a kill may forfeit
+  // releases the nominal pending model still counts.
   audit.check_work_conserving =
-      jitter_free && !wakeup_fault &&
-      !(overruns && action != faults::OverrunAction::kNone);
+      jitter_free && !wakeup_fault && !(overruns && kills);
   // S2: a slow ramp breaks the full-speed-at-release promise until
-  // detection; a late wakeup is asleep at the release by construction;
-  // throttle can displace releases past their windows.
+  // detection; a late wakeup is asleep at the release by construction.
   audit.check_full_speed_at_releases =
-      jitter_free && !ramp_fault && !wakeup_fault &&
-      action != faults::OverrunAction::kThrottle;
+      jitter_free && !ramp_fault && !wakeup_fault;
   // D1/D2: plans are built against the spec rho, which a ramp fault
   // makes physically unattainable.
   audit.check_dvs_plans = jitter_free && policy.uses_dvs() && !ramp_fault;
@@ -117,7 +111,6 @@ void CounterTotals::add(const core::SimulationResult& result) {
   ramp_faults_detected += result.ramp_faults_detected;
   late_wakeups_detected += result.late_wakeups_detected;
   jobs_killed += result.jobs_killed;
-  jobs_throttled += result.jobs_throttled;
   jobs_skipped += result.jobs_skipped;
   safe_mode_entries += result.safe_mode_entries;
   jobs_skipped_weakly += result.jobs_skipped_weakly;
@@ -190,7 +183,6 @@ std::string AuditAggregator::write_report() const {
       .set("ramp_faults_detected", counters_.ramp_faults_detected)
       .set("late_wakeups_detected", counters_.late_wakeups_detected)
       .set("jobs_killed", counters_.jobs_killed)
-      .set("jobs_throttled", counters_.jobs_throttled)
       .set("jobs_skipped", counters_.jobs_skipped)
       .set("safe_mode_entries", counters_.safe_mode_entries)
       .set("jobs_skipped_weakly", counters_.jobs_skipped_weakly)

@@ -55,7 +55,6 @@ struct CounterTotals {
   std::int64_t ramp_faults_detected = 0;
   std::int64_t late_wakeups_detected = 0;
   std::int64_t jobs_killed = 0;
-  std::int64_t jobs_throttled = 0;
   std::int64_t jobs_skipped = 0;
   std::int64_t safe_mode_entries = 0;
   /// Weakly-hard governor totals (docs/WEAKLY_HARD.md); zero unless the

@@ -93,12 +93,6 @@ struct EngineOptions {
   /// For a jittered run audit::derive_options disarms the auditor's
   /// S1-S3 and D checks, which assume visible nominal releases.
   std::vector<Time> release_jitter;
-  /// Wake-up timer granularity in microseconds (0 = a free-running
-  /// comparator, the paper's implicit assumption).  Tick-based kernels
-  /// can only program wake-ups on a tick grid: the timer is rounded
-  /// *down* to a multiple of the granularity (waking early is safe,
-  /// late is not), shaving the tail off every power-down interval.
-  Time timer_granularity = 0.0;
   /// Fault injection (docs/ROBUSTNESS.md).  Overrun specs wrap the
   /// execution-time model in exec::FaultyExecModel internally — this
   /// plan is the single configuration point; do not pre-wrap the model
@@ -108,13 +102,13 @@ struct EngineOptions {
   /// bit-identical to a fault-free build.
   faults::FaultPlan faults;
   /// Detection and containment: budget enforcement at WCET exhaustion
-  /// (throttle/kill) and the safe-mode fallback that runs plain FPS
+  /// (monitor or kill) and the safe-mode fallback that runs plain FPS
   /// from the first detected anomaly until the next idle instant.
   /// Enabling containment without faults changes nothing observable
   /// (in-contract jobs never exhaust their budget), which the
   /// differential test in tests/core/engine_fault_injection_test.cc
-  /// pins bit-for-bit.  kThrottle and kKill displace overrun windows,
-  /// so pair them with throw_on_miss=false when probing overload.
+  /// pins bit-for-bit.  kKill forfeits the periods an overrun consumed,
+  /// so pair it with throw_on_miss=false when probing overload.
   faults::ContainmentPolicy containment;
   /// Weakly-hard skip governor (docs/WEAKLY_HARD.md).  Armed only when
   /// the task set declares (m,k)/skip constraints and the policy is not

@@ -27,7 +27,7 @@ std::string SimulationResult::summary() const {
        << ramp_faults_detected << " ramp faults, " << late_wakeups_detected
        << " late wakeups\n"
        << "containment       : " << jobs_killed << " killed, "
-       << jobs_throttled << " throttled, " << jobs_skipped
+       << jobs_skipped
        << " releases skipped, " << safe_mode_entries
        << " safe-mode entries\n";
   }

@@ -46,11 +46,10 @@ struct SimulationResult {
   int ramp_faults_detected = 0;   ///< Plans that returned to base late.
   int late_wakeups_detected = 0;  ///< Wake timers that fired late.
   int jobs_killed = 0;            ///< Jobs aborted at their budget.
-  int jobs_throttled = 0;         ///< Jobs suspended to their next window.
-  /// Releases *displaced* by kill/throttle containment: enforcement
-  /// windows an overrunning job consumed, forfeited when the task is
-  /// requeued.  Not a scheduling decision — for deliberate weakly-hard
-  /// policy skips see jobs_skipped_weakly.
+  /// Releases *displaced* by kill containment: periods an overrunning
+  /// job consumed, forfeited when the task is requeued.  Not a
+  /// scheduling decision — for deliberate weakly-hard policy skips see
+  /// jobs_skipped_weakly.
   int jobs_skipped = 0;
   int safe_mode_entries = 0;      ///< Safe-mode episodes entered.
 

@@ -4,7 +4,6 @@
 #include "core/sim_state.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -50,23 +49,10 @@ const sched::TaskSet& validate_spec(const sched::TaskSet& tasks,
                       options.release_jitter.size() == tasks.size(),
                   "release_jitter must have one entry per task");
   for (const Time j : options.release_jitter) LPFPS_CHECK(j >= 0.0);
-  LPFPS_CHECK(options.timer_granularity >= 0.0);
   options.faults.validate(tasks.size());
-  options.containment.validate();
   tasks.validate();
   processor.validate();
   policy.validate();
-  if (tasks.has_weakly_hard() &&
-      options.weakly_hard.policy != weakly_hard::SkipPolicy::kNever) {
-    // Throttling resumes a job across enforcement windows, settling its
-    // forfeited windows out of instance order — the governor's history
-    // masks (and the auditor's replay) require in-order settlement.
-    // Throttling *is* already a weakly-hard degradation mechanism; use
-    // kill containment alongside the governor instead.
-    LPFPS_CHECK_MSG(
-        options.containment.on_overrun != faults::OverrunAction::kThrottle,
-        "throttle containment cannot combine with the weakly-hard governor");
-  }
   return tasks;
 }
 
@@ -151,28 +137,12 @@ void SimState::start_job(TaskIndex index) {
   JobState& state = job(index);
   auto& instance = next_instance_[static_cast<std::size_t>(index)];
   const sched::Task& t = task(index);
-  if (state.throttled) {
-    // Resuming a throttled job: it keeps its identity (instance,
-    // release, deadline) and residual demand; only the enforcement
-    // window is new, with a freshly replenished budget.
-    state.throttled = false;
-    state.window_release = static_cast<Time>(t.phase) +
-                           static_cast<Time>(instance * t.period);
-    ++instance;
-    state.budget_used = 0.0;
-    state.overhead = 0.0;
-    state.over_budget = false;
-    return;
-  }
   state.instance = instance++;
   state.release = static_cast<Time>(t.phase) +
                   static_cast<Time>(state.instance * t.period);
-  state.window_release = state.release;
   state.executed = 0.0;
-  state.budget_used = 0.0;
   state.overhead = 0.0;
   state.over_budget = false;
-  state.throttled = false;
   const exec::ExecutionTimeModel* model =
       faulty_model_ != nullptr ? faulty_model_.get() : exec_model_.get();
   if (model != nullptr) {
@@ -196,9 +166,6 @@ void SimState::start_job(TaskIndex index) {
 // 4-vCPU x86-64 host.
 inline bool SimState::release_job(TaskIndex index) {
   start_job(index);
-  // Throttle containment is banned while the governor is armed
-  // (validate_spec), so every entry reaching the governor is a fresh
-  // release.
   if (governor_armed()) {
     note_release_pressure(index);
     if (weakly_hard_should_skip(index)) {
@@ -244,10 +211,9 @@ Time SimState::next_arrival_for_active() const {
     return best;
   }
   // Single-task system: the processor is free until the task's own next
-  // period begins (the enforcement window's end, which coincides with
-  // the release for uncontained jobs).
+  // period begins.
   const JobState& state = jobs_[static_cast<std::size_t>(active_)];
-  return state.window_release + static_cast<Time>(task(active_).period);
+  return state.release + static_cast<Time>(task(active_).period);
 }
 
 bool SimState::weakly_hard_should_skip(TaskIndex index) const {
@@ -296,7 +262,7 @@ void SimState::skip_released_job(TaskIndex index) {
   }
   settle_weakly_hard(index, /*met=*/false, /*skipped=*/true);
   delay_queue_.insert(
-      {index, job(index).window_release + static_cast<Time>(t.period)});
+      {index, job(index).release + static_cast<Time>(t.period)});
 }
 
 void SimState::settle_weakly_hard(TaskIndex index, bool met, bool skipped) {
@@ -384,12 +350,7 @@ void SimState::enter_power_down() {
   if (!state.has_value()) return;  // Gap too short for any state.
   const Time latency =
       state->wakeup_cycles / processor_->frequencies.f_max();
-  TimePoint timer{*release, -latency};  // L14.
-  if (options_->timer_granularity > 0.0) {
-    // Tick-based kernels wake on the grid: round down (early is safe).
-    timer = at(std::floor(timer.absolute() / options_->timer_granularity) *
-               options_->timer_granularity);
-  }
+  const TimePoint timer{*release, -latency};  // L14.
   if (!tp_definitely_greater(timer, now_)) return;  // Too close to sleep.
   state_ = CpuState::kPowerDown;
   wake_at_ = timer;
@@ -547,7 +508,7 @@ void SimState::finish_active_job() {
   }
 
   delay_queue_.insert(
-      {active_, state.window_release + static_cast<Time>(t.period)});
+      {active_, state.release + static_cast<Time>(t.period)});
   active_ = kNoTask;
   state_ = CpuState::kIdle;
   maybe_detect_ramp_fault();
@@ -563,17 +524,10 @@ void SimState::on_budget_exhausted() {
   // demand is in the system, so permitted skips may now be spent.
   if (governor_armed()) overload_dynamic_ = true;
   enter_safe_mode();
-  switch (options_->containment.on_overrun) {
-    case faults::OverrunAction::kNone:
-      // Monitor only: the overrunning job keeps the CPU (at base speed
-      // once the safe-mode ramp lands) until its true demand drains.
-      break;
-    case faults::OverrunAction::kThrottle:
-      throttle_active_job();
-      break;
-    case faults::OverrunAction::kKill:
-      kill_active_job();
-      break;
+  // Monitor only (kNone): the overrunning job keeps the CPU (at base
+  // speed once the safe-mode ramp lands) until its true demand drains.
+  if (options_->containment.on_overrun == faults::OverrunAction::kKill) {
+    kill_active_job();
   }
 }
 
@@ -596,31 +550,20 @@ void SimState::kill_active_job() {
   end_plan();
 }
 
-void SimState::throttle_active_job() {
-  JobState& state = job(active_);
-  ++result_.jobs_throttled;
-  state.throttled = true;
-  requeue_contained_task(active_);
-  active_ = kNoTask;
-  state_ = CpuState::kIdle;
-  end_plan();
-}
-
 void SimState::requeue_contained_task(TaskIndex index) {
   const sched::Task& t = task(index);
   auto& instance = next_instance_[static_cast<std::size_t>(index)];
   Time next_release = static_cast<Time>(t.phase) +
                       static_cast<Time>(instance * t.period);
-  // Enforcement windows the overrun already consumed are forfeited
-  // (skippable-instance semantics): releasing them retroactively could
-  // only cascade lateness.  With a schedulable declared demand the
-  // budget exhausts before the window ends, so nothing is skipped.
+  // Periods the overrun already consumed are forfeited (skippable-
+  // instance semantics): releasing them retroactively could only
+  // cascade lateness.  With a schedulable declared demand the budget
+  // exhausts before the next release, so nothing is skipped.
   while (tp_definitely_greater(now_, at(next_release))) {
     ++instance;
     ++result_.jobs_skipped;
-    // Each forfeited window is a failed delivery in the task's (m,k)
-    // ledger, settled here in instance order (kill settles the aborted
-    // instance first; throttle never combines with the governor).
+    // Each forfeited release is a failed delivery in the task's (m,k)
+    // ledger, settled here in instance order, after the killed one.
     settle_weakly_hard(index, /*met=*/false, /*skipped=*/false);
     next_release = static_cast<Time>(t.phase) +
                    static_cast<Time>(instance * t.period);
@@ -697,7 +640,6 @@ void SimState::advance_to(const TimePoint& next) {
       LPFPS_CHECK(active_ != kNoTask);
       const Work done = power::work_done(ratio_, s, dt);
       job(active_).executed += done;
-      if (detection_enabled_) job(active_).budget_used += done;
       charged = s == 0.0 ? accumulator_.add_run(dt, ratio_)
                          : accumulator_.add_run_ramp(dt, ratio_, end_ratio,
                                                      effective_ramp_rate_);
@@ -882,7 +824,7 @@ void SimState::step() {
     }
     if (detection_enabled_ && !state.over_budget) {
       const Work budget_left = snap_nonnegative(
-          (task(active_).wcet + state.overhead) - state.budget_used);
+          (task(active_).wcet + state.overhead) - state.executed);
       const Time budget_window = span(now_, next);
       const auto tau_budget = power::time_to_complete(
           ratio_, slope(), budget_window, budget_left);
@@ -1017,7 +959,6 @@ SimulationResult SimState::finish() {
     result_.mk_violations = governor_.mk_violations();
     result_.weakly_hard_worst_slack = governor_.worst_window_slack();
   }
-  if (options_->record_trace) result_.trace->check_invariants();
   return std::move(result_);
 }
 

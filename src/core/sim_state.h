@@ -122,19 +122,16 @@ enum class CpuState : std::uint8_t {
   kWakeUp,     ///< Returning from power-down (full power, no work).
 };
 
-/// Per-task in-flight job bookkeeping (E_i of the paper).
+/// Per-task in-flight job bookkeeping (E_i of the paper).  A job's
+/// budget-enforcement window is the job itself: its budget C_i plus
+/// `overhead` is spent by `executed` and ends with the job.
 struct JobState {
   std::int64_t instance = 0;
   Time release = 0.0;
   Work total_work = 0.0;  ///< This instance's actual execution time.
   Work executed = 0.0;    ///< E_i: work consumed so far.
-  // Budget-enforcement bookkeeping; inert (and never read) unless
-  // faults or containment are configured.
-  Time window_release = 0.0;  ///< Release of the enforcement window.
-  Work budget_used = 0.0;     ///< Work consumed against the window budget.
-  Work overhead = 0.0;        ///< Context-switch work past the nominal WCET.
-  bool over_budget = false;   ///< Exhaustion latch: one firing per window.
-  bool throttled = false;     ///< Suspended; the next start_job resumes it.
+  Work overhead = 0.0;    ///< Context-switch work past the nominal WCET.
+  bool over_budget = false;  ///< Exhaustion latch: one firing per job.
 };
 
 }  // namespace detail
@@ -232,11 +229,8 @@ class SimState {
   void on_budget_exhausted();
   /// Aborts the active job at its budget (OverrunAction::kKill).
   void kill_active_job();
-  /// Suspends the active job to its next period window, where its
-  /// budget replenishes (OverrunAction::kThrottle).
-  void throttle_active_job();
-  /// Re-inserts a contained task into the delay queue at its next
-  /// enforcement-window boundary, forfeiting windows already overrun.
+  /// Re-inserts a killed task into the delay queue at its next release,
+  /// forfeiting the periods its overrun already consumed.
   void requeue_contained_task(TaskIndex index);
   /// Latches safe mode: cancel the DVS plan, ramp to base, and decline
   /// slowdowns/power-downs until the next idle instant.

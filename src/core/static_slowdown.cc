@@ -1,39 +1,42 @@
 #include "core/static_slowdown.h"
 
-#include <cmath>
+#include <algorithm>
+#include <vector>
 
 #include "common/check.h"
 #include "sched/analysis.h"
 
 namespace lpfps::core {
 
-sched::TaskSet scale_to_ratio(const sched::TaskSet& tasks, Ratio ratio) {
-  LPFPS_CHECK(ratio > 0.0 && ratio <= 1.0 + 1e-12);
-  sched::TaskSet scaled = tasks;
-  for (TaskIndex i = 0; i < static_cast<TaskIndex>(scaled.size()); ++i) {
-    sched::Task& t = scaled.at(i);
-    t.wcet /= ratio;
-    t.bcet /= ratio;
-    LPFPS_CHECK_MSG(t.wcet <= static_cast<double>(t.deadline),
-                    t.name + ": WCET at this ratio exceeds the deadline");
+namespace {
+
+/// schedulable_at_ratio on a set already validated, with D <= T
+/// checked: the RTA over every WCET divided by `ratio`, in `scaled`.
+bool schedulable_scaled(const sched::TaskSet& tasks, Ratio ratio,
+                        std::vector<double>& scaled) {
+  scaled.resize(tasks.size());
+  for (std::size_t i = 0; i < scaled.size(); ++i) {
+    scaled[i] = tasks.tasks()[i].wcet / ratio;
   }
-  return scaled;
+  return sched::schedulable_with_wcets(tasks.tasks(), scaled);
 }
 
+}  // namespace
+
 bool schedulable_at_ratio(const sched::TaskSet& tasks, Ratio ratio) {
-  // A scaled WCET above its deadline is a trivially infeasible ratio,
-  // not a contract violation.
-  for (const sched::Task& t : tasks.tasks()) {
-    if (t.wcet / ratio > static_cast<double>(t.deadline)) return false;
-  }
-  return sched::is_schedulable_rta(scale_to_ratio(tasks, ratio));
+  tasks.validate();
+  sched::check_constrained_deadlines(tasks);
+  LPFPS_CHECK(ratio > 0.0 && ratio <= 1.0 + 1e-12);
+  std::vector<double> scaled;
+  return schedulable_scaled(tasks, ratio, scaled);
 }
 
 std::optional<Ratio> min_feasible_static_ratio(
     const sched::TaskSet& tasks,
     const power::FrequencyTable& frequencies) {
-  tasks.validate();
+  // Validates the set and checks D <= T, once for every probe below.
   if (!sched::is_schedulable_rta(tasks)) return std::nullopt;
+  std::vector<double> scaled;
 
   // Utilization is a hard floor: below U the processor cannot keep up
   // regardless of priorities.
@@ -43,19 +46,19 @@ std::optional<Ratio> min_feasible_static_ratio(
     for (const MegaHertz level : frequencies.levels()) {
       const Ratio ratio = frequencies.ratio_of(level);
       if (ratio < floor) continue;
-      if (schedulable_at_ratio(tasks, ratio)) return ratio;
+      if (schedulable_scaled(tasks, ratio, scaled)) return ratio;
     }
     return 1.0;  // Schedulable at full speed by the check above.
   }
 
   const Ratio lowest = frequencies.f_min() / frequencies.f_max();
   Ratio lo = std::max(lowest, floor);
-  if (schedulable_at_ratio(tasks, lo)) return lo;
+  if (schedulable_scaled(tasks, lo, scaled)) return lo;
   Ratio hi = 1.0;
   // Invariant: infeasible at lo, feasible at hi.
   while (hi - lo > 1e-6) {
     const Ratio mid = (lo + hi) / 2.0;
-    if (schedulable_at_ratio(tasks, mid)) {
+    if (schedulable_scaled(tasks, mid, scaled)) {
       hi = mid;
     } else {
       lo = mid;

@@ -17,12 +17,9 @@
 
 namespace lpfps::core {
 
-/// The task set scaled to run at `ratio`: every WCET (and BCET)
-/// multiplied by 1/ratio.  Periods, deadlines, phases, priorities are
-/// unchanged.  Throws if any scaled WCET exceeds its deadline.
-sched::TaskSet scale_to_ratio(const sched::TaskSet& tasks, Ratio ratio);
-
-/// True if the set remains RTA-schedulable when run at `ratio`.
+/// True if the set remains RTA-schedulable when run at `ratio` in
+/// (0, 1]: every WCET divided by `ratio` (one past its deadline is
+/// infeasible, not an error).  Validates the set and checks D <= T.
 bool schedulable_at_ratio(const sched::TaskSet& tasks, Ratio ratio);
 
 /// The smallest available frequency ratio at which the set is still

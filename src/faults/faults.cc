@@ -54,17 +54,10 @@ const char* to_string(OverrunAction action) {
   switch (action) {
     case OverrunAction::kNone:
       return "none";
-    case OverrunAction::kThrottle:
-      return "throttle";
     case OverrunAction::kKill:
       return "kill";
   }
   return "?";
-}
-
-void ContainmentPolicy::validate() const {
-  // All representable states are valid today; the hook exists so new
-  // fields (e.g. a budget epsilon) get a domain check alongside.
 }
 
 }  // namespace lpfps::faults

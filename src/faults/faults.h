@@ -90,11 +90,9 @@ struct FaultPlan {
 
 /// What the kernel does when the active job exhausts its WCET budget.
 enum class OverrunAction : std::uint8_t {
-  kNone,      ///< Detect and count only; the job keeps running.
-  kThrottle,  ///< Suspend the job; resume with a fresh budget at the
-              ///< task's next period boundary (weakly-hard degradation).
-  kKill,      ///< Abort the job at the budget boundary; remaining work
-              ///< is discarded (skippable-task semantics).
+  kNone,  ///< Detect and count only; the job keeps running.
+  kKill,  ///< Abort the job at the budget boundary; remaining work is
+          ///< discarded (skippable-task semantics).
 };
 
 const char* to_string(OverrunAction action);
@@ -111,7 +109,6 @@ struct ContainmentPolicy {
   bool enabled() const {
     return on_overrun != OverrunAction::kNone || safe_mode_fallback;
   }
-  void validate() const;
 };
 
 }  // namespace lpfps::faults

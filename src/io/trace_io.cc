@@ -127,7 +127,7 @@ std::string result_csv_row(const core::SimulationResult& result) {
 
 std::string result_fault_csv_header() {
   return "policy,overruns_detected,ramp_faults_detected,"
-         "late_wakeups_detected,jobs_killed,jobs_throttled,jobs_skipped,"
+         "late_wakeups_detected,jobs_killed,jobs_skipped,"
          "safe_mode_entries,jobs_skipped_weakly,mk_violations,"
          "worst_window_slack\n";
 }
@@ -159,8 +159,6 @@ std::string result_fault_csv_row(const core::SimulationResult& result) {
   out += std::to_string(result.late_wakeups_detected);
   out += ',';
   out += std::to_string(result.jobs_killed);
-  out += ',';
-  out += std::to_string(result.jobs_throttled);
   out += ',';
   out += std::to_string(result.jobs_skipped);
   out += ',';

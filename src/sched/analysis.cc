@@ -94,6 +94,14 @@ bool is_schedulable_rta(const TaskSet& tasks) {
       tasks, [&](TaskIndex i) { return plain_response_time(tasks, i, 0.0); });
 }
 
+bool schedulable_with_wcets(const std::vector<Task>& tasks,
+                            const std::vector<double>& wcet) {
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (!response_fixed_point(tasks, wcet, i, 0.0).has_value()) return false;
+  }
+  return true;
+}
+
 // Why a task the bound clears is feasible under the float iteration.
 // Notation: c_j = wcet[j]; T_j and D_i are the integer periods and
 // deadline as doubles; u = 2^-53; n = tasks.size(); G is the real step
@@ -253,17 +261,15 @@ bool is_schedulable_extended(const TaskSet& tasks,
 
 double critical_scaling_factor(const TaskSet& tasks, double tolerance) {
   tasks.validate();
+  check_constrained_deadlines(tasks);
   LPFPS_CHECK(tolerance > 0.0);
 
+  std::vector<double> scaled(tasks.size());
   const auto schedulable_scaled = [&](double alpha) {
-    TaskSet scaled = tasks;
-    for (TaskIndex i = 0; i < static_cast<TaskIndex>(scaled.size()); ++i) {
-      Task& t = scaled.at(i);
-      t.wcet *= alpha;
-      t.bcet = std::min(t.bcet * alpha, t.wcet);
-      if (t.wcet > static_cast<double>(t.deadline)) return false;
+    for (std::size_t i = 0; i < scaled.size(); ++i) {
+      scaled[i] = tasks.tasks()[i].wcet * alpha;
     }
-    return is_schedulable_rta(scaled);
+    return schedulable_with_wcets(tasks.tasks(), scaled);
   };
 
   // Bracket: utilization bounds alpha above by 1/U (processor capacity).

@@ -10,8 +10,8 @@
 //    paper.
 //
 // Every response-time analysis in the library (plain, jitter and
-// blocking, admission's scaled WCETs, degraded (m,k)) runs the one
-// kernel solve_response_time with its own interference term.
+// blocking, scaled WCETs, degraded (m,k)) runs the one kernel
+// solve_response_time with its own interference term.
 #pragma once
 
 #include <algorithm>
@@ -96,6 +96,35 @@ std::optional<Time> solve_response_time(const std::vector<Task>& tasks,
   }
   return std::nullopt;
 }
+
+/// Task i's response under the WCET view `wcet` (wcet[j] stands in for
+/// tasks[j].wcet) from max(seed, wcet[i]) (pass 0 for C_i): bitwise
+/// response_time_from_seed's on the set with those WCETs materialised,
+/// or nullopt when wcet[i] alone overruns D_i or the response is
+/// definitely past D_i.  Checks nothing; the caller has checked D <= T.
+/// Inline: admission's level and headroom probes call it per task.
+inline std::optional<Time> response_fixed_point(const std::vector<Task>& tasks,
+                                                const std::vector<double>& wcet,
+                                                std::size_t i, Time seed) {
+  const double deadline = static_cast<double>(tasks[i].deadline);
+  if (wcet[i] > deadline) return std::nullopt;  // C_i alone overruns D_i.
+  const std::optional<Time> r = solve_response_time(
+      tasks, i, wcet[i], seed,
+      [c = wcet.data()](const Task&, std::size_t j, double n) {
+        return n * c[j];
+      });
+  if (r.has_value() && definitely_greater(*r, deadline)) return std::nullopt;
+  return r;
+}
+
+/// The whole-set verdict over a WCET view: every task's
+/// response_fixed_point from C_i exists.  Equals is_schedulable_rta on
+/// the set with those WCETs materialised when every wcet[i] <= D_i;
+/// one past its deadline makes the set infeasible, not invalid.  Builds
+/// no TaskSet and checks nothing; the caller has validated the set and
+/// checked D <= T once.
+bool schedulable_with_wcets(const std::vector<Task>& tasks,
+                            const std::vector<double>& wcet);
 
 /// The whole-set RTA verdict: every task's response(i) exists and is not
 /// definitely past its deadline.
@@ -231,10 +260,12 @@ bool is_schedulable_extended(const TaskSet& tasks,
 
 /// The critical scaling factor: the largest multiplier alpha such that
 /// the set stays RTA-schedulable with every WCET scaled by alpha
-/// (bisection to `tolerance`).  alpha < 1 means unschedulable as given;
-/// alpha == 1 + epsilon characterizes "just meets schedulability"
-/// (paper §2.3's Table 1 has alpha ~= 1).  Its reciprocal is the
-/// minimal feasible static clock ratio on a continuous table.
+/// (bisection to `tolerance`; each probe runs schedulable_with_wcets
+/// over wcet * alpha).  Validates the set and checks D <= T once.
+/// alpha < 1 means unschedulable as given; alpha == 1 + epsilon
+/// characterizes "just meets schedulability" (paper §2.3's Table 1 has
+/// alpha ~= 1).  Its reciprocal is the minimal feasible static clock
+/// ratio on a continuous table.
 double critical_scaling_factor(const TaskSet& tasks,
                                double tolerance = 1e-6);
 

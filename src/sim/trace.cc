@@ -64,6 +64,14 @@ void Trace::reserve(std::size_t segments, std::size_t jobs) {
 void Trace::add_segment(const Segment& segment) {
   LPFPS_CHECK_MSG(approx_le(segment.begin, segment.end),
                   "segment runs backwards");
+  LPFPS_CHECK_MSG(segment.mode != ProcessorMode::kRunning ||
+                      segment.task != kNoTask,
+                  "running segment names no task");
+  LPFPS_CHECK_MSG(segment.ratio_begin > 0.0 &&
+                      segment.ratio_begin <= 1.0 + kTimeEpsilon &&
+                      segment.ratio_end > 0.0 &&
+                      segment.ratio_end <= 1.0 + kTimeEpsilon,
+                  "segment speed ratio outside (0, 1]");
   if (approx_equal(segment.begin, segment.end)) return;
   if (!segments_.empty()) {
     LPFPS_CHECK_MSG(approx_equal(segments_.back().end, segment.begin),
@@ -112,21 +120,6 @@ std::vector<JobRecord> Trace::missed_jobs() const {
     if (job.missed_deadline) missed.push_back(job);
   }
   return missed;
-}
-
-void Trace::check_invariants() const {
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    const Segment& s = segments_[i];
-    LPFPS_CHECK(definitely_less(s.begin, s.end));
-    LPFPS_CHECK(s.ratio_begin > 0.0 && s.ratio_begin <= 1.0 + kTimeEpsilon);
-    LPFPS_CHECK(s.ratio_end > 0.0 && s.ratio_end <= 1.0 + kTimeEpsilon);
-    if (i > 0) {
-      LPFPS_CHECK(approx_equal(segments_[i - 1].end, s.begin));
-    }
-    if (s.mode == ProcessorMode::kRunning) {
-      LPFPS_CHECK(s.task != kNoTask);
-    }
-  }
 }
 
 namespace {

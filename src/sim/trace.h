@@ -74,10 +74,12 @@ class Trace {
 
   /// Appends a segment.  Zero-length segments are dropped.  Segments must
   /// be appended in order and contiguously (each begins where the previous
-  /// ended); adjacent segments that describe one stretch — same mode and
-  /// task, speed-continuous, and either both at constant speed or a
-  /// continuing ramp — are merged in place (the record-time coalescing
-  /// writer, the only one).
+  /// ended), a running segment must name a task, and both speed ratios
+  /// must lie in (0, 1 + epsilon]; a violation throws, so every trace
+  /// built here holds these invariants.  Adjacent segments that describe
+  /// one stretch — same mode and task, speed-continuous, and either both
+  /// at constant speed or a continuing ramp — are merged in place (the
+  /// record-time coalescing writer, the only one).
   void add_segment(const Segment& segment);
 
   void add_job(const JobRecord& job);
@@ -101,9 +103,6 @@ class Trace {
   /// this library; the engine also throws when a miss occurs unless miss
   /// recording is explicitly enabled).
   std::vector<JobRecord> missed_jobs() const;
-
-  /// Throws if segments are non-contiguous, overlap, or run backwards.
-  void check_invariants() const;
 
  private:
   std::vector<Segment> segments_;

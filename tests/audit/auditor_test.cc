@@ -412,7 +412,8 @@ TEST(Auditor, CatchesALowerPriorityJobRunningAheadOfAPendingOne) {
 
 TEST(Auditor, PriorityCheckFollowsTheWorkConservingFlag) {
   // S1 and S3 both read the windows as the scheduler's pending set; a
-  // run that breaks that model (jitter, throttling) disarms both.
+  // run that breaks that model (jitter, kills that forfeit releases)
+  // disarms both.
   AuditOptions options;
   options.check_work_conserving = false;
   const AuditReport report =
@@ -517,23 +518,6 @@ TEST(Auditor, CatchesSurvivorPastBudgetUnderKill) {
       sim::Trace::unchecked(std::move(segments), std::move(jobs));
   const AuditReport report = audit_trace(
       trace, solo_tasks(), 200.0, fault_options(faults::OverrunAction::kKill));
-  EXPECT_TRUE(has_code(report, "F1.budget")) << report.to_string();
-}
-
-TEST(Auditor, CatchesThrottledDemandPastItsReplenishedBudgets) {
-  // A throttled job spanning one enforcement window holds one budget of
-  // C; 60 units of demand against C = 50 exceeds it.
-  auto segments = clean_segments();
-  segments[0].end = 60.0;
-  segments[1].begin = 60.0;
-  auto jobs = clean_jobs();
-  jobs[0].completion = 60.0;  // Spans a single 100-unit window.
-  jobs[0].executed = 60.0;
-  const sim::Trace trace =
-      sim::Trace::unchecked(std::move(segments), std::move(jobs));
-  const AuditReport report =
-      audit_trace(trace, solo_tasks(), 200.0,
-                  fault_options(faults::OverrunAction::kThrottle));
   EXPECT_TRUE(has_code(report, "F1.budget")) << report.to_string();
 }
 

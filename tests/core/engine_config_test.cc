@@ -106,50 +106,6 @@ TEST(EngineConfig, ContinuousTableStretchesExactly) {
   }
 }
 
-TEST(EngineConfig, TimerGranularityWakesOnTheGrid) {
-  // T=100, C=20, 10 us ticks: the 99.9 us timer rounds down to 90, so
-  // each period is run 20 + sleep [20,90) + wake 0.1 + NOP [90.1,100):
-  // 20 + 70*0.05 + 0.1 + 9.9*0.2 = 25.58.
-  EngineOptions opts = options(1000.0);
-  opts.timer_granularity = 10.0;
-  const SimulationResult result =
-      simulate(single_task(100, 20.0),
-               power::ProcessorConfig::arm8_default(),
-               SchedulerPolicy::lpfps_powerdown_only(), nullptr, opts);
-  EXPECT_NEAR(result.average_power, 25.58 / 100.0, 1e-6);
-  EXPECT_EQ(result.deadline_misses, 0);
-}
-
-TEST(EngineConfig, CoarseTicksDisablePowerDownEntirely) {
-  // Ticks as long as the period: the rounded timer lands at/before now.
-  EngineOptions opts = options(1000.0);
-  opts.timer_granularity = 100.0;
-  const SimulationResult result =
-      simulate(single_task(100, 20.0),
-               power::ProcessorConfig::arm8_default(),
-               SchedulerPolicy::lpfps_powerdown_only(), nullptr, opts);
-  EXPECT_EQ(result.power_downs, 0);
-  // Degenerates to the FPS busy-wait energy.
-  EXPECT_NEAR(result.average_power, 0.36, 1e-9);
-}
-
-TEST(EngineConfig, ZeroGranularityMatchesDefaultExactly) {
-  EngineOptions plain = options(1000.0);
-  EngineOptions gran = options(1000.0);
-  gran.timer_granularity = 0.0;
-  const double a =
-      simulate(single_task(100, 20.0),
-               power::ProcessorConfig::arm8_default(),
-               SchedulerPolicy::lpfps_powerdown_only(), nullptr, plain)
-          .total_energy;
-  const double b =
-      simulate(single_task(100, 20.0),
-               power::ProcessorConfig::arm8_default(),
-               SchedulerPolicy::lpfps_powerdown_only(), nullptr, gran)
-          .total_energy;
-  EXPECT_DOUBLE_EQ(a, b);
-}
-
 TEST(EngineConfig, ValidateRejectsBrokenConfigs) {
   power::ProcessorConfig cpu = power::ProcessorConfig::arm8_default();
   cpu.ramp_rate = 0.0;

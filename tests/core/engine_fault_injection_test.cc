@@ -1,13 +1,12 @@
 // Fault injection and containment: the engine must stay bit-identical
-// with the fault layer disarmed, contain injected overruns under
-// kill/throttle, detect ramp and wakeup faults, and fail toward plain
+// with the fault layer disarmed, contain injected overruns under kill,
+// detect ramp and wakeup faults, and fail toward plain
 // FPS under the safe-mode fallback — all while the trace auditor's
 // fault-aware battery stays clean.
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -104,7 +103,6 @@ TEST(FaultKill, CertainOverrunsAreKilledAtBudgetWithZeroMisses) {
   EXPECT_GT(result.safe_mode_entries, 0);
   EXPECT_EQ(result.deadline_misses, 0);
   EXPECT_EQ(result.jobs_completed, 0);  // p=1: every job is shed.
-  EXPECT_EQ(result.jobs_throttled, 0);
 
   ASSERT_TRUE(result.trace.has_value());
   for (const sim::JobRecord& job : result.trace->jobs()) {
@@ -197,47 +195,9 @@ TEST(FaultKill, AKillOnTheNextReleaseKeepsThatWindow) {
   expect_audit_clean(result, tasks, policy, opts);
 }
 
-TEST(FaultThrottle, OverrunsResumeWithReplenishedBudgets) {
-  // 1.6 C of demand against a 1.0 C budget: each job is suspended at
-  // its budget and finishes in its second window (a deliberate
-  // weakly-hard degradation — late completions count as misses).
-  const sched::TaskSet tasks = example();
-  const SchedulerPolicy policy = SchedulerPolicy::lpfps();
-  EngineOptions opts = traced_options(4000.0);
-  opts.throw_on_miss = false;
-  opts.faults.overruns = {{1.0, 0.6}};
-  opts.containment.on_overrun = faults::OverrunAction::kThrottle;
-  opts.containment.safe_mode_fallback = true;
-
-  const SimulationResult result =
-      simulate(tasks, cpu(), policy, nullptr, opts);
-
-  EXPECT_GT(result.jobs_throttled, 0);
-  EXPECT_EQ(result.overruns_detected, result.jobs_throttled);
-  EXPECT_EQ(result.jobs_killed, 0);
-  EXPECT_GT(result.safe_mode_entries, 0);
-
-  ASSERT_TRUE(result.trace.has_value());
-  int finished = 0;
-  for (const sim::JobRecord& job : result.trace->jobs()) {
-    if (!job.finished) continue;
-    ++finished;
-    const sched::Task& t = tasks[job.task];
-    // The full faulted demand ran: nothing was shed, only deferred.
-    EXPECT_NEAR(job.executed, 1.6 * t.wcet, 1e-6) << t.name;
-    // Budget ceiling: at most one replenishment per period window.
-    const double windows = std::ceil(
-        (job.completion - job.release) / static_cast<double>(t.period));
-    EXPECT_LE(job.executed, windows * t.wcet + 1e-6) << t.name;
-  }
-  EXPECT_GT(finished, 0);
-  EXPECT_EQ(result.jobs_completed, finished);
-  expect_audit_clean(result, tasks, policy, opts);
-}
-
 TEST(FaultMonitor, SafeModeEngagesOnDetectionWithoutDisplacingJobs) {
   // kNone + safe mode: overruns are detected and the engine runs full
-  // speed until idle, but no job is killed, throttled or skipped.
+  // speed until idle, but no job is killed or skipped.
   const sched::TaskSet tasks = example(0.4);
   const SchedulerPolicy policy = SchedulerPolicy::lpfps();
   EngineOptions opts = traced_options(8000.0);
@@ -254,7 +214,6 @@ TEST(FaultMonitor, SafeModeEngagesOnDetectionWithoutDisplacingJobs) {
   EXPECT_GT(result.overruns_detected, 0);
   EXPECT_GT(result.safe_mode_entries, 0);
   EXPECT_EQ(result.jobs_killed, 0);
-  EXPECT_EQ(result.jobs_throttled, 0);
   EXPECT_EQ(result.jobs_skipped, 0);
   expect_audit_clean(result, tasks, policy, opts);
 }
@@ -298,12 +257,13 @@ TEST(FaultWakeup, LateTimerIsDetectedAtTheWakeInstant) {
   expect_audit_clean(result, tasks, policy, opts);
 }
 
-TEST(FaultBitIdentity, ArmedThrottleUnderWcetChangesNothing) {
-  // Throttle containment with no faults, over many WCET hyperperiods:
-  // no job ever reaches its budget, so the run equals its plain twin.
+TEST(FaultBitIdentity, ArmedKillUnderWcetChangesNothing) {
+  // Kill containment with no faults, over many WCET hyperperiods: every
+  // job finishes exactly at its budget, which is in contract, so the
+  // run equals its plain twin.
   const sched::TaskSet tasks = example();
   EngineOptions armed_only = traced_options(40'000.0);
-  armed_only.containment.on_overrun = faults::OverrunAction::kThrottle;
+  armed_only.containment.on_overrun = faults::OverrunAction::kKill;
   const SimulationResult armed =
       simulate(tasks, cpu(), SchedulerPolicy::lpfps(), nullptr, armed_only);
   const SimulationResult plain = simulate(

@@ -3,7 +3,6 @@
 // DVS, each trigger of the overload latch, and the (m,k) ledger under
 // kill containment.
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -335,18 +334,6 @@ TEST(WeaklyHardContainment, KilledAndForfeitedJobsFailInTheLedger) {
   EXPECT_EQ(run.weakly_hard_worst_slack[1], -2);
   EXPECT_EQ(run.weakly_hard_worst_slack[0],
             weakly_hard::SkipGovernor::kHardTaskSlack);
-}
-
-TEST(WeaklyHardEngine, ThrottleContainmentCannotCombineWithGovernor) {
-  EngineOptions options = overload_options();
-  options.containment.on_overrun = faults::OverrunAction::kThrottle;
-  EXPECT_THROW(simulate(overloaded_tasks(), kCpu, SchedulerPolicy::fps(),
-                        nullptr, options),
-               std::logic_error);
-  // Disarmed (kNever), throttle is fine again.
-  options.weakly_hard.policy = weakly_hard::SkipPolicy::kNever;
-  EXPECT_NO_THROW(simulate(overloaded_tasks(), kCpu, SchedulerPolicy::fps(),
-                           nullptr, options));
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/engine.h"
 #include "sched/analysis.h"
 #include "sched/priority.h"
@@ -10,20 +12,6 @@
 
 namespace lpfps::core {
 namespace {
-
-TEST(ScaleToRatio, InflatesExecutionTimes) {
-  const sched::TaskSet scaled =
-      scale_to_ratio(workloads::example_table1(), 0.5);
-  EXPECT_DOUBLE_EQ(scaled[0].wcet, 20.0);
-  EXPECT_DOUBLE_EQ(scaled[2].wcet, 80.0);
-  EXPECT_EQ(scaled[0].period, 50);  // Periods untouched.
-}
-
-TEST(ScaleToRatio, RejectsWcetBeyondDeadline) {
-  // tau3 at ratio 0.3: 40/0.3 = 133 > deadline 100.
-  EXPECT_THROW(scale_to_ratio(workloads::example_table1(), 0.3),
-               std::logic_error);
-}
 
 TEST(SchedulableAtRatio, FullSpeedMatchesPlainRta) {
   const sched::TaskSet tasks = workloads::example_table1();
@@ -81,6 +69,19 @@ TEST(MinFeasibleRatio, ContinuousBisectionTightens) {
       tasks, power::FrequencyTable::continuous(8.0, 100.0));
   ASSERT_TRUE(ratio.has_value());
   EXPECT_NEAR(*ratio, 0.5, 1e-4);
+}
+
+TEST(SchedulableAtRatio, RejectsDeadlineBeyondPeriod) {
+  // The RTA's D <= T precondition is checked once, at entry, by every
+  // static-ratio entry point.
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("a", 100, 25.0));
+  tasks.add(sched::make_task("late", 50, 80, 10.0, 10.0));
+  sched::assign_rate_monotonic(tasks);
+  EXPECT_THROW(schedulable_at_ratio(tasks, 0.5), std::logic_error);
+  EXPECT_THROW(
+      min_feasible_static_ratio(tasks, power::FrequencyTable::arm8_like()),
+      std::logic_error);
 }
 
 TEST(MinFeasibleRatio, UnschedulableSetYieldsNullopt) {

@@ -90,7 +90,6 @@ TEST(ContainmentPolicy, EnabledByActionOrFallback) {
 
 TEST(OverrunAction, ToStringNamesEveryAction) {
   EXPECT_EQ(std::string(to_string(OverrunAction::kNone)), "none");
-  EXPECT_EQ(std::string(to_string(OverrunAction::kThrottle)), "throttle");
   EXPECT_EQ(std::string(to_string(OverrunAction::kKill)), "kill");
 }
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iomanip>
+#include <optional>
+#include <stdexcept>
+#include <vector>
 
 #include "core/static_slowdown.h"
 #include "sched/analysis.h"
@@ -139,6 +143,56 @@ TEST(CriticalScaling, PaperWorkloadHeadroomOrdering) {
   EXPECT_GT(cnc, avionics);
   EXPECT_GT(cnc, 1.8);
   EXPECT_LT(avionics, 1.3);
+}
+
+TEST(CriticalScaling, RejectsDeadlineBeyondPeriod) {
+  // The RTA's D <= T precondition is checked once, at entry.
+  TaskSet tasks;
+  tasks.add(make_task("a", 100, 25.0));
+  tasks.add(make_task("late", 50, 80, 10.0, 10.0));
+  assign_rate_monotonic(tasks);
+  EXPECT_THROW(critical_scaling_factor(tasks), std::logic_error);
+}
+
+TEST(ScaledWcets, FixedPointMatchesTheMaterialisedSetBitwise) {
+  // A WCET view is the plain RTA on the set with those WCETs written
+  // in: every response and whole-set verdict equals the copy's, to the
+  // last bit.  A view with a WCET past its deadline is infeasible.
+  for (const auto& w : lpfps::workloads::paper_workloads()) {
+    const std::vector<Task>& tasks = w.tasks.tasks();
+    for (const double alpha : {0.5, 0.9, 1.0, 1.05, 1.2, 1.6, 2.5}) {
+      TaskSet copy = w.tasks;
+      std::vector<double> scaled(tasks.size());
+      bool fits = true;
+      for (TaskIndex i = 0; i < static_cast<TaskIndex>(copy.size()); ++i) {
+        Task& t = copy.at(i);
+        t.wcet *= alpha;
+        t.bcet = std::min(t.bcet * alpha, t.wcet);
+        scaled[static_cast<std::size_t>(i)] = t.wcet;
+        fits = fits && t.wcet <= static_cast<double>(t.deadline);
+      }
+      if (!fits) {
+        EXPECT_FALSE(schedulable_with_wcets(tasks, scaled))
+            << w.name << " alpha " << alpha;
+        continue;
+      }
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const std::optional<Time> view =
+            response_fixed_point(tasks, scaled, i, 0.0);
+        const std::optional<Time> materialised =
+            response_time(copy, static_cast<TaskIndex>(i));
+        ASSERT_EQ(view.has_value(), materialised.has_value())
+            << w.name << " alpha " << alpha << " task " << i;
+        if (view.has_value()) {
+          EXPECT_EQ(*view, *materialised)
+              << w.name << " alpha " << alpha << " task " << i;
+        }
+      }
+      EXPECT_EQ(schedulable_with_wcets(tasks, scaled),
+                is_schedulable_rta(copy))
+          << w.name << " alpha " << alpha;
+    }
+  }
 }
 
 }  // namespace

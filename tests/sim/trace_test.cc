@@ -152,11 +152,23 @@ TEST(Trace, MissedJobsFilter) {
   EXPECT_EQ(trace.missed_jobs()[0].task, 1);
 }
 
-TEST(Trace, CheckInvariantsAcceptsWellFormed) {
+TEST(Trace, RejectsRunningSegmentWithoutTask) {
   Trace trace;
-  trace.add_segment(seg(0.0, 5.0, ProcessorMode::kRunning, 0));
-  trace.add_segment(seg(5.0, 7.0, ProcessorMode::kIdleBusyWait));
-  EXPECT_NO_THROW(trace.check_invariants());
+  EXPECT_THROW(trace.add_segment(seg(0.0, 5.0, ProcessorMode::kRunning)),
+               std::logic_error);
+  EXPECT_TRUE(trace.segments().empty());
+}
+
+TEST(Trace, RejectsRatioOutsideUnitInterval) {
+  Trace trace;
+  EXPECT_THROW(
+      trace.add_segment(seg(0.0, 5.0, ProcessorMode::kRunning, 0, 0.0, 0.5)),
+      std::logic_error);
+  EXPECT_THROW(
+      trace.add_segment(seg(0.0, 5.0, ProcessorMode::kRamping, kNoTask, 1.0,
+                            1.5)),
+      std::logic_error);
+  EXPECT_TRUE(trace.segments().empty());
 }
 
 TEST(GanttRender, PaintsTaskRows) {
