@@ -324,10 +324,7 @@ class Auditor {
       return;
     }
     const double reps = options_.ratio_epsilon;
-    // Physical slope checks measure the clock the hardware actually ran
-    // (a ramp fault slows it); planning checks keep the spec rate.
-    const double rho =
-        cpu_ != nullptr ? cpu_->ramp_rate * options_.ramp_rate_factor : 0.0;
+    const double rho = cpu_ != nullptr ? cpu_->ramp_rate : 0.0;
     const Ratio floor_ratio =
         cpu_ != nullptr
             ? cpu_->frequencies.f_min() / cpu_->frequencies.f_max()
@@ -864,7 +861,7 @@ class Auditor {
   void check_faults() {
     const Work wtol = options_.work_epsilon;
     std::int64_t killed_records = 0;
-    std::vector<Time> detections;  ///< Derived anomaly-detection instants.
+    std::vector<Time> detections;  ///< Derived overrun-detection instants.
 
     for (const sim::JobRecord& job : trace_.jobs()) {
       if (job.task < 0 || static_cast<std::size_t>(job.task) >= task_count()) {
@@ -934,7 +931,7 @@ class Auditor {
           if (s.ratio_end < s.ratio_begin - reps) {
             add("F2.decrease", s.begin,
                 "clock slows from " + fmt(s.ratio_begin) + " to " +
-                    fmt(s.ratio_end) + " after the anomaly detected at t=" +
+                    fmt(s.ratio_end) + " after the overrun detected at t=" +
                     fmt(at) + " (safe mode must hold full speed)");
             break;
           }
@@ -944,7 +941,7 @@ class Auditor {
             add("F2.slow", s.begin,
                 "steady ratio " + fmt(s.ratio_begin) + " < base " +
                     fmt(options_.base_ratio) +
-                    " after the anomaly detected at t=" + fmt(at) +
+                    " after the overrun detected at t=" + fmt(at) +
                     " (safe mode must hold full speed)");
             break;
           }
@@ -961,13 +958,11 @@ class Auditor {
                 " killed jobs");
       }
       if (options_.safe_mode_fallback) {
-        const std::int64_t detected = result_->overruns_detected +
-                                      result_->ramp_faults_detected +
-                                      result_->late_wakeups_detected;
-        if (detected > 0 && result_->safe_mode_entries == 0) {
+        if (result_->overruns_detected > 0 &&
+            result_->safe_mode_entries == 0) {
           add("F2.entry", 0.0,
-              std::to_string(detected) +
-                  " anomalies detected but safe_mode_entries=0 (fallback " +
+              std::to_string(result_->overruns_detected) +
+                  " overruns detected but safe_mode_entries=0 (fallback " +
                   "armed yet never engaged)");
         }
       }
@@ -1150,7 +1145,7 @@ class Auditor {
 
   void check_energy() {
     const power::PowerModel model = cpu_->make_power_model();
-    const double rho = cpu_->ramp_rate * options_.ramp_rate_factor;
+    const double rho = cpu_->ramp_rate;
     std::array<Energy, 5> energy{};
     std::array<Time, 5> time{};
     std::array<std::int64_t, 5> count{};

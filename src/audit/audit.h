@@ -109,10 +109,10 @@ struct AuditOptions {
   /// D1/D2: disable under release jitter (staged arrivals abort plans).
   bool check_dvs_plans = true;
 
-  /// Fault-aware auditing (docs/ROBUSTNESS.md).  Set when the run had a
-  /// non-empty faults::FaultPlan: relaxes J1 (instances may skip ahead
-  /// when containment forfeits windows) and J3 (overruns are the point)
-  /// while keeping every structural check armed.
+  /// Fault-aware auditing (docs/ROBUSTNESS.md).  Set when the run's
+  /// faults::FaultPlan armed an overrun: relaxes J1 (instances may skip
+  /// ahead when containment forfeits windows) and J3 (overruns are the
+  /// point) while keeping every structural check armed.
   bool faults_injected = false;
   /// The run's containment action.  kKill arms F1 (no surviving job
   /// past one budget) and F3 (kill-record shape and counter
@@ -130,12 +130,6 @@ struct AuditOptions {
   /// counter agreement — exempts governor-skipped releases from S2, and
   /// lets D1 plan windows extend past skipped arrivals (skip-aware DVS).
   bool weakly_hard = false;
-  /// Effective ramp-rate multiplier of an injected DVS ramp fault
-  /// (faults::RampFault::rho_factor).  T6 slope and E1 ramp-energy
-  /// re-integration use rho * ramp_rate_factor; planning checks (D1/D2)
-  /// must instead be disabled by the caller, as plans are built against
-  /// the spec rho.
-  double ramp_rate_factor = 1.0;
 };
 
 struct AuditReport {

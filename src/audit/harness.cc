@@ -57,31 +57,22 @@ AuditOptions derive_options(const core::SchedulerPolicy& policy,
   const bool jitter_free = options.release_jitter.empty();
 
   // Fault wiring (docs/ROBUSTNESS.md): arm the F checks and relax the
-  // invariants each fault model legitimately breaks.
+  // invariants an injected overrun legitimately breaks.
   const bool overruns = options.faults.overruns_enabled();
-  const bool ramp_fault = options.faults.ramp.enabled();
-  const bool wakeup_fault = options.faults.wakeup.enabled();
   const faults::OverrunAction action = options.containment.on_overrun;
-  audit.faults_injected = options.faults.any();
+  audit.faults_injected = overruns;
   audit.containment = action;
   audit.safe_mode_fallback = options.containment.safe_mode_fallback;
-  if (ramp_fault) audit.ramp_rate_factor = options.faults.ramp.rho_factor;
 
   // J3: a kill caps every surviving job at its budget, so the WCET bound
   // still holds; monitoring lets demand exceed it.
   const bool kills = action == faults::OverrunAction::kKill;
   if (overruns && !kills) audit.check_job_demand = false;
-  // S1: a late wakeup sleeps across a release; a kill may forfeit
-  // releases the nominal pending model still counts.
-  audit.check_work_conserving =
-      jitter_free && !wakeup_fault && !(overruns && kills);
-  // S2: a slow ramp breaks the full-speed-at-release promise until
-  // detection; a late wakeup is asleep at the release by construction.
-  audit.check_full_speed_at_releases =
-      jitter_free && !ramp_fault && !wakeup_fault;
-  // D1/D2: plans are built against the spec rho, which a ramp fault
-  // makes physically unattainable.
-  audit.check_dvs_plans = jitter_free && policy.uses_dvs() && !ramp_fault;
+  // S1: a kill may forfeit releases the nominal pending model still
+  // counts.
+  audit.check_work_conserving = jitter_free && !(overruns && kills);
+  audit.check_full_speed_at_releases = jitter_free;
+  audit.check_dvs_plans = jitter_free && policy.uses_dvs();
   // Weakly-hard governor (docs/WEAKLY_HARD.md): arm the W checks and
   // the skip-aware S2/D1 relaxations.  With no weakly-hard tasks the
   // run has no skip records and every W check is a no-op, so keying on
@@ -108,8 +99,6 @@ void CounterTotals::add(const core::SimulationResult& result) {
   simulated_time += result.simulated_time;
   total_energy += result.total_energy;
   overruns_detected += result.overruns_detected;
-  ramp_faults_detected += result.ramp_faults_detected;
-  late_wakeups_detected += result.late_wakeups_detected;
   jobs_killed += result.jobs_killed;
   jobs_skipped += result.jobs_skipped;
   safe_mode_entries += result.safe_mode_entries;
@@ -180,8 +169,6 @@ std::string AuditAggregator::write_report() const {
       .set("simulated_time_us", counters_.simulated_time)
       .set("total_energy", counters_.total_energy)
       .set("overruns_detected", counters_.overruns_detected)
-      .set("ramp_faults_detected", counters_.ramp_faults_detected)
-      .set("late_wakeups_detected", counters_.late_wakeups_detected)
       .set("jobs_killed", counters_.jobs_killed)
       .set("jobs_skipped", counters_.jobs_skipped)
       .set("safe_mode_entries", counters_.safe_mode_entries)

@@ -52,8 +52,6 @@ struct CounterTotals {
   /// Fault detection / containment totals (docs/ROBUSTNESS.md); all
   /// zero unless the batch injected faults or armed containment.
   std::int64_t overruns_detected = 0;
-  std::int64_t ramp_faults_detected = 0;
-  std::int64_t late_wakeups_detected = 0;
   std::int64_t jobs_killed = 0;
   std::int64_t jobs_skipped = 0;
   std::int64_t safe_mode_entries = 0;

@@ -1,5 +1,7 @@
 #include "common/math_utils.h"
 
+#include <charconv>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 
@@ -45,6 +47,13 @@ double clamp(double v, double lo, double hi) {
   if (v < lo) return lo;
   if (v > hi) return hi;
   return v;
+}
+
+std::string round_trip_string(double value) {
+  char buffer[32];
+  const std::to_chars_result written =
+      std::to_chars(std::begin(buffer), std::end(buffer), value);
+  return std::string(buffer, written.ptr);
 }
 
 }  // namespace lpfps

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace lpfps {
@@ -25,5 +26,9 @@ double lerp(double a, double b, double t);
 
 /// Clamps v into [lo, hi] (precondition: lo <= hi).
 double clamp(double v, double lo, double hi);
+
+/// `value` in its shortest round-trip form (2.5e-07, 1e+300, nan, inf),
+/// so an input error names exactly the number it rejected.
+std::string round_trip_string(double value);
 
 }  // namespace lpfps

@@ -93,17 +93,16 @@ struct EngineOptions {
   /// For a jittered run audit::derive_options disarms the auditor's
   /// S1-S3 and D checks, which assume visible nominal releases.
   std::vector<Time> release_jitter;
-  /// Fault injection (docs/ROBUSTNESS.md).  Overrun specs wrap the
-  /// execution-time model in exec::FaultyExecModel internally — this
-  /// plan is the single configuration point; do not pre-wrap the model
-  /// yourself.  Ramp and wakeup faults perturb the engine's physical
-  /// layer while every scheduling computation keeps using the spec
-  /// values.  A default-constructed (empty) plan leaves the engine
-  /// bit-identical to a fault-free build.
+  /// Fault injection (docs/ROBUSTNESS.md): the WCET overruns the
+  /// engine injects after each execution-time sample, one spec per task
+  /// index (or one for every task).  The execution-time model itself
+  /// must stay within the WCET, armed plan or not.  A
+  /// default-constructed (empty) plan leaves the engine bit-identical
+  /// to a fault-free build.
   faults::FaultPlan faults;
   /// Detection and containment: budget enforcement at WCET exhaustion
   /// (monitor or kill) and the safe-mode fallback that runs plain FPS
-  /// from the first detected anomaly until the next idle instant.
+  /// from the first detected overrun until the next idle instant.
   /// Enabling containment without faults changes nothing observable
   /// (in-contract jobs never exhaust their budget), which the
   /// differential test in tests/core/engine_fault_injection_test.cc

@@ -21,11 +21,8 @@ std::string SimulationResult::summary() const {
      << "queue high water  : run " << run_queue_high_water << ", delay "
      << delay_queue_high_water << "\n"
      << "mean running ratio: " << mean_running_ratio << "\n";
-  if (overruns_detected > 0 || ramp_faults_detected > 0 ||
-      late_wakeups_detected > 0 || safe_mode_entries > 0) {
-    os << "faults detected   : " << overruns_detected << " overruns, "
-       << ramp_faults_detected << " ramp faults, " << late_wakeups_detected
-       << " late wakeups\n"
+  if (overruns_detected > 0 || safe_mode_entries > 0) {
+    os << "faults detected   : " << overruns_detected << " overruns\n"
        << "containment       : " << jobs_killed << " killed, "
        << jobs_skipped
        << " releases skipped, " << safe_mode_entries

@@ -43,8 +43,6 @@ struct SimulationResult {
   /// from io::result_csv_row — the pre-fault row format is golden-hashed
   /// — and exported via io::result_fault_csv_row / bench JSON instead.
   int overruns_detected = 0;      ///< WCET-budget exhaustions observed.
-  int ramp_faults_detected = 0;   ///< Plans that returned to base late.
-  int late_wakeups_detected = 0;  ///< Wake timers that fired late.
   int jobs_killed = 0;            ///< Jobs aborted at their budget.
   /// Releases *displaced* by kill containment: periods an overrunning
   /// job consumed, forfeited when the task is requeued.  Not a

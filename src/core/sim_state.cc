@@ -4,7 +4,6 @@
 #include "core/sim_state.h"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,6 +11,7 @@
 #include "common/check.h"
 #include "common/float_compare.h"
 #include "core/speed_ratio.h"
+#include "faults/faults.h"
 #include "power/speed_profile.h"
 #include "sched/analysis.h"
 
@@ -83,8 +83,7 @@ SimState::SimState(const sched::TaskSet& tasks,
                    const exec::ExecModelPtr& exec_model,
                    const EngineOptions& options)
     // Validation comes first, so a bad spec throws before anything is
-    // built — in particular before the FaultyExecModel below, whose own
-    // overrun checks would otherwise report a bad fault plan differently.
+    // built.
     : tasks_(&validate_spec(tasks, processor, policy, options)),
       processor_(&processor),
       policy_(&policy),
@@ -95,17 +94,9 @@ SimState::SimState(const sched::TaskSet& tasks,
       accumulator_(&power_model_),
       jobs_(tasks.size()),
       next_instance_(tasks.size(), 0),
-      detection_enabled_(options.faults.any() || options.containment.enabled()),
-      faults_injected_(options.faults.any()),
-      ramp_fault_armed_(options.faults.ramp.enabled()),
-      // The physical ramp slope.  With no ramp fault this is the exact
-      // same double as the spec value, keeping fault-free runs
-      // bit-identical; under a fault the scheduler keeps planning with
-      // the spec rho while the hardware moves at this one.
-      effective_ramp_rate_(
-          ramp_fault_armed_
-              ? processor.ramp_rate * options.faults.ramp.rho_factor
-              : processor.ramp_rate),
+      detection_enabled_(options.faults.overruns_enabled() ||
+                         options.containment.enabled()),
+      overruns_armed_(options.faults.overruns_enabled()),
       // Weakly-hard governor wiring, resolved once: disarmed runs (no
       // weakly-hard tasks, or policy kNever) never touch any of it,
       // keeping them bit-identical to the hard engine.  begin() computes
@@ -118,15 +109,6 @@ SimState::SimState(const sched::TaskSet& tasks,
   delay_queue_.reserve(tasks.size());
   staged_.reserve(tasks.size());
   result_.per_task.resize(tasks.size());
-  if (options.faults.overruns_enabled()) {
-    std::vector<std::string> names;
-    names.reserve(tasks.size());
-    for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks.size()); ++i) {
-      names.push_back(tasks[i].name);
-    }
-    faulty_model_ = std::make_shared<exec::FaultyExecModel>(
-        exec_model, options.faults.overruns, std::move(names));
-  }
   if (governor_armed()) {
     skip_dvs_ = options.weakly_hard.skip_dvs;
     governor_.reset(tasks);
@@ -143,21 +125,28 @@ void SimState::start_job(TaskIndex index) {
   state.executed = 0.0;
   state.overhead = 0.0;
   state.over_budget = false;
-  const exec::ExecutionTimeModel* model =
-      faulty_model_ != nullptr ? faulty_model_.get() : exec_model_.get();
-  if (model != nullptr) {
-    state.total_work = model->sample(t, rng_);
+  if (exec_model_ != nullptr) {
+    state.total_work = exec_model_->sample(t, rng_);
     // Running longer than the WCET would void every guarantee; running
     // shorter than the nominal BCET is harmless (BCET only parameterizes
-    // execution-time models) and scenario models exploit it.  Injected
-    // overruns violate the upper bound by design — that is the lie the
-    // containment machinery exists to absorb.
+    // execution-time models) and scenario models exploit it.
     LPFPS_CHECK_MSG(state.total_work > 0.0 &&
-                        (faulty_model_ != nullptr ||
-                         state.total_work <= t.wcet + kTimeEpsilon),
+                        state.total_work <= t.wcet + kTimeEpsilon,
                     t.name);
   } else {
     state.total_work = t.wcet;
+  }
+  if (overruns_armed_) {
+    // Injected overruns violate the WCET by design — that is the lie the
+    // containment machinery exists to absorb.  One uniform draw decides
+    // whether this job overruns (none for a task whose spec is
+    // disabled); the size is fixed, so tests and the faulted-demand RTA
+    // in bench_fault_sweep know the inflated demand exactly.
+    const faults::OverrunFault& fault =
+        options_->faults.overrun_for(static_cast<std::size_t>(index));
+    if (fault.enabled() && rng_.uniform(0.0, 1.0) < fault.probability) {
+      state.total_work = t.wcet * (1.0 + fault.magnitude);
+    }
   }
 }
 
@@ -286,7 +275,7 @@ void SimState::try_slowdown() {
   // declared budget C_i (plus tracked kernel overhead), so the test
   // becomes: a job at or past its budget signals an overrun in
   // progress, not slack.
-  if (faulty_model_ != nullptr) {
+  if (overruns_armed_) {
     if (state.executed >= t.wcet + state.overhead - kTimeEpsilon) return;
   } else if (state.total_work > t.wcet + kTimeEpsilon) {
     return;
@@ -354,14 +343,6 @@ void SimState::enter_power_down() {
   if (!tp_definitely_greater(timer, now_)) return;  // Too close to sleep.
   state_ = CpuState::kPowerDown;
   wake_at_ = timer;
-  wake_programmed_ = timer;
-  if (options_->faults.wakeup.enabled() &&
-      rng_.uniform(0.0, 1.0) < options_->faults.wakeup.probability) {
-    // The timer hardware fires late; wake_programmed_ keeps the spec
-    // instant detection compares against when the wake finally lands.
-    wake_at_ =
-        after(timer, rng_.uniform(0.0, options_->faults.wakeup.max_delay));
-  }
   wake_end_ = kNeverPoint;
   sleep_power_fraction_ = state->power_fraction;
   sleep_wake_latency_ = latency;
@@ -455,7 +436,7 @@ void SimState::invoke_scheduler() {
 
   state_ = CpuState::kIdle;
   sample_queue_depths();
-  // An idle instant ends any safe-mode episode: the anomaly's backlog
+  // An idle instant ends any safe-mode episode: the overrun's backlog
   // has drained, so DVS and power-down become trustworthy again —
   // including at this very instant (the switch below may sleep).
   safe_mode_ = false;
@@ -511,7 +492,6 @@ void SimState::finish_active_job() {
       {active_, state.release + static_cast<Time>(t.period)});
   active_ = kNoTask;
   state_ = CpuState::kIdle;
-  maybe_detect_ramp_fault();
   end_plan();
 }
 
@@ -587,25 +567,9 @@ void SimState::enter_safe_mode() {
   }
 }
 
-void SimState::maybe_detect_ramp_fault() {
-  if (!ramp_fault_armed_ || !plan_ramping_up()) return;
-  if (ratio_ >= base_ratio_ - 1e-12) return;  // The ramp landed on time.
-  // The just-in-time plan commands ratio(t) = base - rho_spec *
-  // (plan_end - t) during its up-ramp (and base thereafter); a clock
-  // measurably below that trajectory means the physical regulator is
-  // slower than its spec.
-  const Ratio expected =
-      base_ratio_ -
-      processor_->ramp_rate * std::max(0.0, span(now_, plan_end_));
-  if (ratio_ < expected - 1e-9) {
-    ++result_.ramp_faults_detected;
-    enter_safe_mode();
-  }
-}
-
 double SimState::slope() const {
-  if (ratio_ < ramp_target_) return effective_ramp_rate_;
-  if (ratio_ > ramp_target_) return -effective_ramp_rate_;
+  if (ratio_ < ramp_target_) return processor_->ramp_rate;
+  if (ratio_ > ramp_target_) return -processor_->ramp_rate;
   return 0.0;
 }
 
@@ -642,7 +606,7 @@ void SimState::advance_to(const TimePoint& next) {
       job(active_).executed += done;
       charged = s == 0.0 ? accumulator_.add_run(dt, ratio_)
                          : accumulator_.add_run_ramp(dt, ratio_, end_ratio,
-                                                     effective_ramp_rate_);
+                                                     processor_->ramp_rate);
       auto& slot = result_.per_task[static_cast<std::size_t>(active_)];
       slot.time += dt;
       slot.energy += charged;
@@ -657,7 +621,7 @@ void SimState::advance_to(const TimePoint& next) {
         segment.mode = sim::ProcessorMode::kIdleBusyWait;
       } else {
         charged = accumulator_.add_idle_ramp(dt, ratio_, end_ratio,
-                                             effective_ramp_rate_);
+                                             processor_->ramp_rate);
         segment.mode = sim::ProcessorMode::kRamping;
       }
       break;
@@ -741,7 +705,7 @@ void SimState::step() {
   }
   // ---- settle sub-resolution transitions before anything else.
   if (ratio_ != ramp_target_ &&
-      power::ramp_duration(ratio_, ramp_target_, effective_ramp_rate_) <
+      power::ramp_duration(ratio_, ramp_target_, processor_->ramp_rate) <
           kTimeEpsilon) {
     // The residual transition is below the time resolution (either
     // float debris from a split ramp, or a near-instant ramp rate):
@@ -761,19 +725,15 @@ void SimState::step() {
   // due exactly now; handlers below clear every condition they fire
   // on, so the loop always progresses).
   TimePoint next_other = horizon_;
-  // Injected faults can break the fault-free invariant that the clock
-  // is back at base speed (and the CPU awake) before any release is
-  // due: a slow ramp regulator or a safe-mode redirect leaves the
-  // L1-L4 ramp-up in flight across a release, and a late wake timer
-  // leaves the CPU asleep through one.  The scheduler defers those
-  // releases (reinvoke_after_ramp_ / the wake handler serves them),
-  // so they must not pin the loop at the current instant — nor may an
-  // already-overslept release become a candidate in the past.
-  const bool ramp_locked = reinvoke_after_ramp_ && ratio_ != ramp_target_;
+  // Injected overruns can break the fault-free invariant that the clock
+  // is back at base speed before any release is due: a safe-mode
+  // redirect leaves the L1-L4 ramp-up in flight across a release.  The
+  // scheduler defers those releases (reinvoke_after_ramp_ serves them
+  // when the ramp lands), so they must not pin the loop at the current
+  // instant.  The CPU is always awake at a release: the L14 timer wakes
+  // it exactly `latency` early, so the wake-up ends on the release.
   const bool releases_blocked =
-      faults_injected_ &&
-      (ramp_locked || state_ == CpuState::kPowerDown ||
-       state_ == CpuState::kWakeUp);
+      overruns_armed_ && reinvoke_after_ramp_ && ratio_ != ramp_target_;
   if (const auto release = delay_queue_.next_release();
       release.has_value() && !releases_blocked) {
     const TimePoint candidate = at(*release);
@@ -782,7 +742,7 @@ void SimState::step() {
   if (ratio_ != ramp_target_) {
     const TimePoint candidate =
         after(now_, power::ramp_duration(ratio_, ramp_target_,
-                                         effective_ramp_rate_));
+                                         processor_->ramp_rate));
     if (tp_less(candidate, next_other)) next_other = candidate;
   }
   if (plan_rampup_start_.base != kNever &&
@@ -799,7 +759,7 @@ void SimState::step() {
       tp_less(shutdown_at_, next_other)) {
     next_other = shutdown_at_;
   }
-  if (!(faults_injected_ && ramp_locked)) {
+  if (!releases_blocked) {
     for (const StagedJob& staged : staged_) {
       if (tp_less(staged.ready, next_other)) next_other = staged.ready;
     }
@@ -876,27 +836,7 @@ void SimState::step() {
       ++result_.speed_changes;
     }
   }
-  if (ramp_fault_armed_ && plan_ramping_up() && ratio_ == base_ratio_ &&
-      ratio_ == ramp_target_) {
-    // The plan's return ramp has (finally) reached base speed.  Under
-    // a DVS ramp fault the physical slope is shallower than the spec
-    // rho the just-in-time plan was computed with, so the clock can
-    // still be below base at plan_end_ — the observable anomaly.
-    if (tp_definitely_greater(now_, plan_end_)) {
-      ++result_.ramp_faults_detected;
-      enter_safe_mode();
-    }
-    end_plan();
-  }
   if (state_ == CpuState::kPowerDown && tp_approx_le(wake_at_, now_)) {
-    if (detection_enabled_ &&
-        span(wake_programmed_, now_) > kTimeEpsilon) {
-      // The timer fired measurably after its programmed instant; the
-      // gap the power-down was sized for is already compromised.
-      ++result_.late_wakeups_detected;
-      enter_safe_mode();
-    }
-    wake_programmed_ = kNeverPoint;
     wake_at_ = kNeverPoint;
     const Time delay = sleep_wake_latency_;
     if (delay > 0.0) {

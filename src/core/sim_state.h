@@ -43,7 +43,6 @@
 #include "core/policy.h"
 #include "core/result.h"
 #include "exec/exec_model.h"
-#include "faults/faults.h"
 #include "power/energy.h"
 #include "power/power_model.h"
 #include "power/processor.h"
@@ -185,11 +184,6 @@ class SimState {
   bool release_job(TaskIndex task);
   /// Drops the DVS slowdown plan (no plan is active afterwards).
   void end_plan();
-  /// True while a plan runs and its up-ramp has begun.
-  bool plan_ramping_up() const {
-    return plan_end_.base != detail::kNever &&
-           plan_rampup_start_.base == detail::kNever;
-  }
   bool governor_armed() const {
     return skip_policy_ != weakly_hard::SkipPolicy::kNever;
   }
@@ -235,9 +229,6 @@ class SimState {
   /// Latches safe mode: cancel the DVS plan, ramp to base, and decline
   /// slowdowns/power-downs until the next idle instant.
   void enter_safe_mode();
-  /// Compares the clock against the plan's commanded spec trajectory at
-  /// the instant a plan ends; a measurable lag is a DVS ramp fault.
-  void maybe_detect_ramp_fault();
 
   // --- time advancement ------------------------------------------------
   /// Current ramp slope in ratio-units per microsecond (0 when steady).
@@ -325,18 +316,14 @@ class SimState {
   // Timeout-shutdown policy state.
   detail::TimePoint shutdown_at_ = detail::kNeverPoint;
 
-  // Fault injection / containment (resolved once at bind; all of it
+  // Overrun injection / containment (resolved once at bind; all of it
   // inert — and bit-identity preserving — when neither options->faults
   // nor options->containment is configured).
-  bool detection_enabled_ = false;  ///< Any fault or containment active.
-  bool faults_injected_ = false;    ///< FaultPlan actually perturbs the run.
-  bool ramp_fault_armed_ = false;
-  double effective_ramp_rate_ = 0.0;  ///< Physical rho (== spec if healthy).
-  /// The overrun wrapper around exec_model_; non-null exactly when the
-  /// fault plan lets jobs exceed their WCET.
-  exec::ExecModelPtr faulty_model_;
+  bool detection_enabled_ = false;  ///< Overruns armed or containment on.
+  /// The fault plan arms an overrun: start_job may give a job more
+  /// than its WCET.
+  bool overruns_armed_ = false;
   bool safe_mode_ = false;
-  detail::TimePoint wake_programmed_ = detail::kNeverPoint;  ///< Spec L14.
 
   // Weakly-hard skip governor (resolved once at bind; everything
   // below is inert — and bit-identity preserving — while skip_policy_

@@ -13,18 +13,16 @@
 //
 // Every model is stateless: sample() reads only the task and the
 // caller's generator, so one instance may be shared by any number of
-// simulations, on any number of threads.
+// simulations, on any number of threads.  No model overruns: the engine
+// checks every sample against the WCET and injects WCET overruns itself,
+// from EngineOptions::faults (core::SimState::start_job).
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/random.h"
 #include "common/units.h"
-#include "faults/faults.h"
 #include "sched/task.h"
 
 namespace lpfps::exec {
@@ -68,42 +66,5 @@ class BimodalModel final : public ExecutionTimeModel {
 };
 
 using ExecModelPtr = std::shared_ptr<const ExecutionTimeModel>;
-
-/// Fault-injection wrapper: delegates to an inner model, then — with
-/// the per-task probability of its faults::OverrunFault spec — replaces
-/// the sample with wcet * (1 + magnitude).  This is the *one* model
-/// whose results may legally violate the [BCET, WCET] postcondition;
-/// the engine only accepts over-WCET samples when its
-/// EngineOptions::faults plan declares overruns (and wraps the caller's
-/// model with this class itself), so a misbehaving ordinary model still
-/// trips the contract check.
-///
-/// Randomness discipline: one uniform draw per sample decides *whether*
-/// the job overruns; the overrun size is deterministic, so tests can
-/// predict the faulted demand exactly.  With every spec disabled the
-/// wrapper adds no draws and is sample-for-sample identical to `inner`.
-class FaultyExecModel final : public ExecutionTimeModel {
- public:
-  /// `inner` may be null (every non-faulted job takes its WCET, like
-  /// the engine's default).  `overruns` follows the FaultPlan
-  /// convention: empty = none, one entry = all tasks, else indexed per
-  /// task; `overrun_for(task_index)` resolves the spec.  Task identity
-  /// is keyed by the task's `priority` position not being available
-  /// here, so the model resolves specs by task *name* via the map built
-  /// from `task_names` (indexed like the TaskSet).
-  FaultyExecModel(ExecModelPtr inner,
-                  std::vector<faults::OverrunFault> overruns,
-                  std::vector<std::string> task_names);
-
-  Work sample(const sched::Task& task, Rng& rng) const override;
-  std::string name() const override;
-
- private:
-  const faults::OverrunFault& spec_for(const std::string& task_name) const;
-
-  ExecModelPtr inner_;
-  std::vector<faults::OverrunFault> overruns_;
-  std::map<std::string, std::size_t> index_by_name_;
-};
 
 }  // namespace lpfps::exec

@@ -1,28 +1,30 @@
 #include "faults/faults.h"
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 #include "common/check.h"
+#include "common/math_utils.h"
 
 namespace lpfps::faults {
 
 namespace {
+
 const OverrunFault kDisabledOverrun{};
+
 }  // namespace
 
 void OverrunFault::validate() const {
-  LPFPS_CHECK_MSG(probability >= 0.0 && probability <= 1.0,
-                  "overrun probability outside [0, 1]");
-  LPFPS_CHECK_MSG(magnitude >= 0.0, "overrun magnitude negative");
-}
-
-void RampFault::validate() const {
-  LPFPS_CHECK_MSG(rho_factor > 0.0 && rho_factor <= 1.0,
-                  "ramp rho_factor outside (0, 1]");
-}
-
-void WakeupFault::validate() const {
-  LPFPS_CHECK_MSG(probability >= 0.0 && probability <= 1.0,
-                  "wakeup probability outside [0, 1]");
-  LPFPS_CHECK_MSG(max_delay >= 0.0, "wakeup max_delay negative");
+  if (!(probability >= 0.0 && probability <= 1.0)) {
+    throw std::logic_error("overrun probability must lie in [0, 1], got " +
+                           round_trip_string(probability));
+  }
+  if (!(magnitude >= 0.0 && std::isfinite(magnitude))) {
+    throw std::logic_error(
+        "overrun magnitude must be finite and non-negative, got " +
+        round_trip_string(magnitude));
+  }
 }
 
 bool FaultPlan::overruns_enabled() const {
@@ -41,13 +43,15 @@ const OverrunFault& FaultPlan::overrun_for(std::size_t index) const {
 }
 
 void FaultPlan::validate(std::size_t task_count) const {
-  LPFPS_CHECK_MSG(overruns.empty() || overruns.size() == 1 ||
-                      overruns.size() == task_count,
-                  "FaultPlan::overruns must be empty, a single broadcast "
-                  "entry, or one entry per task");
+  if (!(overruns.empty() || overruns.size() == 1 ||
+        overruns.size() == task_count)) {
+    throw std::logic_error(
+        "FaultPlan::overruns must be empty, a single broadcast entry, or "
+        "one entry per task (" +
+        std::to_string(task_count) + "), got " +
+        std::to_string(overruns.size()) + " entries");
+  }
   for (const OverrunFault& fault : overruns) fault.validate();
-  ramp.validate();
-  wakeup.validate();
 }
 
 const char* to_string(OverrunAction action) {

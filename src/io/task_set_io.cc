@@ -1,6 +1,5 @@
 #include "io/task_set_io.h"
 
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iterator>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/math_utils.h"
 
 namespace lpfps::io {
 
@@ -42,15 +42,6 @@ bool parse_number(const std::string& token, double& out) {
   }
 }
 
-/// `value` in its shortest round-trip form (2.5e-07, 1e+300), so an
-/// error names the number the file holds.
-std::string format_value(double value) {
-  char buffer[32];
-  const std::to_chars_result written =
-      std::to_chars(std::begin(buffer), std::end(buffer), value);
-  return std::string(buffer, written.ptr);
-}
-
 /// `value` as an integer time: whole, positive (non-negative when
 /// `allow_zero`) and below 2^63, so the conversion is defined.
 std::int64_t to_time_integer(double value, int line, const char* field,
@@ -59,7 +50,7 @@ std::int64_t to_time_integer(double value, int line, const char* field,
   if (!in_domain || value != std::floor(value) || value >= 0x1p63) {
     fail(line, std::string(field) + " must be a " +
                    (allow_zero ? "non-negative" : "positive") +
-                   " integer below 2^63, got " + format_value(value));
+                   " integer below 2^63, got " + round_trip_string(value));
   }
   return static_cast<std::int64_t>(value);
 }
@@ -128,8 +119,8 @@ sched::TaskSet parse_task_set(std::istream& in) {
         // A repeated key is rejected, not resolved to its last value.
         if (slot->has_value()) {
           fail(line_number, key + " is given twice (" +
-                                format_value(**slot) + "), got " +
-                                format_value(value));
+                                round_trip_string(**slot) + "), got " +
+                                round_trip_string(value));
         }
         *slot = value;
       }
@@ -165,13 +156,13 @@ sched::TaskSet parse_task_set(std::istream& in) {
     const double bcet_value = bcet.value_or(*wcet);
     if (!(bcet_value > 0.0 && bcet_value <= *wcet)) {
       fail(line_number, "bcet must be positive and at most wcet (" +
-                            format_value(*wcet) + "), got " +
-                            format_value(bcet_value));
+                            round_trip_string(*wcet) + "), got " +
+                            round_trip_string(bcet_value));
     }
     if (!(*wcet <= static_cast<double>(deadline_us))) {
       fail(line_number, "wcet must be at most deadline (" +
                             std::to_string(deadline_us) + "), got " +
-                            format_value(*wcet));
+                            round_trip_string(*wcet));
     }
     try {
       tasks.add(sched::make_task(name, period_us, deadline_us, *wcet,

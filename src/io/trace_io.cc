@@ -126,8 +126,7 @@ std::string result_csv_row(const core::SimulationResult& result) {
 }
 
 std::string result_fault_csv_header() {
-  return "policy,overruns_detected,ramp_faults_detected,"
-         "late_wakeups_detected,jobs_killed,jobs_skipped,"
+  return "policy,overruns_detected,jobs_killed,jobs_skipped,"
          "safe_mode_entries,jobs_skipped_weakly,mk_violations,"
          "worst_window_slack\n";
 }
@@ -153,10 +152,6 @@ std::string result_fault_csv_row(const core::SimulationResult& result) {
   out += result.policy_name;
   out += ',';
   out += std::to_string(result.overruns_detected);
-  out += ',';
-  out += std::to_string(result.ramp_faults_detected);
-  out += ',';
-  out += std::to_string(result.late_wakeups_detected);
   out += ',';
   out += std::to_string(result.jobs_killed);
   out += ',';

@@ -7,17 +7,14 @@
 // lets the last bits of an energy sum drift.  This test closes that
 // gap for the power-accounting path: any change to how a ramp, run,
 // idle or sleep interval is charged (caching, reordering, a different
-// quadrature) must leave every pinned double unchanged.  Three kinds
-// of run per set and policy:
+// quadrature) must leave every pinned double unchanged.  Two kinds of
+// run per set and policy:
 //
 //   gauss       clamped-Gaussian execution;
 //   wcet@4H     the deterministic WCET model over four hyperperiods
 //               (recorded when the engine replayed repeated
 //               hyperperiods from cached energies; the pins still hold
-//               for the full simulation, bit for bit);
-//   ramp-fault  Gaussian execution with the regulator at half the spec
-//               rho, so every ramp is charged at an effective rho that
-//               differs from the one the scheduler plans with.
+//               for the full simulation, bit for bit).
 //
 // Pinned per run: total_energy, every by_mode[m].energy and every
 // per-task energy.  Regenerate data/golden/engine_energy.csv after an
@@ -85,10 +82,6 @@ std::map<std::string, std::string> compute_pins() {
     core::EngineOptions wcet = options;
     wcet.horizon = 4.0 * static_cast<Time>(tasks.hyperperiod());
 
-    core::EngineOptions ramp_fault = options;
-    ramp_fault.throw_on_miss = false;
-    ramp_fault.faults.ramp.rho_factor = 0.5;
-
     for (const core::SchedulerPolicy& policy :
          {core::SchedulerPolicy::lpfps(),
           core::SchedulerPolicy::lpfps_optimal()}) {
@@ -98,12 +91,6 @@ std::map<std::string, std::string> compute_pins() {
 
       pin(prefix + "wcet@4H",
           core::simulate(tasks, cpu, policy, nullptr, wcet), pins);
-
-      const core::SimulationResult faulted =
-          core::simulate(tasks, cpu, policy, gauss, ramp_fault);
-      EXPECT_GT(faulted.speed_changes, 0)
-          << prefix << "ramp-fault run never ramped";
-      pin(prefix + "ramp-fault", faulted, pins);
     }
   }
   return pins;

@@ -1,20 +1,25 @@
 // Fault injection and containment: the engine must stay bit-identical
-// with the fault layer disarmed, contain injected overruns under kill,
-// detect ramp and wakeup faults, and fail toward plain
+// with the fault layer disarmed, inject each overrun by task index with
+// the planned size, contain overruns under kill, and fail toward plain
 // FPS under the safe-mode fallback — all while the trace auditor's
 // fault-aware battery stays clean.
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "audit/audit.h"
 #include "audit/harness.h"
+#include "fleet/fleet.h"
 #include "io/trace_io.h"
 #include "sched/priority.h"
 #include "workloads/example.h"
@@ -195,6 +200,54 @@ TEST(FaultKill, AKillOnTheNextReleaseKeepsThatWindow) {
   expect_audit_clean(result, tasks, policy, opts);
 }
 
+TEST(FaultKill, AReleaseDuringTheRampAfterAKillWaitsForTheRamp) {
+  // "w" (T = D = 100, C = 10, phase 3, skip-over s = 2, the higher
+  // priority) and "a" (T = D = 400, C = 2), under an always-skipping
+  // governor with skip-aware DVS; every job of a overruns and is killed.
+  // At 0 the governor will certainly skip w's release at 3, so a's
+  // window runs to 103: 2 / 103 quantizes up to ratio 0.08, and a ramps
+  // down from 1 at rho = 0.07 / us.  Its budget of 2 is spent during
+  // that ramp, at t - 0.035 t^2 = 2, t = 2.1639 (ratio 0.8485).  The
+  // kill ends the plan, and the ramp back to base takes another
+  // 2.1639 us, across w's release at 3: the engine serves that release
+  // when the ramp lands, at 4.3278, instead of stalling the clock at 3.
+  sched::TaskSet tasks;
+  sched::Task w = sched::with_skip_parameter(
+      sched::make_task("w", 100, 100, 10.0, 10.0, /*phase=*/3), 2);
+  w.priority = 0;
+  sched::Task a = sched::make_task("a", 400, 2.0);
+  a.priority = 1;
+  tasks.add(w);
+  tasks.add(a);
+  EngineOptions opts = traced_options(400.0);
+  opts.throw_on_miss = false;
+  opts.faults.overruns = {{0.0, 0.0}, {1.0, 1.0}};
+  opts.containment.on_overrun = faults::OverrunAction::kKill;
+  opts.weakly_hard.policy = weakly_hard::SkipPolicy::kAlways;
+  opts.weakly_hard.skip_dvs = true;
+
+  const SimulationResult result =
+      simulate(tasks, cpu(), SchedulerPolicy::lpfps(), nullptr, opts);
+
+  EXPECT_EQ(result.jobs_killed, 1);
+  // The root of t - 0.035 t^2 = 2; the ramp back covers the same span.
+  const Time kill = (1.0 - std::sqrt(0.72)) / 0.07;
+  const Time ramp_end = 2.0 * kill;
+  ASSERT_GE(result.trace->segments().size(), 2u);
+  const sim::Segment& ramp = result.trace->segments()[1];
+  EXPECT_NEAR(ramp.begin, kill, 1e-9);
+  EXPECT_EQ(ramp.mode, sim::ProcessorMode::kRamping);
+  EXPECT_NEAR(ramp.end, ramp_end, 1e-9);
+  ASSERT_GE(result.trace->jobs().size(), 2u);
+  const sim::JobRecord& killed = result.trace->jobs()[0];
+  EXPECT_TRUE(killed.killed);
+  EXPECT_NEAR(killed.completion, kill, 1e-9);
+  const sim::JobRecord& skipped = result.trace->jobs()[1];
+  EXPECT_TRUE(skipped.skipped);
+  EXPECT_EQ(skipped.release, 3.0);
+  EXPECT_NEAR(skipped.completion, ramp_end, 1e-9);
+}
+
 TEST(FaultMonitor, SafeModeEngagesOnDetectionWithoutDisplacingJobs) {
   // kNone + safe mode: overruns are detected and the engine runs full
   // speed until idle, but no job is killed or skipped.
@@ -215,45 +268,6 @@ TEST(FaultMonitor, SafeModeEngagesOnDetectionWithoutDisplacingJobs) {
   EXPECT_GT(result.safe_mode_entries, 0);
   EXPECT_EQ(result.jobs_killed, 0);
   EXPECT_EQ(result.jobs_skipped, 0);
-  expect_audit_clean(result, tasks, policy, opts);
-}
-
-TEST(FaultRamp, SlowRegulatorMakesPlansLateAndIsDetected) {
-  // Physics at half the spec rho.  With WCET demand the slowdown plans
-  // run just-in-time, so the slow regulator leaves the clock measurably
-  // below the commanded trajectory when the plan ends — which the
-  // engine must flag and answer with safe mode.
-  const sched::TaskSet tasks = example();
-  const SchedulerPolicy policy = SchedulerPolicy::lpfps();
-  EngineOptions opts = traced_options(8000.0);
-  opts.throw_on_miss = false;
-  opts.faults.ramp.rho_factor = 0.5;
-  opts.containment.safe_mode_fallback = true;
-
-  const SimulationResult result =
-      simulate(tasks, cpu(), policy, nullptr, opts);
-
-  EXPECT_GT(result.dvs_slowdowns, 0);
-  EXPECT_GT(result.ramp_faults_detected, 0);
-  EXPECT_GT(result.safe_mode_entries, 0);
-  expect_audit_clean(result, tasks, policy, opts);
-}
-
-TEST(FaultWakeup, LateTimerIsDetectedAtTheWakeInstant) {
-  const sched::TaskSet tasks = example(0.4);
-  const SchedulerPolicy policy = SchedulerPolicy::lpfps();
-  EngineOptions opts = traced_options(8000.0);
-  opts.throw_on_miss = false;
-  opts.faults.wakeup = {1.0, 5.0};
-  opts.containment.safe_mode_fallback = true;
-
-  const SimulationResult result = simulate(
-      tasks, cpu(), policy, std::make_shared<exec::ClampedGaussianModel>(),
-      opts);
-
-  EXPECT_GT(result.power_downs, 0);
-  EXPECT_GT(result.late_wakeups_detected, 0);
-  EXPECT_GT(result.safe_mode_entries, 0);
   expect_audit_clean(result, tasks, policy, opts);
 }
 
@@ -313,6 +327,250 @@ TEST(FaultValidation, MismatchedOverrunVectorIsRejected) {
   EXPECT_THROW(
       simulate(tasks, cpu(), SchedulerPolicy::lpfps(), nullptr, bad),
       std::logic_error);
+}
+
+// ---- Overrun injection: SimState::start_job draws each overrun by task
+// index, after the execution-time model's sample.
+
+/// Two tasks with room for doubled jobs: "a" (T = 100, C = 20) and "b"
+/// (T = 200, C = 40), both with BCET C / 4.
+sched::TaskSet overrun_pair() {
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("a", 100, 100, 20.0, 5.0));
+  tasks.add(sched::make_task("b", 200, 200, 40.0, 10.0));
+  sched::assign_rate_monotonic(tasks);
+  return tasks;
+}
+
+TEST(FaultOverrun, ADisabledSpecAddsNoDraw) {
+  // "late" carries the plan's one enabled spec but is first released
+  // past the horizon, so the armed run draws what the unarmed run
+  // draws: one Gaussian sample per job of "t" and no uniform.  Plain
+  // FPS never ramps, so arming changes nothing else.
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("t", 100, 100, 20.0, 5.0));
+  tasks.add(sched::make_task("late", 1000, 1000, 10.0, 10.0,
+                             /*phase=*/100'000));
+  sched::assign_rate_monotonic(tasks);
+  const auto gauss = std::make_shared<exec::ClampedGaussianModel>();
+  const EngineOptions plain = traced_options(4000.0);
+  EngineOptions armed = plain;
+  armed.faults.overruns = {{0.0, 0.0}, {1.0, 1.0}};
+
+  const SimulationResult a =
+      simulate(tasks, cpu(), SchedulerPolicy::fps(), gauss, plain);
+  const SimulationResult b =
+      simulate(tasks, cpu(), SchedulerPolicy::fps(), gauss, armed);
+
+  EXPECT_EQ(b.jobs_completed, 40);
+  EXPECT_EQ(b.overruns_detected, 0);
+  EXPECT_EQ(io::result_csv_row(a), io::result_csv_row(b));
+  EXPECT_EQ(io::trace_jobs_csv(*a.trace, names(tasks)),
+            io::trace_jobs_csv(*b.trace, names(tasks)));
+}
+
+TEST(FaultOverrun, ACertainOverrunIsExactlyItsPlannedSize) {
+  // Every job overruns to wcet * 1.5 under monitor.  The Gaussian
+  // samples below the WCET, so a demand built from the sample would
+  // show in the executed work.
+  const sched::TaskSet tasks = overrun_pair();
+  EngineOptions opts = traced_options(2000.0);
+  opts.faults.overruns = {{1.0, 0.5}};
+
+  const SimulationResult result =
+      simulate(tasks, cpu(), SchedulerPolicy::fps(),
+               std::make_shared<exec::ClampedGaussianModel>(), opts);
+
+  EXPECT_EQ(result.jobs_completed, 30);
+  EXPECT_EQ(result.overruns_detected, 30);
+  EXPECT_EQ(result.deadline_misses, 0);
+  for (const sim::JobRecord& job : result.trace->jobs()) {
+    EXPECT_EQ(job.executed, tasks[job.task].wcet * 1.5)
+        << tasks[job.task].name << " #" << job.instance;
+  }
+}
+
+TEST(FaultOverrun, TheProbabilitySetsTheOverrunRate) {
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("t", 10, 2.0));
+  sched::assign_rate_monotonic(tasks);
+  EngineOptions opts = traced_options(200'000.0);
+  opts.faults.overruns = {{0.25, 1.0}};
+
+  const SimulationResult result =
+      simulate(tasks, cpu(), SchedulerPolicy::fps(), nullptr, opts);
+
+  ASSERT_EQ(result.jobs_completed, 20'000);
+  int overruns = 0;
+  for (const sim::JobRecord& job : result.trace->jobs()) {
+    if (job.executed == 2.0) continue;
+    EXPECT_EQ(job.executed, 4.0) << "#" << job.instance;
+    ++overruns;
+  }
+  EXPECT_EQ(overruns, result.overruns_detected);
+  EXPECT_NEAR(static_cast<double>(overruns) / 20'000.0, 0.25, 0.02);
+}
+
+/// Executed work per task, over every completed job of `result`.
+std::vector<std::vector<Work>> executed_by_task(
+    const SimulationResult& result, std::size_t task_count) {
+  std::vector<std::vector<Work>> out(task_count);
+  for (const sim::JobRecord& job : result.trace->jobs()) {
+    out[static_cast<std::size_t>(job.task)].push_back(job.executed);
+  }
+  return out;
+}
+
+TEST(FaultOverrun, PerTaskSpecsApplyToTheirOwnTasks) {
+  const sched::TaskSet tasks = overrun_pair();
+  EngineOptions opts = traced_options(2000.0);
+  opts.faults.overruns = {{0.0, 0.0}, {1.0, 1.0}};
+
+  const SimulationResult result =
+      simulate(tasks, cpu(), SchedulerPolicy::fps(), nullptr, opts);
+
+  const auto executed = executed_by_task(result, tasks.size());
+  EXPECT_EQ(executed[0], std::vector<Work>(20, 20.0));
+  EXPECT_EQ(executed[1], std::vector<Work>(10, 80.0));
+  EXPECT_EQ(result.overruns_detected, 10);
+}
+
+TEST(FaultOverrun, PerTaskSpecsApplyByIndexWhenNamesRepeat) {
+  // A TaskSet may repeat a name; the spec is the task's by position.
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("a", 100, 100, 20.0, 5.0));
+  tasks.add(sched::make_task("a", 200, 200, 40.0, 10.0));
+  sched::assign_rate_monotonic(tasks);
+  EngineOptions opts = traced_options(2000.0);
+  opts.faults.overruns = {{0.0, 0.0}, {1.0, 1.0}};
+
+  const SimulationResult result =
+      simulate(tasks, cpu(), SchedulerPolicy::fps(), nullptr, opts);
+
+  const auto executed = executed_by_task(result, tasks.size());
+  EXPECT_EQ(executed[0], std::vector<Work>(20, 20.0));
+  EXPECT_EQ(executed[1], std::vector<Work>(10, 80.0));
+  EXPECT_EQ(result.overruns_detected, 10);
+}
+
+/// An ordinary model that breaks its contract: every job takes twice
+/// its WCET.
+class OverWcetModel final : public exec::ExecutionTimeModel {
+ public:
+  Work sample(const sched::Task& task, Rng&) const override {
+    return 2.0 * task.wcet;
+  }
+  std::string name() const override { return "over-wcet"; }
+};
+
+TEST(FaultOverrun, AnOverWcetSampleThrowsWhileOverrunsAreArmed) {
+  // Only the engine injects overruns; a model's sample past the WCET is
+  // a broken model, armed plan or not.
+  const sched::TaskSet tasks = overrun_pair();
+  const auto model = std::make_shared<OverWcetModel>();
+  EngineOptions plain = traced_options(400.0);
+  plain.throw_on_miss = false;
+  EngineOptions armed = plain;
+  armed.faults.overruns = {{0.5, 0.5}};
+  EXPECT_THROW(
+      simulate(tasks, cpu(), SchedulerPolicy::fps(), model, plain),
+      std::logic_error);
+  EXPECT_THROW(
+      simulate(tasks, cpu(), SchedulerPolicy::fps(), model, armed),
+      std::logic_error);
+}
+
+// ---- Hostile fault plans: a plan is the overrun list, so every field
+// of it is fuzzed here, as tests/io/task_set_io_test.cc fuzzes task
+// files.
+
+/// One hostile or ordinary double.
+double hostile_value(std::mt19937_64& rng) {
+  static constexpr double kValues[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      -1.0,
+      -std::numeric_limits<double>::denorm_min(),
+      -0.0,
+      0.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      1e-300,
+      0.25,
+      0.5,
+      1.0,
+      std::nextafter(1.0, 2.0),
+      3.0,
+      1e300,
+      std::numeric_limits<double>::max(),
+  };
+  return kValues[rng() % std::size(kValues)];
+}
+
+TEST(FaultPlanHostile, SeededPlansCompleteOrFailNamingTheField) {
+  // Each seeded plan runs through core::simulate and the sharded fleet
+  // under monitor or kill: it completes with the same result on both,
+  // or both throw the same std::logic_error, which names the rejected
+  // field and is no internal check.
+  std::mt19937_64 rng(27);
+  const sched::TaskSet tasks = example(0.5);  // Three tasks.
+  const auto gauss = std::make_shared<exec::ClampedGaussianModel>();
+  std::vector<fleet::SimSpec> accepted;
+  std::vector<SimulationResult> expected;
+  int rejected = 0;
+  for (int round = 0; round < 3000; ++round) {
+    fleet::SimSpec spec{tasks, cpu(),
+                        round % 2 == 0 ? SchedulerPolicy::fps()
+                                       : SchedulerPolicy::lpfps(),
+                        round % 3 == 0 ? nullptr : gauss, EngineOptions{}};
+    spec.options.horizon = 400.0;
+    spec.options.throw_on_miss = false;
+    spec.options.seed = static_cast<std::uint64_t>(round);
+    spec.options.containment.on_overrun =
+        rng() % 2 == 0 ? faults::OverrunAction::kNone
+                       : faults::OverrunAction::kKill;
+    spec.options.containment.safe_mode_fallback = rng() % 2 == 0;
+    spec.options.faults.overruns.resize(rng() % (tasks.size() + 3));
+    for (faults::OverrunFault& fault : spec.options.faults.overruns) {
+      fault.probability = rng() % 2 == 0 ? hostile_value(rng) : 1.0;
+      fault.magnitude = rng() % 2 == 0 ? hostile_value(rng) : 0.5;
+    }
+    try {
+      expected.push_back(simulate(spec.tasks, spec.processor, spec.policy,
+                                  spec.exec_model, spec.options));
+      accepted.push_back(spec);
+    } catch (const std::logic_error& error) {
+      const std::string message = error.what();
+      EXPECT_TRUE(message.find("probability") != std::string::npos ||
+                  message.find("magnitude") != std::string::npos ||
+                  message.find("FaultPlan::overruns") != std::string::npos)
+          << "round " << round << ": " << message;
+      EXPECT_EQ(message.find("check failed"), std::string::npos)
+          << "round " << round << ": " << message;
+      std::string fleet_message = "no std::logic_error";
+      try {
+        (void)fleet::run_fleet_sharded({spec}, {}, 1);
+      } catch (const std::logic_error& fleet_error) {
+        fleet_message = fleet_error.what();
+      }
+      EXPECT_EQ(fleet_message, message) << "round " << round;
+      ++rejected;
+    }
+  }
+  const std::vector<SimulationResult> sharded =
+      fleet::run_fleet_sharded(accepted, {}, 2);
+  ASSERT_EQ(sharded.size(), expected.size());
+  for (std::size_t i = 0; i < sharded.size(); ++i) {
+    EXPECT_EQ(io::result_csv_row(sharded[i]) +
+                  io::result_fault_csv_row(sharded[i]),
+              io::result_csv_row(expected[i]) +
+                  io::result_fault_csv_row(expected[i]))
+        << "accepted plan " << i;
+  }
+  // Both outcomes occur, so the plans neither all pass nor all fail.
+  EXPECT_GT(accepted.size(), 500u);
+  EXPECT_GT(rejected, 500);
 }
 
 }  // namespace

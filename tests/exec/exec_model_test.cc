@@ -97,70 +97,6 @@ TEST(Bimodal, ProbabilityParameterRespected) {
   EXPECT_NEAR(static_cast<double>(low) / n, 0.9, 0.03);
 }
 
-TEST(FaultyModel, DisabledSpecsAreSampleIdenticalToInner) {
-  // With every overrun spec disabled the wrapper must add no RNG draws:
-  // identical seeds produce identical sample streams.
-  Rng plain_rng(11);
-  Rng wrapped_rng(11);
-  const auto inner = std::make_shared<ClampedGaussianModel>();
-  const FaultyExecModel wrapped(inner, {}, {"t"});
-  const sched::Task t = task_with_bcet(0.3);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_DOUBLE_EQ(wrapped.sample(t, wrapped_rng),
-                     inner->sample(t, plain_rng));
-  }
-}
-
-TEST(FaultyModel, CertainOverrunIsDeterministicMagnitude) {
-  Rng rng(12);
-  const FaultyExecModel model(nullptr, {{1.0, 0.5}}, {"t"});
-  const sched::Task t = task_with_bcet(0.3);  // WCET 100.
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(model.sample(t, rng), 150.0);  // wcet * (1 + 0.5).
-  }
-}
-
-TEST(FaultyModel, NullInnerFallsBackToWcetWhenNotFaulting) {
-  Rng rng(13);
-  const FaultyExecModel model(nullptr, {{0.0, 0.0}}, {"t"});
-  const sched::Task t = task_with_bcet(0.3);
-  EXPECT_DOUBLE_EQ(model.sample(t, rng), t.wcet);
-}
-
-TEST(FaultyModel, ProbabilityGovernsOverrunRate) {
-  Rng rng(14);
-  const FaultyExecModel model(nullptr, {{0.25, 1.0}}, {"t"});
-  const sched::Task t = task_with_bcet(0.3);
-  int overruns = 0;
-  const int n = 20'000;
-  for (int i = 0; i < n; ++i) {
-    const Work w = model.sample(t, rng);
-    if (w > t.wcet) {
-      EXPECT_DOUBLE_EQ(w, 200.0);
-      ++overruns;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(overruns) / n, 0.25, 0.02);
-}
-
-TEST(FaultyModel, PerTaskSpecsResolveByName) {
-  Rng rng(15);
-  const FaultyExecModel model(nullptr, {{0.0, 0.0}, {1.0, 1.0}},
-                              {"safe", "faulty"});
-  const sched::Task safe = sched::make_task("safe", 1000, 1000, 100.0, 50.0);
-  const sched::Task faulty =
-      sched::make_task("faulty", 1000, 1000, 80.0, 40.0);
-  EXPECT_DOUBLE_EQ(model.sample(safe, rng), 100.0);
-  EXPECT_DOUBLE_EQ(model.sample(faulty, rng), 160.0);
-}
-
-TEST(FaultyModel, NameAdvertisesWrapping) {
-  EXPECT_EQ(FaultyExecModel(nullptr, {}, {}).name(), "faulty+wcet");
-  EXPECT_EQ(
-      FaultyExecModel(std::make_shared<UniformModel>(), {}, {}).name(),
-      "faulty+uniform");
-}
-
 TEST(Models, NamesAreDistinct) {
   EXPECT_EQ(ClampedGaussianModel().name(), "gaussian");
   EXPECT_EQ(UniformModel().name(), "uniform");

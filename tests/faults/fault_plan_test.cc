@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -23,25 +24,45 @@ TEST(OverrunFault, ValidateRejectsOutOfDomainParameters) {
   EXPECT_THROW((OverrunFault{0.5, -0.5}).validate(), std::logic_error);
 }
 
-TEST(RampFault, EnabledOnlyWhenSlowerThanSpec) {
-  EXPECT_FALSE(RampFault{}.enabled());
-  EXPECT_FALSE((RampFault{1.0}).enabled());
-  EXPECT_TRUE((RampFault{0.5}).enabled());
-  EXPECT_THROW((RampFault{0.0}).validate(), std::logic_error);
-  EXPECT_THROW((RampFault{1.5}).validate(), std::logic_error);
-  EXPECT_NO_THROW((RampFault{0.25}).validate());
+/// The message `validate` throws for `fault`, or "" when it passes.
+std::string rejection(const OverrunFault& fault) {
+  try {
+    fault.validate();
+  } catch (const std::logic_error& error) {
+    return error.what();
+  }
+  return "";
 }
 
-TEST(WakeupFault, EnabledNeedsProbabilityAndDelay) {
-  EXPECT_FALSE(WakeupFault{}.enabled());
-  EXPECT_TRUE((WakeupFault{0.3, 5.0}).enabled());
-  EXPECT_THROW((WakeupFault{1.5, 5.0}).validate(), std::logic_error);
-  EXPECT_THROW((WakeupFault{0.5, -1.0}).validate(), std::logic_error);
+TEST(OverrunFault, RejectionsNameTheFieldAndTheValue) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(rejection({nan, 0.5}),
+            "overrun probability must lie in [0, 1], got nan");
+  EXPECT_EQ(rejection({1.5, 0.5}),
+            "overrun probability must lie in [0, 1], got 1.5");
+  EXPECT_EQ(rejection({0.5, nan}),
+            "overrun magnitude must be finite and non-negative, got nan");
+  EXPECT_EQ(rejection({0.5, inf}),
+            "overrun magnitude must be finite and non-negative, got inf");
+  EXPECT_EQ(rejection({0.5, -0.25}),
+            "overrun magnitude must be finite and non-negative, got -0.25");
+  EXPECT_EQ(rejection({0.5, 1e300}), "");
+
+  FaultPlan plan;
+  plan.overruns = {{0.5, 0.5}, {0.5, 0.5}};
+  try {
+    plan.validate(3);
+    ADD_FAILURE() << "two entries accepted for three tasks";
+  } catch (const std::logic_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "FaultPlan::overruns must be empty, a single broadcast entry, "
+              "or one entry per task (3), got 2 entries");
+  }
 }
 
 TEST(FaultPlan, DefaultPlanIsInert) {
   const FaultPlan plan;
-  EXPECT_FALSE(plan.any());
   EXPECT_FALSE(plan.overruns_enabled());
   EXPECT_NO_THROW(plan.validate(3));
   // The resolved spec for any task is disabled.
@@ -53,7 +74,6 @@ TEST(FaultPlan, SingleEntryBroadcastsToEveryTask) {
   FaultPlan plan;
   plan.overruns = {{0.5, 1.0}};
   EXPECT_TRUE(plan.overruns_enabled());
-  EXPECT_TRUE(plan.any());
   EXPECT_NO_THROW(plan.validate(4));
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(plan.overrun_for(i).probability, 0.5);

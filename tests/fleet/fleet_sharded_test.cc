@@ -237,9 +237,7 @@ TEST(FleetSharded, MoreWorkersThanSpecsLeavesNoEmptyShardArtifacts) {
 /// fleet and the audited fleet all throw the same std::logic_error
 /// message: for an empty task set, and for a fault plan whose overrun
 /// list has the wrong length for the set.  The second case must report
-/// FaultPlan::validate's message, not the FaultyExecModel's own check,
-/// which the bind would reach first if it built the overrun wrapper
-/// before validating.
+/// FaultPlan::validate's message, which names the field.
 TEST(FleetSharded, EveryEntryPointRejectsAnInvalidSpecAlike) {
   core::EngineOptions options;
   options.horizon = 1000.0;

@@ -98,6 +98,22 @@ TEST(FaultCsv, HeaderAndRowAgreeOnColumnCount) {
   EXPECT_EQ(commas(header), commas(row));
 }
 
+TEST(FaultCsv, ColumnsAreTheContainmentAndGovernorCounters) {
+  EXPECT_EQ(result_fault_csv_header(),
+            "policy,overruns_detected,jobs_killed,jobs_skipped,"
+            "safe_mode_entries,jobs_skipped_weakly,mk_violations,"
+            "worst_window_slack\n");
+  core::SimulationResult result;
+  result.policy_name = "X";
+  result.overruns_detected = 1;
+  result.jobs_killed = 2;
+  result.jobs_skipped = 3;
+  result.safe_mode_entries = 4;
+  result.jobs_skipped_weakly = 5;
+  result.mk_violations = 6;
+  EXPECT_EQ(result_fault_csv_row(result), "X,1,2,3,4,5,6,0\n");
+}
+
 TEST(FaultCsv, CarriesTheWeaklyHardCounters) {
   const std::string header = result_fault_csv_header();
   EXPECT_NE(header.find("jobs_skipped_weakly"), std::string::npos);

@@ -176,9 +176,10 @@ Energy apply(EnergyAccumulator& acc, const Call& c) {
 
 /// A long mixed sequence: full ramps between quantized levels (the
 /// engine's common case, so many probes repeat a key), arbitrary partial
-/// ramps (mostly unique keys), both executing values, the spec rho and a
-/// ramp fault's slower rho, interleaved with constant-speed and sleep
-/// intervals.  Twelve ARM8-like levels give 576 level-pair keys, far
+/// ramps (mostly unique keys), both executing values and two rhos,
+/// interleaved with constant-speed and sleep intervals.  Every engine run
+/// charges its ramps at its processor's one rho, so these mixed-rho calls
+/// are what pin the memo's rho key.  Twelve ARM8-like levels give 576 level-pair keys, far
 /// more than the memo has slots, so slots collide and evict.
 std::vector<Call> mixed_sequence() {
   const ProcessorConfig cpu = ProcessorConfig::arm8_default();
@@ -188,8 +189,8 @@ std::vector<Call> mixed_sequence() {
     levels.push_back(cpu.frequencies.ratio_of(table[i]));
   }
   EXPECT_EQ(levels.size(), 12u);
-  // The spec rate and a ramp fault's slower one.  0.6 rather than 0.5:
-  // rates a power of two apart differ only in the exponent bits.
+  // The spec rate and a slower one.  0.6 rather than 0.5: rates a power
+  // of two apart differ only in the exponent bits.
   const std::array<double, 2> rhos = {cpu.ramp_rate, cpu.ramp_rate * 0.6};
 
   std::mt19937_64 rng(20240917);
