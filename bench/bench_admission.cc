@@ -42,7 +42,9 @@
 // `speedup_incremental_vs_scratch` / `speedup_stationary_vs_scratch`,
 // and the task solves the closed-form response-time bound skipped
 // (`clears/req`, 0 on the scratch arm) ride along in stdout, the bench
-// points, and the meta.
+// points, and the meta, as do the f_max re-solves IncrementalRta
+// started from the next-higher task's response (`above/req`, 0 on the
+// scratch arm).
 //
 // Timing methodology matches bench_kernel_throughput: each point sizes
 // an adaptive repetition count to fill ~kMinWall seconds.  Latency
@@ -300,6 +302,8 @@ int main() {
       const double p95 = percentile(latencies, 0.95);
       const double p99 = percentile(latencies, 0.99);
       const double clears = per_request(stats.bound_clears, stats.requests);
+      const double seeded_above = per_request(
+          static_cast<std::uint64_t>(rta.tasks_seeded_above), stats.requests);
 
       // Every arm must reproduce the same decision stream (the
       // differential contract, re-verified on every bench run).
@@ -321,10 +325,11 @@ int main() {
       }
 
       std::printf("%-10s %-14s %-22s %9lld %5d %8.3f %12.0f %9.2f %9.2f %9.2f"
-                  "  clears/req=%.1f\n",
+                  "  clears/req=%.1f above/req=%.1f\n",
                   "admission", name.c_str(), arm.name,
                   static_cast<long long>(t.total_events()), t.reps,
-                  t.wall_seconds, t.events_per_sec(), p50, p95, p99, clears);
+                  t.wall_seconds, t.events_per_sec(), p50, p95, p99, clears,
+                  seeded_above);
       json.add_point()
           .set("section", "admission")
           .set("name", name)
@@ -339,6 +344,7 @@ int main() {
           .set("decision_digest", core::hex64(digest))
           .set("tasks_reanalyzed", rta.tasks_reanalyzed)
           .set("tasks_seeded", rta.tasks_seeded)
+          .set("tasks_seeded_above", rta.tasks_seeded_above)
           .set("tasks_kept", rta.tasks_kept)
           .set("bound_clears_per_request", clears);
       audit.add_point()
@@ -627,6 +633,7 @@ int main() {
            per_request(stationary_clears_meta, stationary_requests_meta))
       .set("tasks_reanalyzed", meta_rta.tasks_reanalyzed)
       .set("tasks_seeded", meta_rta.tasks_seeded)
+      .set("tasks_seeded_above", meta_rta.tasks_seeded_above)
       .set("tasks_kept", meta_rta.tasks_kept)
       .set("tasks_skipped", meta_rta.tasks_skipped);
   audit.meta()

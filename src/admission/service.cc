@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <utility>
 
 #include "common/check.h"
@@ -180,19 +179,36 @@ bool AdmissionService::feasible_at_level(
   if (!scale_wcets(tasks, stretch_at(level), 1.0, scaled_wcet_)) {
     return false;  // A stretched WCET overran D.
   }
-  const bool record_probe = seeds != nullptr;  // The incremental arm.
-  if (record_probe) {
-    probe_scratch_.resize(n);
-    sched::clear_by_response_bound(tasks, scaled_wcet_, by_priority_,
-                                   bound_cleared_);
+  if (seeds == nullptr) {
+    // Reference arm: index order, every task from its scaled C_i.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!sched::response_fixed_point(tasks, scaled_wcet_, i, 0.0)) {
+        return false;
+      }
+    }
+    return true;
   }
+  // Incremental arm: highest priority first, each task also seeded from
+  // the one just above (sched::seed_from_above), whose entry of
+  // probe_scratch_ is final by then.
+  const std::vector<std::size_t>& order = rta_.by_priority();
+  probe_scratch_.resize(n);
+  sched::clear_by_response_bound(tasks, scaled_wcet_, order, bound_cleared_);
   std::uint64_t clears = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double seed = seed_at(i, level, seeds);
-    if (record_probe && bound_cleared_[i] != 0) {
+  bool feasible = true;
+  for (std::size_t q = 0; q < n; ++q) {
+    const std::size_t i = order[q];
+    double seed = seed_at(i, level, seeds);
+    if (q > 0) {
+      seed = sched::seed_from_above(seed, probe_scratch_[order[q - 1]],
+                                    scaled_wcet_[i],
+                                    tasks[order[q - 1]].deadline, n);
+    }
+    if (bound_cleared_[i] != 0) {
       // Cleared: feasible here without a solve.  Its seed stays a valid
       // seed for every later probe of this search (all at or below this
-      // level, where the least fixed point is no smaller).
+      // level, where the least fixed point is no smaller), and for the
+      // task below.
       probe_scratch_[i] = std::max(seed, scaled_wcet_[i]);
       ++clears;
       continue;
@@ -200,19 +216,19 @@ bool AdmissionService::feasible_at_level(
     const std::optional<double> r =
         sched::response_fixed_point(tasks, scaled_wcet_, i, seed);
     if (!r.has_value()) {
-      saturating_add(stats_.bound_clears, clears);
-      return false;
+      feasible = false;
+      break;
     }
-    if (record_probe) probe_scratch_[i] = *r;
+    probe_scratch_[i] = *r;
   }
   saturating_add(stats_.bound_clears, clears);
-  if (record_probe) {
+  if (feasible) {
     // A fully feasible probe becomes the new seed source: every later
     // probe in this search runs at or below this level.
     probe_r_.swap(probe_scratch_);
     probe_level_ = level;
   }
-  return true;
+  return feasible;
 }
 
 int AdmissionService::predicted_level(int hint) const {
@@ -378,21 +394,22 @@ int AdmissionService::min_feasible_level(SearchBound bound) {
   return binary_min(lo, hi);
 }
 
-double AdmissionService::task_headroom(std::size_t b, int level) {
+double AdmissionService::task_headroom(std::size_t b, int level,
+                                       double& response) {
   const std::vector<sched::Task>& tasks = rta_.tasks().tasks();
   const double stretch = stretch_at(level);
   // Each solve resumes from b's response at the last feasible scale:
   // every later probe of the schedule runs at a larger scale, so that
   // response lies at or below the new least fixed point.
-  double chain = seed_at(b, level, &rta_.response_times());
+  response = seed_at(b, level, &rta_.response_times());
   saturating_increment(stats_.headroom_searches);
   return largest_feasible_scale([&](double scale) {
     scale_wcets(tasks, stretch, scale, scaled_wcet_);
     saturating_increment(stats_.headroom_probes);
     const std::optional<double> r =
-        sched::response_fixed_point(tasks, scaled_wcet_, b, chain);
+        sched::response_fixed_point(tasks, scaled_wcet_, b, response);
     if (!r.has_value()) return false;
-    chain = *r;
+    response = *r;
     return true;
   });
 }
@@ -428,14 +445,16 @@ double AdmissionService::compute_headroom(int level) {
   //
   // One task's search is 13 single-task solves (in [1, 2)); a check is
   // one.  Search a candidate b, check every other task once at b's
-  // answer h, and search again only a task that fails there: its own
-  // answer is then below h, and tasks that passed at the larger h still
-  // pass below it, so the scan continues from where it stood.
+  // answer h, highest priority first, and search again only a task that
+  // fails there: its own answer is then below h, and tasks that passed
+  // at the larger h still pass below it, so the scan continues from
+  // where it stood.
   const std::vector<std::optional<Time>>& f_max = rta_.response_times();
+  const std::vector<std::size_t>& order = rta_.by_priority();
   // The candidate is the task that bound the previous answer, else the
   // lowest priority one (numerically largest); either way it only
   // decides how much work is done, never the answer.
-  std::size_t b = by_priority_.back();
+  std::size_t b = order.back();
   for (std::size_t i = 0; i < n; ++i) {
     if (tasks[i].priority == headroom_binding_) {
       b = i;
@@ -446,27 +465,46 @@ double AdmissionService::compute_headroom(int level) {
   // a cleared task passes there without a solve.
   const auto scale_and_clear = [&](double scale) {
     scale_wcets(tasks, stretch, scale, scaled_wcet_);
-    sched::clear_by_response_bound(tasks, scaled_wcet_, by_priority_,
+    sched::clear_by_response_bound(tasks, scaled_wcet_, order,
                                    bound_cleared_);
   };
   const std::size_t first = b;
-  double h = task_headroom(b, level);
+  // `above` carries the response at h of the task just above the one
+  // checked (its recorded seed if the bound cleared it; 0 for none), the
+  // seed_from_above of the next check.  A search drops h, so it drops
+  // every response at the old h: the searched task's own response at
+  // its answer is carried on, and `first`'s is no longer at h.
+  double first_response = 0.0;
+  double h = task_headroom(b, level, first_response);
   scale_and_clear(h);
+  double above = 0.0;
   std::uint64_t clears = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == first) continue;
+  for (std::size_t q = 0; q < n; ++q) {
+    const std::size_t i = order[q];
+    if (i == first) {
+      above = first_response;
+      continue;
+    }
+    double seed = seed_at(i, level, &f_max);
+    if (q > 0) {
+      seed = sched::seed_from_above(seed, above, scaled_wcet_[i],
+                                    tasks[order[q - 1]].deadline, n);
+    }
     if (bound_cleared_[i] != 0) {
+      above = std::max(seed, scaled_wcet_[i]);
       ++clears;
       continue;
     }
     saturating_increment(stats_.headroom_probes);
-    if (sched::response_fixed_point(tasks, scaled_wcet_, i,
-                                    seed_at(i, level, &f_max))
-            .has_value()) {
+    const std::optional<double> r =
+        sched::response_fixed_point(tasks, scaled_wcet_, i, seed);
+    if (r.has_value()) {
+      above = *r;
       continue;
     }
     b = i;
-    h = task_headroom(b, level);
+    h = task_headroom(b, level, above);
+    first_response = 0.0;
     scale_and_clear(h);
   }
   saturating_add(stats_.bound_clears, clears);
@@ -484,20 +522,12 @@ Decision AdmissionService::handle(const Request& request) {
   // A priority clash can never be scheduled under unique-priority FPS;
   // reject without analysis (IncrementalRta refuses duplicate priorities
   // outright).
-  bool clash = false;
-  if (request.kind != RequestKind::kRemove) {
-    const std::vector<sched::Task>& current = rta_.tasks().tasks();
-    for (std::size_t i = 0; i < current.size(); ++i) {
-      if (request.kind == RequestKind::kMutate &&
-          static_cast<TaskIndex>(i) == request.index) {
-        continue;
-      }
-      if (current[i].priority == request.task.priority) {
-        clash = true;
-        break;
-      }
-    }
-  }
+  const bool clash =
+      request.kind != RequestKind::kRemove &&
+      rta_.priority_taken(request.task.priority,
+                          request.kind == RequestKind::kMutate
+                              ? request.index
+                              : kNoTask);
 
   bool schedulable = false;
   int min_level = -1;
@@ -575,17 +605,6 @@ Decision AdmissionService::handle(const Request& request) {
         rta_.stats().tasks_reanalyzed - rta_before.tasks_reanalyzed;
     d.tasks_seeded = rta_.stats().tasks_seeded - rta_before.tasks_seeded;
     if (schedulable) {
-      if (config_.incremental) {
-        // The bound walks tasks highest priority first; priorities are
-        // unique (a clash was rejected above).
-        by_priority_.resize(rta_.tasks().size());
-        std::iota(by_priority_.begin(), by_priority_.end(), std::size_t{0});
-        const std::vector<sched::Task>& tasks = rta_.tasks().tasks();
-        std::sort(by_priority_.begin(), by_priority_.end(),
-                  [&](std::size_t a, std::size_t b) {
-                    return tasks[a].priority < tasks[b].priority;
-                  });
-      }
       const std::uint64_t clears_before = stats_.bound_clears;
       const std::uint64_t probes_before = stats_.levels_probed;
       min_level = min_feasible_level(bound);

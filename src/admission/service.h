@@ -14,8 +14,11 @@
 //
 //   1. incremental RTA (sched/incremental_rta.h) — response-time
 //      fixed points are reused across mutations and resumed as seeds,
-//      bit-identical to from-scratch analysis by the exact-fixed-point
-//      contract;
+//      re-solved highest priority first from the response of the task
+//      just above (sched::seed_from_above), bit-identical to
+//      from-scratch analysis by the exact-fixed-point contract; the
+//      level probes and headroom checks below walk the same kept
+//      priority order under the same seed rule;
 //   2. a direction-aware minimum-frequency search — feasibility is
 //      monotone in the frequency level AND in the request (adding or
 //      tightening a task can only raise the minimum level, removing or
@@ -189,10 +192,13 @@ class AdmissionService {
   /// of an earlier feasible probe this search when that probe ran at a
   /// level >= `level` (less stretch there means a smaller fixed point,
   /// so those responses never overshoot here).  With seeds (the
-  /// incremental arm), tasks the closed-form bound clears skip their
-  /// solve and record their seed, max(seed_at, scaled C_i), which lies
-  /// at or below the least fixed point at this level and every lower
-  /// one.  Counts one levels_probed.
+  /// incremental arm) the probe walks the tasks highest priority first
+  /// and raises each seed to the response of the task just above
+  /// (sched::seed_from_above); tasks the closed-form bound clears skip
+  /// their solve and record their seed, max(seed, scaled C_i), which
+  /// lies at or below the least fixed point at this level and every
+  /// lower one.  The reference arm walks index order from C_i.  Counts
+  /// one levels_probed.
   bool feasible_at_level(int level,
                          const std::vector<std::optional<Time>>* seeds);
 
@@ -218,17 +224,21 @@ class AdmissionService {
   /// The incremental arm takes the minimum of per-task answers (equal,
   /// because set feasibility is the AND of monotone per-task
   /// predicates): one task_headroom search for a candidate, then one
-  /// seeded check of every other task at that answer, searching again
-  /// only for a task that fails there; the check skips the tasks the
-  /// closed-form bound clears at that answer.  Counts headroom_probes
-  /// per task solve that runs.
+  /// seeded check of every other task at that answer, highest priority
+  /// first, searching again only for a task that fails there; the check
+  /// skips the tasks the closed-form bound clears at that answer, and
+  /// raises each seed to the response at that answer of the task just
+  /// above (sched::seed_from_above; none right after a search, which
+  /// moves the answer).  Counts headroom_probes per task solve that
+  /// runs.
   double compute_headroom(int level);
 
   /// Task `b`'s own headroom at `level`: the fixed schedule run on b
   /// alone, its first solve seeded by seed_at and each later one
-  /// resumed from b's response at the last feasible scale.  Counts one
-  /// headroom_searches.
-  double task_headroom(std::size_t b, int level);
+  /// resumed from b's response at the last feasible scale.  Leaves in
+  /// `response` b's response at the answer (its seed_at when the answer
+  /// is 1).  Counts one headroom_searches.
+  double task_headroom(std::size_t b, int level, double& response);
 
   /// Every WCET's stretch factor at `level` under the scaling model.
   double stretch_at(int level) const;
@@ -255,11 +265,8 @@ class AdmissionService {
   double last_util_ = 0.0;    ///< Utilization at the previous answer.
   bool last_search_stationary_ = false;
   std::vector<double> scaled_wcet_;  ///< Probe scratch buffer.
-  /// Incremental arm: the task indices highest priority first, sorted
-  /// once per request that reaches the level search (the set does not
-  /// change for the rest of handle()), and the bound's per-task verdict
-  /// over the current scaled_wcet_.
-  std::vector<std::size_t> by_priority_;
+  /// Incremental arm: the bound's per-task verdict over the current
+  /// scaled_wcet_ (walked in rta_.by_priority()).
   std::vector<std::uint8_t> bound_cleared_;
   /// Probe-seed reuse: the converged per-task responses of the lowest
   /// feasible probe so far (valid seeds for any probe at or below

@@ -4,12 +4,14 @@
 #include "core/sim_state.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
 #include "common/float_compare.h"
+#include "common/math_utils.h"
 #include "core/speed_ratio.h"
 #include "faults/faults.h"
 #include "power/speed_profile.h"
@@ -23,34 +25,51 @@ namespace {
 
 /// Hard RTA verdict for the structural overload latch: a set that cannot
 /// meet every deadline even at full speed is in permanent overload, so
-/// the governor degrades from t = 0.  Sets outside the RTA's D <= T
-/// domain fall back to the utilization test alone (the dynamic latch
-/// still covers them at run time).
+/// the governor degrades from t = 0.  validate_spec has checked D <= T.
 bool hard_rta_schedulable(const sched::TaskSet& tasks) {
   if (tasks.utilization() > 1.0) return false;
-  for (const sched::Task& t : tasks.tasks()) {
-    if (t.deadline > t.period) return true;
-  }
   return sched::is_schedulable_rta(tasks);
 }
 
+/// Throws std::logic_error naming `field` and `value` unless `value` is
+/// finite and at least (or, when `positive`, above) zero.
+void require_finite(const std::string& field, double value, bool positive) {
+  if (std::isfinite(value) && (positive ? value > 0.0 : value >= 0.0)) {
+    return;
+  }
+  throw std::logic_error("EngineOptions::" + field + " must be finite and " +
+                         (positive ? "positive" : "non-negative") + ", got " +
+                         round_trip_string(value));
+}
+
 /// The checks the constructor runs before binding a spec: a non-empty,
-/// valid task set, a valid processor and policy, and options that fit
-/// them.  Throws std::logic_error on the first violation.  Returns
-/// `tasks`, so it can run as the constructor's first member initializer.
+/// valid task set with D <= T (a job's next release is queued at its
+/// completion, so a deadline past the period would queue a release in
+/// the past), a valid processor and policy, and options that fit them.
+/// Throws std::logic_error on the first violation.  Returns `tasks`, so
+/// it can run as the constructor's first member initializer.
 const sched::TaskSet& validate_spec(const sched::TaskSet& tasks,
                                     const power::ProcessorConfig& processor,
                                     const SchedulerPolicy& policy,
                                     const EngineOptions& options) {
   LPFPS_CHECK_MSG(!tasks.empty(), "engine needs at least one task");
-  LPFPS_CHECK(options.horizon > 0.0);
-  LPFPS_CHECK(options.context_switch_cost >= 0.0);
-  LPFPS_CHECK_MSG(options.release_jitter.empty() ||
-                      options.release_jitter.size() == tasks.size(),
-                  "release_jitter must have one entry per task");
-  for (const Time j : options.release_jitter) LPFPS_CHECK(j >= 0.0);
+  require_finite("horizon", options.horizon, true);
+  require_finite("context_switch_cost", options.context_switch_cost, false);
+  if (!options.release_jitter.empty() &&
+      options.release_jitter.size() != tasks.size()) {
+    throw std::logic_error(
+        "EngineOptions::release_jitter must be empty or have one entry "
+        "per task (" +
+        std::to_string(tasks.size()) + "), got " +
+        std::to_string(options.release_jitter.size()) + " entries");
+  }
+  for (std::size_t i = 0; i < options.release_jitter.size(); ++i) {
+    require_finite("release_jitter[" + std::to_string(i) + "]",
+                   options.release_jitter[i], false);
+  }
   options.faults.validate(tasks.size());
   tasks.validate();
+  sched::check_constrained_deadlines(tasks);
   processor.validate();
   policy.validate();
   return tasks;

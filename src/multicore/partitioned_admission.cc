@@ -23,14 +23,7 @@ int PartitionedAdmission::try_add(const sched::Task& task) {
     // A same-priority member makes the core unschedulable under
     // unique-priority FPS regardless of timing — skip without analysis
     // (and without tripping the engine's duplicate-priority check).
-    bool clash = false;
-    for (const sched::Task& member : cores_[core].tasks().tasks()) {
-      if (member.priority == task.priority) {
-        clash = true;
-        break;
-      }
-    }
-    if (clash) continue;
+    if (cores_[core].priority_taken(task.priority)) continue;
     if (cores_[core].try_add_task(task)) return static_cast<int>(core);
   }
   return -1;
@@ -74,6 +67,7 @@ sched::IncrementalRta::Stats PartitionedAdmission::rta_stats() const {
     total.mutations += s.mutations;
     total.tasks_reanalyzed += s.tasks_reanalyzed;
     total.tasks_seeded += s.tasks_seeded;
+    total.tasks_seeded_above += s.tasks_seeded_above;
     total.tasks_kept += s.tasks_kept;
     total.tasks_skipped += s.tasks_skipped;
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/check.h"
 #include "common/float_compare.h"
@@ -55,9 +57,11 @@ std::optional<Time> jittered_response_time(const TaskSet& tasks,
 
 void check_constrained_deadlines(const TaskSet& tasks, Priority through) {
   for (const Task& t : tasks.tasks()) {
-    if (t.priority > through) continue;
-    LPFPS_CHECK_MSG(t.deadline <= t.period,
-                    "RTA requires constrained deadlines (D <= T): " + t.name);
+    if (t.priority > through || t.deadline <= t.period) continue;
+    throw std::logic_error("task '" + t.name + "': deadline " +
+                           std::to_string(t.deadline) +
+                           " exceeds its period " + std::to_string(t.period) +
+                           " (D <= T required)");
   }
 }
 

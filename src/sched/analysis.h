@@ -66,8 +66,9 @@ struct ResponseWindow {
 /// seed s <= R* (the least fixed point) that is base or a response
 /// under no more interference has step(s) >= s, so the iterates rise,
 /// stay <= step(R*) = R* and stop there: seeding from C_i, from a
-/// response before interference grew (IncrementalRta) or from a higher
-/// frequency level (admission) gives R* to the last ulp.  Each
+/// response before interference grew (IncrementalRta), from a higher
+/// frequency level (admission) or from the next-higher task's response
+/// (seed_from_above, below) gives R* to the last ulp.  Each
 /// non-final step raises a count bounded by its value at D_i +
 /// kTimeEpsilon, so the cap decides nothing unless hp(i) releases
 /// within a deadline reach the tens of thousands (condition 4 of
@@ -95,6 +96,51 @@ std::optional<Time> solve_response_time(const std::vector<Task>& tasks,
     r = next;
   }
   return std::nullopt;
+}
+
+/// The seed of a walk that solves tasks highest priority first
+/// (Sjödin and Hansson, "Improved response-time analysis calculations",
+/// RTSS 1998): task i may start from `above`, the final response of k,
+/// the task just above it (hp(i) = hp(k) + {k}), when that exceeds its
+/// own `seed`.  `wcet_i` is c_i in the walk's WCET view (stretched or
+/// scaled alike for every task), `deadline_above` is D_k and `n` the
+/// set's size; pass 0 for `above` when k diverged (no seed).
+///
+/// Why R_k lies at or below task i's float least fixed point R_i*.  F_i
+/// and F_k are the two rounded steps over one WCET view.  At any r the
+/// term of each j in hp(k) is the same double t_j in both (it depends
+/// on r, T_j and c_j only).  F_k sums c_k and the t_j; F_i sums c_i,
+/// the t_j and t_k >= c_k (n_k >= 1), so the exact sums obey S_i >= c_i
+/// + S_k.  A recursive sum of at most n non-negative doubles is within
+/// a factor gamma = n u / (1 - n u) of its exact value (u = 2^-53), so
+/// F_i(r) >= (c_i + S_k)(1 - gamma) and F_k(r) <= S_k (1 + gamma):
+/// F_i(r) > F_k(r) once c_i (1 - gamma) > 2 gamma S_k.  Where F_k(r) <=
+/// B = D_k + kTimeEpsilon, S_k <= B / (1 - gamma), and the guard below,
+/// c_i > (n + 1) 2^-50 B (four times 2 (n + 1) u B), implies that
+/// condition.  k's solve from c_k rises to R_k <= B (R_k passed k's
+/// deadline test, or the closed-form bound cleared k, which puts R_k
+/// within B), so F_k(r) <= B at every r <= R_k.  So:
+///  * R_k <= R_i*.  k's iterates r_m from c_k stay at or below R_i*:
+///    c_k <= t_k <= F_i(R_i*) = R_i*, and r_{m+1} = F_k(r_m) < F_i(r_m)
+///    <= F_i(R_i*) = R_i* by the monotone step.  A walk may pass on any
+///    s <= R_k with F_k(s) >= s instead (a cleared k's own seed).
+///  * No such s is a fixed point of F_i: F_i(s) > F_k(s) >= s.  So the
+///    solve from s rises and tests each iterate against D_i as the one
+///    from c_i does: where R_i* lies past D_i + kTimeEpsilon (possible
+///    when D_i < D_k), both give up; the cap aside, a fixed point the
+///    solve from s reached within D_i would stop the one from c_i too.
+/// When the guard fails (c_i within the rounding of a sum near D_k),
+/// the walk keeps the task's own seed: an unguarded R_k can be a fixed
+/// point of F_i past D_i where the solve from c_i gives up
+/// (tests/sched/rta_oracle_test.cc, TinyWcetTakesTheFallback).
+inline Time seed_from_above(Time seed, Time above, double wcet_i,
+                            std::int64_t deadline_above, std::size_t n) {
+  const double bound = static_cast<double>(deadline_above) + kTimeEpsilon;
+  if (above > seed &&
+      wcet_i > static_cast<double>(n + 1) * 0x1p-50 * bound) {
+    return above;
+  }
+  return seed;
 }
 
 /// Task i's response under the WCET view `wcet` (wcet[j] stands in for
@@ -146,8 +192,9 @@ double liu_layland_bound(int task_count);
 /// True if the set passes the (sufficient, not necessary) LL bound.
 bool passes_utilization_bound(const TaskSet& tasks);
 
-/// The RTA precondition: throws std::logic_error naming the first task
-/// of priority value <= `through` (default: any) with D > T.
+/// The RTA precondition, and the engine's: throws std::logic_error
+/// naming the first task of priority value <= `through` (default: any)
+/// with D > T, its deadline and its period.
 void check_constrained_deadlines(
     const TaskSet& tasks,
     Priority through = std::numeric_limits<Priority>::max());
@@ -169,11 +216,11 @@ std::vector<std::optional<Time>> response_times(const TaskSet& tasks);
 ///
 /// Preconditions: D_i <= T_i (checked) and D <= T for every
 /// higher-priority task; seed <= the least fixed point — holds for seed
-/// == C_i and for seed == the exact response time under a subset of the
-/// current interference (seeds below C_i are clamped up to C_i, the
-/// from-scratch start).  Unlike response_time() this does not
-/// re-validate the whole set per call; the admission service validates
-/// once per mutation instead.
+/// == C_i, for seed == the exact response time under a subset of the
+/// current interference and for seed_from_above's seed (seeds below C_i
+/// are clamped up to C_i, the from-scratch start).  Unlike
+/// response_time() this does not re-validate the whole set per call;
+/// the admission service validates once per mutation instead.
 std::optional<Time> response_time_from_seed(const TaskSet& tasks,
                                             TaskIndex index, Time seed);
 

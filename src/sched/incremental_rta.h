@@ -16,7 +16,12 @@
 //     typically converges in one or two steps;
 //   * a task whose iteration diverged past its deadline stays
 //     divergent under strictly larger interference, so it is skipped
-//     outright.
+//     outright;
+//   * the class keeps its task indices in priority order (inserted and
+//     erased there, never re-sorted), re-solves the affected tasks
+//     highest priority first, and starts each from the larger of its
+//     own seed and the final response of the task just above it (the
+//     Sjödin–Hansson seed, sched::seed_from_above).
 //
 // Bit-identity contract: every reanalysis runs through
 // sched::response_time_from_seed, which terminates only on an exact
@@ -26,8 +31,9 @@
 // decisions, and (downstream) minimum-safe-frequency answers — the
 // property tests/admission/differential_test.cc asserts across
 // hundreds of random churn sequences.  Mode::kFromScratch runs that
-// reference strategy through the same class, so the two arms differ
-// only in the analysis schedule, never in task bookkeeping.
+// reference strategy through the same class (index order, every task
+// from C_i), so the two arms differ only in the analysis schedule,
+// never in task bookkeeping.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +57,11 @@ class IncrementalRta {
   struct Stats {
     std::int64_t mutations = 0;         ///< add/remove/mutate calls.
     std::int64_t tasks_reanalyzed = 0;  ///< Fixed-point iterations run.
-    std::int64_t tasks_seeded = 0;      ///< ...of which seeded from a prior R.
+    /// ...of which resumed from their own old R.
+    std::int64_t tasks_seeded = 0;
+    /// ...of which started from the next-higher task's response, above
+    /// their own seed (C_i or the old R).
+    std::int64_t tasks_seeded_above = 0;
     std::int64_t tasks_kept = 0;        ///< Cached results reused unchanged.
     std::int64_t tasks_skipped = 0;     ///< Divergent-stays-divergent skips.
   };
@@ -63,6 +73,14 @@ class IncrementalRta {
   const TaskSet& tasks() const { return tasks_; }
   Mode mode() const { return mode_; }
 
+  /// Every task index, highest priority first.  Kept across mutations
+  /// (an add inserts, a remove erases and renumbers), never re-sorted.
+  const std::vector<std::size_t>& by_priority() const { return order_; }
+
+  /// True if `priority` is already taken by a task other than `except`:
+  /// one binary search over by_priority().
+  bool priority_taken(Priority priority, TaskIndex except = kNoTask) const;
+
   /// Exact response times (nullopt where divergent), indexed like the
   /// set.  Bitwise equal to a from-scratch analysis of tasks().
   const std::vector<std::optional<Time>>& response_times() const {
@@ -73,8 +91,8 @@ class IncrementalRta {
   bool schedulable() const;
 
   /// Appends a task (unique priority required) and returns its index.
-  /// Incremental cost: the new task from scratch, plus a seeded resume
-  /// for every lower-priority task that previously converged.
+  /// Incremental cost: the new task from C_i, plus a seeded resume for
+  /// every lower-priority task that previously converged.
   TaskIndex add_task(Task task);
 
   /// Tentatively appends `task`: keeps it and returns true iff the
@@ -86,8 +104,9 @@ class IncrementalRta {
 
   /// Removes the task at `index` (indices above shift down).  Only
   /// lower-priority tasks lost interference; they are reanalyzed from
-  /// scratch (a shrunken recurrence's fixed point lies *below* the old
-  /// one, so the old value is not a valid seed).
+  /// C_i (a shrunken recurrence's fixed point lies *below* the old one,
+  /// so the old value is not a valid seed), each raised to the new
+  /// response of the task above it.
   void remove_task(TaskIndex index);
 
   /// Replaces the task at `index`.  Affected lower-priority tasks are
@@ -96,14 +115,11 @@ class IncrementalRta {
   /// unchanged), reanalyzed from scratch otherwise.
   void mutate_task(TaskIndex index, Task task);
 
-  /// Discards all cached state and reanalyzes every task from scratch.
-  void reanalyze_all();
-
   /// Reverts the most recent add_task without reanalysis: pops the
   /// appended task and adopts `response_times`, the pre-add vector the
-  /// caller saved.  O(1) plus the vector move — the cheap rollback path
-  /// for rejected admission requests (a full TaskSet snapshot is never
-  /// needed because add only appends).
+  /// caller saved.  O(n) for the order's erase plus the vector move —
+  /// the cheap rollback path for rejected admission requests (a full
+  /// TaskSet snapshot is never needed because add only appends).
   void undo_add(std::vector<std::optional<Time>> response_times);
 
   /// Reverts the most recent mutate_task at `index`: restores
@@ -115,16 +131,25 @@ class IncrementalRta {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// True if `priority` is already taken by a task other than `except`.
-  bool priority_taken(Priority priority, TaskIndex except) const;
-  /// Reanalyzes task `i` from scratch (seed C_i).
-  void recompute(TaskIndex i);
-  /// Resumes task `i` from its cached response time; skips tasks whose
-  /// iteration had diverged (still divergent under grown interference).
-  void resume(TaskIndex i);
+  /// The position in order_ of the first task whose priority value is
+  /// not below `priority` (where a task of that priority sits or would).
+  std::size_t position(Priority priority) const;
+  /// Moves index `i` to its new priority's place in order_ after a
+  /// priority change; `from` is its place under the old priority.
+  void reorder(std::size_t from, TaskIndex i);
+  /// Re-solves order_[from..] highest priority first: `fresh` and, unless
+  /// `resume_rest`, every task from C_i; the others resumed from their
+  /// old R.  Each seed is raised by seed_from_above.
+  void solve_from(std::size_t from, TaskIndex fresh, bool resume_rest);
+  /// Re-solves the task at order_[q]: from C_i, or when `resume` from
+  /// its old R (a divergent old R stays divergent: skipped).
+  void solve_at(std::size_t q, bool resume);
+  /// Mode::kFromScratch: every task from C_i, in index order.
+  void reanalyze_all();
 
   TaskSet tasks_;
   std::vector<std::optional<Time>> response_;
+  std::vector<std::size_t> order_;  ///< Task indices, highest priority first.
   Mode mode_ = Mode::kIncremental;
   Stats stats_;
 };

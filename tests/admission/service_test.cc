@@ -425,6 +425,31 @@ TEST(AdmissionService, HeadroomSearchesAgainWhenTheBindingTaskChanges) {
   EXPECT_EQ(d[3].wcet_headroom, 1.0625);
 }
 
+TEST(AdmissionService, HeadroomCarriesNoResponseAcrossASearch) {
+  // At one level (stretch 1) "lo" is searched first, to a scale near 7.
+  // There the bound clears "p" and "w" ("w" records 146), and "x" fails
+  // (its WCET alone, 73, overruns 60), so "x" is searched: 40s <= 60
+  // gives 1.5.  "y" is then checked at 1.5 (R = 67.5 <= 75; the bound,
+  // 79.7, does not clear it) from "x"'s response there, 60.  A seed
+  // carried from "w" at the old scale, 146, would count two jobs of "p"
+  // (82.5 > 75) and fail "y", whose own headroom is 1.67.
+  ServiceConfig config;
+  config.table = power::FrequencyTable::from_levels({100});
+  sched::TaskSet initial;
+  initial.add(task("p", 100, 10.0, 0));
+  initial.add(task("w", 1000, 20.0, 1));
+  initial.add(task_with_deadline("x", 1000, 60, 10.0, 2));
+  initial.add(task_with_deadline("y", 1000, 75, 5.0, 3));
+  initial.add(task("lo", 100'000, 1.0, 4));
+  std::vector<std::uint64_t> searches;
+  const std::vector<Decision> d = replay_against_reference(
+      initial, {mutate(4, task("lo", 100'000, 1.0, 4))}, config, &searches);
+  ASSERT_EQ(d.size(), 1u);
+  ASSERT_TRUE(d[0].admitted);
+  EXPECT_EQ(d[0].wcet_headroom, 1.5);
+  EXPECT_EQ(searches[0], 2u);  // "lo", then "x".
+}
+
 TEST(AdmissionService, HeadroomSolvesFewerTasksThanWholeSetProbes) {
   // Per-task headroom: one candidate search plus one check per other
   // task, against ~13 whole-set probes on the reference arm — with

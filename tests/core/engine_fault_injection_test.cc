@@ -573,5 +573,132 @@ TEST(FaultPlanHostile, SeededPlansCompleteOrFailNamingTheField) {
   EXPECT_GT(rejected, 500);
 }
 
+/// Runs `spec` through core::simulate and the sharded fleet: both
+/// complete with the same row, or both throw the same std::logic_error,
+/// which is returned ("" when both complete).
+std::string simulate_both_ways(const fleet::SimSpec& spec) {
+  std::string message;
+  std::string row;
+  try {
+    const SimulationResult result = simulate(
+        spec.tasks, spec.processor, spec.policy, spec.exec_model, spec.options);
+    row = io::result_csv_row(result);
+  } catch (const std::logic_error& error) {
+    message = error.what();
+  }
+  std::string fleet_message;
+  std::string fleet_row;
+  try {
+    fleet_row = io::result_csv_row(fleet::run_fleet_sharded({spec}, {}, 1)[0]);
+  } catch (const std::logic_error& error) {
+    fleet_message = error.what();
+  }
+  EXPECT_EQ(fleet_message, message);
+  EXPECT_EQ(fleet_row, row);
+  return message;
+}
+
+TEST(EngineOptionsHostile, SeededOptionsCompleteOrFailNamingTheField) {
+  // Each seeded horizon, context-switch cost and jitter vector runs
+  // through core::simulate and the sharded fleet: it completes alike on
+  // both, or both throw a std::logic_error that names the rejected
+  // field and value and is no internal check.  A finite horizon above
+  // 400 is a long run, not a hostile value, so it is run at 400.
+  std::mt19937_64 rng(28);
+  const sched::TaskSet tasks = example(0.5);  // Three tasks.
+  const auto gauss = std::make_shared<exec::ClampedGaussianModel>();
+  int completed = 0;
+  int rejected = 0;
+  for (int round = 0; round < 3000; ++round) {
+    fleet::SimSpec spec{tasks, cpu(),
+                        round % 2 == 0 ? SchedulerPolicy::fps()
+                                       : SchedulerPolicy::lpfps(),
+                        round % 3 == 0 ? nullptr : gauss, EngineOptions{}};
+    spec.options.throw_on_miss = false;
+    spec.options.seed = static_cast<std::uint64_t>(round);
+    spec.options.horizon = 400.0;
+    if (rng() % 4 == 0) {
+      const double h = hostile_value(rng);
+      spec.options.horizon = std::isfinite(h) && h > 400.0 ? 400.0 : h;
+    }
+    if (rng() % 4 == 0) spec.options.context_switch_cost = hostile_value(rng);
+    if (rng() % 2 == 0) {
+      spec.options.release_jitter.resize(
+          rng() % 4 == 0 ? rng() % (tasks.size() + 2) : tasks.size());
+      for (Time& j : spec.options.release_jitter) {
+        j = rng() % 3 == 0 ? hostile_value(rng) : 5.0;
+      }
+    }
+    const std::string message = simulate_both_ways(spec);
+    if (message.empty()) {
+      ++completed;
+      continue;
+    }
+    ++rejected;
+    EXPECT_TRUE(message.find("EngineOptions::horizon") != std::string::npos ||
+                message.find("EngineOptions::context_switch_cost") !=
+                    std::string::npos ||
+                message.find("EngineOptions::release_jitter") !=
+                    std::string::npos)
+        << "round " << round << ": " << message;
+    EXPECT_TRUE(message.find(", got ") != std::string::npos)
+        << "round " << round << ": " << message;
+    EXPECT_EQ(message.find("check failed"), std::string::npos)
+        << "round " << round << ": " << message;
+  }
+  EXPECT_GT(completed, 500);
+  EXPECT_GT(rejected, 500);
+}
+
+TEST(EngineOptionsHostile, RejectionsNameTheFieldAndTheValue) {
+  const sched::TaskSet tasks = example(0.5);
+  const auto message = [&](const EngineOptions& options) {
+    return simulate_both_ways(
+        {tasks, cpu(), SchedulerPolicy::lpfps(), nullptr, options});
+  };
+  EngineOptions opts = traced_options(400.0);
+  opts.horizon = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(message(opts),
+            "EngineOptions::horizon must be finite and positive, got inf");
+  opts.horizon = 0.0;
+  EXPECT_EQ(message(opts),
+            "EngineOptions::horizon must be finite and positive, got 0");
+  opts.horizon = 400.0;
+  opts.context_switch_cost = -0.5;
+  EXPECT_EQ(message(opts),
+            "EngineOptions::context_switch_cost must be finite and "
+            "non-negative, got -0.5");
+  opts.context_switch_cost = 0.0;
+  opts.release_jitter = {0.0, std::numeric_limits<double>::quiet_NaN(), 1.0};
+  EXPECT_EQ(message(opts),
+            "EngineOptions::release_jitter[1] must be finite and "
+            "non-negative, got nan");
+  opts.release_jitter = {0.0, 0.0, std::numeric_limits<double>::infinity()};
+  EXPECT_EQ(message(opts),
+            "EngineOptions::release_jitter[2] must be finite and "
+            "non-negative, got inf");
+  opts.release_jitter = {0.0};
+  EXPECT_EQ(message(opts),
+            "EngineOptions::release_jitter must be empty or have one entry "
+            "per task (3), got 1 entries");
+}
+
+TEST(EngineSpec, ADeadlinePastThePeriodIsRejectedNamingTheTask) {
+  // The engine queues a job's next release at its completion, so a
+  // deadline past the period would queue a release in the past; this
+  // LPFPS run used to stop at an internal check 1000 us in.
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("h", 100000, 100000, 1.0, 1.0, 50000));
+  tasks.add(sched::make_task("l", 125, 305, 30.47, 30.47, 0));
+  sched::assign_rate_monotonic(tasks);
+  EngineOptions opts;
+  opts.horizon = 1000.0;
+  opts.throw_on_miss = false;
+  EXPECT_EQ(simulate_both_ways(
+                {tasks, cpu(), SchedulerPolicy::lpfps(), nullptr, opts}),
+            "task 'l': deadline 305 exceeds its period 125 (D <= T "
+            "required)");
+}
+
 }  // namespace
 }  // namespace lpfps::core

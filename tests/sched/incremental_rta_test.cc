@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <vector>
 
 #include "common/random.h"
 #include "sched/analysis.h"
@@ -187,6 +189,96 @@ TEST(IncrementalRta, FromScratchModeMatchesIncrementalBitwise) {
   EXPECT_GT(inc.stats().tasks_kept, 0);
   EXPECT_GT(inc.stats().tasks_seeded, 0);
   EXPECT_LT(inc.stats().tasks_reanalyzed, scratch.stats().tasks_reanalyzed);
+}
+
+TEST(IncrementalRta, KeepsItsPriorityOrderAcrossEveryMutation) {
+  // Adds, removes, mutates that move a priority, and both undos keep
+  // by_priority() equal to a fresh sort, priority_taken() equal to a
+  // scan, and the responses bitwise equal to the from-scratch arm.
+  Rng rng(0x0bde5eed);
+  IncrementalRta inc(three_tasks(), IncrementalRta::Mode::kIncremental);
+  IncrementalRta scratch(three_tasks(), IncrementalRta::Mode::kFromScratch);
+  int undone_adds = 0;
+  const auto free_priority = [&] {
+    for (;;) {
+      const auto p = static_cast<Priority>(rng.uniform_int(-20, 40));
+      if (!inc.priority_taken(p)) return p;
+    }
+  };
+  for (int step = 0; step < 200; ++step) {
+    const std::int64_t n = static_cast<std::int64_t>(inc.tasks().size());
+    const int op = static_cast<int>(rng.uniform_int(0, 4));
+    const auto victim = static_cast<TaskIndex>(
+        rng.uniform_int(0, std::max<std::int64_t>(0, n - 1)));
+    if (op == 0 || n <= 1) {
+      const Task t = task("w", rng.uniform_int(5, 50) * 10,
+                          rng.uniform(1.0, 40.0), free_priority());
+      inc.add_task(t);
+      scratch.add_task(t);
+    } else if (op == 1) {
+      inc.remove_task(victim);
+      scratch.remove_task(victim);
+    } else if (op == 2) {
+      Task t = inc.tasks()[victim];
+      t.priority = free_priority();
+      t.wcet = std::min(static_cast<double>(t.deadline),
+                        t.wcet * rng.uniform(0.5, 1.5));
+      t.bcet = std::min(t.bcet, t.wcet);
+      inc.mutate_task(victim, t);
+      scratch.mutate_task(victim, t);
+    } else if (op == 3) {
+      // try_add_task keeps a schedulable add and undoes the rest.
+      const Task t = task("x", rng.uniform_int(20, 50) * 10,
+                          rng.uniform(1.0, 200.0), free_priority());
+      const bool kept = inc.try_add_task(t);
+      ASSERT_EQ(kept, scratch.try_add_task(t));
+      if (!kept) ++undone_adds;
+    } else {
+      const Task previous = inc.tasks()[victim];
+      const auto before = inc.response_times();
+      Task t = previous;
+      t.priority = free_priority();
+      inc.mutate_task(victim, t);
+      inc.undo_mutate(victim, previous, before);
+    }
+    std::vector<std::size_t> sorted(inc.tasks().size());
+    for (std::size_t i = 0; i < sorted.size(); ++i) sorted[i] = i;
+    std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
+      return inc.tasks().tasks()[a].priority < inc.tasks().tasks()[b].priority;
+    });
+    ASSERT_EQ(inc.by_priority(), sorted) << "step " << step;
+    for (Priority p = -21; p <= 41; ++p) {
+      bool scan = false;
+      for (const Task& t : inc.tasks().tasks()) scan = scan || t.priority == p;
+      ASSERT_EQ(inc.priority_taken(p), scan) << "step " << step;
+      if (scan) {
+        const TaskIndex owner = inc.by_priority()[static_cast<std::size_t>(
+            std::count_if(inc.tasks().tasks().begin(),
+                          inc.tasks().tasks().end(),
+                          [&](const Task& t) { return t.priority < p; }))];
+        ASSERT_FALSE(inc.priority_taken(p, owner)) << "step " << step;
+      }
+    }
+    ASSERT_EQ(inc.response_times(), scratch.response_times())
+        << "step " << step;
+  }
+  EXPECT_GT(undone_adds, 0);
+  EXPECT_GT(inc.stats().tasks_seeded_above, 0);
+}
+
+TEST(IncrementalRta, ADivergentTaskSeedsNothingBelowIt) {
+  // "k" (D = 5) diverges under "a": 2 + 4 > 5.  "lo" converges at
+  // 1 + 4 + 2 = 7 with no seed from "k"; "k" itself starts from R_a = 4.
+  TaskSet tasks;
+  tasks.add(task("a", 10, 4.0, 0));
+  Task k = make_task("k", 100, 5, 2.0, 2.0, 0);
+  k.priority = 1;
+  tasks.add(k);
+  tasks.add(task("lo", 1000, 1.0, 2));
+  const IncrementalRta rta(std::move(tasks));
+  EXPECT_FALSE(rta.response_times()[1].has_value());
+  EXPECT_EQ(rta.response_times()[2], 7.0);
+  EXPECT_EQ(rta.stats().tasks_seeded_above, 1);
 }
 
 TEST(IncrementalRta, RejectsDuplicatePriorities) {

@@ -19,6 +19,14 @@
 // responses that land exactly on a higher-priority period multiple,
 // which the random corpus rarely hits and where the release count's
 // -kTimeEpsilon decides the answer.
+//
+// The priority-ordered walks seed each task from the final response of
+// the task just above it (sched::seed_from_above): IncrementalRta at
+// f_max, and the admission service's level probes and headroom checks
+// over stretched and scaled WCETs.  On the corpus and the family, every
+// such seed lies at or below the oracle's answer and the seeded solve
+// equals the solve from C_i bitwise; a family of tiny WCETs trips the
+// seed's rounding guard, where an unguarded seed would change answers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +39,7 @@
 #include <vector>
 
 #include "sched/analysis.h"
+#include "sched/incremental_rta.h"
 #include "sched/task.h"
 #include "sched/task_set.h"
 #include "support/exact_rta.h"
@@ -233,6 +242,72 @@ int check_set(const std::vector<TickTask>& set,
   return landings;
 }
 
+// The seed walks against the oracle.  `seeds` counts the seeds a walk
+// raised above a task's own, and how many of them overshot the
+// oracle's answer (must stay 0).
+struct SeedTally {
+  std::int64_t raised = 0;
+  Tally::Count above_answer;
+};
+
+// One walk highest priority first over the WCET view c_j * m of `set`,
+// the tick set with every WCET times m, where the oracle stays exact:
+// every task from max(c_i, seed_from_above) and from c_i, which must
+// agree bitwise and with the oracle; a task the closed-form bound
+// clears passes on its seed, as the service's walks do.  m = 1 is the
+// f_max walk (IncrementalRta's, checked on the class itself); m = 2
+// and 3 stand in for a level's stretch and a headroom scale.
+void check_walk(const std::vector<TickTask>& set, std::int64_t ticks_per_us,
+                std::int64_t m, Tally& walk, SeedTally& seeds) {
+  std::vector<TickTask> scaled = set;
+  for (TickTask& t : scaled) t.wcet *= m;
+  const Rendered r = render(set, ticks_per_us);
+  const std::vector<Task>& tasks = r.tasks.tasks();
+  const std::size_t n = tasks.size();
+  std::vector<double> view(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    view[j] = tasks[j].wcet * static_cast<double>(m);
+  }
+  const IncrementalRta rta(r.tasks);
+  const std::vector<std::size_t>& order = rta.by_priority();
+  std::vector<std::uint8_t> cleared;
+  clear_by_response_bound(tasks, view, order, cleared);
+  double above = 0.0;
+  for (std::size_t q = 0; q < n; ++q) {
+    const std::size_t i = order[q];
+    const auto where = [&] {
+      return describe(scaled, i, ticks_per_us) + " at m = " +
+             std::to_string(m);
+    };
+    Exact exact = exact_response(scaled, i, Term::kPlain);
+    exact.converged = exact.converged && exact.w <= scaled[i].deadline;
+    double want = view[i];
+    for (std::size_t j = 0; j < n; ++j) {
+      if (tasks[j].priority < tasks[i].priority) {
+        want += static_cast<double>(exact.jobs[j]) * view[j];
+      }
+    }
+    const double seed =
+        q == 0 ? view[i]
+               : seed_from_above(view[i], above, view[i],
+                                 tasks[order[q - 1]].deadline, n);
+    if (seed != view[i]) {
+      ++seeds.raised;
+      if (exact.converged && seed > want) {
+        Tally::note(seeds.above_answer, where, "seed above the answer: ");
+      }
+    }
+    const std::optional<Time> from_seed =
+        response_fixed_point(tasks, view, i, seed);
+    const std::optional<Time> from_c =
+        response_fixed_point(tasks, view, i, 0.0);
+    walk.check(from_seed, exact, want, where);
+    if (from_seed != from_c) Tally::note(walk.value, where, "seeded != C_i: ");
+    if (m == 1) walk.check(rta.response_times()[i], exact, want, where);
+    above = cleared[i] != 0 ? seed : from_seed.value_or(0.0);
+  }
+}
+
 // UUniFast (Bini & Buttazzo): n utilizations summing to `total`.
 std::vector<double> uunifast(Draw& draw, int n, double total) {
   std::vector<double> u(static_cast<std::size_t>(n));
@@ -294,25 +369,36 @@ TEST_P(RtaOracle, RandomCorpusMatchesTheExactAnalysis) {
   Tally plain;
   Tally jitter;
   Tally mandatory;
+  Tally walk;
+  SeedTally seeds;
   int landings = 0;
   for (int s = 0; s < kSetsPerResolution; ++s) {
     const std::vector<TickTask> set = draw_set(draw, ticks_per_us, s);
-    landings += check_set(without_constraints(set), set, ticks_per_us, plain,
-                          jitter, mandatory);
+    const std::vector<TickTask> hard = without_constraints(set);
+    landings += check_set(hard, set, ticks_per_us, plain, jitter, mandatory);
+    for (const std::int64_t m : {1, 2, 3}) {
+      check_walk(hard, ticks_per_us, m, walk, seeds);
+    }
   }
   plain.expect_clean("plain");
   jitter.expect_clean("jitter");
   mandatory.expect_clean("mandatory");
+  walk.expect_clean("seed walks");
+  EXPECT_EQ(seeds.above_answer.mismatches, 0) << seeds.above_answer.first;
+  EXPECT_GT(seeds.raised, 0);
   // The corpus must reach the ordering the kernel's stop rule decides:
   // a fixed point found at the start, already past the deadline, is
   // reported, not treated as divergence.
   EXPECT_GT(jitter.past_deadline_fixed_points, 0);
   std::printf("ticks of 1/%lld us: %lld plain, %lld jitter, %lld mandatory "
-              "analyses; %d responses on a period multiple\n",
+              "analyses; %d responses on a period multiple; %lld walk "
+              "solves, %lld seeds from above\n",
               static_cast<long long>(ticks_per_us),
               static_cast<long long>(plain.analyses),
               static_cast<long long>(jitter.analyses),
-              static_cast<long long>(mandatory.analyses), landings);
+              static_cast<long long>(mandatory.analyses), landings,
+              static_cast<long long>(walk.analyses),
+              static_cast<long long>(seeds.raised));
 }
 
 // Two-task sets whose least fixed point is exactly k T_a, a multiple of
@@ -324,6 +410,8 @@ TEST_P(RtaOracle, RandomCorpusMatchesTheExactAnalysis) {
 TEST_P(RtaOracle, ResponsesOnAPeriodMultiple) {
   const std::int64_t ticks_per_us = GetParam();
   Tally tallies[3];
+  Tally walk;
+  SeedTally seeds;
   int above[3] = {0, 0, 0};
   for (std::int64_t period_us = 1; period_us <= 12; ++period_us) {
     const std::int64_t period = period_us * ticks_per_us;
@@ -374,6 +462,11 @@ TEST_P(RtaOracle, ResponsesOnAPeriodMultiple) {
             got = weakly_hard::degraded_response_time(r.tasks, index);
           }
           tallies[t].check(got, exact, want, where);
+          if (term == Term::kPlain) {
+            for (const std::int64_t m : {1, 2, 3}) {
+              check_walk(set, ticks_per_us, m, walk, seeds);
+            }
+          }
           // Would a count without the -kTimeEpsilon book job k + 1?
           const double window = want + r.extras.jitter[1 - ib];
           if (std::ceil(window / static_cast<double>(period_us)) > k) {
@@ -389,6 +482,9 @@ TEST_P(RtaOracle, ResponsesOnAPeriodMultiple) {
     EXPECT_GT(above[t], 0) << "no " << labels[t]
                            << " member lands above its multiple";
   }
+  walk.expect_clean("seed walks");
+  EXPECT_EQ(seeds.above_answer.mismatches, 0) << seeds.above_answer.first;
+  EXPECT_GT(seeds.raised, 0);
   std::printf("ticks of 1/%lld us: %lld/%lld/%lld family analyses; "
               "%d/%d/%d sums above the multiple\n",
               static_cast<long long>(ticks_per_us),
@@ -396,6 +492,66 @@ TEST_P(RtaOracle, ResponsesOnAPeriodMultiple) {
               static_cast<long long>(tallies[1].analyses),
               static_cast<long long>(tallies[2].analyses), above[0],
               above[1], above[2]);
+}
+
+// Two-task sets {k above i} whose c_i, a few ticks of 10^-15 us, lies
+// within the rounding of a sum near D_k: seed_from_above keeps c_i
+// (the guard trips on every member), and IncrementalRta's walk matches
+// the oracle.  An unguarded seed R_k = c_k changes answers: where
+// c_k + c_i rounds to c_k and D_i < c_k, c_k is a fixed point of i's
+// step that the solve from c_i never reaches (it gives up past D_i).
+TEST(RtaOracleSeeds, TinyWcetTakesTheFallback) {
+  constexpr std::int64_t kTicksPerUs = 1'000'000'000'000'000;  // 10^15.
+  Tally walk;
+  int unguarded_differs = 0;
+  for (std::int64_t tens = 1; tens <= 12; ++tens) {
+    const std::int64_t period_us = 10 * tens;
+    for (int q = 1; q <= 99; ++q) {
+      for (const std::int64_t c_i : {1, 3, 7, 15}) {
+        for (const bool tight : {false, true}) {
+          TickTask k;
+          k.period = k.deadline = period_us * kTicksPerUs;
+          k.wcet = period_us * q * (kTicksPerUs / 100);
+          // D_i far (>= 1 us) from c_k + c_i either way, so that
+          // kTimeEpsilon decides no verdict.
+          const std::int64_t deadline_us =
+              tight ? k.wcet / kTicksPerUs / 2 : period_us;
+          if (deadline_us < 1) continue;
+          TickTask i;
+          i.period = i.deadline = deadline_us * kTicksPerUs;
+          i.wcet = c_i;
+          k.priority = 0;
+          i.priority = 1;
+          const std::size_t ii = q % 2 == 0 ? 1 : 0;
+          const std::vector<TickTask> set =
+              ii == 1 ? std::vector<TickTask>{k, i}
+                      : std::vector<TickTask>{i, k};
+          const auto where = [&] { return describe(set, ii, kTicksPerUs); };
+          const Rendered r = render(set, kTicksPerUs);
+          const auto index = static_cast<TaskIndex>(ii);
+          const Task& low = r.tasks[index];
+          const Task& high = r.tasks[static_cast<TaskIndex>(1 - ii)];
+          const Time r_k = high.wcet;  // k alone: R_k = c_k.
+          ASSERT_EQ(seed_from_above(low.wcet, r_k, low.wcet, high.deadline,
+                                    set.size()),
+                    low.wcet)
+              << where();
+          const Exact exact = exact_response(set, ii, Term::kPlain);
+          const double want = recompute(r.tasks, ii, low.wcet, exact);
+          const IncrementalRta rta(r.tasks);
+          walk.check(rta.response_times()[ii], exact, want, where);
+          if (response_time_from_seed(r.tasks, index, r_k) !=
+              response_time_from_seed(r.tasks, index, 0.0)) {
+            ++unguarded_differs;
+          }
+        }
+      }
+    }
+  }
+  walk.expect_clean("tiny c_i");
+  EXPECT_GT(unguarded_differs, 0);
+  std::printf("%lld tiny-c_i analyses; an unguarded seed changes %d\n",
+              static_cast<long long>(walk.analyses), unguarded_differs);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ticks, RtaOracle, ::testing::Values(10, 100, 1000),
