@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -512,7 +514,23 @@ double AdmissionService::compute_headroom(int level) {
   return h;
 }
 
+void AdmissionService::check_request(const Request& request) const {
+  if (request.kind != RequestKind::kAdd) {
+    const std::size_t n = rta_.tasks().size();
+    if (request.index < 0 || static_cast<std::size_t>(request.index) >= n) {
+      throw std::logic_error("admission request index must be in [0, " +
+                             std::to_string(n) + "), got " +
+                             std::to_string(request.index));
+    }
+  }
+  if (request.kind != RequestKind::kRemove) {
+    request.task.validate();
+    sched::check_constrained_deadline(request.task);
+  }
+}
+
 Decision AdmissionService::handle(const Request& request) {
+  check_request(request);
   saturating_increment(stats_.requests);
   Decision d;
   d.kind = request.kind;

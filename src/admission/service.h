@@ -144,7 +144,11 @@ class AdmissionService {
   /// `initial` must be schedulable at f_max (the empty set is).
   explicit AdmissionService(sched::TaskSet initial, ServiceConfig config);
 
-  /// Decides one request; applies it iff admitted.
+  /// Decides one request; applies it iff admitted.  A request the
+  /// analysis cannot take — a remove or mutate index outside the set,
+  /// or an add or mutate task that fails Task::validate or has D > T —
+  /// throws std::logic_error naming the field and the value before
+  /// anything changes, so the service stays as it was.
   Decision handle(const Request& request);
 
   const sched::TaskSet& tasks() const { return rta_.tasks(); }
@@ -177,6 +181,9 @@ class AdmissionService {
     kNotAboveHint,  ///< Remove / relaxing mutate: min can only fall.
     kUnbounded,     ///< Mixed mutate: no direction known.
   };
+
+  /// The checks handle() runs before it changes anything.
+  void check_request(const Request& request) const;
 
   /// The candidate set's canonical key, built directly from the current
   /// set plus the request — byte-identical to canonical_key() of the

@@ -23,13 +23,12 @@ using namespace detail;
 
 namespace {
 
-/// Hard RTA verdict for the structural overload latch: a set that cannot
-/// meet every deadline even at full speed is in permanent overload, so
-/// the governor degrades from t = 0.  validate_spec has checked D <= T.
-bool hard_rta_schedulable(const sched::TaskSet& tasks) {
-  if (tasks.utilization() > 1.0) return false;
-  return sched::is_schedulable_rta(tasks);
-}
+/// The longest horizon validate_spec accepts, in microseconds.
+constexpr Time kMaxHorizon = 0x1p53;
+
+/// A trace reserves for at most this many job records up front; a
+/// longer traced run grows its trace as it goes.
+constexpr std::size_t kMaxReservedJobs = std::size_t{1} << 16;
 
 /// Throws std::logic_error naming `field` and `value` unless `value` is
 /// finite and at least (or, when `positive`, above) zero.
@@ -54,6 +53,13 @@ const sched::TaskSet& validate_spec(const sched::TaskSet& tasks,
                                     const EngineOptions& options) {
   LPFPS_CHECK_MSG(!tasks.empty(), "engine needs at least one task");
   require_finite("horizon", options.horizon, true);
+  // Past 2^53 us integer release instants stop being exact doubles, and
+  // the TimePoint anchors need them exact.
+  if (options.horizon > kMaxHorizon) {
+    throw std::logic_error(
+        "EngineOptions::horizon must be at most 2^53 us, got " +
+        round_trip_string(options.horizon));
+  }
   require_finite("context_switch_cost", options.context_switch_cost, false);
   if (!options.release_jitter.empty() &&
       options.release_jitter.size() != tasks.size()) {
@@ -109,29 +115,20 @@ SimState::SimState(const sched::TaskSet& tasks,
       exec_model_(exec_model),
       options_(&options),
       rng_(options.seed),
-      power_model_(processor.make_power_model()),
-      accumulator_(&power_model_),
+      accumulator_(processor.make_power_model(), processor.ramp_rate),
       jobs_(tasks.size()),
       next_instance_(tasks.size(), 0),
       detection_enabled_(options.faults.overruns_enabled() ||
                          options.containment.enabled()),
-      overruns_armed_(options.faults.overruns_enabled()),
-      // Weakly-hard governor wiring, resolved once: disarmed runs (no
-      // weakly-hard tasks, or policy kNever) never touch any of it,
-      // keeping them bit-identical to the hard engine.  begin() computes
-      // the structural overload latch.
-      skip_policy_(tasks.has_weakly_hard() ? options.weakly_hard.policy
-                                           : weakly_hard::SkipPolicy::kNever) {
+      overruns_armed_(options.faults.overruns_enabled()) {
   // Each queue holds at most one entry per task, so with every per-task
   // buffer sized here nothing in the scheduling hot path allocates.
   run_queue_.reserve(tasks.size());
   delay_queue_.reserve(tasks.size());
   staged_.reserve(tasks.size());
   result_.per_task.resize(tasks.size());
-  if (governor_armed()) {
-    skip_dvs_ = options.weakly_hard.skip_dvs;
-    governor_.reset(tasks);
-  }
+  governor_.bind(tasks, options.weakly_hard.policy,
+                 options.weakly_hard.skip_dvs);
 }
 
 void SimState::start_job(TaskIndex index) {
@@ -169,16 +166,16 @@ void SimState::start_job(TaskIndex index) {
   }
 }
 
-// inline: both L5-L7 loops call it on every release.  Left out of line
+// inline: L5-L7 calls it on every release.  Left out of line
 // (GCC 12, -O3) it cost FPS runs about 4% of their events/sec on a
 // 4-vCPU x86-64 host.
-inline bool SimState::release_job(TaskIndex index) {
+inline void SimState::release_job(TaskIndex index) {
   start_job(index);
-  if (governor_armed()) {
+  if (governor_.armed()) {
     note_release_pressure(index);
-    if (weakly_hard_should_skip(index)) {
+    if (governor_.should_skip(index)) {
       skip_released_job(index);
-      return false;
+      return;
     }
   }
   TimePoint ready = at(job(index).release);
@@ -191,11 +188,10 @@ inline bool SimState::release_job(TaskIndex index) {
   } else {
     staged_.push_back({index, ready});
   }
-  return true;
 }
 
 Time SimState::next_arrival_for_active() const {
-  if (!skip_dvs_) {
+  if (!governor_.skip_dvs()) {
     if (const auto release = delay_queue_.next_release();
         release.has_value()) {
       return *release;
@@ -211,7 +207,7 @@ Time SimState::next_arrival_for_active() const {
     Time best = kNever;
     for (const sched::DelayEntry& entry : delay_queue_.entries()) {
       Time candidate = entry.release_time;
-      if (weakly_hard_should_skip(entry.task)) {
+      if (governor_.should_skip(entry.task)) {
         candidate += static_cast<Time>(task(entry.task).period);
       }
       best = std::min(best, candidate);
@@ -224,14 +220,8 @@ Time SimState::next_arrival_for_active() const {
   return state.release + static_cast<Time>(task(active_).period);
 }
 
-bool SimState::weakly_hard_should_skip(TaskIndex index) const {
-  return governor_.should_skip(index, skip_policy_,
-                               overload_structural_ || overload_dynamic_);
-}
-
 void SimState::note_release_pressure(TaskIndex index) {
-  if (overload_structural_ || overload_dynamic_) return;
-  if (skip_policy_ != weakly_hard::SkipPolicy::kOverload) return;
+  if (!governor_.probing()) return;
   const sched::Task& t = task(index);
   const JobState& released = job(index);
   // Release-time overload probe: the declared demand that must clear
@@ -254,7 +244,7 @@ void SimState::note_release_pressure(TaskIndex index) {
   const Time deadline = released.release + static_cast<Time>(t.deadline);
   if (tp_definitely_greater(after(now_, demand / base_ratio_),
                             at(deadline))) {
-    overload_dynamic_ = true;
+    governor_.raise_overload();
   }
 }
 
@@ -268,14 +258,9 @@ void SimState::skip_released_job(TaskIndex index) {
     // carries the QoS accounting instead.
     result_.trace->add_job(record);
   }
-  settle_weakly_hard(index, /*met=*/false, /*skipped=*/true);
+  governor_.settle(index, /*met=*/false, /*skipped=*/true);
   delay_queue_.insert(
       {index, job(index).release + static_cast<Time>(t.period)});
-}
-
-void SimState::settle_weakly_hard(TaskIndex index, bool met, bool skipped) {
-  if (!governor_armed()) return;
-  governor_.settle(index, met, skipped);
 }
 
 void SimState::try_slowdown() {
@@ -369,51 +354,14 @@ void SimState::enter_power_down() {
   ++result_.power_downs;
 }
 
-bool SimState::consume_releases_under_plan() {
-  // Skip-to-slack conversion (docs/WEAKLY_HARD.md): consume due releases
-  // the governor skips so they do not tear down the slowdown plan that
-  // was sized against the skip-aware arrival.  The first non-skipped due
-  // release is handed over exactly as L5-L7 would and ends the plan via
-  // the ordinary L1-L4 ramp-up.  skip_dvs_ implies an armed governor.
-  while (!delay_queue_.empty() &&
-         tp_approx_le(at(delay_queue_.head().release_time), now_)) {
-    if (release_job(delay_queue_.pop_head().task)) break;
-  }
-  bool staged_due = false;
-  for (const auto& entry : staged_) {
-    if (tp_approx_le(entry.ready, now_)) staged_due = true;
-  }
-  // Fully handled only if nothing else demands the scheduler right now:
-  // the plan continues uninterrupted through the skipped arrivals.
-  return run_queue_.empty() && !staged_due && active_ != kNoTask &&
-         (delay_queue_.empty() ||
-          !tp_approx_le(at(delay_queue_.head().release_time), now_));
-}
-
 void SimState::invoke_scheduler() {
   ++result_.scheduler_invocations;
 
-  // Skip-aware DVS: under an active slowdown plan, arrivals the governor
-  // skips are consumed without ramping back to base — the plan keeps
-  // running through them.
-  if (skip_dvs_ && plan_end_.base != kNever && active_ != kNoTask &&
-      consume_releases_under_plan()) {
-    sample_queue_depths();
-    return;
-  }
-
-  // L1-L4: restore full (base) speed before any decision.
-  if (ratio_ < base_ratio_ - 1e-12 || ramp_target_ < base_ratio_ - 1e-12) {
-    if (!(ramp_target_ == base_ratio_ && ratio_ < ramp_target_)) {
-      // Not already ramping up: redirect toward full speed.
-      ramp_target_ = base_ratio_;
-      ++result_.speed_changes;
-    }
-    reinvoke_after_ramp_ = true;
-    return;
-  }
-
   // L5-L7: release due tasks (via the jitter stage when configured).
+  // The paper runs L1-L4 first, but with exact knowledge no release
+  // falls inside an L1-L4 ramp, so the order shows only when a kill, a
+  // safe-mode entry or a skip-aware plan lets one: releasing first
+  // decides every skip at its release instant (docs/ARCHITECTURE.md).
   while (!delay_queue_.empty() &&
          tp_approx_le(at(delay_queue_.head().release_time), now_)) {
     release_job(delay_queue_.pop_head().task);
@@ -425,6 +373,27 @@ void SimState::invoke_scheduler() {
     } else {
       ++it;
     }
+  }
+
+  // Skip-aware DVS (docs/WEAKLY_HARD.md): a running slowdown plan keeps
+  // running while nothing became ready — every release due now was
+  // skipped, and the plan was sized past those arrivals.
+  if (governor_.skip_dvs() && plan_end_.base != kNever &&
+      active_ != kNoTask && run_queue_.empty()) {
+    sample_queue_depths();
+    return;
+  }
+
+  // L1-L4: restore full (base) speed before any decision; dispatch
+  // waits for the ramp.
+  if (ratio_ < base_ratio_ - 1e-12 || ramp_target_ < base_ratio_ - 1e-12) {
+    if (!(ramp_target_ == base_ratio_ && ratio_ < ramp_target_)) {
+      // Not already ramping up: redirect toward full speed.
+      ramp_target_ = base_ratio_;
+      ++result_.speed_changes;
+    }
+    reinvoke_after_ramp_ = true;
+    return;
   }
 
   // L8-L11: dispatch / preempt.
@@ -462,7 +431,7 @@ void SimState::invoke_scheduler() {
   // It likewise ends a dynamic overload episode — the backlog that
   // predicted or produced misses is gone.  (The structural latch, a
   // property of the task set, never clears.)
-  overload_dynamic_ = false;
+  governor_.clear_overload();
   if (delay_queue_.empty()) return;  // No future work at all.
   switch (policy_->idle) {
     case IdleMethod::kBusyWait:
@@ -500,12 +469,10 @@ void SimState::finish_active_job() {
   if (options_->record_trace) result_.trace->add_job(record);
   ++result_.jobs_completed;
 
-  if (governor_armed()) {
-    // An actual miss is the strongest overload evidence there is.
-    if (record.missed_deadline) overload_dynamic_ = true;
-    settle_weakly_hard(active_, /*met=*/!record.missed_deadline,
-                       /*skipped=*/false);
-  }
+  // An actual miss is the strongest overload evidence there is.
+  if (record.missed_deadline) governor_.raise_overload();
+  governor_.settle(active_, /*met=*/!record.missed_deadline,
+                   /*skipped=*/false);
 
   delay_queue_.insert(
       {active_, state.release + static_cast<Time>(t.period)});
@@ -521,7 +488,7 @@ void SimState::on_budget_exhausted() {
   ++result_.overruns_detected;
   // A detected overrun raises the dynamic overload latch: undeclared
   // demand is in the system, so permitted skips may now be spent.
-  if (governor_armed()) overload_dynamic_ = true;
+  governor_.raise_overload();
   enter_safe_mode();
   // Monitor only (kNone): the overrunning job keeps the CPU (at base
   // speed once the safe-mode ramp lands) until its true demand drains.
@@ -542,7 +509,7 @@ void SimState::kill_active_job() {
   }
   // The killed instance settles as a failure in its task's (m,k) window
   // — the work was discarded, not delivered.
-  settle_weakly_hard(active_, /*met=*/false, /*skipped=*/false);
+  governor_.settle(active_, /*met=*/false, /*skipped=*/false);
   requeue_contained_task(active_);
   active_ = kNoTask;
   state_ = CpuState::kIdle;
@@ -563,7 +530,7 @@ void SimState::requeue_contained_task(TaskIndex index) {
     ++result_.jobs_skipped;
     // Each forfeited release is a failed delivery in the task's (m,k)
     // ledger, settled here in instance order, after the killed one.
-    settle_weakly_hard(index, /*met=*/false, /*skipped=*/false);
+    governor_.settle(index, /*met=*/false, /*skipped=*/false);
     next_release = static_cast<Time>(t.phase) +
                    static_cast<Time>(instance * t.period);
   }
@@ -624,8 +591,7 @@ void SimState::advance_to(const TimePoint& next) {
       const Work done = power::work_done(ratio_, s, dt);
       job(active_).executed += done;
       charged = s == 0.0 ? accumulator_.add_run(dt, ratio_)
-                         : accumulator_.add_run_ramp(dt, ratio_, end_ratio,
-                                                     processor_->ramp_rate);
+                         : accumulator_.add_run_ramp(dt, ratio_, end_ratio);
       auto& slot = result_.per_task[static_cast<std::size_t>(active_)];
       slot.time += dt;
       slot.energy += charged;
@@ -639,8 +605,7 @@ void SimState::advance_to(const TimePoint& next) {
         charged = accumulator_.add_idle_nop(dt, ratio_);
         segment.mode = sim::ProcessorMode::kIdleBusyWait;
       } else {
-        charged = accumulator_.add_idle_ramp(dt, ratio_, end_ratio,
-                                             processor_->ramp_rate);
+        charged = accumulator_.add_idle_ramp(dt, ratio_, end_ratio);
         segment.mode = sim::ProcessorMode::kRamping;
       }
       break;
@@ -665,12 +630,6 @@ void SimState::advance_to(const TimePoint& next) {
 }
 
 void SimState::begin() {
-  // kOverload's structural trigger: hard-infeasible sets are in
-  // overload from the first release, before any miss can be observed.
-  if (skip_policy_ == weakly_hard::SkipPolicy::kOverload) {
-    overload_structural_ = !hard_rta_schedulable(*tasks_);
-  }
-
   base_ratio_ = policy_->static_ratio;
   ratio_ = base_ratio_;
   ramp_target_ = base_ratio_;
@@ -679,14 +638,16 @@ void SimState::begin() {
     // Reserve from the release pattern over the horizon (the horizon is
     // normally a whole number of hyperperiods): one job record per
     // released instance, and a few segments per job (run pieces split by
-    // preemptions plus idle/ramp/power-down gaps between them).
+    // preemptions plus idle/ramp/power-down gaps between them).  Each
+    // count is capped before its conversion, and so is the sum.
     std::size_t job_hint = 0;
     for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks_->size()); ++i) {
-      job_hint +=
-          static_cast<std::size_t>(options_->horizon /
-                                   static_cast<Time>(task(i).period)) +
-          1;
+      job_hint += static_cast<std::size_t>(std::min(
+                      options_->horizon / static_cast<Time>(task(i).period),
+                      static_cast<double>(kMaxReservedJobs))) +
+                  1;
     }
+    job_hint = std::min(job_hint, kMaxReservedJobs);
     result_.trace.emplace().reserve(4 * job_hint + 16, job_hint);
   }
 
@@ -744,17 +705,8 @@ void SimState::step() {
   // due exactly now; handlers below clear every condition they fire
   // on, so the loop always progresses).
   TimePoint next_other = horizon_;
-  // Injected overruns can break the fault-free invariant that the clock
-  // is back at base speed before any release is due: a safe-mode
-  // redirect leaves the L1-L4 ramp-up in flight across a release.  The
-  // scheduler defers those releases (reinvoke_after_ramp_ serves them
-  // when the ramp lands), so they must not pin the loop at the current
-  // instant.  The CPU is always awake at a release: the L14 timer wakes
-  // it exactly `latency` early, so the wake-up ends on the release.
-  const bool releases_blocked =
-      overruns_armed_ && reinvoke_after_ramp_ && ratio_ != ramp_target_;
   if (const auto release = delay_queue_.next_release();
-      release.has_value() && !releases_blocked) {
+      release.has_value()) {
     const TimePoint candidate = at(*release);
     if (tp_less(candidate, next_other)) next_other = candidate;
   }
@@ -778,10 +730,8 @@ void SimState::step() {
       tp_less(shutdown_at_, next_other)) {
     next_other = shutdown_at_;
   }
-  if (!releases_blocked) {
-    for (const StagedJob& staged : staged_) {
-      if (tp_less(staged.ready, next_other)) next_other = staged.ready;
-    }
+  for (const StagedJob& staged : staged_) {
+    if (tp_less(staged.ready, next_other)) next_other = staged.ready;
   }
   LPFPS_CHECK(tp_approx_ge(next_other, now_));
   if (tp_less(next_other, now_)) next_other = now_;
@@ -913,7 +863,7 @@ SimulationResult SimState::finish() {
   const Time running_time = result_.mode(sim::ProcessorMode::kRunning).time;
   result_.mean_running_ratio =
       running_time > 0.0 ? running_ratio_integral_ / running_time : 1.0;
-  if (governor_armed()) {
+  if (governor_.armed()) {
     result_.jobs_skipped_weakly = governor_.jobs_skipped_weakly();
     result_.mk_violations = governor_.mk_violations();
     result_.weakly_hard_worst_slack = governor_.worst_window_slack();

@@ -44,7 +44,6 @@
 #include "core/result.h"
 #include "exec/exec_model.h"
 #include "power/energy.h"
-#include "power/power_model.h"
 #include "power/processor.h"
 #include "sched/queues.h"
 #include "sched/task_set.h"
@@ -180,13 +179,10 @@ class SimState {
   void start_job(TaskIndex task);
   /// L5-L7 for one due delay-queue entry: starts the job, lets an armed
   /// governor skip it, draws its release jitter, and inserts it into the
-  /// run queue or stages it.  Returns false when the governor skipped it.
-  bool release_job(TaskIndex task);
+  /// run queue or stages it.
+  void release_job(TaskIndex task);
   /// Drops the DVS slowdown plan (no plan is active afterwards).
   void end_plan();
-  bool governor_armed() const {
-    return skip_policy_ != weakly_hard::SkipPolicy::kNever;
-  }
   /// The trace record of `index`'s current job, closed now with
   /// `executed` work done; the caller marks how the job ended.  `t` is
   /// task(index), passed in so the completion path looks it up once.
@@ -198,24 +194,14 @@ class SimState {
   void finish_active_job();
 
   // --- weakly-hard skip governor (docs/WEAKLY_HARD.md) ------------------
-  /// Release-time decision for the just-started job of `index`: governor
-  /// armed, constraint window permits, and the policy/overload state
-  /// calls for spending the skip.
-  bool weakly_hard_should_skip(TaskIndex index) const;
-  /// Raises the dynamic overload latch when the just-released job of
-  /// `index` cannot complete by its deadline at base speed given the
-  /// declared remaining demand of higher-priority ready jobs.
+  /// Raises the governor's dynamic overload latch when the just-released
+  /// job of `index` cannot complete by its deadline at base speed given
+  /// the declared remaining demand of higher-priority ready jobs.  The
+  /// sum reads the run queue and the job table, so it stays here.
   void note_release_pressure(TaskIndex index);
   /// Books a governor-granted skip of the just-started job: skip record,
   /// settle, re-queue at the next period.  The job never becomes ready.
   void skip_released_job(TaskIndex index);
-  /// Feeds a settled job outcome to the governor (no-op when disarmed).
-  void settle_weakly_hard(TaskIndex index, bool met, bool skipped);
-  /// Skip-aware DVS fast path: while a slowdown plan is active, consume
-  /// due releases before the L1-L4 ramp-up check; skipped ones never
-  /// wake the plan.  Returns true when the invocation is fully handled
-  /// (only skipped releases were due) and the plan should keep running.
-  bool consume_releases_under_plan();
 
   // --- fault detection and containment ---------------------------------
   /// The active job just exhausted its WCET budget: count the overrun,
@@ -264,9 +250,6 @@ class SimState {
   // at the front read slower on paper-sims (docs/PERFORMANCE.md,
   // "SimState member order").
   Rng rng_;
-  power::PowerModel power_model_;
-  /// Points at power_model_; SimState is neither copied nor moved, so
-  /// the address stays valid.
   power::EnergyAccumulator accumulator_;
   /// What finish() returns.  Every counter, the per-task totals and the
   /// trace (engaged by begin() when options->record_trace) are written
@@ -298,7 +281,8 @@ class SimState {
   Ratio base_ratio_ = 1.0;
   Ratio ratio_ = 1.0;
   Ratio ramp_target_ = 1.0;
-  /// L1-L4 semantics: re-enter the scheduler when the ramp completes.
+  /// L1-L4 semantics: re-enter the scheduler when the ramp completes;
+  /// dispatch waits for it.
   bool reinvoke_after_ramp_ = false;
 
   // The DVS slowdown plan is its two instants.  plan_end_ is kNever
@@ -325,20 +309,11 @@ class SimState {
   bool overruns_armed_ = false;
   bool safe_mode_ = false;
 
-  // Weakly-hard skip governor (resolved once at bind; everything
-  // below is inert — and bit-identity preserving — while skip_policy_
-  // is kNever, which it is unless the task set declares weakly-hard
-  // constraints and the configured policy is not kNever).
-  bool skip_dvs_ = false;  ///< Skip-aware DVS; implies an armed governor.
-  weakly_hard::SkipPolicy skip_policy_ = weakly_hard::SkipPolicy::kNever;
+  /// Weakly-hard skip governor: its policy, skip-aware DVS flag and
+  /// overload latches, bound once in the constructor.  Disarmed — inert
+  /// and bit-identity preserving — unless the task set declares
+  /// weakly-hard constraints and the configured policy is not kNever.
   weakly_hard::SkipGovernor governor_;
-  /// Hard RTA failed at begin(): the set cannot meet every deadline even
-  /// at base speed, so degradation is on from t = 0 and never clears.
-  bool overload_structural_ = false;
-  /// Runtime trigger — predicted miss at a release, detected overrun,
-  /// or an actual miss; cleared at the next idle instant (the backlog
-  /// has drained).
-  bool overload_dynamic_ = false;
 
   /// Integral of the speed ratio over running time; finish() divides it
   /// by the running time the accumulator kept.

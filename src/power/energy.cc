@@ -1,6 +1,7 @@
 #include "power/energy.h"
 
 #include <bit>
+#include <utility>
 
 #include "common/check.h"
 #include "common/float_compare.h"
@@ -8,9 +9,9 @@
 
 namespace lpfps::power {
 
-EnergyAccumulator::EnergyAccumulator(const PowerModel* model)
-    : model_(model) {
-  LPFPS_CHECK(model_ != nullptr);
+EnergyAccumulator::EnergyAccumulator(PowerModel model, double rho)
+    : model_(std::move(model)), rho_(rho) {
+  LPFPS_CHECK(rho_ > 0.0);
 }
 
 Energy EnergyAccumulator::charge(sim::ProcessorMode mode, Time duration,
@@ -24,52 +25,48 @@ Energy EnergyAccumulator::charge(sim::ProcessorMode mode, Time duration,
   return energy;
 }
 
-Energy EnergyAccumulator::ramp_energy(Ratio from, Ratio to, double rho,
-                                      bool executing) {
+Energy EnergyAccumulator::ramp_energy(Ratio from, Ratio to, bool executing) {
   const auto f = std::bit_cast<std::uint64_t>(from);
   const auto t = std::bit_cast<std::uint64_t>(to);
-  const auto r = std::bit_cast<std::uint64_t>(rho);
   const std::uint8_t kind = executing ? 2 : 1;
   // Fibonacci hashing of the mixed key: the top bits pick the slot.
   const std::uint64_t mixed =
-      (f ^ (t * 0xC2B2AE3D27D4EB4FULL) ^ r ^ kind) * 0x9E3779B97F4A7C15ULL;
+      (f ^ (t * 0xC2B2AE3D27D4EB4FULL) ^ kind) * 0x9E3779B97F4A7C15ULL;
   RampSlot& slot = ramp_memo_[mixed >> (64 - kRampSlotBits)];
-  if (slot.from == f && slot.to == t && slot.rho == r && slot.kind == kind) {
+  if (slot.from == f && slot.to == t && slot.kind == kind) {
     return slot.energy;
   }
-  const Energy energy = model_->ramp_energy(from, to, rho, executing);
-  slot = {f, t, r, energy, kind};
+  const Energy energy = model_.ramp_energy(from, to, rho_, executing);
+  slot = {f, t, energy, kind};
   return energy;
 }
 
 Energy EnergyAccumulator::add_run(Time duration, Ratio ratio) {
   return charge(sim::ProcessorMode::kRunning, duration,
-                duration * model_->run_power(ratio));
+                duration * model_.run_power(ratio));
 }
 
-Energy EnergyAccumulator::add_run_ramp(Time duration, Ratio from, Ratio to,
-                                       double rho) {
-  LPFPS_CHECK(approx_equal(duration, ramp_duration(from, to, rho),
+Energy EnergyAccumulator::add_run_ramp(Time duration, Ratio from, Ratio to) {
+  LPFPS_CHECK(approx_equal(duration, ramp_duration(from, to, rho_),
                            1e-6 + duration * 1e-9));
   return charge(sim::ProcessorMode::kRunning, duration,
-                ramp_energy(from, to, rho, /*executing=*/true));
+                ramp_energy(from, to, /*executing=*/true));
 }
 
 Energy EnergyAccumulator::add_idle_nop(Time duration, Ratio ratio) {
   return charge(sim::ProcessorMode::kIdleBusyWait, duration,
-                duration * model_->idle_nop_power(ratio));
+                duration * model_.idle_nop_power(ratio));
 }
 
-Energy EnergyAccumulator::add_idle_ramp(Time duration, Ratio from, Ratio to,
-                                        double rho) {
-  LPFPS_CHECK(approx_equal(duration, ramp_duration(from, to, rho),
+Energy EnergyAccumulator::add_idle_ramp(Time duration, Ratio from, Ratio to) {
+  LPFPS_CHECK(approx_equal(duration, ramp_duration(from, to, rho_),
                            1e-6 + duration * 1e-9));
   return charge(sim::ProcessorMode::kRamping, duration,
-                ramp_energy(from, to, rho, /*executing=*/false));
+                ramp_energy(from, to, /*executing=*/false));
 }
 
 Energy EnergyAccumulator::add_power_down(Time duration) {
-  return add_power_down(duration, model_->power_down_power());
+  return add_power_down(duration, model_.power_down_power());
 }
 
 Energy EnergyAccumulator::add_power_down(Time duration,

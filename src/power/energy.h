@@ -10,15 +10,17 @@
 // energy elsewhere (the engine's per-task totals) reuses that value
 // instead of evaluating the power model a second time.
 //
-// Ramp energies come from a small direct-mapped memo in front of
+// An accumulator owns its power model and ramps at the one rate rho it
+// was built with: every engine run charges its ramps at its processor's
+// rho.  Ramp energies come from a small direct-mapped memo in front of
 // PowerModel::ramp_energy.  LPFPS ramps between a handful of quantized
-// levels at one rate, so the same (from, to, rho, executing) tuple
-// recurs constantly, and each miss costs a 65-point Simpson rule.  A
-// slot is keyed on the exact bit patterns of all four inputs, compared
-// in full on every probe, and is filled only after ramp_energy returned:
-// a hit replays the very double the model produced for a bit-identical
-// input that already passed the model's checks.  Input the model
-// rejects is never stored, so it throws on every call.
+// levels, so the same (from, to, executing) tuple recurs constantly,
+// and each miss costs a 65-point Simpson rule.  A slot is keyed on the
+// exact bit patterns of all three inputs, compared in full on every
+// probe, and is filled only after ramp_energy returned: a hit replays
+// the very double the model produced for a bit-identical input that
+// already passed the model's checks.  Input the model rejects is never
+// stored, so it throws on every call.
 #pragma once
 
 #include <array>
@@ -42,7 +44,10 @@ struct ModeTotals {
 
 class EnergyAccumulator {
  public:
-  explicit EnergyAccumulator(const PowerModel* model);
+  /// Charges every interval under `model` and every ramp at `rho`
+  /// (ratio units per microsecond).  Throws std::logic_error unless rho
+  /// is positive.
+  EnergyAccumulator(PowerModel model, double rho);
 
   // Each add_* returns the energy it charged: 0 when the interval is
   // empty (duration <= 0) and so not charged at all.
@@ -51,14 +56,14 @@ class EnergyAccumulator {
   Energy add_run(Time duration, Ratio ratio);
 
   /// Task execution during a frequency/voltage ramp (linear in time).
-  Energy add_run_ramp(Time duration, Ratio from, Ratio to, double rho);
+  Energy add_run_ramp(Time duration, Ratio from, Ratio to);
 
   /// Busy-wait NOP idling at constant speed.
   Energy add_idle_nop(Time duration, Ratio ratio);
 
   /// Ramp with nothing to execute (the processor spins NOPs while the
   /// voltage settles).
-  Energy add_idle_ramp(Time duration, Ratio from, Ratio to, double rho);
+  Energy add_idle_ramp(Time duration, Ratio from, Ratio to);
 
   /// Power-down residence at the model's default power-down fraction.
   Energy add_power_down(Time duration);
@@ -85,20 +90,21 @@ class EnergyAccumulator {
   struct RampSlot {
     std::uint64_t from = 0;
     std::uint64_t to = 0;
-    std::uint64_t rho = 0;
     Energy energy = 0.0;
     std::uint8_t kind = 0;
   };
-  /// 64 slots (2.5 KiB) trade hit rate against footprint: every
-  /// simulation owns an accumulator, which should stay cache-resident.  Hit rates per Table 2 set are in
-  /// docs/PERFORMANCE.md ("Ramp energy").
+  /// 64 slots (2 KiB) trade hit rate against footprint: every
+  /// simulation owns an accumulator, which should stay cache-resident.
+  /// Hit rates per Table 2 set are in docs/PERFORMANCE.md ("Ramp
+  /// energy").
   static constexpr int kRampSlotBits = 6;
   static constexpr std::size_t kRampSlots = std::size_t{1} << kRampSlotBits;
 
   Energy charge(sim::ProcessorMode mode, Time duration, Energy energy);
-  Energy ramp_energy(Ratio from, Ratio to, double rho, bool executing);
+  Energy ramp_energy(Ratio from, Ratio to, bool executing);
 
-  const PowerModel* model_;
+  PowerModel model_;
+  double rho_;
   std::array<ModeTotals, 5> by_mode_{};
   std::array<RampSlot, kRampSlots> ramp_memo_{};
 };

@@ -55,13 +55,16 @@ std::optional<Time> jittered_response_time(const TaskSet& tasks,
 
 }  // namespace
 
+void check_constrained_deadline(const Task& t) {
+  if (t.deadline <= t.period) return;
+  throw std::logic_error("task '" + t.name + "': deadline " +
+                         std::to_string(t.deadline) + " exceeds its period " +
+                         std::to_string(t.period) + " (D <= T required)");
+}
+
 void check_constrained_deadlines(const TaskSet& tasks, Priority through) {
   for (const Task& t : tasks.tasks()) {
-    if (t.priority > through || t.deadline <= t.period) continue;
-    throw std::logic_error("task '" + t.name + "': deadline " +
-                           std::to_string(t.deadline) +
-                           " exceeds its period " + std::to_string(t.period) +
-                           " (D <= T required)");
+    if (t.priority <= through) check_constrained_deadline(t);
   }
 }
 

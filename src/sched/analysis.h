@@ -199,6 +199,9 @@ void check_constrained_deadlines(
     const TaskSet& tasks,
     Priority through = std::numeric_limits<Priority>::max());
 
+/// check_constrained_deadlines for one task.
+void check_constrained_deadline(const Task& task);
+
 /// Worst-case response time of task `index` under the set's current
 /// priorities, or nullopt if the iteration diverges past the deadline
 /// (unschedulable at this priority level).  Validates the set and

@@ -51,9 +51,10 @@ struct Task {
   /// Processor utilization C_i / T_i.
   double utilization() const;
 
-  /// Throws std::logic_error if any field is out of domain
-  /// (period/deadline <= 0, wcet <= 0, bcet outside (0, wcet], wcet >
-  /// deadline, phase < 0, malformed weakly-hard parameters).
+  /// Throws std::logic_error naming the task, the field and its value
+  /// if any field is out of domain (period/deadline <= 0, wcet <= 0,
+  /// bcet outside (0, wcet], wcet > deadline, phase < 0, malformed
+  /// weakly-hard parameters).
   void validate() const;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "sched/analysis.h"
 
 namespace lpfps::weakly_hard {
 
@@ -18,13 +19,24 @@ const char* to_string(SkipPolicy policy) {
   return "?";
 }
 
-void SkipGovernor::reset(const sched::TaskSet& tasks) {
-  const std::size_t n = tasks.size();
+void SkipGovernor::bind(const sched::TaskSet& tasks, SkipPolicy policy,
+                        bool skip_dvs) {
+  policy_ = tasks.has_weakly_hard() ? policy : SkipPolicy::kNever;
+  skip_dvs_ = armed() && skip_dvs;
+  // kOverload's structural trigger: a set the hard RTA rejects at base
+  // speed is in overload from the first release, before any miss can be
+  // observed.
+  overload_structural_ =
+      policy_ == SkipPolicy::kOverload &&
+      (tasks.utilization() > 1.0 || !sched::is_schedulable_rta(tasks));
+  overload_dynamic_ = false;
+  jobs_skipped_weakly_ = 0;
+  mk_violations_ = 0;
+  // Disarmed, nothing reads per-task state, so none is sized.
+  const std::size_t n = armed() ? tasks.size() : 0;
   params_.assign(n, Params{});
   histories_.assign(n, WindowHistory{});
   worst_slack_.assign(n, kHardTaskSlack);
-  jobs_skipped_weakly_ = 0;
-  mk_violations_ = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const sched::Task& task = tasks[static_cast<TaskIndex>(i)];
     if (!task.weakly_hard()) continue;
@@ -40,7 +52,7 @@ bool SkipGovernor::skip_permitted(TaskIndex task) const {
                                                              p.skip_s);
 }
 
-void SkipGovernor::settle(TaskIndex task, bool met, bool skipped) {
+void SkipGovernor::record(TaskIndex task, bool met, bool skipped) {
   const auto index = static_cast<std::size_t>(task);
   const Params& p = params_[index];
   if (p.k == 0) {

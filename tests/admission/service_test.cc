@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <optional>
+#include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -522,6 +525,183 @@ TEST(AdmissionService, CanonicalKeyIgnoresNameBcetPhase) {
   s3.add(task("alpha", 100, 10.5, 0));  // WCET differs -> key differs.
   EXPECT_NE(AdmissionService::canonical_key(s1),
             AdmissionService::canonical_key(s3));
+}
+
+// ---- Hostile requests ------------------------------------------------------
+
+/// Renders `error`'s message, or "" when `call` returns.
+template <typename Call>
+std::string rejection(Call&& call) {
+  try {
+    call();
+  } catch (const std::logic_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(AdmissionHostile, RejectionsNameTheFieldAndTheValue) {
+  AdmissionService service(sched::TaskSet{}, small_table_config());
+  // A remove on the empty set used to compute its task count as 0 - 1.
+  EXPECT_EQ(rejection([&] { service.handle(remove(0)); }),
+            "admission request index must be in [0, 0), got 0");
+  // D > T used to throw the RTA's check text after the task was kept.
+  EXPECT_EQ(rejection([&] {
+              service.handle(add(task_with_deadline("l", 125, 305, 30.47, 0)));
+            }),
+            "task 'l': deadline 305 exceeds its period 125 (D <= T "
+            "required)");
+  EXPECT_EQ(service.tasks().size(), 0u);
+  ASSERT_TRUE(service.handle(add(task("a", 100, 10.0, 0))).admitted);
+  EXPECT_EQ(rejection([&] {
+              service.handle(mutate(1, task("b", 100, 5.0, 1)));
+            }),
+            "admission request index must be in [0, 1), got 1");
+  EXPECT_EQ(rejection([&] { service.handle(remove(-1)); }),
+            "admission request index must be in [0, 1), got -1");
+  sched::Task nan_wcet = task("n", 100, 10.0, 1);
+  nan_wcet.wcet = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(rejection([&] { service.handle(mutate(0, nan_wcet)); }),
+            "task 'n': wcet must be positive, got nan");
+  sched::Task slow = task("s", 100, 10.0, 1);
+  slow.bcet = 20.0;
+  EXPECT_EQ(rejection([&] { service.handle(add(slow)); }),
+            "task 's': bcet must be positive and at most wcet (10), got 20");
+  EXPECT_EQ(service.stats().requests, 1u);  // Only the admitted add.
+}
+
+/// A request drawn for the hostile test: mostly well-formed, with one
+/// field at a time set to a hostile value — an index outside the set, a
+/// non-positive or huge integer, a NaN, infinite, negative, zero or
+/// subnormal time, D > T, malformed weakly-hard parameters.
+Request hostile_request(std::mt19937_64& rng, std::size_t size) {
+  Request r;
+  const int kind = static_cast<int>(rng() % 10);
+  r.kind = kind < 4 ? RequestKind::kAdd
+                    : (kind < 7 ? RequestKind::kRemove : RequestKind::kMutate);
+  const auto n = static_cast<TaskIndex>(size);
+  if (r.kind != RequestKind::kAdd) {
+    const TaskIndex bad[] = {-1, n, n + 1,
+                             std::numeric_limits<TaskIndex>::max(),
+                             std::numeric_limits<TaskIndex>::min()};
+    r.index = n > 0 && rng() % 4 != 0 ? static_cast<TaskIndex>(rng() % size)
+                                      : bad[rng() % std::size(bad)];
+  }
+  if (r.kind == RequestKind::kRemove) return r;
+  const auto period = static_cast<std::int64_t>(50 + rng() % 350);
+  const double utilization =
+      0.01 + 0.29 * static_cast<double>(rng() % 1000) / 1000.0;
+  const double wcet = static_cast<double>(period) * utilization;
+  sched::Task& t = r.task;
+  t = task("h", period, wcet, static_cast<sched::Priority>(rng() % 64));
+  if (rng() % 2 == 0) return r;
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double times[] = {kNan, kInf, -kInf, 0.0, -0.0, -1.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          1e-300, 1e300, std::numeric_limits<double>::max(),
+                          static_cast<double>(period) + 1.0};
+  const std::int64_t integers[] = {
+      0, -1, std::numeric_limits<std::int64_t>::min(),
+      std::numeric_limits<std::int64_t>::max(), period + 1,
+      std::int64_t{1} << 62};
+  const int ints[] = {-1, 0, 1, 2, 3, 64, 65, std::numeric_limits<int>::min()};
+  switch (rng() % 9) {
+    case 0:
+      t.period = integers[rng() % std::size(integers)];
+      break;
+    case 1:
+      t.deadline = integers[rng() % std::size(integers)];
+      break;
+    case 2:
+      t.wcet = times[rng() % std::size(times)];
+      t.bcet = std::min(t.bcet, t.wcet);
+      break;
+    case 3:
+      t.bcet = times[rng() % std::size(times)];
+      break;
+    case 4:
+      t.wcet = t.bcet = times[rng() % std::size(times)];
+      break;
+    case 5:
+      t.phase = integers[rng() % std::size(integers)];
+      break;
+    case 6:
+      t.mk_m = ints[rng() % std::size(ints)];
+      t.mk_k = ints[rng() % std::size(ints)];
+      break;
+    case 7:
+      t.skip_s = ints[rng() % std::size(ints)];
+      if (rng() % 2 == 0) t.mk_m = t.mk_k = 2;
+      break;
+    default:
+      t.priority = ints[rng() % std::size(ints)];
+      break;
+  }
+  return r;
+}
+
+TEST(AdmissionHostile, SeededRequestsAreDecidedAlikeOrRejectedNamingTheField) {
+  // Each seeded request goes to the incremental arm and the
+  // from-scratch arm.  Either both decide it, alike, and so does a twin
+  // of the incremental arm that sees only the requests the arms take;
+  // or both throw the same std::logic_error, which names the field and
+  // is no internal check, and leave their set as it was: after every
+  // request both fingerprints equal the twin's, and the twin's
+  // decisions (accounting included) equal the incremental arm's.
+  ServiceConfig incremental_config = small_table_config();
+  ServiceConfig scratch_config = small_table_config();
+  scratch_config.incremental = false;
+  AdmissionService incremental(sched::TaskSet{}, incremental_config);
+  AdmissionService scratch(sched::TaskSet{}, scratch_config);
+  AdmissionService twin(sched::TaskSet{}, incremental_config);
+  std::mt19937_64 rng(29);
+  int decided = 0;
+  int admitted = 0;
+  int rejected = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const Request request = hostile_request(rng, incremental.tasks().size());
+    Decision di;
+    Decision ds;
+    const std::string message =
+        rejection([&] { di = incremental.handle(request); });
+    EXPECT_EQ(rejection([&] { ds = scratch.handle(request); }), message)
+        << "round " << round;
+    if (message.empty()) {
+      const Decision dt = twin.handle(request);
+      ++decided;
+      if (di.admitted) ++admitted;
+      EXPECT_EQ(ds.admitted, di.admitted) << "round " << round;
+      EXPECT_EQ(ds.min_level, di.min_level) << "round " << round;
+      EXPECT_EQ(ds.wcet_headroom, di.wcet_headroom) << "round " << round;
+      EXPECT_EQ(ds.fingerprint, di.fingerprint) << "round " << round;
+      EXPECT_EQ(io::admission_csv_row(dt), io::admission_csv_row(di))
+          << "round " << round;
+      EXPECT_EQ(dt.stationary, di.stationary) << "round " << round;
+      EXPECT_EQ(dt.tasks_reanalyzed, di.tasks_reanalyzed) << "round " << round;
+      EXPECT_EQ(dt.tasks_seeded, di.tasks_seeded) << "round " << round;
+      EXPECT_EQ(dt.levels_probed, di.levels_probed) << "round " << round;
+      EXPECT_EQ(dt.headroom_probes, di.headroom_probes) << "round " << round;
+      EXPECT_EQ(dt.bound_clears, di.bound_clears) << "round " << round;
+    } else {
+      ++rejected;
+      bool names_a_field = false;
+      for (const char* field : {"index", "period", "deadline", "wcet", "bcet",
+                                "phase", "mk_m", "skip_s"}) {
+        if (message.find(field) != std::string::npos) names_a_field = true;
+      }
+      EXPECT_TRUE(names_a_field) << "round " << round << ": " << message;
+      EXPECT_EQ(message.find("check failed"), std::string::npos)
+          << "round " << round << ": " << message;
+    }
+    ASSERT_EQ(incremental.fingerprint(), twin.fingerprint())
+        << "round " << round;
+    ASSERT_EQ(scratch.fingerprint(), twin.fingerprint()) << "round " << round;
+  }
+  EXPECT_EQ(incremental.stats().requests, twin.stats().requests);
+  EXPECT_GT(admitted, 300);
+  EXPECT_GT(decided - admitted, 100);
+  EXPECT_GT(rejected, 500);
 }
 
 TEST(SaturatingCounter, IncrementsSaturateAtMax) {

@@ -19,6 +19,7 @@
 
 #include "audit/audit.h"
 #include "audit/harness.h"
+#include "core/sim_state.h"
 #include "fleet/fleet.h"
 #include "io/trace_io.h"
 #include "sched/priority.h"
@@ -209,8 +210,10 @@ TEST(FaultKill, AReleaseDuringTheRampAfterAKillWaitsForTheRamp) {
   // down from 1 at rho = 0.07 / us.  Its budget of 2 is spent during
   // that ramp, at t - 0.035 t^2 = 2, t = 2.1639 (ratio 0.8485).  The
   // kill ends the plan, and the ramp back to base takes another
-  // 2.1639 us, across w's release at 3: the engine serves that release
-  // when the ramp lands, at 4.3278, instead of stalling the clock at 3.
+  // 2.1639 us, across w's release at 3: the engine releases w at 3,
+  // where the governor skips it, and dispatch waits for the ramp to
+  // land at 4.3278.  Every skip is decided at its release instant, so
+  // the run audits clean.
   sched::TaskSet tasks;
   sched::Task w = sched::with_skip_parameter(
       sched::make_task("w", 100, 100, 10.0, 10.0, /*phase=*/3), 2);
@@ -245,7 +248,8 @@ TEST(FaultKill, AReleaseDuringTheRampAfterAKillWaitsForTheRamp) {
   const sim::JobRecord& skipped = result.trace->jobs()[1];
   EXPECT_TRUE(skipped.skipped);
   EXPECT_EQ(skipped.release, 3.0);
-  EXPECT_NEAR(skipped.completion, ramp_end, 1e-9);
+  EXPECT_EQ(skipped.completion, 3.0);
+  expect_audit_clean(result, tasks, SchedulerPolicy::lpfps(), opts);
 }
 
 TEST(FaultMonitor, SafeModeEngagesOnDetectionWithoutDisplacingJobs) {
@@ -598,12 +602,21 @@ std::string simulate_both_ways(const fleet::SimSpec& spec) {
   return message;
 }
 
+/// Finite horizons at and around the engine's 2^53 us bound.
+double huge_horizon(std::mt19937_64& rng) {
+  static const double kValues[] = {
+      1e12, 0x1p53, std::nextafter(0x1p53, 0x1p54), 1e19, 1e300,
+      std::numeric_limits<double>::max(),
+  };
+  return kValues[rng() % std::size(kValues)];
+}
+
 TEST(EngineOptionsHostile, SeededOptionsCompleteOrFailNamingTheField) {
   // Each seeded horizon, context-switch cost and jitter vector runs
   // through core::simulate and the sharded fleet: it completes alike on
   // both, or both throw a std::logic_error that names the rejected
-  // field and value and is no internal check.  A finite horizon above
-  // 400 is a long run, not a hostile value, so it is run at 400.
+  // field and value and is no internal check.  A finite horizon in
+  // (400, 2^53] is a long run, not a hostile value, so it is run at 400.
   std::mt19937_64 rng(28);
   const sched::TaskSet tasks = example(0.5);  // Three tasks.
   const auto gauss = std::make_shared<exec::ClampedGaussianModel>();
@@ -618,8 +631,9 @@ TEST(EngineOptionsHostile, SeededOptionsCompleteOrFailNamingTheField) {
     spec.options.seed = static_cast<std::uint64_t>(round);
     spec.options.horizon = 400.0;
     if (rng() % 4 == 0) {
-      const double h = hostile_value(rng);
-      spec.options.horizon = std::isfinite(h) && h > 400.0 ? 400.0 : h;
+      const double h =
+          rng() % 2 == 0 ? hostile_value(rng) : huge_horizon(rng);
+      spec.options.horizon = h > 400.0 && h <= 0x1p53 ? 400.0 : h;
     }
     if (rng() % 4 == 0) spec.options.context_switch_cost = hostile_value(rng);
     if (rng() % 2 == 0) {
@@ -663,6 +677,15 @@ TEST(EngineOptionsHostile, RejectionsNameTheFieldAndTheValue) {
   opts.horizon = 0.0;
   EXPECT_EQ(message(opts),
             "EngineOptions::horizon must be finite and positive, got 0");
+  // Past 2^53 us a release instant is no longer an exact double; 1e300
+  // used to run without end.
+  opts.horizon = std::nextafter(0x1p53, 0x1p54);
+  EXPECT_EQ(message(opts),
+            "EngineOptions::horizon must be at most 2^53 us, got "
+            "9007199254740994");
+  opts.horizon = 1e300;
+  EXPECT_EQ(message(opts),
+            "EngineOptions::horizon must be at most 2^53 us, got 1e+300");
   opts.horizon = 400.0;
   opts.context_switch_cost = -0.5;
   EXPECT_EQ(message(opts),
@@ -681,6 +704,21 @@ TEST(EngineOptionsHostile, RejectionsNameTheFieldAndTheValue) {
   EXPECT_EQ(message(opts),
             "EngineOptions::release_jitter must be empty or have one entry "
             "per task (3), got 1 entries");
+}
+
+TEST(EngineOptionsHostile, ATracedRunAtTheLongestHorizonStarts) {
+  // The trace reserves for a capped number of jobs.  Reserving for
+  // horizon / T jobs per task used to throw before the first event
+  // (std::bad_alloc for a traced 1e12 us run, std::length_error for
+  // 1e19).  SimState borrows its inputs, so each one outlives it.
+  const sched::TaskSet tasks = example(0.5);
+  const power::ProcessorConfig processor = cpu();
+  const SchedulerPolicy policy = SchedulerPolicy::lpfps();
+  const EngineOptions opts = traced_options(0x1p53);
+  SimState sim(tasks, processor, policy, nullptr, opts);
+  sim.begin();
+  for (int i = 0; i < 100; ++i) sim.step();
+  EXPECT_FALSE(sim.finished());
 }
 
 TEST(EngineSpec, ADeadlinePastThePeriodIsRejectedNamingTheTask) {

@@ -1,13 +1,16 @@
 // Engine-level weakly-hard scheduling (docs/WEAKLY_HARD.md): graceful
 // overload degradation, the never-skip differential identity, skip-aware
-// DVS, each trigger of the overload latch, and the (m,k) ledger under
-// kill containment.
+// DVS and the end of its plans, each trigger of the overload latch, and
+// the (m,k) ledger under kill containment.
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "audit/audit.h"
+#include "audit/harness.h"
 #include "core/engine.h"
 #include "io/trace_io.h"
 #include "sched/priority.h"
@@ -156,6 +159,83 @@ TEST(WeaklyHardEngine, SkipAwareDvsSavesEnergyAtEqualQoS) {
   // Skip-to-slack: plans extending past certainly-skipped arrivals can
   // only deepen slowdowns, never add demand.
   EXPECT_LE(with.total_energy, without.total_energy);
+}
+
+TEST(WeaklyHardEngine, AReleaseThatStaysReadyEndsTheSkipAwarePlan) {
+  // "l" (T = D = 100, C = 10) runs alone from 0 under skip-aware DVS: the
+  // next arrival that will demand the CPU is "h"'s at 20 (T = D = 50,
+  // C = 5, the higher priority; a hard task is never skipped), so l's
+  // plan slows it to finish its 10 us of declared work by 20.  Every l
+  // job overruns to 30 us under monitor-only detection, so l is still
+  // running, with its plan in place, when h is released at 20.  h stays
+  // ready, so the plan must end there and h preempt l: it runs [20, 25).
+  // "w" (skip-over s = 2, released at 500) only arms the governor.
+  sched::TaskSet tasks;
+  tasks.add(make_at("h", 50, 50, 5.0, 20, 0));
+  tasks.add(make_at("l", 100, 100, 10.0, 0, 1));
+  tasks.add(sched::with_skip_parameter(make_at("w", 1000, 1000, 1.0, 500, 2),
+                                       2));
+  EngineOptions options = traced_options(100);
+  options.faults.overruns = {{0.0, 0.0}, {1.0, 2.0}, {0.0, 0.0}};
+  options.weakly_hard.policy = weakly_hard::SkipPolicy::kOverload;
+  options.weakly_hard.skip_dvs = true;
+  const SchedulerPolicy policy = SchedulerPolicy::lpfps();
+  const SimulationResult run = simulate(tasks, kCpu, policy, nullptr, options);
+
+  EXPECT_GE(run.dvs_slowdowns, 1);
+  EXPECT_GE(run.overruns_detected, 1);
+  EXPECT_EQ(run.jobs_skipped_weakly, 0);
+  bool h_ran_at_20 = false;
+  for (const sim::Segment& segment : run.trace->segments()) {
+    if (segment.mode == sim::ProcessorMode::kRunning && segment.task == 0 &&
+        segment.begin == 20.0) {
+      h_ran_at_20 = true;
+    }
+  }
+  EXPECT_TRUE(h_ran_at_20);
+  ASSERT_FALSE(run.trace->jobs().empty());
+  const sim::JobRecord& first = run.trace->jobs().front();
+  EXPECT_EQ(first.task, 0);
+  EXPECT_EQ(first.instance, 0);
+  EXPECT_NEAR(first.completion, 25.0, 1e-9);
+  const audit::AuditReport report = audit::audit_run(
+      run, tasks, kCpu, audit::derive_options(policy, options));
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(WeaklyHardEngine, ARampBackAcrossASkippedReleaseSkipsItAtTheRelease) {
+  // Fault-free: "w" (T = D = 100, C = 10, phase 3, skip-over s = 2, the
+  // higher priority) and "a" (T = D = 400, C = 2) under an
+  // always-skipping governor with skip-aware DVS.  At 0 the governor
+  // will certainly skip w's release at 3, so a's window runs to 103 and
+  // a ramps down from 1 at rho = 0.07 / us.  a completes its 2 us
+  // during that ramp, at t - 0.035 t^2 = 2, t = 2.1639, and the L1-L4
+  // ramp back to base takes another 2.1639 us, across w's release at 3.
+  // The release is due inside the ramp: it is released and skipped at
+  // 3, and the clock moves on (an engine that deferred releases until
+  // the ramp landed stopped here with "engine livelock at t=3").
+  sched::TaskSet tasks;
+  tasks.add(sched::with_skip_parameter(make_at("w", 100, 100, 10.0, 3, 0),
+                                       2));
+  tasks.add(make_at("a", 400, 400, 2.0, 0, 1));
+  EngineOptions options = traced_options(400);
+  options.weakly_hard.policy = weakly_hard::SkipPolicy::kAlways;
+  options.weakly_hard.skip_dvs = true;
+  const SchedulerPolicy policy = SchedulerPolicy::lpfps();
+  const SimulationResult run = simulate(tasks, kCpu, policy, nullptr, options);
+
+  EXPECT_EQ(skipped_instances(run, 0), (std::vector<std::int64_t>{0, 2}));
+  EXPECT_EQ(run.deadline_misses, 0);
+  ASSERT_GE(run.trace->jobs().size(), 2u);
+  const sim::JobRecord& done = run.trace->jobs()[0];
+  EXPECT_EQ(done.task, 1);
+  EXPECT_NEAR(done.completion, (1.0 - std::sqrt(0.72)) / 0.07, 1e-9);
+  const sim::JobRecord& skipped = run.trace->jobs()[1];
+  EXPECT_TRUE(skipped.skipped);
+  EXPECT_EQ(skipped.completion, 3.0);
+  const audit::AuditReport report = audit::audit_run(
+      run, tasks, kCpu, audit::derive_options(policy, options));
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(WeaklyHardEngine, OverloadLatchStaysDownOnFeasibleSets) {

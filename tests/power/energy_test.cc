@@ -16,11 +16,14 @@
 namespace lpfps::power {
 namespace {
 
+/// The ARM8-like processor's ramp rate, in ratio units per microsecond.
+constexpr double kRho = 0.07;
+
 class EnergyTest : public ::testing::Test {
  protected:
   EnergyTest()
       : model_(ProcessorConfig::arm8_default().make_power_model()),
-        acc_(&model_) {}
+        acc_(model_, kRho) {}
 
   PowerModel model_;
   EnergyAccumulator acc_;
@@ -66,16 +69,15 @@ TEST_F(EnergyTest, PerModeBreakdown) {
 }
 
 TEST_F(EnergyTest, RunRampMatchesModelIntegral) {
-  const double rho = 0.07;
-  const double duration = (1.0 - 0.5) / rho;
-  acc_.add_run_ramp(duration, 0.5, 1.0, rho);
-  EXPECT_NEAR(acc_.total_energy(), model_.ramp_energy(0.5, 1.0, rho, true),
+  const double duration = (1.0 - 0.5) / kRho;
+  acc_.add_run_ramp(duration, 0.5, 1.0);
+  EXPECT_NEAR(acc_.total_energy(), model_.ramp_energy(0.5, 1.0, kRho, true),
               1e-12);
   EXPECT_NEAR(acc_.total_time(), duration, 1e-12);
 }
 
 TEST_F(EnergyTest, RampDurationMismatchRejected) {
-  EXPECT_THROW(acc_.add_run_ramp(3.0, 0.5, 1.0, 0.07), std::logic_error);
+  EXPECT_THROW(acc_.add_run_ramp(3.0, 0.5, 1.0), std::logic_error);
 }
 
 TEST_F(EnergyTest, SlowRunningIsCheaperThanFullIdleComparison) {
@@ -84,10 +86,10 @@ TEST_F(EnergyTest, SlowRunningIsCheaperThanFullIdleComparison) {
   const double window = 40.0;
   const double work = 20.0;  // Example 2: half-utilized window.
   // Plan A: run at 0.5 the whole window.
-  EnergyAccumulator slow(&model_);
+  EnergyAccumulator slow(model_, kRho);
   slow.add_run(window, 0.5);
   // Plan B: run at full speed for 20 us, then power down for 20 us.
-  EnergyAccumulator fast(&model_);
+  EnergyAccumulator fast(model_, kRho);
   fast.add_run(work, 1.0);
   fast.add_power_down(window - work);
   EXPECT_LT(slow.total_energy(), fast.total_energy());
@@ -106,20 +108,21 @@ TEST_F(EnergyTest, AddReturnsTheEnergyItCharged) {
   // so it returns nothing.
   EXPECT_EQ(acc_.add_run(0.0, 1.0), 0.0);
   EXPECT_EQ(acc_.add_run(-kTimeEpsilon / 2.0, 1.0), 0.0);
-  EXPECT_EQ(acc_.add_run_ramp(0.0, 0.7, 0.7, 0.07), 0.0);
+  EXPECT_EQ(acc_.add_run_ramp(0.0, 0.7, 0.7), 0.0);
   EXPECT_EQ(acc_.totals(sim::ProcessorMode::kRunning).intervals, 1);
 }
 
 // ---- The ramp-energy memo -------------------------------------------------
 //
 // The accumulator answers repeated ramps from a direct-mapped memo.  These
-// tests drive one long call sequence through an accumulator and through a
+// tests drive one long call sequence through accumulators and through a
 // plain loop over PowerModel calls, and demand bit-identical results:
 // every return value, every per-mode total and the grand total.
 
 std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
-/// One accumulator call of the sequence.
+/// One accumulator call of the sequence, charged by the accumulator
+/// built with its rho.
 struct Call {
   enum Kind { kRun, kRunRamp, kIdleNop, kIdleRamp, kPowerDown, kWakeUp };
   Kind kind;
@@ -161,11 +164,11 @@ Energy apply(EnergyAccumulator& acc, const Call& c) {
     case Call::kRun:
       return acc.add_run(c.duration, c.from);
     case Call::kRunRamp:
-      return acc.add_run_ramp(c.duration, c.from, c.to, c.rho);
+      return acc.add_run_ramp(c.duration, c.from, c.to);
     case Call::kIdleNop:
       return acc.add_idle_nop(c.duration, c.from);
     case Call::kIdleRamp:
-      return acc.add_idle_ramp(c.duration, c.from, c.to, c.rho);
+      return acc.add_idle_ramp(c.duration, c.from, c.to);
     case Call::kPowerDown:
       return acc.add_power_down(c.duration);
     case Call::kWakeUp:
@@ -177,10 +180,11 @@ Energy apply(EnergyAccumulator& acc, const Call& c) {
 /// A long mixed sequence: full ramps between quantized levels (the
 /// engine's common case, so many probes repeat a key), arbitrary partial
 /// ramps (mostly unique keys), both executing values and two rhos,
-/// interleaved with constant-speed and sleep intervals.  Every engine run
-/// charges its ramps at its processor's one rho, so these mixed-rho calls
-/// are what pin the memo's rho key.  Twelve ARM8-like levels give 576 level-pair keys, far
-/// more than the memo has slots, so slots collide and evict.
+/// interleaved with constant-speed and sleep intervals.  Each call
+/// carries the rho of the accumulator that charges it.  Twelve ARM8-like
+/// levels give 288 level-pair keys per rho (144 pairs, both executing
+/// values), far more than the memo has slots, so slots collide and
+/// evict.
 std::vector<Call> mixed_sequence() {
   const ProcessorConfig cpu = ProcessorConfig::arm8_default();
   const std::vector<MegaHertz>& table = cpu.frequencies.levels();
@@ -214,80 +218,90 @@ std::vector<Call> mixed_sequence() {
       const Ratio to = ratio(rng);
       calls.push_back({ramp, ramp_duration(from, to, rho), from, to, rho});
     } else if (roll < 85) {
-      calls.push_back({Call::kRun, span(rng), levels[level(rng)], 0.0, 0.0});
+      calls.push_back({Call::kRun, span(rng), levels[level(rng)], 0.0, rho});
     } else if (roll < 92) {
       calls.push_back(
-          {Call::kIdleNop, span(rng), levels[level(rng)], 0.0, 0.0});
+          {Call::kIdleNop, span(rng), levels[level(rng)], 0.0, rho});
     } else if (roll < 97) {
-      calls.push_back({Call::kPowerDown, span(rng), 0.0, 0.0, 0.0});
+      calls.push_back({Call::kPowerDown, span(rng), 0.0, 0.0, rho});
     } else {
-      calls.push_back({Call::kWakeUp, 0.1, 0.0, 0.0, 0.0});
+      calls.push_back({Call::kWakeUp, 0.1, 0.0, 0.0, rho});
     }
   }
   return calls;
 }
 
 TEST_F(EnergyTest, MemoisedRampsAreBitIdenticalToThePlainModel) {
-  const std::vector<Call> calls = mixed_sequence();
-  std::set<std::array<std::uint64_t, 4>> ramp_keys;
-  for (const Call& c : calls) {
-    if (c.kind == Call::kRunRamp || c.kind == Call::kIdleRamp) {
-      ramp_keys.insert({bits(c.from), bits(c.to), bits(c.rho),
-                        static_cast<std::uint64_t>(c.kind)});
+  // One accumulator per rho, each fed its rho's calls in sequence order.
+  const std::vector<Call> all = mixed_sequence();
+  std::set<double> rhos;
+  for (const Call& c : all) rhos.insert(c.rho);
+  ASSERT_EQ(rhos.size(), 2u);
+  for (const double rho : rhos) {
+    std::vector<Call> calls;
+    for (const Call& c : all) {
+      if (c.rho == rho) calls.push_back(c);
     }
+    std::set<std::array<std::uint64_t, 3>> ramp_keys;
+    for (const Call& c : calls) {
+      if (c.kind == Call::kRunRamp || c.kind == Call::kIdleRamp) {
+        ramp_keys.insert({bits(c.from), bits(c.to),
+                          static_cast<std::uint64_t>(c.kind)});
+      }
+    }
+    // Far more keys than the memo's 64 slots, yet most calls repeat one.
+    ASSERT_GT(ramp_keys.size(), 4u * 64u) << "rho " << rho;
+    ASSERT_LT(ramp_keys.size(), calls.size() / 2) << "rho " << rho;
+
+    EnergyAccumulator acc(model_, rho);
+    std::array<Energy, 5> expected_by_mode{};
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      sim::ProcessorMode mode{};
+      const Energy expected = reference_energy(model_, calls[i], &mode);
+      const Energy got = apply(acc, calls[i]);
+      ASSERT_EQ(bits(got), bits(expected)) << "rho " << rho << " call " << i;
+      expected_by_mode[static_cast<std::size_t>(mode)] += expected;
+    }
+
+    Energy expected_total = 0.0;
+    for (std::size_t m = 0; m < expected_by_mode.size(); ++m) {
+      EXPECT_EQ(bits(acc.totals(static_cast<sim::ProcessorMode>(m)).energy),
+                bits(expected_by_mode[m]))
+          << "rho " << rho << " mode " << m;
+      expected_total += expected_by_mode[m];
+    }
+    EXPECT_EQ(bits(acc.total_energy()), bits(expected_total)) << "rho " << rho;
+
+    // Replaying the calls on a fresh accumulator (a fresh memo) charges
+    // the same bits again: nothing carries over between accumulators.
+    EnergyAccumulator again(model_, rho);
+    for (const Call& c : calls) apply(again, c);
+    EXPECT_EQ(bits(again.total_energy()), bits(acc.total_energy()))
+        << "rho " << rho;
   }
-  // Far more keys than the memo's 64 slots, yet most calls repeat one.
-  ASSERT_GT(ramp_keys.size(), 4u * 64u);
-  ASSERT_LT(ramp_keys.size(), calls.size() / 2);
+}
 
-  std::array<Energy, 5> expected_by_mode{};
-
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    sim::ProcessorMode mode{};
-    const Energy expected = reference_energy(model_, calls[i], &mode);
-    const Energy got = apply(acc_, calls[i]);
-    ASSERT_EQ(bits(got), bits(expected)) << "call " << i;
-    expected_by_mode[static_cast<std::size_t>(mode)] += expected;
-  }
-
-  Energy expected_total = 0.0;
-  for (std::size_t m = 0; m < expected_by_mode.size(); ++m) {
-    EXPECT_EQ(bits(acc_.totals(static_cast<sim::ProcessorMode>(m)).energy),
-              bits(expected_by_mode[m]))
-        << "mode " << m;
-    expected_total += expected_by_mode[m];
-  }
-  EXPECT_EQ(bits(acc_.total_energy()), bits(expected_total));
-
-  // Replaying the sequence on a fresh accumulator (a fresh memo) charges
-  // the same bits again: nothing carries over between accumulators.
-  EnergyAccumulator again(&model_);
-  for (const Call& c : calls) apply(again, c);
-  EXPECT_EQ(bits(again.total_energy()), bits(acc_.total_energy()));
+TEST_F(EnergyTest, ANonPositiveRhoIsRejectedAtConstruction) {
+  EXPECT_THROW(EnergyAccumulator(model_, 0.0), std::logic_error);
+  EXPECT_THROW(EnergyAccumulator(model_, -kRho), std::logic_error);
 }
 
 TEST_F(EnergyTest, RejectedRampsThrowOnEveryCall) {
-  const double rho = 0.07;
-  const Time duration = ramp_duration(0.5, 1.0, rho);
+  const Time duration = ramp_duration(0.5, 1.0, kRho);
   // Populate the memo with the valid ramp first: a memoised key must
   // not let a bad call through.
-  const Energy valid = acc_.add_run_ramp(duration, 0.5, 1.0, rho);
+  const Energy valid = acc_.add_run_ramp(duration, 0.5, 1.0);
   for (int repeat = 0; repeat < 3; ++repeat) {
-    EXPECT_THROW(acc_.add_run_ramp(duration, 0.5, 1.0, 0.0),
-                 std::logic_error);
-    EXPECT_THROW(acc_.add_idle_ramp(duration, 0.5, 1.0, -rho),
-                 std::logic_error);
-    EXPECT_THROW(acc_.add_run_ramp(3.0, 0.5, 1.0, rho), std::logic_error);
-    EXPECT_THROW(acc_.add_idle_ramp(3.0, 0.5, 1.0, rho), std::logic_error);
+    EXPECT_THROW(acc_.add_run_ramp(3.0, 0.5, 1.0), std::logic_error);
+    EXPECT_THROW(acc_.add_idle_ramp(3.0, 0.5, 1.0), std::logic_error);
     // Passes the duration check but not the voltage model's range
     // check, so it is never stored and never hits.
-    EXPECT_THROW(acc_.add_run_ramp(ramp_duration(1.0, 1.5, rho), 1.0, 1.5,
-                                   rho),
+    EXPECT_THROW(acc_.add_run_ramp(ramp_duration(1.0, 1.5, kRho), 1.0, 1.5),
                  std::logic_error);
   }
   EXPECT_EQ(bits(acc_.total_energy()), bits(valid));
   EXPECT_EQ(acc_.totals(sim::ProcessorMode::kRunning).intervals, 1);
-  EXPECT_EQ(bits(acc_.add_run_ramp(duration, 0.5, 1.0, rho)), bits(valid));
+  EXPECT_EQ(bits(acc_.add_run_ramp(duration, 0.5, 1.0)), bits(valid));
 }
 
 }  // namespace

@@ -94,29 +94,71 @@ sched::TaskSet governor_tasks() {
 
 TEST(SkipGovernor, SkippabilityFollowsConstraints) {
   SkipGovernor governor;
-  governor.reset(governor_tasks());
+  governor.bind(governor_tasks(), SkipPolicy::kAlways, false);
   EXPECT_FALSE(governor.skippable(0));
   EXPECT_TRUE(governor.skippable(1));
   EXPECT_TRUE(governor.skippable(2));
 }
 
 TEST(SkipGovernor, ShouldSkipPolicyMatrix) {
+  // governor_tasks() is hard-feasible (U = 0.275), so kOverload starts
+  // with both latches down.
   SkipGovernor governor;
-  governor.reset(governor_tasks());
-  // kNever: inert even with the window wide open.
-  EXPECT_FALSE(governor.should_skip(1, SkipPolicy::kNever, true));
+  // kNever: inert even with the window wide open and the latch up.
+  governor.bind(governor_tasks(), SkipPolicy::kNever, true);
+  governor.raise_overload();
+  EXPECT_FALSE(governor.armed());
+  EXPECT_FALSE(governor.skip_dvs());
+  EXPECT_FALSE(governor.should_skip(1));
   // kOverload: gated on the latch.
-  EXPECT_FALSE(governor.should_skip(1, SkipPolicy::kOverload, false));
-  EXPECT_TRUE(governor.should_skip(1, SkipPolicy::kOverload, true));
-  // kAlways: whenever the window permits.
-  EXPECT_TRUE(governor.should_skip(1, SkipPolicy::kAlways, false));
+  governor.bind(governor_tasks(), SkipPolicy::kOverload, false);
+  EXPECT_TRUE(governor.probing());
+  EXPECT_FALSE(governor.should_skip(1));
+  governor.raise_overload();
+  EXPECT_FALSE(governor.probing());
+  EXPECT_TRUE(governor.should_skip(1));
+  governor.clear_overload();
+  EXPECT_FALSE(governor.should_skip(1));
+  // kAlways: whenever the window permits, and no probe.
+  governor.bind(governor_tasks(), SkipPolicy::kAlways, true);
+  EXPECT_TRUE(governor.skip_dvs());
+  EXPECT_FALSE(governor.probing());
+  EXPECT_TRUE(governor.should_skip(1));
   // Hard tasks are never skipped under any policy.
-  EXPECT_FALSE(governor.should_skip(0, SkipPolicy::kAlways, true));
+  governor.raise_overload();
+  EXPECT_FALSE(governor.should_skip(0));
+}
+
+TEST(SkipGovernor, BindDisarmsASetWithoutWeaklyHardTasks) {
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("hard", 100, 10.0));
+  SkipGovernor governor;
+  governor.bind(tasks, SkipPolicy::kAlways, true);
+  EXPECT_FALSE(governor.armed());
+  EXPECT_FALSE(governor.skip_dvs());
+  EXPECT_FALSE(governor.should_skip(0));
+  EXPECT_TRUE(governor.worst_window_slack().empty());
+}
+
+TEST(SkipGovernor, StructuralLatchFollowsTheHardRta) {
+  // Utilization 1.05: the hard RTA fails, so kOverload skips from the
+  // start and clearing the dynamic latch does not lower it.
+  sched::TaskSet tasks;
+  tasks.add(sched::with_mk_constraint(sched::make_task("firm", 100, 60.0),
+                                      1, 2));
+  tasks.add(sched::make_task("hard", 200, 90.0));
+  sched::assign_rate_monotonic(tasks);
+  SkipGovernor governor;
+  governor.bind(tasks, SkipPolicy::kOverload, false);
+  EXPECT_TRUE(governor.overloaded());
+  EXPECT_FALSE(governor.probing());
+  governor.clear_overload();
+  EXPECT_TRUE(governor.should_skip(0));
 }
 
 TEST(SkipGovernor, SettleCountsSkipsViolationsAndSlack) {
   SkipGovernor governor;
-  governor.reset(governor_tasks());
+  governor.bind(governor_tasks(), SkipPolicy::kAlways, false);
   // Task 1 is (1,2)-firm.  met, skip, skip: the second skip closes a
   // window with zero met jobs.
   governor.settle(1, true, false);
@@ -135,11 +177,11 @@ TEST(SkipGovernor, SettleCountsSkipsViolationsAndSlack) {
 
 TEST(SkipGovernor, ResetClearsHistoryAndCounters) {
   SkipGovernor governor;
-  governor.reset(governor_tasks());
+  governor.bind(governor_tasks(), SkipPolicy::kAlways, false);
   governor.settle(1, false, true);
   governor.settle(1, false, true);
   ASSERT_GT(governor.mk_violations(), 0);
-  governor.reset(governor_tasks());
+  governor.bind(governor_tasks(), SkipPolicy::kAlways, false);
   EXPECT_EQ(governor.jobs_skipped_weakly(), 0);
   EXPECT_EQ(governor.mk_violations(), 0);
   EXPECT_TRUE(governor.skip_permitted(1));  // Prehistory restored.
