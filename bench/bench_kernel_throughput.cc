@@ -9,7 +9,8 @@
 // fresh engine plus 1024 add() calls per run (add+run), the cost every
 // sweep caller pays.  A fourth section, emitted only with the audit enabled,
 // prices the default-on audit on a sweep-shaped pool: the same sims
-// unaudited and audited.
+// unaudited and audited; a fifth prices it on one long trace (INS under
+// LPFPS over four registry horizons).
 //
 // Emits BENCH_kernel_throughput.json; CI's perf-smoke job diffs the
 // events/sec columns against bench/baseline_kernel_throughput.json and
@@ -266,17 +267,39 @@ int main() {
                 kFleetSims);
   }
 
+  // Sections 4 and 5 price the default-on audit on one pool: `unaudited`
+  // runs it through fleet::run_fleet_sharded at one worker; `audited`
+  // through audit::simulate_fleet_sharded, which also records every
+  // trace and audits it (throwing on any violation).  CI gates audited's
+  // share of the unaudited rate via --min-ratio <section> audited.  Both
+  // are emitted only with the audit enabled, since both points would
+  // otherwise time the same path.
+  const auto price_audit = [&](const char* section, const char* policy,
+                               const std::vector<fleet::SimSpec>& pool,
+                               const std::string& note) {
+    const Throughput unaudited = measure([&] {
+      return events_of(fleet::run_fleet_sharded(pool, {}, 1));
+    });
+    const Throughput audited = measure([&] {
+      return events_of(audit::simulate_fleet_sharded(pool, {}, nullptr, 1));
+    });
+    print_row(section, "unaudited", policy, unaudited);
+    add_point(json, section, "unaudited", policy, unaudited);
+    print_row(section, "audited", policy, audited);
+    add_point(json, section, "audited", policy, audited);
+    std::printf("%-12s %-16s audited x%.2f of unaudited events/sec (%s)\n",
+                section, "share",
+                unaudited.events_per_sec() > 0.0
+                    ? audited.events_per_sec() / unaudited.events_per_sec()
+                    : 0.0,
+                note.c_str());
+  };
+
   // ---- Section 4: audit cost (docs/PERFORMANCE.md). --------------------
   // What the default-on audit adds to a sweep.  A pool shaped like the
   // repository benchmark's sweep workload: 5-task UUniFast sets at
   // U = 0.1..0.9, periods 10-40 ms in 10 ms steps, three hyperperiods,
-  // each set under FPS and LPFPS.  `unaudited` runs it through
-  // fleet::run_fleet_sharded at one worker; `audited` through
-  // audit::simulate_fleet_sharded, which also records every trace and
-  // audits it (throwing on any violation).  CI gates audited's share of
-  // the unaudited rate via --min-ratio audit_cost audited.  Emitted only
-  // with the audit enabled, since both points would otherwise time the
-  // same path.
+  // each set under FPS and LPFPS.
   if (audit::enabled()) {
     constexpr int kSetsPerUtilization = 16;
     std::vector<fleet::SimSpec> pool;
@@ -295,30 +318,30 @@ int main() {
         core::EngineOptions options;
         options.horizon = 3.0 * static_cast<Time>(tasks.hyperperiod());
         options.seed = runner::derive_seed(kSeed, pool.size());
-            pool.push_back({tasks, cpu, core::SchedulerPolicy::fps(), exec,
+        pool.push_back({tasks, cpu, core::SchedulerPolicy::fps(), exec,
                         options});
         pool.push_back({std::move(tasks), cpu, core::SchedulerPolicy::lpfps(),
                         exec, options});
         ++kept;
       }
     }
-    const Throughput unaudited = measure([&] {
-      return events_of(fleet::run_fleet_sharded(pool, {}, 1));
-    });
-    const Throughput audited = measure([&] {
-      return events_of(audit::simulate_fleet_sharded(pool, {}, nullptr, 1));
-    });
-    print_row("audit_cost", "unaudited", "fps+lpfps", unaudited);
-    add_point(json, "audit_cost", "unaudited", "fps+lpfps", unaudited);
-    print_row("audit_cost", "audited", "fps+lpfps", audited);
-    add_point(json, "audit_cost", "audited", "fps+lpfps", audited);
-    std::printf("%-12s %-16s audited x%.2f of unaudited events/sec "
-                "(%zu sims)\n",
-                "audit_cost", "share",
-                unaudited.events_per_sec() > 0.0
-                    ? audited.events_per_sec() / unaudited.events_per_sec()
-                    : 0.0,
-                pool.size());
+    price_audit("audit_cost", "fps+lpfps", pool,
+                std::to_string(pool.size()) + " sims");
+  }
+
+  // ---- Section 5: audit cost on a long trace (docs/PERFORMANCE.md). ----
+  // INS under LPFPS over four registry horizons, one simulation per rep:
+  // the audit's walks must stay linear in the trace length, so its price
+  // on a long trace stays a share of the simulation's.
+  if (audit::enabled()) {
+    const workloads::Workload ins = workloads::workload_by_name("INS");
+    core::EngineOptions options;
+    options.horizon = 4.0 * ins.horizon;
+    options.seed = kSeed;
+    price_audit("audit_cost_long", "LPFPS",
+                {{ins.tasks.with_bcet_ratio(0.5), cpu,
+                  core::SchedulerPolicy::lpfps(), exec, options}},
+                "INS, 4 horizons");
   }
 
   if (audit::enabled()) {

@@ -298,6 +298,63 @@ TEST(Auditor, CatchesIdleInsideMergedPendingWindow) {
       << report.violations[0].message;
 }
 
+/// a (T = 100, C = 10) runs its first job over [0, 10), completing at
+/// `completion`, then idles through the rest of [0, 200): its second
+/// job, released at 100, never runs.
+sim::Trace idle_through_a_release(Time completion) {
+  return sim::Trace::unchecked(
+      {seg(0.0, 10.0, ProcessorMode::kRunning, 0),
+       seg(10.0, 200.0, ProcessorMode::kIdleBusyWait)},
+      {job(0, 0, 0.0, 100.0, completion, 10.0)});
+}
+
+TEST(Auditor, CatchesIdleThroughALaterPendingWindow) {
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("a", 100, 10.0));
+  sched::assign_rate_monotonic(tasks);
+  // The first window ending just after the idle stretch begins (by less
+  // than epsilon) must not hide the pending window [100, 200) behind it.
+  for (const Time completion : {10.0, 10.000001}) {
+    const AuditReport report =
+        audit_trace(idle_through_a_release(completion), tasks, 200.0);
+    ASSERT_EQ(report.violations.size(), 1u)
+        << "completion " << completion << ": " << report.to_string();
+    EXPECT_EQ(report.violations[0].invariant, "S1.idle-while-pending");
+    EXPECT_EQ(report.violations[0].at, 100.0);
+    EXPECT_NE(report.violations[0].message.find("pending window [100, 200)"),
+              std::string::npos)
+        << report.violations[0].message;
+  }
+}
+
+TEST(Auditor, ASegmentRunningBackwardsKeepsThePendingChecks) {
+  // a (T = 100, C = 10) has one job pending over [0, 50).  The trace runs
+  // it over [45, 50), idles over [50, 100), then steps back in time: it
+  // runs it over [0, 5) and idles over [5, 45) while the job is pending.
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("a", 100, 10.0));
+  sched::assign_rate_monotonic(tasks);
+  const sim::Trace trace = sim::Trace::unchecked(
+      {seg(45.0, 50.0, ProcessorMode::kRunning, 0),
+       seg(50.0, 100.0, ProcessorMode::kIdleBusyWait),
+       seg(0.0, 5.0, ProcessorMode::kRunning, 0),
+       seg(5.0, 45.0, ProcessorMode::kIdleBusyWait)},
+      {job(0, 0, 0.0, 100.0, 50.0, 10.0)});
+  const AuditReport report = audit_trace(trace, tasks, 45.0);
+  std::vector<std::string> codes;
+  for (const Violation& v : report.violations) codes.push_back(v.invariant);
+  // The run over [0, 5) sits in its window (no J5), and the idle stretch
+  // after it is still checked against the window (S1).
+  EXPECT_EQ(codes, (std::vector<std::string>{"T1.start", "T1.overlap",
+                                             "S1.idle-while-pending"}))
+      << report.to_string();
+  EXPECT_NE(message_of(report, "S1.idle-while-pending")
+                .find("during [5, 45) while a released job is pending "
+                      "(pending window [0, 50))"),
+            std::string::npos)
+      << report.to_string();
+}
+
 TEST(Auditor, CatchesTruncatedTimeline) {
   auto segments = clean_segments();
   segments.pop_back();  // Ends at 150, horizon says 200.
@@ -326,6 +383,32 @@ TEST(Auditor, CatchesMisIntegratedEnergy) {
   const AuditReport report = audit_run(result, tasks, cpu);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "E1.energy")) << report.to_string();
+}
+
+TEST(Auditor, ReportsARatioThePowerModelCannotTake) {
+  // The energy re-integration must not hand a ratio outside (0, 1] to
+  // the power model (which throws on it): T2 reports it instead.
+  const sched::TaskSet tasks = solo_tasks();
+  const auto cpu = power::ProcessorConfig::arm8_default();
+  core::EngineOptions options;
+  options.horizon = 1000.0;
+  options.record_trace = true;
+  const core::SimulationResult clean = core::simulate(
+      tasks, cpu, core::SchedulerPolicy::lpfps(), nullptr, options);
+  for (const Ratio ratio : {1.05, 0.0, -0.5}) {
+    auto segments = clean.trace->segments();
+    const auto running = std::find_if(
+        segments.begin(), segments.end(),
+        [](const Segment& s) { return s.mode == ProcessorMode::kRunning; });
+    ASSERT_NE(running, segments.end());
+    running->ratio_end = ratio;
+    core::SimulationResult result = clean;
+    result.trace = sim::Trace::unchecked(std::move(segments),
+                                         clean.trace->jobs());
+    AuditReport report;
+    ASSERT_NO_THROW(report = audit_run(result, tasks, cpu)) << ratio;
+    EXPECT_TRUE(has_code(report, "T2.range")) << report.to_string();
+  }
 }
 
 TEST(Auditor, CatchesCorruptedCounters) {
@@ -608,6 +691,71 @@ TEST(Auditor, RequiresARecordedTrace) {
       tasks, cpu, core::SchedulerPolicy::fps(), nullptr, options);
   result.trace.reset();
   EXPECT_THROW((void)audit_run(result, tasks, cpu), std::logic_error);
+}
+
+TEST(Auditor, CatchesAPlanReturningToBaseAfterItsDeadline) {
+  // One task with D = 50 < T = 100 slows to half speed at t = 0 and is
+  // back at base only at 60: past its deadline, though well before its
+  // next arrival, so D1 must bound the plan by the deadline.
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("a", 100, 50, 20.0, 20.0));
+  sched::assign_rate_monotonic(tasks);
+  const auto cpu = power::ProcessorConfig::arm8_default();
+  const Time ramp = 0.5 / cpu.ramp_rate;
+  ASSERT_LT(2.0 * ramp, 60.0);
+  core::SimulationResult result;
+  result.simulated_time = 100.0;
+  result.trace = sim::Trace::unchecked(
+      {seg(0.0, ramp, ProcessorMode::kRunning, 0, 1.0, 0.5),
+       seg(ramp, 60.0 - ramp, ProcessorMode::kRunning, 0, 0.5, 0.5),
+       seg(60.0 - ramp, 60.0, ProcessorMode::kRunning, 0, 0.5, 1.0),
+       seg(60.0, 100.0, ProcessorMode::kIdleBusyWait)},
+      {job(0, 0, 0.0, 50.0, 60.0, 20.0)});
+  AuditOptions options;
+  options.max_violations = 1000;
+  const AuditReport report = audit_run(result, tasks, cpu, options);
+  EXPECT_TRUE(has_code(report, "D1.overrun")) << report.to_string();
+}
+
+// ---- Hostile records ------------------------------------------------------
+
+/// Instance numbers no run could reach: 2^55 would size a per-instance
+/// replay past the address space, and 2^62 * T overflows an int64.
+constexpr std::int64_t kHostileInstances[] = {std::int64_t{1} << 55,
+                                              std::int64_t{1} << 62};
+
+/// The clean solo trace with its second record claiming `instance`.
+sim::Trace renumbered_trace(std::int64_t instance) {
+  auto jobs = clean_jobs();
+  jobs[1].instance = instance;
+  return sim::Trace::unchecked(clean_segments(), std::move(jobs));
+}
+
+TEST(AuditorHostile, HugeInstanceOnAHardTaskReportsJ1) {
+  for (const std::int64_t instance : kHostileInstances) {
+    const AuditReport report =
+        audit_trace(renumbered_trace(instance), solo_tasks(), 200.0);
+    EXPECT_TRUE(has_code(report, "J1.instance")) << report.to_string();
+    EXPECT_TRUE(has_code(report, "J1.release")) << report.to_string();
+  }
+}
+
+TEST(AuditorHostile, HugeInstanceOnAWeaklyHardTaskReportsJ1) {
+  sched::TaskSet tasks;
+  tasks.add(
+      sched::with_mk_constraint(sched::make_task("firm", 100, 50.0), 1, 2));
+  sched::assign_rate_monotonic(tasks);
+  AuditOptions options;
+  options.weakly_hard = true;
+  for (const std::int64_t instance : kHostileInstances) {
+    const AuditReport report =
+        audit_trace(renumbered_trace(instance), tasks, 200.0, options);
+    EXPECT_TRUE(has_code(report, "J1.instance")) << report.to_string();
+    // The instances the record skips over count as forfeited: every
+    // (1,2) window past the first two holds no met job.
+    EXPECT_TRUE(has_code(report, "W1.window")) << report.to_string();
+    EXPECT_EQ(report.violations.size(), 32u) << report.to_string();
+  }
 }
 
 }  // namespace
